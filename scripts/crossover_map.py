@@ -15,8 +15,7 @@ from scene_sim import (
     crossover_threshold,
     estimate_mse_constants,
 )
-
-CSV_HEADER = "B,P,c_coh,c_nc,mse_coh,mse_nc,scene_wins"
+from scene_sim.analysis import CROSSOVER_CSV_HEADER, crossover_csv_row
 
 
 def main() -> None:
@@ -45,7 +44,7 @@ def main() -> None:
         c_nc = fit.c_nc
         print(f"fitted c_nc = {c_nc:.6g} (se {fit.se:.2g})")
 
-    lines = [CSV_HEADER]
+    lines = [CROSSOVER_CSV_HEADER]
     for b in args.budgets:
         model = CrossoverModel(budget=b, pilot_cost=0, c_coh=args.c_coh,
                                c_nc=c_nc, num_classes=10)
@@ -57,11 +56,7 @@ def main() -> None:
                 CrossoverModel(budget=b, pilot_cost=p, c_coh=args.c_coh,
                                c_nc=c_nc, num_classes=10)
             )
-            lines.append(",".join([
-                str(b), str(p), f"{args.c_coh:.17g}", f"{c_nc:.17g}",
-                f"{at_p.mse_coh:.17g}", f"{at_p.mse_nc:.17g}",
-                str(int(at_p.scene_wins(p))),
-            ]))
+            lines.append(crossover_csv_row(at_p, p))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n")

@@ -12,21 +12,21 @@ from .analysis import (
     mismatch_bias_bound,
     scene_variance_diagonal,
     variance_bound,
-    variance_bound_max_form,
 )
 from .channel import (
     PathlossModel,
     ReceivedEnergies,
     sample_pathloss,
     simulate_round,
-    simulate_round_correlated,
     simulate_rounds,
 )
 from .core import (
     ChannelModel,
     DevicePopulation,
     DeviceProfile,
+    Estimator,
     RandomSource,
+    RhoRule,
     RoundConfig,
     SoftLabel,
     population_from_arrays,
@@ -42,6 +42,7 @@ from .estimators import (
     top_t_truncate,
 )
 from .fd import (
+    Aggregation,
     DatasetSpec,
     FdMetrics,
     FdProtocolConfig,

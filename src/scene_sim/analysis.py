@@ -16,6 +16,8 @@ from .core import DevicePopulation, RoundConfig, SoftLabel, stack_labels
 # appear in practice contribute < 1e-19 beyond it.
 ACF_MAX_LAG = 64
 
+CROSSOVER_CSV_HEADER = "B,P,c_coh,c_nc,mse_coh,mse_nc,scene_wins"
+
 
 class NegativeDelta(ValueError):
     """Mismatch radius must be nonnegative."""
@@ -75,21 +77,6 @@ def variance_bound(
     signal = (pop.omegas**2) @ (q**2)
     noise = noise_energy_variance(cfg.noise_var) / cfg.rho**2
     return (2.0 / cfg.sample_count) * (signal + noise)
-
-
-def variance_bound_max_form(
-    pop: DevicePopulation, labels: Sequence[SoftLabel], cfg: RoundConfig
-) -> float:
-    """Diagnostic variant: ((K-1)/K) / (S*M*rho^2) * max_j (2 V_sig(j) + v_N)
-    with V_sig(j) = sum_i beta_i^2 E_{i,j}^2. Reported alongside the per-class
-    bound, not used as an acceptance reference.
-    """
-    q = stack_labels(labels)
-    k = q.shape[1]
-    v_sig = cfg.rho**2 * ((pop.omegas * pop.gammas) ** 2) @ (q**2)
-    v_n = noise_energy_variance(cfg.noise_var)
-    worst = float(np.max(2.0 * v_sig + v_n))
-    return (k - 1) / k * worst / (cfg.sample_count * cfg.rho**2)
 
 
 def scene_variance_diagonal(
@@ -230,4 +217,20 @@ def crossover_threshold(model: CrossoverModel) -> CrossoverAnalysis:
         budget=b,
         c_coh=model.c_coh,
         c_nc=model.c_nc,
+    )
+
+
+def crossover_csv_row(res: CrossoverAnalysis, pilot_cost: int) -> str:
+    """One row under ``CROSSOVER_CSV_HEADER``: the round MSEs of both schemes
+    at ``pilot_cost`` (17 significant digits) and whether SCENE wins there."""
+    return ",".join(
+        [
+            str(res.budget),
+            str(pilot_cost),
+            f"{res.c_coh:.17g}",
+            f"{res.c_nc:.17g}",
+            f"{res.mse_coh:.17g}",
+            f"{res.mse_nc:.17g}",
+            str(int(res.scene_wins(pilot_cost))),
+        ]
     )

@@ -34,10 +34,6 @@ class ShapeMismatch(ValueError):
     """Energy frame does not match the population or round configuration."""
 
 
-class BadCoefficient(ValueError):
-    """Correlation coefficient outside [0, 1)."""
-
-
 @dataclass(frozen=True)
 class PathlossModel:
     """Log-distance pathloss with lognormal shadowing.
@@ -125,12 +121,7 @@ def _ar1_filter_inplace(z: np.ndarray, coeff: float, axis: int) -> None:
 
 
 def _sample_fading(
-    gen: np.random.Generator,
-    prefix: tuple[int, ...],
-    reps: int,
-    antennas: int,
-    time_corr: float,
-    space_corr: float,
+    gen: np.random.Generator, prefix: tuple[int, ...], cfg: RoundConfig
 ) -> np.ndarray:
     """Unit-variance complex fading block of shape prefix + (S, M).
 
@@ -139,9 +130,9 @@ def _sample_fading(
     so the underlying amplitude process uses the square roots. With both
     coefficients zero this reduces to i.i.d. draws (same stream consumption).
     """
-    z = _complex_normal(gen, prefix + (reps, antennas))
-    _ar1_filter_inplace(z, math.sqrt(time_corr), axis=-2)
-    _ar1_filter_inplace(z, math.sqrt(space_corr), axis=-1)
+    z = _complex_normal(gen, prefix + (cfg.reps, cfg.antennas))
+    _ar1_filter_inplace(z, math.sqrt(cfg.time_corr), axis=-2)
+    _ar1_filter_inplace(z, math.sqrt(cfg.space_corr), axis=-1)
     return z
 
 
@@ -175,16 +166,14 @@ def simulate_rounds(
     cfg: RoundConfig,
     rng: RandomSource,
     trials: int,
-    time_corr: float = 0.0,
-    space_corr: float = 0.0,
-    frozen_fading: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Vectorized multi-trial channel kernel.
 
     Returns ``(Y, y_ref)`` where Y has shape (trials, K) and y_ref shape
-    (trials,) or None. Fading and noise are redrawn each trial; chunking is a
-    pure implementation detail and fixed given the shapes, so results depend
-    only on the arguments and the stream state.
+    (trials,) or None. Fading and noise are redrawn each trial, AR(1)-correlated
+    across repetitions and antennas by ``cfg.time_corr``/``cfg.space_corr``.
+    Chunking is a pure implementation detail and fixed given the shapes, so
+    results depend only on the arguments and the stream state.
     """
     _check_frame(energies, pop, cfg)
     if trials < 1:
@@ -198,21 +187,6 @@ def simulate_rounds(
     noise_std = np.float32(math.sqrt(cfg.noise_var)) if cfg.noise_var > 0 else None
 
     out = np.empty((trials, kt), dtype=np.float64)
-    if frozen_fading:
-        # Test hook: |h_i|^2 pinned at beta_i with no cross-device terms, so
-        # the signal part is exactly S*M * sum_i beta_i E_{i,c}; noise stays
-        # stochastic unless noise_var is zero.
-        signal = s * m * (beta @ e_ext)
-        out[:] = signal[None, :]
-        if noise_std is not None:
-            per_trial = kt * s * m
-            chunk = max(1, min(trials, _CHUNK_ELEMS // per_trial))
-            for lo in range(0, trials, chunk):
-                b = min(chunk, trials - lo)
-                nz = _complex_normal(gen, (b, kt, s, m))
-                out[lo : lo + b] += _abs2_f64(nz).sum(axis=(2, 3)) * cfg.noise_var
-        return _split_reference(out, cfg)
-
     superposition = cfg.channel_model is ChannelModel.SUPERPOSITION
     per_trial = n * kt * s * m
     chunk = max(1, min(trials, _CHUNK_ELEMS // max(per_trial, 1)))
@@ -225,7 +199,7 @@ def simulate_rounds(
         if superposition:
             # One fading realization per (device, rep, antenna), shared by all
             # class slots of that sample; independent phase per slot.
-            g = _sample_fading(gen, (b, n), s, m, time_corr, space_corr)
+            g = _sample_fading(gen, (b, n), cfg)
             u = gen.random((b, n, kt, s, m), dtype=np.float32)
             u *= _TWO_PI
             phase = np.empty(u.shape, dtype=np.complex64)
@@ -237,7 +211,7 @@ def simulate_rounds(
             out[lo : lo + b] = _abs2_f64(sig).sum(axis=(2, 3))
         else:
             # Independent fading per class slot: class energies decouple.
-            g = _sample_fading(gen, (b, n, kt), s, m, time_corr, space_corr)
+            g = _sample_fading(gen, (b, n, kt), cfg)
             h2 = _abs2_f64(g) * beta[None, :, None, None, None]
             y = np.einsum("ik,biksm->bk", e_ext, h2)
             if noise_std is not None:
@@ -258,41 +232,12 @@ def simulate_round(
     pop: DevicePopulation,
     cfg: RoundConfig,
     rng: RandomSource,
-    frozen_fading: bool = False,
 ) -> ReceivedEnergies:
-    """Simulate one round with independent fading across samples.
+    """Simulate one round: :func:`simulate_rounds` with a single trial.
 
-    Under either model E[Y_c] = S*M * (sum_i beta_i E_{i,c} + noise_var).
-    ``frozen_fading`` pins |h_i|^2 at beta_i with no cross terms; it exists
-    only so exact-value tests can bypass fading randomness.
+    Under either model E[Y_c] = S*M * (sum_i beta_i E_{i,c} + noise_var),
+    whatever the correlation coefficients in ``cfg``.
     """
-    y, y_ref = simulate_rounds(energies, pop, cfg, rng, trials=1, frozen_fading=frozen_fading)
-    ref = float(y_ref[0]) if y_ref is not None else None
-    return ReceivedEnergies(y[0], ref, cfg.sample_count)
-
-
-def simulate_round_correlated(
-    energies: EnergyFrame,
-    pop: DevicePopulation,
-    cfg: RoundConfig,
-    rng: RandomSource,
-    time_corr: float | None = None,
-    space_corr: float | None = None,
-) -> ReceivedEnergies:
-    """Like :func:`simulate_round` but with AR(1)-correlated fading across
-    repetitions (coefficient ``time_corr``) and antennas (``space_corr``),
-    both in the energy domain. Marginals stay CN(0, beta_i); with both
-    coefficients zero this is draw-for-draw identical to simulate_round.
-    """
-    tc = cfg.time_corr if time_corr is None else time_corr
-    sc = cfg.space_corr if space_corr is None else space_corr
-    tc = 0.0 if tc is None else tc
-    sc = 0.0 if sc is None else sc
-    for name, c in (("time_corr", tc), ("space_corr", sc)):
-        if not (0.0 <= c < 1.0):
-            raise BadCoefficient(f"{name} must lie in [0, 1), got {c}")
-    y, y_ref = simulate_rounds(
-        energies, pop, cfg, rng, trials=1, time_corr=tc, space_corr=sc
-    )
+    y, y_ref = simulate_rounds(energies, pop, cfg, rng, trials=1)
     ref = float(y_ref[0]) if y_ref is not None else None
     return ReceivedEnergies(y[0], ref, cfg.sample_count)

@@ -15,26 +15,28 @@ import os
 import sys
 import types
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import analysis
-from .analysis import CrossoverModel, crossover_threshold
+from .analysis import (
+    CROSSOVER_CSV_HEADER,
+    CrossoverModel,
+    crossover_csv_row,
+    crossover_threshold,
+)
 from .channel import simulate_round
-from .core import ChannelModel, RandomSource, RoundConfig, weighted_average
+from .core import ChannelModel, Estimator, RhoRule, weighted_average
 from .estimators import ratio_estimate, scene_estimate
 from .fd import FD_CSV_HEADER, FdProtocolConfig, fd_csv_row, run_fd
 from .montecarlo import (
     ExperimentSpec,
-    LabelSpec,
-    PopulationSpec,
+    SetupSpec,
     estimate_mse_constants,
     run_experiment,
     write_rows_csv,
 )
-from .power import map_energies, min_rho
-
-CROSSOVER_CSV_HEADER = "B,P,c_coh,c_nc,mse_coh,mse_nc,scene_wins"
+from .power import map_energies
 
 
 class ConfigError(ValueError):
@@ -42,19 +44,17 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RoundSpec:
-    """Single-round demo parameters."""
+class RoundSpec(SetupSpec):
+    """Single-round demo parameters; one round runs one estimator."""
 
-    population: PopulationSpec = field(default_factory=PopulationSpec)
-    labels: LabelSpec = field(default_factory=LabelSpec)
     s: int = 4
     m: int = 4
     snr_db: float = 5.0
-    rho_rule: str = "min_rho"
-    rho_value: float = 1.0
-    channel_model: ChannelModel = ChannelModel.SUPERPOSITION
-    estimator: str = "scene"
-    seed: int = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.estimator is Estimator.BOTH:
+            raise ValueError("a round runs one estimator: 'scene' or 'ratio', not 'both'")
 
 
 @dataclass(frozen=True)
@@ -188,33 +188,21 @@ def _echo_config(spec, command: str, seed: int, out_dir: Path) -> None:
 
 def cmd_round(spec: RoundSpec, seed: int, out_dir: Path) -> int:
     """Run one aggregation round end to end and print the per-class table."""
-    root = RandomSource(seed)
-    pop_rng, label_rng, chan_rng = root.split(3)
-    pop = spec.population.draw(pop_rng)
-    labels = spec.labels.draw(pop.num_devices, label_rng)
+    pop, labels, chan_rng = spec.draw(seed)
     qbar = weighted_average(labels, pop).probs
-    rho = spec.rho_value if spec.rho_rule == "fixed" else min_rho(pop)
     k = labels[0].num_classes
-    cfg = RoundConfig(
-        num_classes=k,
-        reps=spec.s,
-        antennas=spec.m,
-        rho=rho,
-        noise_var=analysis.calibrate_noise(rho, k, spec.snr_db),
-        channel_model=spec.channel_model,
-        use_reference_re=spec.estimator == "ratio",
-    )
-    frame = map_energies(labels, pop, rho, include_reference=cfg.use_reference_re)
+    cfg = spec.round_config(pop, k, spec.s, spec.m, spec.snr_db)
+    frame = map_energies(labels, pop, cfg.rho, include_reference=cfg.use_reference_re)
     received = simulate_round(frame, pop, cfg, chan_rng)
-    if spec.estimator == "ratio":
+    if spec.estimator is Estimator.RATIO:
         result = ratio_estimate(received)
     else:
         result = scene_estimate(received, cfg)
     bias = analysis.mismatch_bias(pop, labels)
     bound = analysis.variance_bound(pop, labels, cfg)
 
-    print(f"# S={spec.s} M={spec.m} snr_db={spec.snr_db} rho={rho:.6g} "
-          f"model={spec.channel_model.value} estimator={spec.estimator}")
+    print(f"# S={spec.s} M={spec.m} snr_db={spec.snr_db} rho={cfg.rho:.6g} "
+          f"model={spec.channel_model.value} estimator={spec.estimator.value}")
     print(f"{'class':>5} {'q_bar':>12} {'raw':>12} {'projected':>12} "
           f"{'bias':>12} {'var_bound':>12}")
     for c in range(k):
@@ -252,19 +240,7 @@ def cmd_crossover(spec: CrossoverSpec, seed: int, out_dir: Path, threads: int | 
                 if not 0 <= p < b:
                     continue
                 res = crossover_threshold(replace(model, pilot_cost=p))
-                lines.append(
-                    ",".join(
-                        [
-                            str(b),
-                            str(p),
-                            f"{c_coh:.17g}",
-                            f"{c_nc:.17g}",
-                            f"{res.mse_coh:.17g}",
-                            f"{res.mse_nc:.17g}",
-                            str(int(res.scene_wins(p))),
-                        ]
-                    )
-                )
+                lines.append(crossover_csv_row(res, p))
     (out_dir / "crossover.csv").write_text("\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} rows to {out_dir / 'crossover.csv'}")
     return 0
@@ -276,62 +252,59 @@ def cmd_fd(spec: FdProtocolConfig, seed: int, out_dir: Path) -> int:
     content = FD_CSV_HEADER + "\n" + fd_csv_row(metrics, seed) + "\n"
     (out_dir / "fd_metrics.csv").write_text(content)
     print(
-        f"aggregation={metrics.aggregation} U={metrics.unlabeled_budget} "
+        f"aggregation={metrics.aggregation.value} U={metrics.unlabeled_budget} "
         f"server_acc={metrics.server_accuracy:.4f} agg_l2_err={metrics.agg_l2_error:.4f}"
     )
     return 0
 
 
+# Per-field flags; ``crossover`` takes none of them.
+_FIELD_FLAGS = ("s", "m", "snr_db", "rho", "model", "estimator")
+
+
 def _apply_overrides(spec, args):
-    """Fold the per-field flags into the loaded section."""
-    if isinstance(spec, RoundSpec):
-        updates = {}
-        if args.s is not None:
-            updates["s"] = args.s
-        if args.m is not None:
-            updates["m"] = args.m
-        if args.snr_db is not None:
-            updates["snr_db"] = args.snr_db
-        if args.rho is not None:
-            updates.update(rho_rule="fixed", rho_value=args.rho)
-        if args.model is not None:
-            updates["channel_model"] = ChannelModel(args.model)
-        if args.estimator is not None:
-            updates["estimator"] = args.estimator
+    """Fold the per-field flags into the loaded section. A flag the command
+    cannot honour is a config error, never silently dropped."""
+    given = {f: getattr(args, f) for f in _FIELD_FLAGS if getattr(args, f) is not None}
+    if not given:
+        return spec
+    if isinstance(spec, CrossoverSpec):
+        names = ", ".join("--" + f.replace("_", "-") for f in given)
+        raise ConfigError(f"crossover takes no per-field flags, got {names}")
+    fixed_rho = {"rho_rule": RhoRule.FIXED} if "rho" in given else {}
+    try:
+        if isinstance(spec, FdProtocolConfig):
+            round_cfg = replace(
+                spec.round,
+                reps=given.get("s", spec.round.reps),
+                antennas=given.get("m", spec.round.antennas),
+                rho=given.get("rho", spec.round.rho),
+                channel_model=given.get("model", spec.round.channel_model),
+            )
+            return replace(
+                spec,
+                round=round_cfg,
+                snr_db=given.get("snr_db", spec.snr_db),
+                aggregation=given.get("estimator", spec.aggregation),
+                **fixed_rho,
+            )
+        updates = dict(
+            rho_value=given.get("rho", spec.rho_value),
+            channel_model=given.get("model", spec.channel_model),
+            estimator=given.get("estimator", spec.estimator),
+            **fixed_rho,
+        )
+        if isinstance(spec, RoundSpec):
+            updates.update({f: given[f] for f in ("s", "m", "snr_db") if f in given})
+        else:
+            if "s" in given or "m" in given:
+                s0, m0 = spec.sm_pairs[0]
+                updates["sm_pairs"] = ((given.get("s", s0), given.get("m", m0)),)
+            if "snr_db" in given:
+                updates["snr_db_values"] = (given["snr_db"],)
         return replace(spec, **updates)
-    if isinstance(spec, ExperimentSpec):
-        updates = {}
-        if args.s is not None or args.m is not None:
-            (s0, m0) = spec.sm_pairs[0]
-            s = s0 if args.s is None else args.s
-            m = m0 if args.m is None else args.m
-            updates["sm_pairs"] = ((s, m),)
-        if args.snr_db is not None:
-            updates["snr_db_values"] = (args.snr_db,)
-        if args.rho is not None:
-            updates.update(rho_rule="fixed", rho_value=args.rho)
-        if args.model is not None:
-            updates["channel_model"] = ChannelModel(args.model)
-        if args.estimator is not None:
-            updates["estimator"] = args.estimator
-        return replace(spec, **updates)
-    if isinstance(spec, FdProtocolConfig):
-        round_updates = {}
-        if args.s is not None:
-            round_updates["reps"] = args.s
-        if args.m is not None:
-            round_updates["antennas"] = args.m
-        if args.model is not None:
-            round_updates["channel_model"] = ChannelModel(args.model)
-        updates = {}
-        if round_updates:
-            updates["round"] = replace(spec.round, **round_updates)
-        if args.snr_db is not None:
-            updates["snr_db"] = args.snr_db
-        if args.estimator is not None and args.estimator in ("scene", "ratio"):
-            updates["aggregation"] = args.estimator
-        return replace(spec, **updates)
-    return spec
+    except ValueError as exc:
+        raise ConfigError(f"command-line flags: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rho", type=float, default=None,
                        help="fixed energy scale (disables the min-rho rule)")
         p.add_argument("--model", choices=[m.value for m in ChannelModel], default=None)
-        p.add_argument("--estimator", choices=["scene", "ratio", "both"], default=None)
+        p.add_argument("--estimator", choices=[e.value for e in Estimator], default=None)
     return parser
 
 

@@ -195,14 +195,43 @@ class ChannelModel(Enum):
     DIAGONAL = "diagonal"
 
 
+class Estimator(Enum):
+    """Which receiver estimator a run reports; BOTH runs the two side by side."""
+
+    SCENE = "scene"
+    RATIO = "ratio"
+    BOTH = "both"
+
+
+class RhoRule(Enum):
+    """How the global energy scale is set: negotiated min-rho, or a fixed value."""
+
+    MIN_RHO = "min_rho"
+    FIXED = "fixed"
+
+
+def coerce_settings(obj, **kinds: type[Enum]) -> None:
+    """Store each named field of a frozen dataclass as a member of its
+    setting Enum; a string must be one of the setting's values."""
+    for name, kind in kinds.items():
+        object.__setattr__(obj, name, kind(getattr(obj, name)))
+
+
+def check_correlation(**coeffs: float) -> None:
+    """Reject AR(1) correlation coefficients outside [0, 1)."""
+    for name, c in coeffs.items():
+        if not 0.0 <= c < 1.0:
+            raise ValueError(f"{name} must lie in [0, 1), got {c}")
+
+
 @dataclass(frozen=True)
 class RoundConfig:
     """Parameters of one aggregation round.
 
     ``rho`` is the global energy scale broadcast by the server, ``noise_var``
-    the per-resource-element complex noise power. Optional AR(1) coefficients
-    describe the energy-domain autocorrelation across repetitions (time) and
-    antennas (space); ``None`` means independent samples.
+    the per-resource-element complex noise power. The AR(1) coefficients
+    ``time_corr`` and ``space_corr`` are the energy-domain autocorrelation
+    across repetitions and antennas; 0 means independent samples.
     """
 
     num_classes: int
@@ -211,8 +240,8 @@ class RoundConfig:
     rho: float = 1.0
     noise_var: float = 0.0
     channel_model: ChannelModel = ChannelModel.SUPERPOSITION
-    time_corr: float | None = None
-    space_corr: float | None = None
+    time_corr: float = 0.0
+    space_corr: float = 0.0
     use_reference_re: bool = False
 
     def __post_init__(self) -> None:
@@ -224,10 +253,8 @@ class RoundConfig:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if self.noise_var < 0:
             raise ValueError("noise_var must be >= 0")
-        for name in ("time_corr", "space_corr"):
-            c = getattr(self, name)
-            if c is not None and not (0.0 <= c < 1.0):
-                raise ValueError(f"{name} must lie in [0, 1), got {c}")
+        coerce_settings(self, channel_model=ChannelModel)
+        check_correlation(time_corr=self.time_corr, space_corr=self.space_corr)
 
     @property
     def sample_count(self) -> int:

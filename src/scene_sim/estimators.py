@@ -49,20 +49,42 @@ class AggregateResult:
         object.__setattr__(self, "raw", r)
 
 
-def project_simplex(v: np.ndarray) -> SoftLabel:
-    """Light projection: clip negatives to zero and renormalize.
+def clip_renormalize(v: np.ndarray) -> np.ndarray:
+    """Clip negatives to zero and renormalize along the trailing (class) axis,
+    vectorized over leading axes. A row with nothing positive becomes the
+    uniform label, the zero-information anchor of the estimator."""
+    clipped = np.maximum(v, 0.0)
+    totals = clipped.sum(axis=-1, keepdims=True)
+    uniform = np.full_like(clipped, 1.0 / v.shape[-1])
+    return np.divide(clipped, totals, out=uniform, where=totals > 0)
 
-    If nothing is positive the uniform label is returned, the zero-information
-    anchor of the estimator. Idempotent on valid soft labels.
-    """
+
+def project_simplex(v: np.ndarray) -> SoftLabel:
+    """Light projection of one vector onto the simplex by
+    :func:`clip_renormalize`. Idempotent on valid soft labels."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size < 2:
         raise BadLength(f"need a vector of K >= 2 entries, got shape {v.shape}")
-    clipped = np.maximum(v, 0.0)
-    total = clipped.sum()
-    if total <= 0.0:
-        return SoftLabel(np.full(v.size, 1.0 / v.size))
-    return SoftLabel(clipped / total)
+    return SoftLabel(clip_renormalize(v))
+
+
+def reference_ratios(y: np.ndarray, y_ref: np.ndarray | float | None) -> np.ndarray:
+    """Ratios q~_c = Y_c / R, vectorized over leading axes: ``y`` has the
+    classes on its trailing axis and ``y_ref`` the leading shape of ``y``."""
+    if y_ref is None:
+        raise ZeroReference("received energies carry no reference slot")
+    y_ref = np.asarray(y_ref, dtype=np.float64)
+    if np.any(y_ref <= 0.0):
+        raise ZeroReference(f"reference energy must be positive, got {float(y_ref.min())!r}")
+    return y / y_ref[..., None]
+
+
+def ratio_project(ratios: np.ndarray) -> np.ndarray:
+    """Clip-renormalized ratios; a row with nothing positive carries no
+    label information, so it raises instead of falling back to uniform."""
+    if np.any(ratios.max(axis=-1) <= 0.0):
+        raise AllNonpositive("all ratio entries are nonpositive")
+    return clip_renormalize(ratios)
 
 
 def scene_raw(y: np.ndarray, sample_count: int, rho: float) -> np.ndarray:
@@ -108,20 +130,11 @@ def ratio_estimate(y: ReceivedEnergies) -> AggregateResult:
     gain knowledge is needed at all; heterogeneous per-device mismatch still
     reweights the average. ``raw`` holds the plain ratios (not sum-normalized).
     """
-    if y.y_ref is None:
-        raise ZeroReference("received energies carry no reference slot")
-    r = float(y.y_ref)
-    if r <= 0.0:
-        raise ZeroReference(f"reference energy must be positive, got {r}")
-    ratios = y.y / r
-    positive = np.maximum(ratios, 0.0)
-    total = positive.sum()
-    if total <= 0.0:
-        raise AllNonpositive("all ratio entries are nonpositive")
+    ratios = reference_ratios(y.y, y.y_ref)
     return AggregateResult(
         raw=ratios,
-        projected=SoftLabel(positive / total),
-        centering_gain=1.0 / r,
+        projected=SoftLabel(ratio_project(ratios)),
+        centering_gain=1.0 / y.y_ref,
         used_ratio=True,
     )
 

@@ -11,20 +11,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from enum import Enum
 
 import numpy as np
 
 from . import analysis
-from .channel import PathlossModel, sample_pathloss, simulate_round
+from .channel import PathlossModel, simulate_round
 from .core import (
     DevicePopulation,
     RandomSource,
+    RhoRule,
     RoundConfig,
     SoftLabel,
-    population_from_arrays,
+    coerce_settings,
 )
 from .estimators import ratio_estimate, scene_estimate
-from .power import map_energies, run_min_rho_protocol
+from .montecarlo import PopulationSpec
+from .power import map_energies, resolve_rho
 
 FD_CSV_HEADER = "round,U,S,M,snr_db,aggregation,server_acc,agg_l2_err,seed"
 
@@ -35,6 +38,15 @@ class Divergence(RuntimeError):
 
 class EmptyBudget(ValueError):
     """No unlabeled samples to distill on."""
+
+
+class Aggregation(Enum):
+    """How client soft labels reach the server: the noise-free weighted
+    average, or over the air with the self-centering or the ratio estimator."""
+
+    PLAIN = "plain"
+    SCENE = "scene"
+    RATIO = "ratio"
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,22 +224,18 @@ class FdProtocolConfig:
     distill_epochs: int = 20
     batch_size: int = 32
     learning_rate: float = 0.5
-    aggregation: str = "scene"  # "plain" | "scene" | "ratio"
+    aggregation: Aggregation = Aggregation.SCENE
     round: RoundConfig = field(
         default_factory=lambda: RoundConfig(num_classes=10, reps=4, antennas=1)
     )
     snr_db: float | None = 5.0
-    rho_rule: str = "min_rho"  # "min_rho" | "fixed"
+    rho_rule: RhoRule = RhoRule.MIN_RHO
     pathloss: PathlossModel = field(default_factory=PathlossModel)
     power_cap_range: tuple[float, float] = (0.5, 1.5)
-    frozen_fading: bool = False
     data: DatasetSpec = field(default_factory=DatasetSpec)
 
     def __post_init__(self) -> None:
-        if self.aggregation not in ("plain", "scene", "ratio"):
-            raise ValueError(f"unknown aggregation {self.aggregation!r}")
-        if self.rho_rule not in ("min_rho", "fixed"):
-            raise ValueError(f"unknown rho rule {self.rho_rule!r}")
+        coerce_settings(self, aggregation=Aggregation, rho_rule=RhoRule)
         if self.unlabeled_budget < 1:
             raise EmptyBudget("unlabeled budget must be >= 1")
         if self.unlabeled_budget > self.open_size:
@@ -294,13 +302,6 @@ def pretrain_clients(
     return clients
 
 
-def _build_population(cfg: FdProtocolConfig, rng: RandomSource) -> DevicePopulation:
-    betas = sample_pathloss(cfg.pathloss, cfg.clients, rng)
-    caps = rng.generator.uniform(*cfg.power_cap_range, cfg.clients)
-    omegas = np.full(cfg.clients, 1.0 / cfg.clients)  # even IID split
-    return population_from_arrays(omegas, betas, power_caps=caps)
-
-
 @dataclass(frozen=True)
 class FdMetrics:
     """Outcome of one distillation round."""
@@ -308,7 +309,7 @@ class FdMetrics:
     server_accuracy: float
     agg_l2_error: float
     kl_per_epoch: tuple[float, ...]
-    aggregation: str
+    aggregation: Aggregation
     unlabeled_budget: int
     reps: int
     antennas: int
@@ -330,7 +331,7 @@ def aggregate_targets(
     """
     n, u, k = client_probs.shape
     plain = np.einsum("i,iuk->uk", pop.omegas, client_probs)
-    if cfg.aggregation == "plain":
+    if cfg.aggregation is Aggregation.PLAIN:
         return plain, plain
     targets = np.empty((u, k))
     streams = rng.split(u)
@@ -339,10 +340,8 @@ def aggregate_targets(
         frame = map_energies(
             labels, pop, round_cfg.rho, include_reference=round_cfg.use_reference_re
         )
-        received = simulate_round(
-            frame, pop, round_cfg, streams[j], frozen_fading=cfg.frozen_fading
-        )
-        if cfg.aggregation == "ratio":
+        received = simulate_round(frame, pop, round_cfg, streams[j])
+        if cfg.aggregation is Aggregation.RATIO:
             targets[j] = ratio_estimate(received).projected.probs
         else:
             targets[j] = scene_estimate(received, round_cfg).projected.probs
@@ -351,9 +350,7 @@ def aggregate_targets(
 
 def _resolve_round_config(cfg: FdProtocolConfig, pop: DevicePopulation) -> RoundConfig:
     k = cfg.data.num_classes
-    rho = cfg.round.rho
-    if cfg.rho_rule == "min_rho":
-        rho, _ = run_min_rho_protocol(pop)
+    rho = resolve_rho(cfg.rho_rule, cfg.round.rho, pop)
     noise = cfg.round.noise_var
     if cfg.snr_db is not None:
         noise = analysis.calibrate_noise(rho, k, cfg.snr_db)
@@ -362,7 +359,7 @@ def _resolve_round_config(cfg: FdProtocolConfig, pop: DevicePopulation) -> Round
         num_classes=k,
         rho=rho,
         noise_var=noise,
-        use_reference_re=cfg.aggregation == "ratio",
+        use_reference_re=cfg.aggregation is Aggregation.RATIO,
     )
 
 
@@ -380,13 +377,14 @@ def one_shot_distill(
     the KL divergence to the aggregated targets by SGD.
     """
     u = cfg.unlabeled_budget
-    if u < 1:
-        raise EmptyBudget("unlabeled budget must be >= 1")
     select_rng, pop_rng, channel_rng, train_rng = rng.split(4)
     idx = select_rng.generator.choice(split.open_features.shape[0], u, replace=False)
     x_u = split.open_features[idx]
     client_probs = np.stack([c.predict_proba(x_u) for c in clients])
-    pop = _build_population(cfg, pop_rng)
+    # uniform weights: clients hold even IID shards
+    pop = PopulationSpec(
+        n_devices=cfg.clients, pathloss=cfg.pathloss, power_cap_range=cfg.power_cap_range
+    ).draw(pop_rng)
     round_cfg = _resolve_round_config(cfg, pop)
     targets, plain = aggregate_targets(cfg, client_probs, pop, round_cfg, channel_rng)
     agg_err = float(np.linalg.norm(targets - plain, axis=1).mean())
@@ -435,7 +433,7 @@ def fd_csv_row(metrics: FdMetrics, seed: int, round_index: int = 1) -> str:
             str(metrics.reps),
             str(metrics.antennas),
             snr,
-            metrics.aggregation,
+            metrics.aggregation.value,
             f"{metrics.server_accuracy:.17g}",
             f"{metrics.agg_l2_error:.17g}",
             str(seed),

@@ -20,14 +20,18 @@ from .channel import PathlossModel, sample_pathloss, simulate_rounds
 from .core import (
     ChannelModel,
     DevicePopulation,
+    Estimator,
     RandomSource,
+    RhoRule,
     RoundConfig,
     SoftLabel,
+    check_correlation,
+    coerce_settings,
     population_from_arrays,
     weighted_average,
 )
-from .estimators import scene_raw
-from .power import map_energies, min_rho
+from .estimators import clip_renormalize, ratio_project, reference_ratios, scene_raw
+from .power import map_energies, resolve_rho
 
 # Trials per scheduling job; fixed so outputs do not depend on worker count.
 _JOB_TRIALS = 20_000
@@ -39,6 +43,10 @@ CSV_HEADER = (
 
 class InsufficientSweep(ValueError):
     """Constant fitting needs at least three distinct S*M products."""
+
+
+class MixedSnr(ValueError):
+    """Constant fitting needs a single SNR: c_nc depends on it."""
 
 
 @dataclass
@@ -63,13 +71,6 @@ class TrialStats:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         mean = x.mean(axis=0)
         return cls(x.shape[0], mean, ((x - mean) ** 2).sum(axis=0))
-
-    def update(self, x: np.ndarray) -> None:
-        """Fold in a single observation."""
-        self.n += 1
-        delta = x - self.mean
-        self.mean = self.mean + delta / self.n
-        self.m2 = self.m2 + delta * (x - self.mean)
 
     def merge(self, other: "TrialStats") -> "TrialStats":
         if self.n == 0:
@@ -173,31 +174,66 @@ class LabelSpec:
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
-    """A full sweep: population, labels, and the (S, M) x SNR grid."""
+class SetupSpec:
+    """What a single round and a sweep share: how the population and labels
+    are drawn, and how the energy scale and the receiver of a point are set."""
 
     population: PopulationSpec = field(default_factory=PopulationSpec)
     labels: LabelSpec = field(default_factory=LabelSpec)
-    sm_pairs: tuple[tuple[int, int], ...] = ((4, 4),)
-    snr_db_values: tuple[float, ...] = (5.0,)
-    rho_rule: str = "min_rho"  # "min_rho" | "fixed"
+    rho_rule: RhoRule = RhoRule.MIN_RHO
     rho_value: float = 1.0
     channel_model: ChannelModel = ChannelModel.SUPERPOSITION
-    estimator: str = "scene"  # "scene" | "ratio" | "both"
-    trials: int = 10_000
+    estimator: Estimator = Estimator.SCENE
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        coerce_settings(
+            self, rho_rule=RhoRule, channel_model=ChannelModel, estimator=Estimator
+        )
+
+    def draw(self, seed: int) -> tuple[DevicePopulation, list[SoftLabel], RandomSource]:
+        """Population and labels drawn from ``seed``, and the stream left for
+        the channel."""
+        pop_rng, label_rng, channel_rng = RandomSource(seed).split(3)
+        pop = self.population.draw(pop_rng)
+        labels = self.labels.draw(pop.num_devices, label_rng)
+        return pop, labels, channel_rng
+
+    def round_config(
+        self, pop: DevicePopulation, k: int, s: int, m: int, snr_db: float, **corr: float
+    ) -> RoundConfig:
+        """Parameters of the (S, M, SNR) point: rho by the rule, noise power
+        calibrated to the SNR, and the AR(1) coefficients ``corr``."""
+        rho = resolve_rho(self.rho_rule, self.rho_value, pop)
+        return RoundConfig(
+            num_classes=k,
+            reps=s,
+            antennas=m,
+            rho=rho,
+            noise_var=analysis.calibrate_noise(rho, k, snr_db),
+            channel_model=self.channel_model,
+            use_reference_re=self.estimator is not Estimator.SCENE,
+            **corr,
+        )
+
+
+@dataclass(frozen=True)
+class ExperimentSpec(SetupSpec):
+    """A full sweep: population, labels, and the (S, M) x SNR grid."""
+
+    sm_pairs: tuple[tuple[int, int], ...] = ((4, 4),)
+    snr_db_values: tuple[float, ...] = (5.0,)
+    trials: int = 10_000
     time_corr: float = 0.0
     space_corr: float = 0.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.sm_pairs or not self.snr_db_values:
             raise ValueError("sweep lists must be nonempty")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.rho_rule not in ("min_rho", "fixed"):
-            raise ValueError(f"unknown rho rule {self.rho_rule!r}")
-        if self.estimator not in ("scene", "ratio", "both"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
+        check_correlation(time_corr=self.time_corr, space_corr=self.space_corr)
 
 
 @dataclass(frozen=True)
@@ -270,46 +306,24 @@ def _point_stats(
     """Run all trials of one sweep point, returning stats keyed by estimator
     variant ("scene", "scene_proj", "ratio", "ratio_proj")."""
     frame = map_energies(labels, pop, cfg.rho, include_reference=cfg.use_reference_re)
-    k = cfg.num_classes
-    sm = cfg.sample_count
-    want_scene = spec.estimator in ("scene", "both")
-    want_ratio = spec.estimator in ("ratio", "both")
+    want_scene = spec.estimator is not Estimator.RATIO
+    want_ratio = spec.estimator is not Estimator.SCENE
 
-    jobs = []
-    remaining = spec.trials
-    while remaining > 0:
-        jobs.append(min(_JOB_TRIALS, remaining))
-        remaining -= _JOB_TRIALS
+    jobs = [min(_JOB_TRIALS, spec.trials - lo) for lo in range(0, spec.trials, _JOB_TRIALS)]
     streams = rng.split(len(jobs))
 
     def run_job(args) -> dict[str, TrialStats]:
         count, stream = args
-        y, y_ref = simulate_rounds(
-            frame,
-            pop,
-            cfg,
-            stream,
-            trials=count,
-            time_corr=spec.time_corr,
-            space_corr=spec.space_corr,
-        )
+        y, y_ref = simulate_rounds(frame, pop, cfg, stream, trials=count)
         out: dict[str, TrialStats] = {}
         if want_scene:
-            raw = scene_raw(y, sm, cfg.rho)
+            raw = scene_raw(y, cfg.sample_count, cfg.rho)
             out["scene"] = TrialStats.from_samples(raw)
-            clipped = np.maximum(raw, 0.0)
-            totals = clipped.sum(axis=1, keepdims=True)
-            proj = np.where(totals > 0, clipped / np.where(totals > 0, totals, 1.0), 1.0 / k)
-            out["scene_proj"] = TrialStats.from_samples(proj)
+            out["scene_proj"] = TrialStats.from_samples(clip_renormalize(raw))
         if want_ratio:
-            if np.any(y_ref <= 0):
-                raise ValueError("reference energy hit zero")
-            ratios = y / y_ref[:, None]
+            ratios = reference_ratios(y, y_ref)
             out["ratio"] = TrialStats.from_samples(ratios)
-            totals = ratios.sum(axis=1, keepdims=True)
-            if np.any(totals <= 0):
-                raise ValueError("all ratio entries nonpositive in a trial")
-            out["ratio_proj"] = TrialStats.from_samples(ratios / totals)
+            out["ratio_proj"] = TrialStats.from_samples(ratio_project(ratios))
         return out
 
     work = list(zip(jobs, streams))
@@ -333,10 +347,7 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[Res
     gains are quasi-static); fading and noise are redrawn every trial.
     Deterministic given the spec, independent of ``threads``.
     """
-    root = RandomSource(spec.seed)
-    pop_rng, label_rng, trial_rng = root.split(3)
-    pop = spec.population.draw(pop_rng)
-    labels = spec.labels.draw(pop.num_devices, label_rng)
+    pop, labels, trial_rng = spec.draw(spec.seed)
     qbar = weighted_average(labels, pop).probs
     k = labels[0].num_classes
 
@@ -346,15 +357,8 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[Res
     rows: list[ResultRow] = []
     for (s, m, snr_db), stream in zip(points, point_streams):
         start = time.perf_counter()
-        rho = spec.rho_value if spec.rho_rule == "fixed" else min_rho(pop)
-        cfg = RoundConfig(
-            num_classes=k,
-            reps=s,
-            antennas=m,
-            rho=rho,
-            noise_var=analysis.calibrate_noise(rho, k, snr_db),
-            channel_model=spec.channel_model,
-            use_reference_re=spec.estimator in ("ratio", "both"),
+        cfg = spec.round_config(
+            pop, k, s, m, snr_db, time_corr=spec.time_corr, space_corr=spec.space_corr
         )
         try:
             stats = _point_stats(spec, pop, labels, cfg, stream, threads)
@@ -374,7 +378,7 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[Res
                         s=s,
                         m=m,
                         snr_db=snr_db,
-                        rho=rho,
+                        rho=cfg.rho,
                         model=spec.channel_model.value,
                         estimator=name,
                         cls=c,
@@ -407,8 +411,12 @@ def estimate_mse_constants(
     """Estimate the c in Var(r_c) ~ c / (S*M) from a sweep.
 
     Requires at least three distinct S*M products so flatness of the fit is
-    informative about the scaling law rather than a single budget.
+    informative about the scaling law rather than a single budget, and a
+    single SNR, since c grows with the sigma_N^4 / rho^2 noise term.
     """
+    snrs = sorted(set(spec.snr_db_values))
+    if len(snrs) > 1:
+        raise MixedSnr(f"c_nc depends on the SNR; fit one at a time, got snr_db {snrs}")
     products = {s * m for (s, m) in spec.sm_pairs}
     if len(products) < 3:
         raise InsufficientSweep(

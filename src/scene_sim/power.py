@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DevicePopulation, LengthMismatch, SoftLabel, stack_labels
+from .core import DevicePopulation, LengthMismatch, RhoRule, SoftLabel, stack_labels
 
 # Row sums are checked against eta with this relative slack (absolute for
 # eta <= 1); accumulated rounding grows with both K and the magnitude of eta.
@@ -120,6 +120,11 @@ def min_rho(pop: DevicePopulation) -> float:
     """
     _, rho_i = _local_rho(pop)
     return float(rho_i.min())
+
+
+def resolve_rho(rule: RhoRule, fixed: float, pop: DevicePopulation) -> float:
+    """Energy scale set by ``rule``: ``fixed`` itself, or :func:`min_rho`."""
+    return fixed if rule is RhoRule.FIXED else min_rho(pop)
 
 
 @dataclass(frozen=True)

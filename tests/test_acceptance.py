@@ -5,8 +5,12 @@ the offending numbers in the assertion message. Monte Carlo checks run on
 fixed seeds so the suite is deterministic.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+import scene_sim.fd
 
 from scene_sim import (
     ChannelModel,
@@ -31,7 +35,6 @@ from scene_sim import (
     run_min_rho_protocol,
     scene_raw,
     scene_variance_diagonal,
-    simulate_round,
     simulate_rounds,
     top_t_truncate,
     validate_soft_label,
@@ -42,6 +45,8 @@ from scene_sim.channel import PathlossModel, sample_pathloss
 from scene_sim.estimators import ratio_estimate
 from scene_sim.fd import aggregate_targets, pretrain_clients, split_dataset
 from scene_sim.cli import main as cli_main
+
+from conftest import frozen_round
 
 
 def report(num, name, detail=""):
@@ -75,11 +80,9 @@ def variance_se(x):
     return np.sqrt(np.maximum(m4 - (t - 3) / (t - 1) * m2**2, 0.0) / t)
 
 
-def scene_samples(pop, labels, cfg, seed, trials, time_corr=0.0):
+def scene_samples(pop, labels, cfg, seed, trials):
     frame = map_energies(labels, pop, cfg.rho, include_reference=cfg.use_reference_re)
-    y, y_ref = simulate_rounds(
-        frame, pop, cfg, RandomSource(seed), trials=trials, time_corr=time_corr
-    )
+    y, y_ref = simulate_rounds(frame, pop, cfg, RandomSource(seed), trials=trials)
     return scene_raw(y, cfg.sample_count, cfg.rho), y, y_ref
 
 
@@ -267,7 +270,7 @@ def test_07_ratio_estimator():
     cfg = RoundConfig(num_classes=3, reps=2, antennas=2, rho=1.3, noise_var=0.0,
                       use_reference_re=True)
     frame = map_energies(labels, pop, cfg.rho, include_reference=True)
-    y = simulate_round(frame, pop, cfg, RandomSource(700), frozen_fading=True)
+    y = frozen_round(frame, pop, cfg)
     err = np.abs(ratio_estimate(y).projected.probs - labels[0].probs).max()
     assert err <= 1e-12, f"deterministic cancellation error {err}"
 
@@ -277,7 +280,7 @@ def test_07_ratio_estimator():
     labels2 = [validate_soft_label((0.8, 0.15, 0.05)),
                validate_soft_label((0.1, 0.3, 0.6))]
     frame2 = map_energies(labels2, pop2, cfg.rho, include_reference=True)
-    y2 = simulate_round(frame2, pop2, cfg, RandomSource(701), frozen_fading=True)
+    y2 = frozen_round(frame2, pop2, cfg)
     q = np.stack([lab.probs for lab in labels2])
     target = (pop2.omegas * gammas) @ q / (pop2.omegas @ gammas)
     err2 = np.abs(ratio_estimate(y2).raw - target).max()
@@ -335,7 +338,8 @@ def test_09_correlation_correction():
         noise_var=calibrate_noise(rho, 10, 20.0),
         channel_model=ChannelModel.DIAGONAL,
     )
-    raw, _, _ = scene_samples(pop, labels, cfg, seed=910, trials=200_000, time_corr=0.5)
+    corr = replace(cfg, time_corr=0.5)
+    raw, _, _ = scene_samples(pop, labels, corr, seed=910, trials=200_000)
     # c from the independent case, computed exactly for the diagonal model
     c = scene_variance_diagonal(pop, labels, cfg) * cfg.sample_count
     s_eff = 16 / (1 + 2 * sum(0.5**tau for tau in range(1, 16)))
@@ -385,15 +389,15 @@ def _fd_shared_setup(seed=424242, unlabeled=128):
     return base, split, server, pop, x_u, probs
 
 
-def test_11a_exact_transport_equals_plain():
+def test_11a_exact_transport_equals_plain(monkeypatch):
     common = dict(
         unlabeled_budget=64, snr_db=None,
         round=RoundConfig(num_classes=10, reps=2, antennas=1, noise_var=0.0),
     )
     plain = run_fd(FdProtocolConfig(aggregation="plain", **common), seed=11)
-    scene = run_fd(
-        FdProtocolConfig(aggregation="scene", frozen_fading=True, **common), seed=11
-    )
+    # frozen fading: the channel delivers its closed-form noise-free energies
+    monkeypatch.setattr(scene_sim.fd, "simulate_round", frozen_round)
+    scene = run_fd(FdProtocolConfig(aggregation="scene", **common), seed=11)
     assert scene.agg_l2_error <= 1e-9, f"transport error {scene.agg_l2_error}"
     assert scene.server_accuracy == plain.server_accuracy
     report(11, "FD (a) exact transport = Plain",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,14 +13,13 @@ from scene_sim import (
     population_from_arrays,
     sample_pathloss,
     simulate_round,
-    simulate_round_correlated,
     simulate_rounds,
     validate_soft_label,
 )
-from scene_sim.channel import BadCoefficient, BadRange, ShapeMismatch
+from scene_sim.channel import BadRange, ShapeMismatch
 from scene_sim.power import EnergyFrame
 
-from conftest import make_uniform_population
+from conftest import frozen_round, make_uniform_population
 
 
 def frame_from_energies(e, include_reference=False):
@@ -53,20 +54,32 @@ class TestSamplePathloss:
             PathlossModel(3.5, (10.0, 5.0))
 
 
-class TestSimulateRoundDeterministicHook:
-    def test_single_device_exact(self, rng):
+class TestFrozenClosedForm:
+    """The frozen-fading closed form that exact-value tests use in place of
+    the channel is the kernel's noise-free mean energy."""
+
+    @staticmethod
+    def assert_kernel_mean(frame, pop, cfg, seed):
+        for model in ChannelModel:
+            y, _ = simulate_rounds(
+                frame, pop, replace(cfg, channel_model=model), RandomSource(seed), 50_000
+            )
+            se = y.std(axis=0, ddof=1) / np.sqrt(y.shape[0])
+            assert np.all(np.abs(y.mean(axis=0) - frozen_round(frame, pop, cfg).y) <= 3 * se)
+
+    def test_single_device_exact(self):
         pop = make_uniform_population(1)
         frame = frame_from_energies([[3.0, 1.0]])
         cfg = RoundConfig(num_classes=2, reps=1, antennas=1, noise_var=0.0)
-        y = simulate_round(frame, pop, cfg, rng, frozen_fading=True)
-        assert np.array_equal(y.y, [3.0, 1.0])
+        assert np.array_equal(frozen_round(frame, pop, cfg).y, [3.0, 1.0])
+        self.assert_kernel_mean(frame, pop, cfg, seed=9)
 
-    def test_scales_with_sample_count_and_beta(self, rng):
+    def test_scales_with_sample_count_and_beta(self):
         pop = population_from_arrays([1.0], [2.0])
         frame = frame_from_energies([[3.0, 1.0]])
         cfg = RoundConfig(num_classes=2, reps=4, antennas=2, noise_var=0.0)
-        y = simulate_round(frame, pop, cfg, rng, frozen_fading=True)
-        assert np.allclose(y.y, [8 * 2 * 3.0, 8 * 2 * 1.0])
+        assert np.allclose(frozen_round(frame, pop, cfg).y, [8 * 2 * 3.0, 8 * 2 * 1.0])
+        self.assert_kernel_mean(frame, pop, cfg, seed=10)
 
 
 class TestSimulateRoundMoments:
@@ -177,30 +190,40 @@ class TestSimulateRoundErrors:
 
 class TestCorrelatedFading:
     def test_zero_coefficients_identical_draws(self):
+        # zero coefficients are the independent kernel, draw for draw
         pop = make_uniform_population(2)
         frame = frame_from_energies([[1.0, 0.5], [0.7, 0.3]])
         cfg = RoundConfig(num_classes=2, reps=3, antennas=2, noise_var=0.2)
+        zero = replace(cfg, time_corr=0.0, space_corr=0.0)
         a = simulate_round(frame, pop, cfg, RandomSource(11))
-        b = simulate_round_correlated(frame, pop, cfg, RandomSource(11), 0.0, 0.0)
-        assert np.array_equal(a.y, b.y)
+        b = simulate_round(frame, pop, zero, RandomSource(11))
+        y, _ = simulate_rounds(frame, pop, zero, RandomSource(11), trials=1)
+        assert np.array_equal(a.y, b.y) and np.array_equal(a.y, y[0])
 
-    def test_bad_coefficient(self, rng):
-        pop = make_uniform_population(1)
-        frame = frame_from_energies([[1.0, 1.0]])
-        cfg = RoundConfig(num_classes=2)
-        with pytest.raises(BadCoefficient):
-            simulate_round_correlated(frame, pop, cfg, rng, 1.0, 0.0)
-        with pytest.raises(BadCoefficient):
-            simulate_round_correlated(frame, pop, cfg, rng, 0.0, -0.1)
+    @pytest.mark.parametrize("model", list(ChannelModel))
+    @pytest.mark.parametrize("corr", [dict(time_corr=0.9), dict(space_corr=0.9)])
+    def test_config_coefficient_reaches_kernel(self, model, corr):
+        pop = make_uniform_population(2)
+        frame = frame_from_energies([[1.0, 0.5], [0.7, 0.3]])
+        cfg = RoundConfig(num_classes=2, reps=3, antennas=2, noise_var=0.2,
+                          channel_model=model)
+        a = simulate_round(frame, pop, cfg, RandomSource(11))
+        b = simulate_round(frame, pop, replace(cfg, **corr), RandomSource(11))
+        assert not np.array_equal(a.y, b.y)
+
+    def test_bad_coefficient(self):
+        with pytest.raises(ValueError, match="time_corr"):
+            RoundConfig(num_classes=2, time_corr=1.0)
+        with pytest.raises(ValueError, match="space_corr"):
+            RoundConfig(num_classes=2, space_corr=-0.1)
 
     def test_marginals_preserved(self):
         # correlated draws keep the same per-class mean energy
         pop = make_uniform_population(1)
         frame = frame_from_energies([[2.0, 1.0]])
         cfg = RoundConfig(num_classes=2, reps=8, antennas=1, noise_var=0.0)
-        y, _ = simulate_rounds(
-            frame, pop, cfg, RandomSource(12), trials=100_000, time_corr=0.6
-        )
+        cfg = replace(cfg, time_corr=0.6)
+        y, _ = simulate_rounds(frame, pop, cfg, RandomSource(12), trials=100_000)
         se = y.std(axis=0, ddof=1) / np.sqrt(y.shape[0])
         assert np.all(np.abs(y.mean(axis=0) - 8 * np.array([2.0, 1.0])) <= 3 * se)
 
@@ -215,7 +238,7 @@ class TestCorrelatedFading:
         )
         y0, _ = simulate_rounds(frame, pop, cfg, RandomSource(13), trials=100_000)
         y1, _ = simulate_rounds(
-            frame, pop, cfg, RandomSource(14), trials=100_000, time_corr=0.5
+            frame, pop, replace(cfg, time_corr=0.5), RandomSource(14), trials=100_000
         )
         inflation = y1.var(axis=0, ddof=1) / y0.var(axis=0, ddof=1)
         # finite-S Bartlett factor is 2.75; the infinite-sum value is 3
@@ -230,7 +253,7 @@ class TestCorrelatedFading:
         )
         y0, _ = simulate_rounds(frame, pop, cfg, RandomSource(15), trials=100_000)
         y1, _ = simulate_rounds(
-            frame, pop, cfg, RandomSource(16), trials=100_000, space_corr=0.5
+            frame, pop, replace(cfg, space_corr=0.5), RandomSource(16), trials=100_000
         )
         inflation = y1.var(axis=0, ddof=1) / y0.var(axis=0, ddof=1)
         assert np.all(np.abs(inflation / 3.0 - 1.0) < 0.2)
@@ -248,7 +271,7 @@ class TestCorrelatedFading:
             channel_model=ChannelModel.DIAGONAL,
         )
         y_corr, _ = simulate_rounds(
-            frame, pop, cfg16, RandomSource(17), trials=50_000, time_corr=0.99
+            frame, pop, replace(cfg16, time_corr=0.99), RandomSource(17), trials=50_000
         )
         y_one, _ = simulate_rounds(frame, pop, cfg1, RandomSource(18), trials=50_000)
         # variance of the *mean* energy per slot

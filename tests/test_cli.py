@@ -1,6 +1,8 @@
 import json
 
-from scene_sim.cli import main
+import pytest
+
+from scene_sim.cli import ConfigError, load_config, main
 
 
 def run_cli(args):
@@ -44,6 +46,20 @@ class TestRoundCommand:
         cfg.write_text(json.dumps({"rounds": {}}))
         assert run_cli(["round", "--config", cfg, "--out", tmp_path]) == 1
         assert "rounds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("estimator", "ratoi"), ("rho_rule", "fixd")])
+    def test_bad_setting_value_is_fatal(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"round": {key: value}}))
+        assert run_cli(["round", "--config", cfg, "--out", tmp_path]) == 1
+        assert f"round.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "config_resolved.json").exists()
+
+    def test_estimator_both_rejected(self, tmp_path, capsys):
+        # a round runs one estimator; "both" used to run scene silently
+        code = run_cli(["round", "--seed", 7, "--out", tmp_path, "--estimator", "both"])
+        assert code == 1
+        assert "both" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -121,6 +137,16 @@ class TestCrossoverCommand:
             tmp_path / "b" / "crossover.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--s", 2), ("--m", 2), ("--snr-db", 10), ("--rho", 0.5),
+        ("--model", "diagonal"), ("--estimator", "ratio"),
+    ])
+    def test_per_field_flags_rejected(self, tmp_path, capsys, flag, value):
+        # the crossover grid has no such field; the flag used to be ignored
+        assert run_cli(["crossover", "--out", tmp_path, flag, value]) == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "crossover.csv").exists()
+
     def test_fitted_constant_replaces_configured(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
@@ -177,6 +203,21 @@ class TestFdCommand:
             tmp_path / "b" / "fd_metrics.csv"
         ).read_bytes()
 
+    def test_estimator_both_rejected(self, tmp_path, capsys):
+        cfg = self.fd_config(tmp_path)
+        code = run_cli(["fd", "--config", cfg, "--seed", 2, "--out", tmp_path,
+                        "--estimator", "both"])
+        assert code == 1
+        assert "both" in capsys.readouterr().err
+        assert not (tmp_path / "fd_metrics.csv").exists()
+
+    def test_rho_override(self, tmp_path):
+        cfg = self.fd_config(tmp_path)
+        run_cli(["fd", "--config", cfg, "--seed", 2, "--out", tmp_path, "--rho", 0.25])
+        echoed = json.loads((tmp_path / "config_resolved.json").read_text())
+        assert echoed["fd"]["rho_rule"] == "fixed"
+        assert echoed["fd"]["round"]["rho"] == 0.25
+
     def test_snr_override(self, tmp_path):
         cfg = self.fd_config(tmp_path)
         run_cli(["fd", "--config", cfg, "--seed", 2, "--out", tmp_path,
@@ -197,6 +238,16 @@ class TestErrorPaths:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"sweep": {"trials": 0}}))
         assert run_cli(["sweep", "--config", cfg, "--out", tmp_path]) == 1
+
+    @pytest.mark.parametrize("key", ["time_corr", "space_corr"])
+    def test_sweep_correlation_checked_at_load(self, tmp_path, capsys, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"sweep": {key: 1.5}}))
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(cfg), "sweep")
+        assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err.startswith("config error")
+        assert not (tmp_path / "out").exists()
 
     def test_wrong_type(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

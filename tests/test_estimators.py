@@ -14,15 +14,22 @@ from scene_sim import (
     ratio_estimate,
     scene_estimate,
     scene_raw,
-    simulate_round,
     simulate_rounds,
     top_t_truncate,
     validate_soft_label,
 )
 from scene_sim.channel import ReceivedEnergies
-from scene_sim.estimators import AllNonpositive, BadT, ZeroReference, ZeroRho
+from scene_sim.estimators import (
+    AllNonpositive,
+    BadT,
+    ZeroReference,
+    ZeroRho,
+    clip_renormalize,
+    ratio_project,
+    reference_ratios,
+)
 
-from conftest import make_uniform_population
+from conftest import frozen_round, make_uniform_population
 
 
 def received(y, y_ref=None, sample_count=1):
@@ -51,12 +58,12 @@ class TestSceneEstimate:
         res = scene_estimate(received([5.0] * 4, sample_count=6), cfg)
         assert np.allclose(res.raw, 0.25)
 
-    def test_noise_free_fixed_gain_recovery(self, rng):
+    def test_noise_free_fixed_gain_recovery(self):
         pop = make_uniform_population(1)
         labels = [validate_soft_label((0.7, 0.3))]
         cfg = RoundConfig(num_classes=2, reps=3, antennas=2, rho=2.0, noise_var=0.0)
         frame = map_energies(labels, pop, cfg.rho)
-        y = simulate_round(frame, pop, cfg, rng, frozen_fading=True)
+        y = frozen_round(frame, pop, cfg)
         res = scene_estimate(y, cfg)
         assert np.allclose(res.raw, [0.7, 0.3], atol=1e-12)
 
@@ -135,8 +142,34 @@ class TestProjectSimplex:
         assert np.allclose(project_simplex(out.probs).probs, out.probs, atol=1e-12)
 
 
+class TestBatchedForms:
+    """The forms vectorized over trials agree row by row with the
+    single-round estimators and raise the same errors."""
+
+    def test_clip_renormalize_rows_match_project_simplex(self):
+        v = np.random.default_rng(3).normal(size=(50, 5))
+        v[7] = -1.0  # nothing positive: uniform fallback
+        for row_in, row_out in zip(v, clip_renormalize(v)):
+            assert np.array_equal(project_simplex(row_in).probs, row_out)
+
+    def test_ratio_rows_match_ratio_estimate(self):
+        gen = np.random.default_rng(4)
+        y, y_ref = gen.uniform(0, 5, (20, 4)), gen.uniform(1, 5, 20)
+        ratios = reference_ratios(y, y_ref)
+        for i, (raw, proj) in enumerate(zip(ratios, ratio_project(ratios))):
+            single = ratio_estimate(received(y[i], y_ref=float(y_ref[i])))
+            assert np.array_equal(single.raw, raw)
+            assert np.array_equal(single.projected.probs, proj)
+
+    def test_batched_errors(self):
+        with pytest.raises(ZeroReference):
+            reference_ratios(np.ones((3, 2)), np.array([1.0, 0.0, 2.0]))
+        with pytest.raises(AllNonpositive):
+            ratio_project(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
 class TestRatioEstimate:
-    def test_common_scale_cancels_exactly(self, rng):
+    def test_common_scale_cancels_exactly(self):
         # frozen channel, zero noise: Y_c = SM*beta*eta*q_c and R = SM*beta*eta
         pop = population_from_arrays([1.0], [0.37])
         labels = [validate_soft_label((0.7, 0.3))]
@@ -145,7 +178,7 @@ class TestRatioEstimate:
             use_reference_re=True,
         )
         frame = map_energies(labels, pop, cfg.rho, include_reference=True)
-        y = simulate_round(frame, pop, cfg, rng, frozen_fading=True)
+        y = frozen_round(frame, pop, cfg)
         res = ratio_estimate(y)
         assert np.allclose(res.projected.probs, [0.7, 0.3], atol=1e-12)
         assert res.used_ratio

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import scene_sim.fd
 from scene_sim import (
     FdProtocolConfig,
     RandomSource,
@@ -13,7 +14,9 @@ from scene_sim import (
     validate_soft_label,
 )
 from scene_sim.core import RoundConfig
-from scene_sim.fd import DatasetSpec, Divergence, EmptyBudget
+from scene_sim.fd import Aggregation, DatasetSpec, Divergence, EmptyBudget
+
+from conftest import frozen_round
 
 
 class TestSyntheticDataset:
@@ -181,7 +184,7 @@ class TestSplit:
 
 
 class TestOneShotDistill:
-    def test_exact_transport_matches_plain(self):
+    def test_exact_transport_matches_plain(self, monkeypatch):
         # frozen fading + zero noise: the OTA path reproduces the noise-free
         # average, so targets and final accuracy coincide with Plain
         common = dict(
@@ -189,14 +192,20 @@ class TestOneShotDistill:
             snr_db=None,
             round=RoundConfig(num_classes=10, reps=2, antennas=1, noise_var=0.0),
         )
-        acc = {}
-        for aggregation, frozen in (("plain", False), ("scene", True)):
-            cfg = FdProtocolConfig(aggregation=aggregation, frozen_fading=frozen, **common)
-            metrics = run_fd(cfg, seed=11)
-            acc[aggregation] = metrics.server_accuracy
-            if aggregation == "scene":
-                assert metrics.agg_l2_error < 1e-9
-        assert acc["scene"] == acc["plain"]
+        plain = run_fd(FdProtocolConfig(aggregation=Aggregation.PLAIN, **common), seed=11)
+        monkeypatch.setattr(scene_sim.fd, "simulate_round", frozen_round)
+        scene = run_fd(FdProtocolConfig(aggregation=Aggregation.SCENE, **common), seed=11)
+        assert scene.agg_l2_error < 1e-9
+        assert scene.server_accuracy == plain.server_accuracy
+
+    def test_round_correlation_reaches_channel(self):
+        # the AR(1) coefficients of fd.round are honoured, not dropped
+        base = FdProtocolConfig(unlabeled_budget=32, pretrain_epochs=2, distill_epochs=2)
+        runs = [
+            run_fd(replace(base, round=replace(base.round, **corr)), seed=4)
+            for corr in ({}, {"time_corr": 0.9})
+        ]
+        assert runs[0].agg_l2_error != runs[1].agg_l2_error
 
     def test_ratio_transport_runs(self):
         cfg = FdProtocolConfig(aggregation="ratio", unlabeled_budget=32, snr_db=10.0)

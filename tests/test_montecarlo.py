@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from scene_sim import (
     ChannelModel,
+    Estimator,
     ExperimentSpec,
     LabelSpec,
     PopulationSpec,
     RandomSource,
+    RhoRule,
     TrialStats,
     estimate_mse_constants,
     run_experiment,
@@ -19,7 +21,7 @@ from scene_sim import (
 )
 from scene_sim.channel import PathlossModel
 from scene_sim.core import RoundConfig, population_from_arrays, validate_soft_label
-from scene_sim.montecarlo import CSV_HEADER, InsufficientSweep, write_rows_csv
+from scene_sim.montecarlo import CSV_HEADER, InsufficientSweep, MixedSnr, write_rows_csv
 
 
 def unit_population_spec(n=1):
@@ -44,15 +46,6 @@ class TestTrialStats:
         st_ = TrialStats.from_samples(np.array([[1.0, 2.0]]))
         assert st_.n == 1
         assert np.all(np.isnan(st_.variance))
-
-    def test_sequential_updates_match_batch(self):
-        x = np.random.default_rng(1).normal(size=(100, 2))
-        st_ = TrialStats.zeros(2)
-        for row in x:
-            st_.update(row)
-        batch = TrialStats.from_samples(x)
-        assert np.allclose(st_.mean, batch.mean)
-        assert np.allclose(st_.m2, batch.m2)
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -164,6 +157,20 @@ class TestRunExperiment:
             r.var_bound is None for r in rows if r.estimator != "scene"
         )
 
+    def test_settings_by_value_or_member(self):
+        spec = small_spec(estimator="both", rho_rule="fixed")
+        assert spec.estimator is Estimator.BOTH and spec.rho_rule is RhoRule.FIXED
+        with pytest.raises(ValueError):
+            small_spec(estimator="ratoi")
+
+    def test_sweep_correlation_reaches_kernel(self):
+        spec = small_spec(sm_pairs=((4, 1),))
+        independent = run_experiment(spec)
+        correlated = run_experiment(small_spec(sm_pairs=((4, 1),), time_corr=0.5))
+        assert strip_wall(independent) != strip_wall(correlated)
+        with pytest.raises(ValueError, match="time_corr"):
+            small_spec(time_corr=1.5)
+
     def test_unbiased_within_3se(self):
         rows = run_experiment(small_spec(trials=30_000))
         for r in rows:
@@ -246,6 +253,11 @@ class TestEstimateMseConstants:
         c44, c161 = per_point[(4, 4)], per_point[(16, 1)]
         combined_se = np.sqrt(2.0) * np.sqrt(2.0 / trials) * max(c44, c161)
         assert abs(c44 - c161) <= 2 * combined_se
+
+    def test_rejects_several_snrs(self):
+        spec = small_spec(sm_pairs=((1, 1), (2, 2), (4, 4)), snr_db_values=(5.0, 10.0))
+        with pytest.raises(MixedSnr, match=r"5\.0, 10\.0"):
+            estimate_mse_constants(spec)
 
     def test_rho_invariance_at_fixed_snr(self):
         common = dict(
