@@ -55,11 +55,13 @@ from .fd import (
 )
 from .montecarlo import (
     ExperimentSpec,
+    LabelKind,
     LabelSpec,
     MseConstantEstimate,
     PopulationSpec,
     ResultRow,
     TrialStats,
+    WeightRule,
     estimate_mse_constants,
     run_experiment,
 )

@@ -8,8 +8,11 @@ uniform phase per slot. DIAGONAL adds per-device fading energies directly,
 with fading drawn independently per class slot; class energies are then
 mutually independent, which is the regime the variance identities assume.
 
-Fading and noise are drawn in single precision (they only feed Monte Carlo
-statistics); energies are accumulated in double precision.
+Complex fading and noise samples are drawn in single precision (they only
+feed Monte Carlo statistics); energies are accumulated in double precision.
+The uncorrelated DIAGONAL model draws no complex samples: the S*M i.i.d.
+Exp(1) fading energies of a (device, slot) pair sum to exactly one
+Gamma(S*M, 1) draw, made in double precision, and the noise energy likewise.
 """
 
 from __future__ import annotations
@@ -172,6 +175,10 @@ def simulate_rounds(
     Returns ``(Y, y_ref)`` where Y has shape (trials, K) and y_ref shape
     (trials,) or None. Fading and noise are redrawn each trial, AR(1)-correlated
     across repetitions and antennas by ``cfg.time_corr``/``cfg.space_corr``.
+    In the DIAGONAL model with both coefficients zero, the S*M fading energies
+    of a (device, slot) pair are i.i.d. Exp(1), so their sum is drawn directly
+    as Gamma(S*M, 1), and the slot's noise energy as noise_var * Gamma(S*M, 1):
+    the same distribution as summing S*M complex samples, from another stream.
     Chunking is a pure implementation detail and fixed given the shapes, so
     results depend only on the arguments and the stream state.
     """
@@ -188,11 +195,14 @@ def simulate_rounds(
 
     out = np.empty((trials, kt), dtype=np.float64)
     superposition = cfg.channel_model is ChannelModel.SUPERPOSITION
-    per_trial = n * kt * s * m
+    gamma_sums = not superposition and cfg.time_corr == 0.0 and cfg.space_corr == 0.0
+    per_trial = n * kt if gamma_sums else n * kt * s * m
     chunk = max(1, min(trials, _CHUNK_ELEMS // max(per_trial, 1)))
 
     if superposition:
         amp = np.sqrt(beta[:, None] * e_ext).astype(np.float32)  # (N, Kt)
+    elif gamma_sums:
+        weights = beta[:, None] * e_ext  # (N, Kt)
 
     for lo in range(0, trials, chunk):
         b = min(chunk, trials - lo)
@@ -209,8 +219,14 @@ def simulate_rounds(
             if noise_std is not None:
                 sig += _complex_normal(gen, (b, kt, s, m)) * noise_std
             out[lo : lo + b] = _abs2_f64(sig).sum(axis=(2, 3))
+        elif gamma_sums:
+            y = np.einsum("bik,ik->bk", gen.standard_gamma(s * m, (b, n, kt)), weights)
+            if cfg.noise_var > 0:
+                y += gen.standard_gamma(s * m, (b, kt)) * cfg.noise_var
+            out[lo : lo + b] = y
         else:
-            # Independent fading per class slot: class energies decouple.
+            # Correlated fading, independent per class slot: class energies
+            # decouple, but the S*M samples of a slot do not.
             g = _sample_fading(gen, (b, n, kt), cfg)
             h2 = _abs2_f64(g) * beta[None, :, None, None, None]
             y = np.einsum("ik,biksm->bk", e_ext, h2)

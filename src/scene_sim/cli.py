@@ -55,6 +55,8 @@ class RoundSpec(SetupSpec):
         super().__post_init__()
         if self.estimator is Estimator.BOTH:
             raise ValueError("a round runs one estimator: 'scene' or 'ratio', not 'both'")
+        if self.s < 1 or self.m < 1:
+            raise ValueError(f"need s, m >= 1, got s={self.s}, m={self.m}")
 
 
 @dataclass(frozen=True)

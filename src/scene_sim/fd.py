@@ -244,6 +244,21 @@ class FdProtocolConfig:
             raise ValueError("private + open exceeds the dataset size")
         if self.clients < 1:
             raise ValueError("need at least one client")
+        # The run sets the round's class count, reference slot and noise power
+        # from data, aggregation and snr_db; a round value that disagrees is
+        # an error, not something to drop.
+        if self.round.num_classes != self.data.num_classes:
+            raise ValueError(
+                f"round.num_classes {self.round.num_classes} differs from "
+                f"data.num_classes {self.data.num_classes}"
+            )
+        if self.round.use_reference_re and self.aggregation is not Aggregation.RATIO:
+            raise ValueError(
+                "round.use_reference_re needs aggregation 'ratio', "
+                f"got {self.aggregation.value!r}"
+            )
+        if self.round.noise_var != 0.0 and self.snr_db is not None:
+            raise ValueError("give round.noise_var or snr_db, not both")
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,14 +364,12 @@ def aggregate_targets(
 
 
 def _resolve_round_config(cfg: FdProtocolConfig, pop: DevicePopulation) -> RoundConfig:
-    k = cfg.data.num_classes
     rho = resolve_rho(cfg.rho_rule, cfg.round.rho, pop)
     noise = cfg.round.noise_var
     if cfg.snr_db is not None:
-        noise = analysis.calibrate_noise(rho, k, cfg.snr_db)
+        noise = analysis.calibrate_noise(rho, cfg.round.num_classes, cfg.snr_db)
     return replace(
         cfg.round,
-        num_classes=k,
         rho=rho,
         noise_var=noise,
         use_reference_re=cfg.aggregation is Aggregation.RATIO,

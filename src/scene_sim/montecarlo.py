@@ -11,6 +11,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import IO, Sequence
 
 import numpy as np
@@ -94,6 +95,22 @@ class TrialStats:
         return np.sqrt(self.variance / self.n)
 
 
+class WeightRule(Enum):
+    """How device weights are drawn: equal, or uniform on [0.1, 1] and
+    normalized."""
+
+    UNIFORM = "uniform"
+    RANDOM = "random"
+
+
+class LabelKind(Enum):
+    """How device soft labels are drawn (see :class:`LabelSpec`)."""
+
+    DIRICHLET = "dirichlet"
+    VERTEX = "vertex"
+    FIXED = "fixed"
+
+
 @dataclass(frozen=True)
 class PopulationSpec:
     """How to draw a device population for an experiment.
@@ -106,21 +123,20 @@ class PopulationSpec:
     n_devices: int = 10
     pathloss: PathlossModel = field(default_factory=PathlossModel)
     power_cap_range: tuple[float, float] = (0.5, 1.5)
-    weight_rule: str = "uniform"  # "uniform" | "random"
+    weight_rule: WeightRule = WeightRule.UNIFORM
     gamma_range: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.n_devices < 1:
             raise ValueError("need at least one device")
-        if self.weight_rule not in ("uniform", "random"):
-            raise ValueError(f"unknown weight rule {self.weight_rule!r}")
+        coerce_settings(self, weight_rule=WeightRule)
 
     def draw(self, rng: RandomSource) -> DevicePopulation:
         gen = rng.generator
         n = self.n_devices
         betas = sample_pathloss(self.pathloss, n, rng)
         caps = gen.uniform(*self.power_cap_range, n)
-        if self.weight_rule == "uniform":
+        if self.weight_rule is WeightRule.UNIFORM:
             omegas = np.full(n, 1.0 / n)
         else:
             omegas = gen.uniform(0.1, 1.0, n)
@@ -142,15 +158,14 @@ class LabelSpec:
     "fixed" uses the supplied list verbatim.
     """
 
-    kind: str = "dirichlet"
+    kind: LabelKind = LabelKind.DIRICHLET
     num_classes: int = 10
     alpha: float = 0.3
     fixed: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("dirichlet", "vertex", "fixed"):
-            raise ValueError(f"unknown label spec kind {self.kind!r}")
-        if self.kind == "fixed" and not self.fixed:
+        coerce_settings(self, kind=LabelKind)
+        if self.kind is LabelKind.FIXED and not self.fixed:
             raise ValueError("fixed label spec needs labels")
         if self.num_classes < 2:
             raise ValueError("need K >= 2")
@@ -158,14 +173,14 @@ class LabelSpec:
     def draw(self, n_devices: int, rng: RandomSource) -> list[SoftLabel]:
         gen = rng.generator
         k = self.num_classes
-        if self.kind == "fixed":
+        if self.kind is LabelKind.FIXED:
             labels = [SoftLabel(np.asarray(row)) for row in self.fixed]
             if len(labels) != n_devices:
                 raise ValueError(
                     f"{len(labels)} fixed labels for {n_devices} devices"
                 )
             return labels
-        if self.kind == "vertex":
+        if self.kind is LabelKind.VERTEX:
             eye = np.eye(k)
             picks = gen.integers(0, k, n_devices)
             return [SoftLabel(eye[p]) for p in picks]
@@ -231,6 +246,8 @@ class ExperimentSpec(SetupSpec):
         super().__post_init__()
         if not self.sm_pairs or not self.snr_db_values:
             raise ValueError("sweep lists must be nonempty")
+        if any(s < 1 or m < 1 for s, m in self.sm_pairs):
+            raise ValueError(f"every sm_pairs entry needs S, M >= 1, got {self.sm_pairs}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         check_correlation(time_corr=self.time_corr, space_corr=self.space_corr)

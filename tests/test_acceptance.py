@@ -46,7 +46,7 @@ from scene_sim.estimators import ratio_estimate
 from scene_sim.fd import aggregate_targets, pretrain_clients, split_dataset
 from scene_sim.cli import main as cli_main
 
-from conftest import frozen_round
+from conftest import frozen_round, variance_se
 
 
 def report(num, name, detail=""):
@@ -69,15 +69,6 @@ def draw_population(gen, n, gamma_range=None, weight_rule="random"):
 
 def dirichlet_labels(gen, n, k, alpha=0.3):
     return [validate_soft_label(gen.dirichlet(np.full(k, alpha))) for _ in range(n)]
-
-
-def variance_se(x):
-    """Standard error of the per-column sample variance via fourth moments."""
-    t = x.shape[0]
-    centered = x - x.mean(axis=0)
-    m2 = (centered**2).mean(axis=0)
-    m4 = (centered**4).mean(axis=0)
-    return np.sqrt(np.maximum(m4 - (t - 3) / (t - 1) * m2**2, 0.0) / t)
 
 
 def scene_samples(pop, labels, cfg, seed, trials):

@@ -12,6 +12,8 @@ from scene_sim import (
     map_energies,
     population_from_arrays,
     sample_pathloss,
+    scene_raw,
+    scene_variance_diagonal,
     simulate_round,
     simulate_rounds,
     validate_soft_label,
@@ -19,7 +21,12 @@ from scene_sim import (
 from scene_sim.channel import BadRange, ShapeMismatch
 from scene_sim.power import EnergyFrame
 
-from conftest import frozen_round, make_uniform_population
+from conftest import (
+    diagonal_reference_rounds,
+    frozen_round,
+    make_uniform_population,
+    variance_se,
+)
 
 
 def frame_from_energies(e, include_reference=False):
@@ -163,6 +170,49 @@ class TestSimulateRoundMoments:
         # sum_i beta_i eta_i = rho
         expected = 2 * (1.0 + 0.1)
         assert ref.mean() == pytest.approx(expected, rel=0.02)
+
+
+class TestDiagonalGammaSums:
+    """The uncorrelated diagonal kernel draws the S*M fading energies of a
+    slot as one Gamma(S*M, 1) sum. Its moments must match the sample-by-sample
+    reference and the closed-form variance of the self-centering estimate."""
+
+    # Two-sided 4-sigma bands: false-failure probability 6e-5 per comparison,
+    # under 0.01 over the 4 cases x 4 comparisons x up to 4 slots.
+    Z = 4.0
+
+    @pytest.mark.parametrize("s, m", [(1, 1), (4, 4)])
+    @pytest.mark.parametrize("snr_db", [None, 5.0])
+    def test_moments_match_reference_and_closed_form(self, s, m, snr_db):
+        pop = population_from_arrays(
+            [0.4, 0.3, 0.2, 0.1], [1.6, 0.4, 1.0, 0.9], power_caps=np.full(4, 2.0)
+        )
+        labels = [
+            validate_soft_label(q)
+            for q in ((0.7, 0.2, 0.1), (0.1, 0.8, 0.1), (0.3, 0.3, 0.4), (0.05, 0.05, 0.9))
+        ]
+        rho = 1.0
+        cfg = RoundConfig(
+            num_classes=3, reps=s, antennas=m, rho=rho,
+            noise_var=0.0 if snr_db is None else calibrate_noise(rho, 3, snr_db),
+            channel_model=ChannelModel.DIAGONAL, use_reference_re=True,
+        )
+        frame = map_energies(labels, pop, rho, include_reference=True)
+        y, y_ref = simulate_rounds(frame, pop, cfg, RandomSource(31), trials=400_000)
+        fast = np.column_stack([y, y_ref])
+        slow = diagonal_reference_rounds(frame, pop, cfg, RandomSource(32), 100_000)
+
+        mean_se = np.sqrt(fast.var(axis=0) / len(fast) + slow.var(axis=0) / len(slow))
+        assert np.all(np.abs(fast.mean(axis=0) - slow.mean(axis=0)) <= self.Z * mean_se)
+        var_se = np.hypot(variance_se(fast), variance_se(slow))
+        assert np.all(np.abs(fast.var(axis=0) - slow.var(axis=0)) <= self.Z * var_se)
+
+        raw = scene_raw(y, cfg.sample_count, rho)
+        qbar = pop.omegas @ np.stack([q.probs for q in labels])
+        se = raw.std(axis=0, ddof=1) / np.sqrt(len(raw))
+        assert np.all(np.abs(raw.mean(axis=0) - qbar) <= self.Z * se)
+        exact = scene_variance_diagonal(pop, labels, cfg)
+        assert np.all(np.abs(raw.var(axis=0, ddof=1) - exact) <= self.Z * variance_se(raw))
 
 
 class TestSimulateRoundErrors:

@@ -218,6 +218,21 @@ class TestFdCommand:
         assert echoed["fd"]["rho_rule"] == "fixed"
         assert echoed["fd"]["round"]["rho"] == 0.25
 
+    @pytest.mark.parametrize("key, value", [
+        ("num_classes", 3), ("use_reference_re", True), ("noise_var", 7.0),
+    ])
+    def test_round_conflict_rejected(self, tmp_path, capsys, key, value):
+        # fd sets these from data, aggregation and snr_db; a conflicting value
+        # used to be overwritten silently
+        cfg = self.fd_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["fd"]["round"][key] = value
+        cfg.write_text(json.dumps(raw))
+        code = run_cli(["fd", "--config", cfg, "--seed", 2, "--out", tmp_path / "out"])
+        assert code == 1
+        assert f"round.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_snr_override(self, tmp_path):
         cfg = self.fd_config(tmp_path)
         run_cli(["fd", "--config", cfg, "--seed", 2, "--out", tmp_path,
@@ -244,6 +259,25 @@ class TestErrorPaths:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"sweep": {key: 1.5}}))
         with pytest.raises(ConfigError, match=key):
+            load_config(str(cfg), "sweep")
+        assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err.startswith("config error")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["round", "sweep"])
+    @pytest.mark.parametrize("flag", ["--s", "--m"])
+    def test_zero_count_flag_rejected_at_load(self, tmp_path, capsys, command, flag):
+        # used to write config_resolved.json and fail only when the round ran
+        out = tmp_path / "out"
+        assert run_cli([command, "--out", out, flag, 0]) == 1
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
+    def test_sweep_pairs_checked_at_load(self, tmp_path, capsys):
+        # the bad second pair used to fail only after the first point ran
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"sweep": {"sm_pairs": [[2, 2], [0, 4]], "trials": 100}}))
+        with pytest.raises(ConfigError, match="sm_pairs"):
             load_config(str(cfg), "sweep")
         assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 1
         assert capsys.readouterr().err.startswith("config error")

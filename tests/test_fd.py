@@ -1,6 +1,8 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 import scene_sim.fd
 from scene_sim import (
@@ -13,10 +15,13 @@ from scene_sim import (
     split_dataset,
     validate_soft_label,
 )
+from scene_sim.cli import load_config
 from scene_sim.core import RoundConfig
 from scene_sim.fd import Aggregation, DatasetSpec, Divergence, EmptyBudget
 
 from conftest import frozen_round
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestSyntheticDataset:
@@ -181,6 +186,24 @@ class TestSplit:
             FdProtocolConfig(unlabeled_budget=5000, open_size=4000)
         with pytest.raises(ValueError):
             FdProtocolConfig(private_size=9000, open_size=4000)
+
+    def test_round_settings_must_agree(self):
+        # fd sets the round's class count, reference slot and noise power from
+        # data, aggregation and snr_db; a disagreeing value used to be dropped
+        with pytest.raises(ValueError, match="num_classes"):
+            FdProtocolConfig(round=RoundConfig(num_classes=3))
+        with pytest.raises(ValueError, match="use_reference_re"):
+            FdProtocolConfig(round=RoundConfig(num_classes=10, use_reference_re=True))
+        with pytest.raises(ValueError, match="noise_var"):
+            FdProtocolConfig(round=RoundConfig(num_classes=10, noise_var=7.0))
+        FdProtocolConfig(
+            aggregation="ratio", round=RoundConfig(num_classes=10, use_reference_re=True)
+        )
+        FdProtocolConfig(snr_db=None, round=RoundConfig(num_classes=10, noise_var=7.0))
+
+    @pytest.mark.parametrize("path", ["configs/fd.json", "perfbench/configs/fd_budget.json"])
+    def test_shipped_configs_load(self, path):
+        assert isinstance(load_config(str(ROOT / path), "fd"), FdProtocolConfig)
 
 
 class TestOneShotDistill:

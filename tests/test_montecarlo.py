@@ -9,11 +9,13 @@ from scene_sim import (
     ChannelModel,
     Estimator,
     ExperimentSpec,
+    LabelKind,
     LabelSpec,
     PopulationSpec,
     RandomSource,
     RhoRule,
     TrialStats,
+    WeightRule,
     estimate_mse_constants,
     run_experiment,
     scene_variance_diagonal,
@@ -162,6 +164,12 @@ class TestRunExperiment:
         assert spec.estimator is Estimator.BOTH and spec.rho_rule is RhoRule.FIXED
         with pytest.raises(ValueError):
             small_spec(estimator="ratoi")
+        assert PopulationSpec(weight_rule="random").weight_rule is WeightRule.RANDOM
+        assert LabelSpec(kind="vertex").kind is LabelKind.VERTEX
+        with pytest.raises(ValueError):
+            PopulationSpec(weight_rule="randon")
+        with pytest.raises(ValueError):
+            LabelSpec(kind="vertx")
 
     def test_sweep_correlation_reaches_kernel(self):
         spec = small_spec(sm_pairs=((4, 1),))
