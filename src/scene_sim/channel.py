@@ -22,15 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelModel, DevicePopulation, RandomSource, RoundConfig
+from .core import BadRange, ChannelModel, DevicePopulation, RandomSource, RoundConfig, check_range
 from .power import EnergyFrame
 
 # Target element count of one vectorized chunk of trials.
 _CHUNK_ELEMS = 8_000_000
-
-
-class BadRange(ValueError):
-    """Distance interval is empty or nonpositive."""
 
 
 class ShapeMismatch(ValueError):
@@ -53,9 +49,7 @@ class PathlossModel:
     normalize_mean: bool = True
 
     def __post_init__(self) -> None:
-        d_min, d_max = self.distance_range
-        if d_min <= 0 or d_min > d_max:
-            raise BadRange(f"need 0 < d_min <= d_max, got {self.distance_range}")
+        check_range(distance_range=self.distance_range)
         if self.exponent <= 0:
             raise ValueError("pathloss exponent must be positive")
         if self.shadowing_std_db < 0:
@@ -156,13 +150,6 @@ def _check_frame(energies: EnergyFrame, pop: DevicePopulation, cfg: RoundConfig)
         raise ShapeMismatch("config requests a reference slot the frame lacks")
 
 
-def _extended_energies(energies: EnergyFrame, cfg: RoundConfig) -> np.ndarray:
-    """(N, K[+1]) energy matrix, reference slot appended when configured."""
-    if cfg.use_reference_re:
-        return np.column_stack([energies.energies, energies.reference_energies])
-    return np.asarray(energies.energies)
-
-
 def simulate_rounds(
     energies: EnergyFrame,
     pop: DevicePopulation,
@@ -173,8 +160,11 @@ def simulate_rounds(
     """Vectorized multi-trial channel kernel.
 
     Returns ``(Y, y_ref)`` where Y has shape (trials, K) and y_ref shape
-    (trials,) or None. Fading and noise are redrawn each trial, AR(1)-correlated
-    across repetitions and antennas by ``cfg.time_corr``/``cfg.space_corr``.
+    (trials,) or None. An (N, K) frame is sent in every trial; a (T, N, K)
+    frame needs T == ``trials`` and sends its row t in trial t, so T equal
+    rows give the Y of their (N, K) frame bit for bit.
+    Fading and noise are redrawn each trial, AR(1)-correlated across
+    repetitions and antennas by ``cfg.time_corr``/``cfg.space_corr``.
     In the DIAGONAL model with both coefficients zero, the S*M fading energies
     of a (device, slot) pair are i.i.d. Exp(1), so their sum is drawn directly
     as Gamma(S*M, 1), and the slot's noise energy as noise_var * Gamma(S*M, 1):
@@ -185,10 +175,15 @@ def simulate_rounds(
     _check_frame(energies, pop, cfg)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    if energies.energies.ndim == 3 and len(energies.energies) != trials:
+        raise ShapeMismatch(f"frame has {len(energies.energies)} trials, call {trials}")
     n = pop.num_devices
     s, m = cfg.reps, cfg.antennas
-    e_ext = _extended_energies(energies, cfg)
-    kt = e_ext.shape[1]
+    e_ext = energies.energies  # ([T,] N, K[+1]), reference slot appended when configured
+    if cfg.use_reference_re:
+        ref = np.broadcast_to(energies.reference_energies[:, None], e_ext.shape[:-1] + (1,))
+        e_ext = np.concatenate([e_ext, ref], axis=-1)
+    kt = e_ext.shape[-1]
     beta = pop.betas_true
     gen = rng.generator
     noise_std = np.float32(math.sqrt(cfg.noise_var)) if cfg.noise_var > 0 else None
@@ -200,9 +195,12 @@ def simulate_rounds(
     chunk = max(1, min(trials, _CHUNK_ELEMS // max(per_trial, 1)))
 
     if superposition:
-        amp = np.sqrt(beta[:, None] * e_ext).astype(np.float32)  # (N, Kt)
+        w = np.sqrt(beta[:, None] * e_ext).astype(np.float32)  # amplitudes
     elif gamma_sums:
-        weights = beta[:, None] * e_ext  # (N, Kt)
+        w = beta[:, None] * e_ext
+    else:
+        w = e_ext
+    w = np.broadcast_to(w, (trials, n, kt))  # row t is sent in trial t
 
     for lo in range(0, trials, chunk):
         b = min(chunk, trials - lo)
@@ -215,12 +213,12 @@ def simulate_rounds(
             phase = np.empty(u.shape, dtype=np.complex64)
             np.cos(u, out=phase.real)
             np.sin(u, out=phase.imag)
-            sig = np.einsum("ik,bism,biksm->bksm", amp, g, phase)
+            sig = np.einsum("bik,bism,biksm->bksm", w[lo : lo + b], g, phase)
             if noise_std is not None:
                 sig += _complex_normal(gen, (b, kt, s, m)) * noise_std
             out[lo : lo + b] = _abs2_f64(sig).sum(axis=(2, 3))
         elif gamma_sums:
-            y = np.einsum("bik,ik->bk", gen.standard_gamma(s * m, (b, n, kt)), weights)
+            y = np.einsum("bik,bik->bk", gen.standard_gamma(s * m, (b, n, kt)), w[lo : lo + b])
             if cfg.noise_var > 0:
                 y += gen.standard_gamma(s * m, (b, kt)) * cfg.noise_var
             out[lo : lo + b] = y
@@ -229,15 +227,11 @@ def simulate_rounds(
             # decouple, but the S*M samples of a slot do not.
             g = _sample_fading(gen, (b, n, kt), cfg)
             h2 = _abs2_f64(g) * beta[None, :, None, None, None]
-            y = np.einsum("ik,biksm->bk", e_ext, h2)
+            y = np.einsum("bik,biksm->bk", w[lo : lo + b], h2)
             if noise_std is not None:
                 nz = _complex_normal(gen, (b, kt, s, m))
                 y += _abs2_f64(nz).sum(axis=(2, 3)) * cfg.noise_var
             out[lo : lo + b] = y
-    return _split_reference(out, cfg)
-
-
-def _split_reference(out: np.ndarray, cfg: RoundConfig) -> tuple[np.ndarray, np.ndarray | None]:
     if cfg.use_reference_re:
         return out[:, : cfg.num_classes], out[:, cfg.num_classes].copy()
     return out, None

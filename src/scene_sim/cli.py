@@ -341,6 +341,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
     try:
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         spec = load_config(args.config, command)
         spec = _apply_overrides(spec, args)
         if args.seed is not None:

@@ -27,6 +27,10 @@ class NotNormalized(ValueError):
     """Entries do not sum to one within tolerance."""
 
 
+class NonFiniteEntry(ValueError):
+    """An entry is NaN or infinite."""
+
+
 class BadLength(ValueError):
     """Vector has fewer than two classes."""
 
@@ -35,34 +39,50 @@ class LengthMismatch(ValueError):
     """Inputs disagree on the number of devices or classes."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
-    out.flags.writeable = False
-    return out
+class BadRange(ValueError):
+    """Interval is empty or nonpositive."""
+
+
+def check_simplex(v, totals=1.0) -> np.ndarray:
+    """Check the rows (trailing axis) of ``v``, vectorized over leading axes:
+    K >= 2 entries each, finite and not below -NEGATIVITY_TOL, each row summing
+    to its entry of ``totals`` within SIMPLEX_SUM_TOL * max(1, total). Returns
+    a float64 copy with the negative dust clipped to exactly zero."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim < 1 or v.shape[-1] < 2:
+        raise BadLength(f"rows need K >= 2 entries, got shape {v.shape}")
+    totals = np.asarray(totals, dtype=np.float64)
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(totals))):
+        raise NonFiniteEntry("entries and row totals must be finite")
+    if np.any(v < -NEGATIVITY_TOL):
+        raise NegativeEntry(f"negative probability {float(v.min())!r}")
+    sums = v.sum(axis=-1)
+    bad = np.abs(sums - totals) > SIMPLEX_SUM_TOL * np.maximum(1.0, totals)
+    if np.any(bad):
+        expected = float(np.broadcast_to(totals, bad.shape)[bad][0])
+        raise NotNormalized(f"entries sum to {float(sums[bad][0])!r}, expected {expected!r}")
+    return np.maximum(v, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class SoftLabel:
     """A probability vector on the (K-1)-simplex.
 
-    Invariants (checked on construction): every entry >= 0 and the entries
-    sum to 1 within ``SIMPLEX_SUM_TOL``. Negative dust above ``-NEGATIVITY_TOL``
-    is clipped to exactly zero.
+    Invariants (checked on construction by :func:`check_simplex`): every
+    entry finite and >= 0, and the entries sum to 1 within
+    ``SIMPLEX_SUM_TOL``. Negative dust above ``-NEGATIVITY_TOL`` is clipped to
+    exactly zero.
     """
 
     probs: np.ndarray
 
     def __post_init__(self) -> None:
         v = np.asarray(self.probs, dtype=np.float64)
-        if v.ndim != 1 or v.size < 2:
-            raise BadLength(f"soft label needs K >= 2 entries, got shape {v.shape}")
-        if np.any(v < -NEGATIVITY_TOL):
-            worst = float(v.min())
-            raise NegativeEntry(f"negative probability {worst!r}")
-        total = float(v.sum())
-        if abs(total - 1.0) > SIMPLEX_SUM_TOL:
-            raise NotNormalized(f"entries sum to {total!r}, expected 1")
-        object.__setattr__(self, "probs", _readonly(np.maximum(v, 0.0)))
+        if v.ndim != 1:
+            raise BadLength(f"soft label must be a vector, got shape {v.shape}")
+        probs = check_simplex(v)
+        probs.flags.writeable = False
+        object.__setattr__(self, "probs", probs)
 
     @property
     def num_classes(self) -> int:
@@ -75,7 +95,8 @@ class SoftLabel:
 def validate_soft_label(v: Sequence[float] | np.ndarray) -> SoftLabel:
     """Check simplex membership and wrap ``v`` as a :class:`SoftLabel`.
 
-    Raises ``BadLength``, ``NegativeEntry`` or ``NotNormalized``.
+    Raises ``BadLength``, ``NonFiniteEntry``, ``NegativeEntry`` or
+    ``NotNormalized``.
     """
     return SoftLabel(np.asarray(v, dtype=np.float64))
 
@@ -215,6 +236,13 @@ def coerce_settings(obj, **kinds: type[Enum]) -> None:
     setting Enum; a string must be one of the setting's values."""
     for name, kind in kinds.items():
         object.__setattr__(obj, name, kind(getattr(obj, name)))
+
+
+def check_range(**ranges: tuple[float, float] | None) -> None:
+    """Reject intervals unless 0 < lo <= hi < inf; None means no interval."""
+    for name, r in ranges.items():
+        if r is not None and not 0.0 < r[0] <= r[1] < np.inf:
+            raise BadRange(f"{name} needs 0 < lo <= hi, got {tuple(r)}")
 
 
 def check_correlation(**coeffs: float) -> None:

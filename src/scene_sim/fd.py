@@ -16,16 +16,17 @@ from enum import Enum
 import numpy as np
 
 from . import analysis
-from .channel import PathlossModel, simulate_round
+from .channel import PathlossModel, simulate_rounds
 from .core import (
     DevicePopulation,
     RandomSource,
     RhoRule,
     RoundConfig,
     SoftLabel,
+    check_range,
     coerce_settings,
 )
-from .estimators import ratio_estimate, scene_estimate
+from .estimators import clip_renormalize, ratio_project, reference_ratios, scene_raw
 from .montecarlo import PopulationSpec
 from .power import map_energies, resolve_rho
 
@@ -244,6 +245,7 @@ class FdProtocolConfig:
             raise ValueError("private + open exceeds the dataset size")
         if self.clients < 1:
             raise ValueError("need at least one client")
+        check_range(power_cap_range=self.power_cap_range)
         # The run sets the round's class count, reference slot and noise power
         # from data, aggregation and snr_db; a round value that disagrees is
         # an error, not something to drop.
@@ -342,25 +344,20 @@ def aggregate_targets(
 
     ``client_probs`` has shape (N, U, K). Returns (targets, plain) where
     plain is the noise-free weighted average used as the error baseline.
-    Each sample is one independent OTA round.
+    Each sample is one independent OTA round: the U rounds are one
+    (U, N, K) energy frame sent by a single :func:`channel.simulate_rounds`
+    call on ``rng``, and the targets are the clip-renormalized self-centering
+    or reference-ratio estimates, the same functions the sweeps use.
     """
-    n, u, k = client_probs.shape
     plain = np.einsum("i,iuk->uk", pop.omegas, client_probs)
     if cfg.aggregation is Aggregation.PLAIN:
         return plain, plain
-    targets = np.empty((u, k))
-    streams = rng.split(u)
-    for j in range(u):
-        labels = [SoftLabel(client_probs[i, j]) for i in range(n)]
-        frame = map_energies(
-            labels, pop, round_cfg.rho, include_reference=round_cfg.use_reference_re
-        )
-        received = simulate_round(frame, pop, round_cfg, streams[j])
-        if cfg.aggregation is Aggregation.RATIO:
-            targets[j] = ratio_estimate(received).projected.probs
-        else:
-            targets[j] = scene_estimate(received, round_cfg).projected.probs
-    return targets, plain
+    probs = client_probs.transpose(1, 0, 2)  # (U, N, K): one frame row per sample
+    frame = map_energies(probs, pop, round_cfg.rho, include_reference=round_cfg.use_reference_re)
+    y, y_ref = simulate_rounds(frame, pop, round_cfg, rng, trials=probs.shape[0])
+    if cfg.aggregation is Aggregation.RATIO:
+        return ratio_project(reference_ratios(y, y_ref)), plain
+    return clip_renormalize(scene_raw(y, round_cfg.sample_count, round_cfg.rho)), plain
 
 
 def _resolve_round_config(cfg: FdProtocolConfig, pop: DevicePopulation) -> RoundConfig:

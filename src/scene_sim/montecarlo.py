@@ -27,6 +27,8 @@ from .core import (
     RoundConfig,
     SoftLabel,
     check_correlation,
+    check_range,
+    check_simplex,
     coerce_settings,
     population_from_arrays,
     weighted_average,
@@ -130,6 +132,7 @@ class PopulationSpec:
         if self.n_devices < 1:
             raise ValueError("need at least one device")
         coerce_settings(self, weight_rule=WeightRule)
+        check_range(power_cap_range=self.power_cap_range, gamma_range=self.gamma_range)
 
     def draw(self, rng: RandomSource) -> DevicePopulation:
         gen = rng.generator
@@ -165,10 +168,16 @@ class LabelSpec:
 
     def __post_init__(self) -> None:
         coerce_settings(self, kind=LabelKind)
-        if self.kind is LabelKind.FIXED and not self.fixed:
-            raise ValueError("fixed label spec needs labels")
         if self.num_classes < 2:
             raise ValueError("need K >= 2")
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if self.kind is LabelKind.FIXED:
+            if not self.fixed:
+                raise ValueError("fixed label spec needs labels")
+            if any(len(row) != self.num_classes for row in self.fixed):
+                raise ValueError(f"every fixed label needs num_classes = {self.num_classes} entries")
+            check_simplex(self.fixed)
 
     def draw(self, n_devices: int, rng: RandomSource) -> list[SoftLabel]:
         gen = rng.generator
@@ -205,6 +214,9 @@ class SetupSpec:
         coerce_settings(
             self, rho_rule=RhoRule, channel_model=ChannelModel, estimator=Estimator
         )
+        n_fixed = len(self.labels.fixed) if self.labels.kind is LabelKind.FIXED else None
+        if n_fixed not in (None, self.population.n_devices):
+            raise ValueError(f"{n_fixed} fixed labels for {self.population.n_devices} devices")
 
     def draw(self, seed: int) -> tuple[DevicePopulation, list[SoftLabel], RandomSource]:
         """Population and labels drawn from ``seed``, and the stream left for

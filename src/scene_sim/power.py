@@ -8,11 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DevicePopulation, LengthMismatch, RhoRule, SoftLabel, stack_labels
-
-# Row sums are checked against eta with this relative slack (absolute for
-# eta <= 1); accumulated rounding grows with both K and the magnitude of eta.
-ROW_SUM_TOL = 1e-9
+from .core import DevicePopulation, LengthMismatch, RhoRule, SoftLabel, check_simplex, stack_labels
 
 
 class NonPositiveRho(ValueError):
@@ -29,11 +25,12 @@ class EmptyActiveSet(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class EnergyFrame:
-    """Per-device, per-class transmit energies for one round.
+    """Per-device, per-class transmit energies for one round, or for T rounds.
 
-    ``energies[i, c]`` is the energy device i spends on class slot c and
-    ``eta[i]`` its per-repetition total. Row sums equal eta by construction:
-    the per-round transmit energy of a device does not depend on its label.
+    ``energies[..., i, c]``, of shape (N, K) or (T, N, K), is the energy device
+    i spends on class slot c, and ``eta[i]`` its per-repetition total in every
+    round. Rows sum to eta (checked by :func:`core.check_simplex`): the
+    per-round transmit energy of a device does not depend on its label.
     When ``include_reference`` is set, an extra reference slot carrying the
     full eta_i per device is transmitted alongside the K class slots.
     """
@@ -45,21 +42,15 @@ class EnergyFrame:
     def __post_init__(self) -> None:
         e = np.array(self.energies, dtype=np.float64)
         eta = np.array(self.eta, dtype=np.float64)
-        if e.ndim != 2:
-            raise LengthMismatch(f"energies must be N x K, got shape {e.shape}")
-        if eta.shape != (e.shape[0],):
+        if e.ndim not in (2, 3):
+            raise LengthMismatch(f"energies must be N x K or T x N x K, got shape {e.shape}")
+        if eta.shape != (e.shape[-2],):
             raise LengthMismatch("eta must have one entry per device")
         if np.any(e < 0):
             raise NegativeEnergy(f"negative transmit energy {float(e.min())!r}")
         if np.any(eta < 0):
             raise NegativeEnergy("eta entries must be >= 0")
-        tol = ROW_SUM_TOL * np.maximum(1.0, eta)
-        bad = np.abs(e.sum(axis=1) - eta) > tol
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"row {i} sums to {e[i].sum()!r} but eta[{i}] = {eta[i]!r}"
-            )
+        check_simplex(e, eta)
         e.flags.writeable = False
         eta.flags.writeable = False
         object.__setattr__(self, "energies", e)
@@ -67,11 +58,11 @@ class EnergyFrame:
 
     @property
     def num_devices(self) -> int:
-        return self.energies.shape[0]
+        return self.energies.shape[-2]
 
     @property
     def num_classes(self) -> int:
-        return self.energies.shape[1]
+        return self.energies.shape[-1]
 
     @property
     def reference_energies(self) -> np.ndarray:
@@ -80,7 +71,7 @@ class EnergyFrame:
 
 
 def map_energies(
-    labels: Sequence[SoftLabel],
+    labels: Sequence[SoftLabel] | np.ndarray,
     pop: DevicePopulation,
     rho: float,
     include_reference: bool = False,
@@ -88,15 +79,18 @@ def map_energies(
     """Map soft labels to transmit energies E[i, c] = eta_i * q[i, c] with
     eta_i = rho * omega_i / beta_assumed_i.
 
+    ``labels`` is a sequence of N :class:`SoftLabel`, or an array of shape
+    (N, K) or (T, N, K) whose rows pass the same simplex check; a (T, N, K)
+    array maps to a (T, N, K) frame, one round per trial, with the same eta.
     The device-side gain estimate (beta_assumed) is used for inversion; the
     true gain only enters through the channel, so miscalibration shows up as
     a gamma_i scaling on the received side.
     """
     if rho <= 0:
         raise NonPositiveRho(f"rho must be positive, got {rho}")
-    q = stack_labels(labels)
-    if q.shape[0] != pop.num_devices:
-        raise LengthMismatch(f"{q.shape[0]} labels for {pop.num_devices} devices")
+    q = check_simplex(labels) if isinstance(labels, np.ndarray) else stack_labels(labels)
+    if q.ndim not in (2, 3) or q.shape[-2] != pop.num_devices:
+        raise LengthMismatch(f"labels of shape {q.shape} for {pop.num_devices} devices")
     eta = rho * pop.omegas / pop.betas_assumed
     return EnergyFrame(eta[:, None] * q, eta, include_reference)
 

@@ -17,22 +17,36 @@ def make_uniform_population(n, beta=1.0, cap=10.0):
 
 
 def extended_energies(energies, cfg):
-    """(N, K[+1]) energy matrix, reference slot appended when configured."""
+    """([T,] N, K[+1]) energy array, reference slot appended when configured."""
+    e = energies.energies
     if cfg.use_reference_re:
-        return np.column_stack([energies.energies, energies.reference_energies])
-    return energies.energies
+        ref = np.broadcast_to(energies.reference_energies[:, None], e.shape[:-1] + (1,))
+        return np.concatenate([e, ref], axis=-1)
+    return e
 
 
-def frozen_round(energies, pop, cfg, rng=None):
+def frozen_round(energies, pop, cfg, rng=None, trials=1):
     """Noise-free received energies with every |h_i|^2 pinned at beta_i and
-    no cross-device terms: the closed form S*M * (beta @ E_ext), reference slot
-    included when configured. Called like ``simulate_round`` (``rng`` unused),
-    so exact-value tests can stand it in for the channel."""
+    no cross-device terms: the closed form S*M * (beta @ E_ext) of each trial,
+    reference slot included when configured. Called like ``simulate_rounds``
+    (``rng`` unused) and returning its ``(Y, y_ref)``, so exact-value tests
+    can stand it in for the channel."""
     assert cfg.noise_var == 0.0, "the closed form holds only without noise"
-    y = cfg.sample_count * (pop.betas_true @ extended_energies(energies, cfg))
+    assert energies.energies.ndim == 2 or len(energies.energies) == trials
+    e_ext = extended_energies(energies, cfg)
+    y = cfg.sample_count * (pop.betas_true @ e_ext)
+    y = np.broadcast_to(y, (trials, y.shape[-1])).copy()
     if cfg.use_reference_re:
-        return ReceivedEnergies(y[:-1], float(y[-1]), cfg.sample_count)
-    return ReceivedEnergies(y, None, cfg.sample_count)
+        return y[:, :-1], y[:, -1].copy()
+    return y, None
+
+
+def frozen_received(energies, pop, cfg):
+    """One :func:`frozen_round` as the ``ReceivedEnergies`` that
+    ``simulate_round`` returns and the single-round estimators take."""
+    y, y_ref = frozen_round(energies, pop, cfg)
+    ref = None if y_ref is None else float(y_ref[0])
+    return ReceivedEnergies(y[0], ref, cfg.sample_count)
 
 
 def variance_se(x):

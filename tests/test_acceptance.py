@@ -46,7 +46,7 @@ from scene_sim.estimators import ratio_estimate
 from scene_sim.fd import aggregate_targets, pretrain_clients, split_dataset
 from scene_sim.cli import main as cli_main
 
-from conftest import frozen_round, variance_se
+from conftest import frozen_received, frozen_round, variance_se
 
 
 def report(num, name, detail=""):
@@ -261,7 +261,7 @@ def test_07_ratio_estimator():
     cfg = RoundConfig(num_classes=3, reps=2, antennas=2, rho=1.3, noise_var=0.0,
                       use_reference_re=True)
     frame = map_energies(labels, pop, cfg.rho, include_reference=True)
-    y = frozen_round(frame, pop, cfg)
+    y = frozen_received(frame, pop, cfg)
     err = np.abs(ratio_estimate(y).projected.probs - labels[0].probs).max()
     assert err <= 1e-12, f"deterministic cancellation error {err}"
 
@@ -271,7 +271,7 @@ def test_07_ratio_estimator():
     labels2 = [validate_soft_label((0.8, 0.15, 0.05)),
                validate_soft_label((0.1, 0.3, 0.6))]
     frame2 = map_energies(labels2, pop2, cfg.rho, include_reference=True)
-    y2 = frozen_round(frame2, pop2, cfg)
+    y2 = frozen_received(frame2, pop2, cfg)
     q = np.stack([lab.probs for lab in labels2])
     target = (pop2.omegas * gammas) @ q / (pop2.omegas @ gammas)
     err2 = np.abs(ratio_estimate(y2).raw - target).max()
@@ -387,7 +387,7 @@ def test_11a_exact_transport_equals_plain(monkeypatch):
     )
     plain = run_fd(FdProtocolConfig(aggregation="plain", **common), seed=11)
     # frozen fading: the channel delivers its closed-form noise-free energies
-    monkeypatch.setattr(scene_sim.fd, "simulate_round", frozen_round)
+    monkeypatch.setattr(scene_sim.fd, "simulate_rounds", frozen_round)
     scene = run_fd(FdProtocolConfig(aggregation="scene", **common), seed=11)
     assert scene.agg_l2_error <= 1e-9, f"transport error {scene.agg_l2_error}"
     assert scene.server_accuracy == plain.server_accuracy

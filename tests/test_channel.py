@@ -18,6 +18,7 @@ from scene_sim import (
     simulate_rounds,
     validate_soft_label,
 )
+from scene_sim import channel
 from scene_sim.channel import BadRange, ShapeMismatch
 from scene_sim.power import EnergyFrame
 
@@ -72,20 +73,21 @@ class TestFrozenClosedForm:
                 frame, pop, replace(cfg, channel_model=model), RandomSource(seed), 50_000
             )
             se = y.std(axis=0, ddof=1) / np.sqrt(y.shape[0])
-            assert np.all(np.abs(y.mean(axis=0) - frozen_round(frame, pop, cfg).y) <= 3 * se)
+            y_frozen, _ = frozen_round(frame, pop, cfg)
+            assert np.all(np.abs(y.mean(axis=0) - y_frozen[0]) <= 3 * se)
 
     def test_single_device_exact(self):
         pop = make_uniform_population(1)
         frame = frame_from_energies([[3.0, 1.0]])
         cfg = RoundConfig(num_classes=2, reps=1, antennas=1, noise_var=0.0)
-        assert np.array_equal(frozen_round(frame, pop, cfg).y, [3.0, 1.0])
+        assert np.array_equal(frozen_round(frame, pop, cfg)[0], [[3.0, 1.0]])
         self.assert_kernel_mean(frame, pop, cfg, seed=9)
 
     def test_scales_with_sample_count_and_beta(self):
         pop = population_from_arrays([1.0], [2.0])
         frame = frame_from_energies([[3.0, 1.0]])
         cfg = RoundConfig(num_classes=2, reps=4, antennas=2, noise_var=0.0)
-        assert np.allclose(frozen_round(frame, pop, cfg).y, [8 * 2 * 3.0, 8 * 2 * 1.0])
+        assert np.allclose(frozen_round(frame, pop, cfg)[0], [[8 * 2 * 3.0, 8 * 2 * 1.0]])
         self.assert_kernel_mean(frame, pop, cfg, seed=10)
 
 
@@ -236,6 +238,59 @@ class TestSimulateRoundErrors:
         cfg = RoundConfig(num_classes=2, use_reference_re=True)
         with pytest.raises(ShapeMismatch):
             simulate_round(frame, pop, cfg, rng)
+
+
+# The three branches of the kernel: complex superposition, Gamma sums
+# (uncorrelated diagonal), and AR(1) complex fading (correlated diagonal).
+KERNEL_BRANCHES = [
+    dict(channel_model=ChannelModel.SUPERPOSITION),
+    dict(channel_model=ChannelModel.DIAGONAL),
+    dict(channel_model=ChannelModel.DIAGONAL, time_corr=0.3, space_corr=0.2),
+]
+
+
+class TestPerTrialFrames:
+    """A (T, N, K) frame sends its row t in trial t of one kernel call."""
+
+    @pytest.mark.parametrize("branch", KERNEL_BRANCHES)
+    @pytest.mark.parametrize("reference", [False, True])
+    @pytest.mark.parametrize("chunk_elems", [None, 50])
+    def test_equal_rows_bit_identical(self, branch, reference, chunk_elems, monkeypatch):
+        if chunk_elems is not None:  # many small chunks
+            monkeypatch.setattr(channel, "_CHUNK_ELEMS", chunk_elems)
+        pop = population_from_arrays([0.2, 0.3, 0.5], [0.6, 1.0, 1.7])
+        q = np.random.default_rng(4).dirichlet(np.full(4, 0.5), size=3)
+        cfg = RoundConfig(num_classes=4, reps=2, antennas=3, rho=0.8, noise_var=0.4,
+                          use_reference_re=reference, **branch)
+        shared = map_energies(q, pop, cfg.rho, include_reference=reference)
+        per_trial = map_energies(np.broadcast_to(q, (40, 3, 4)), pop, cfg.rho,
+                                 include_reference=reference)
+        y2, ref2 = simulate_rounds(shared, pop, cfg, RandomSource(21), trials=40)
+        y3, ref3 = simulate_rounds(per_trial, pop, cfg, RandomSource(21), trials=40)
+        assert np.array_equal(y2, y3)
+        assert (ref2 is None and ref3 is None) or np.array_equal(ref2, ref3)
+
+    @pytest.mark.parametrize("branch", KERNEL_BRANCHES)
+    def test_row_t_reaches_trial_t(self, branch, monkeypatch):
+        # trial t puts all energy on class hot[t] and no noise is added, so
+        # every other class slot receives exactly zero, across chunk borders
+        monkeypatch.setattr(channel, "_CHUNK_ELEMS", 50)
+        pop = population_from_arrays([0.5, 0.5], [1.0, 0.4])
+        k, trials = 3, 30
+        hot = np.random.default_rng(5).integers(0, k, trials)
+        q = np.broadcast_to(np.eye(k)[hot][:, None, :], (trials, 2, k))
+        cfg = RoundConfig(num_classes=k, reps=2, antennas=2, use_reference_re=True, **branch)
+        frame = map_energies(q, pop, 1.0, include_reference=True)
+        y, y_ref = simulate_rounds(frame, pop, cfg, RandomSource(22), trials=trials)
+        assert np.all(y[np.arange(trials), hot] > 0) and np.all(y_ref > 0)
+        assert np.array_equal(y * (1 - np.eye(k)[hot]), np.zeros((trials, k)))
+
+    @pytest.mark.parametrize("trials", [4, 6])
+    def test_trial_count_must_match(self, trials):
+        pop = make_uniform_population(2)
+        frame = map_energies(np.full((5, 2, 2), 0.5), pop, 1.0)
+        with pytest.raises(ShapeMismatch, match="5 trials"):
+            simulate_rounds(frame, pop, RoundConfig(num_classes=2), RandomSource(0), trials)
 
 
 class TestCorrelatedFading:

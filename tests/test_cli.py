@@ -283,6 +283,55 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("config error")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["round", "sweep"])
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            # 3-entry rows under num_classes 10: round printed a 3-class table
+            {"kind": "fixed", "num_classes": 10, "fixed": [[0.2, 0.3, 0.5]] * 2},
+            {"kind": "fixed", "num_classes": 2, "fixed": [[0.5, 0.5]] * 3},
+            {"kind": "fixed", "num_classes": 2, "fixed": [[0.5, 0.6]] * 2},
+            {"kind": "dirichlet", "alpha": 0.0},
+            {"kind": "dirichlet", "alpha": -1.0},
+        ],
+    )
+    def test_labels_checked_at_load(self, tmp_path, capsys, command, labels):
+        cfg = tmp_path / "bad.json"
+        section = {"population": {"n_devices": 2}, "labels": labels}
+        cfg.write_text(json.dumps({command: section}))
+        with pytest.raises(ConfigError, match="labels"):
+            load_config(str(cfg), command)
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err.startswith("config error")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, section",
+        [
+            ("round", {"population": {"power_cap_range": [-0.2, 1.5]}}),
+            ("sweep", {"population": {"gamma_range": [1.2, 0.8]}}),
+            ("fd", {"power_cap_range": [0.0, 1.5]}),
+        ],
+    )
+    def test_ranges_checked_at_load(self, tmp_path, capsys, command, section):
+        # a negative cap used to pass or fail with the drawn seed
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({command: section}))
+        for seed in range(5):
+            out = tmp_path / f"out{seed}"
+            assert run_cli([command, "--config", cfg, "--seed", seed, "--out", out]) == 1
+            assert capsys.readouterr().err.startswith("config error")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["round", "sweep", "crossover", "fd"])
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, command, threads):
+        # sweep --threads 0 used to exit 0 and run serially
+        out = tmp_path / "out"
+        assert run_cli([command, "--threads", threads, "--out", out]) == 1
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wrong_type(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"sweep": {"trials": "many"}}))

@@ -14,9 +14,14 @@ from scene_sim import (
 )
 from scene_sim.core import (
     BadLength,
+    BadRange,
     LengthMismatch,
     NegativeEntry,
+    NonFiniteEntry,
     NotNormalized,
+    SoftLabel,
+    check_range,
+    check_simplex,
 )
 
 
@@ -50,6 +55,56 @@ class TestValidateSoftLabel:
         lab = validate_soft_label((0.5, 0.5))
         with pytest.raises(ValueError):
             lab.probs[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "v", [(np.nan, np.nan), (np.nan, 1.0), (np.inf, 0.0), (0.5, 0.5, -np.inf)]
+    )
+    def test_non_finite_rejected(self, v):
+        # abs(nan - 1) > tol is False: without a finiteness check these pass
+        with pytest.raises(NonFiniteEntry):
+            SoftLabel(np.array(v))
+
+
+class TestCheckSimplex:
+    def test_matches_soft_label_row_by_row(self):
+        q = np.random.default_rng(3).dirichlet(np.ones(4), size=(5, 3))
+        q[0, 1, 2] -= 1e-13  # negative dust is clipped, as in SoftLabel
+        q[0, 1, 3] += 1e-13
+        out = check_simplex(q)
+        assert out.shape == q.shape
+        for row_in, row_out in zip(q.reshape(-1, 4), out.reshape(-1, 4)):
+            assert np.array_equal(SoftLabel(row_in).probs, row_out)
+
+    @pytest.mark.parametrize(
+        "bad, exc",
+        [(np.nan, NonFiniteEntry), (-0.1, NegativeEntry), (0.3, NotNormalized)],
+    )
+    def test_one_bad_entry_rejects_the_batch(self, bad, exc):
+        q = np.full((4, 3, 2), 0.5)
+        q[2, 1, 0] = bad
+        with pytest.raises(exc):
+            check_simplex(q)
+
+    def test_scaled_totals(self):
+        e = np.array([[1.0, 2.0], [0.0, 0.0]])
+        assert np.array_equal(check_simplex(e, [3.0, 0.0]), e)
+        with pytest.raises(NotNormalized):
+            check_simplex(e, [3.0, 1.0])
+        with pytest.raises(NonFiniteEntry):
+            check_simplex(e, [np.inf, 0.0])
+
+
+class TestCheckRange:
+    @pytest.mark.parametrize("r", [(0.5, 1.5), (1.0, 1.0), None])
+    def test_accepts(self, r):
+        check_range(r=r)
+
+    @pytest.mark.parametrize(
+        "r", [(-0.2, 1.5), (0.0, 1.0), (1.5, 0.5), (np.nan, 1.0), (0.5, np.inf)]
+    )
+    def test_rejects(self, r):
+        with pytest.raises(BadRange, match="r needs"):
+            check_range(r=r)
 
 
 @st.composite

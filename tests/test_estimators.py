@@ -29,7 +29,7 @@ from scene_sim.estimators import (
     reference_ratios,
 )
 
-from conftest import frozen_round, make_uniform_population
+from conftest import frozen_received, make_uniform_population
 
 
 def received(y, y_ref=None, sample_count=1):
@@ -63,7 +63,7 @@ class TestSceneEstimate:
         labels = [validate_soft_label((0.7, 0.3))]
         cfg = RoundConfig(num_classes=2, reps=3, antennas=2, rho=2.0, noise_var=0.0)
         frame = map_energies(labels, pop, cfg.rho)
-        y = frozen_round(frame, pop, cfg)
+        y = frozen_received(frame, pop, cfg)
         res = scene_estimate(y, cfg)
         assert np.allclose(res.raw, [0.7, 0.3], atol=1e-12)
 
@@ -178,7 +178,7 @@ class TestRatioEstimate:
             use_reference_re=True,
         )
         frame = map_energies(labels, pop, cfg.rho, include_reference=True)
-        y = frozen_round(frame, pop, cfg)
+        y = frozen_received(frame, pop, cfg)
         res = ratio_estimate(y)
         assert np.allclose(res.projected.probs, [0.7, 0.3], atol=1e-12)
         assert res.used_ratio

@@ -16,10 +16,12 @@ from scene_sim import (
     validate_soft_label,
 )
 from scene_sim.cli import load_config
-from scene_sim.core import RoundConfig
-from scene_sim.fd import Aggregation, DatasetSpec, Divergence, EmptyBudget
+from scene_sim.core import BadRange, RoundConfig, SoftLabel, population_from_arrays
+from scene_sim.estimators import ratio_estimate, scene_estimate
+from scene_sim.fd import Aggregation, DatasetSpec, Divergence, EmptyBudget, aggregate_targets
+from scene_sim.power import map_energies
 
-from conftest import frozen_round
+from conftest import frozen_received, frozen_round
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -201,9 +203,67 @@ class TestSplit:
         )
         FdProtocolConfig(snr_db=None, round=RoundConfig(num_classes=10, noise_var=7.0))
 
+    @pytest.mark.parametrize("lo_hi", [(-0.2, 1.5), (0.0, 1.0), (1.5, 0.5)])
+    def test_power_cap_range_checked(self, lo_hi):
+        with pytest.raises(BadRange, match="power_cap_range"):
+            FdProtocolConfig(power_cap_range=lo_hi)
+
     @pytest.mark.parametrize("path", ["configs/fd.json", "perfbench/configs/fd_budget.json"])
     def test_shipped_configs_load(self, path):
         assert isinstance(load_config(str(ROOT / path), "fd"), FdProtocolConfig)
+
+
+class TestAggregateTargets:
+    """One batched channel call per distillation round, checked against the
+    per-sample single-round path under the frozen closed form."""
+
+    U = 48
+
+    @staticmethod
+    def inputs(aggregation):
+        # miscalibrated devices and peaked labels, so projection clips entries
+        pop = population_from_arrays(
+            [0.2, 0.3, 0.5], [0.6, 1.0, 1.7], [2.0, 0.4, 1.7], [1.0, 1.0, 1.0]
+        )
+        u = TestAggregateTargets.U
+        probs = np.random.default_rng(8).dirichlet(np.full(5, 0.2), size=(3, u))
+        ratio = aggregation is Aggregation.RATIO
+        cfg = FdProtocolConfig(aggregation=aggregation, snr_db=None,
+                               round=RoundConfig(num_classes=5, use_reference_re=ratio),
+                               data=DatasetSpec(num_classes=5))
+        round_cfg = RoundConfig(num_classes=5, reps=2, antennas=3, rho=0.9,
+                                use_reference_re=ratio)
+        return cfg, probs, pop, round_cfg
+
+    @pytest.mark.parametrize("aggregation", [Aggregation.SCENE, Aggregation.RATIO])
+    def test_matches_per_sample_estimates(self, aggregation, monkeypatch):
+        cfg, probs, pop, round_cfg = self.inputs(aggregation)
+        monkeypatch.setattr(scene_sim.fd, "simulate_rounds", frozen_round)
+        targets, plain = aggregate_targets(cfg, probs, pop, round_cfg, RandomSource(0))
+        for j in range(self.U):
+            labels = [SoftLabel(probs[i, j]) for i in range(3)]
+            frame = map_energies(labels, pop, round_cfg.rho, round_cfg.use_reference_re)
+            received = frozen_received(frame, pop, round_cfg)
+            if aggregation is Aggregation.RATIO:
+                expected = ratio_estimate(received).projected.probs
+            else:
+                expected = scene_estimate(received, round_cfg).projected.probs
+            assert np.abs(targets[j] - expected).max() <= 1e-12
+        # the mismatch moves the targets off plain; scene also clips entries
+        assert np.abs(targets - plain).max() > 0.05
+        assert aggregation is Aggregation.RATIO or np.any(targets == 0.0)
+
+    def test_one_kernel_call_per_round(self, monkeypatch):
+        cfg, probs, pop, round_cfg = self.inputs(Aggregation.SCENE)
+        calls = []
+
+        def counting(energies, pop, cfg, rng, trials):
+            calls.append((energies.energies.shape, trials))
+            return frozen_round(energies, pop, cfg, rng, trials)
+
+        monkeypatch.setattr(scene_sim.fd, "simulate_rounds", counting)
+        aggregate_targets(cfg, probs, pop, round_cfg, RandomSource(0))
+        assert calls == [((self.U, 3, 5), self.U)]
 
 
 class TestOneShotDistill:
@@ -216,7 +276,7 @@ class TestOneShotDistill:
             round=RoundConfig(num_classes=10, reps=2, antennas=1, noise_var=0.0),
         )
         plain = run_fd(FdProtocolConfig(aggregation=Aggregation.PLAIN, **common), seed=11)
-        monkeypatch.setattr(scene_sim.fd, "simulate_round", frozen_round)
+        monkeypatch.setattr(scene_sim.fd, "simulate_rounds", frozen_round)
         scene = run_fd(FdProtocolConfig(aggregation=Aggregation.SCENE, **common), seed=11)
         assert scene.agg_l2_error < 1e-9
         assert scene.server_accuracy == plain.server_accuracy

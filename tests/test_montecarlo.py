@@ -22,7 +22,14 @@ from scene_sim import (
     variance_bound,
 )
 from scene_sim.channel import PathlossModel
-from scene_sim.core import RoundConfig, population_from_arrays, validate_soft_label
+from scene_sim.core import (
+    BadRange,
+    NonFiniteEntry,
+    NotNormalized,
+    RoundConfig,
+    population_from_arrays,
+    validate_soft_label,
+)
 from scene_sim.montecarlo import CSV_HEADER, InsufficientSweep, MixedSnr, write_rows_csv
 
 
@@ -102,6 +109,45 @@ class TestLabelSpec:
         spec = LabelSpec(kind="fixed", num_classes=3, fixed=((0.2, 0.3, 0.5),))
         with pytest.raises(ValueError):
             spec.draw(2, RandomSource(0))
+
+    def test_fixed_row_length_checked_at_construction(self):
+        # a 3-entry label under num_classes 10 used to run at K = 3
+        with pytest.raises(ValueError, match="num_classes = 10"):
+            LabelSpec(kind="fixed", num_classes=10, fixed=((0.2, 0.3, 0.5),))
+        with pytest.raises(ValueError, match="num_classes = 3"):
+            LabelSpec(kind="fixed", num_classes=3, fixed=((0.2, 0.8), (0.2, 0.3, 0.5)))
+
+    def test_fixed_rows_on_simplex_at_construction(self):
+        with pytest.raises(NotNormalized):
+            LabelSpec(kind="fixed", num_classes=2, fixed=((0.2, 0.3),))
+        with pytest.raises(NonFiniteEntry):
+            LabelSpec(kind="fixed", num_classes=2, fixed=((float("nan"), 1.0),))
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, float("nan")])
+    def test_alpha_checked_at_construction(self, alpha):
+        # used to fail only when drawing, with NotNormalized
+        with pytest.raises(ValueError, match="alpha"):
+            LabelSpec(kind="dirichlet", alpha=alpha)
+
+    def test_fixed_row_count_must_match_devices(self):
+        labels = LabelSpec(kind="fixed", num_classes=2, fixed=((0.5, 0.5),) * 3)
+        with pytest.raises(ValueError, match="3 fixed labels for 4 devices"):
+            small_spec(population=PopulationSpec(n_devices=4), labels=labels)
+        small_spec(population=PopulationSpec(n_devices=3), labels=labels)
+
+
+class TestPopulationSpec:
+    @pytest.mark.parametrize("field", ["power_cap_range", "gamma_range"])
+    @pytest.mark.parametrize("lo_hi", [(-0.2, 1.5), (0.0, 1.0), (1.5, 0.5)])
+    def test_ranges_checked_at_construction(self, field, lo_hi):
+        # (-0.2, 1.5) used to pass or fail depending on the drawn caps
+        with pytest.raises(BadRange, match=field):
+            PopulationSpec(**{field: lo_hi})
+
+    def test_degenerate_ranges_allowed(self):
+        pop = PopulationSpec(n_devices=3, power_cap_range=(1.0, 1.0), gamma_range=(0.8, 0.8))
+        drawn = pop.draw(RandomSource(0))
+        assert np.allclose(drawn.power_caps, 1.0) and np.allclose(drawn.gammas, 0.8)
 
 
 def small_spec(**overrides):

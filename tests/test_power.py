@@ -11,6 +11,13 @@ from scene_sim import (
     run_min_rho_protocol,
     validate_soft_label,
 )
+from scene_sim.core import (
+    BadLength,
+    LengthMismatch,
+    NegativeEntry,
+    NonFiniteEntry,
+    NotNormalized,
+)
 from scene_sim.power import EmptyActiveSet, NegativeEnergy, NonPositiveRho
 
 
@@ -85,6 +92,52 @@ class TestMapEnergies:
         assert np.allclose(rows[1], rows[2])
 
 
+class TestBatchedMapEnergies:
+    """(T, N, K) label arrays map to (T, N, K) frames with the eta of
+    the single-round path, and pass the checks a SoftLabel applies."""
+
+    def setup_method(self):
+        self.pop = random_population(np.random.default_rng(5), 3)
+        self.q = np.random.default_rng(6).dirichlet(np.full(4, 0.5), size=(7, 3))
+
+    def test_rows_equal_the_single_round_frames(self):
+        frame = map_energies(self.q, self.pop, rho=1.3, include_reference=True)
+        assert frame.energies.shape == (7, 3, 4)
+        assert frame.num_devices == 3 and frame.num_classes == 4
+        for t in range(7):
+            labels = [validate_soft_label(row) for row in self.q[t]]
+            single = map_energies(labels, self.pop, rho=1.3, include_reference=True)
+            assert np.array_equal(frame.energies[t], single.energies)
+            assert np.array_equal(frame.eta, single.eta)
+
+    def test_two_dimensional_array_equals_label_list(self):
+        labels = [validate_soft_label(row) for row in self.q[0]]
+        assert np.array_equal(
+            map_energies(self.q[0], self.pop, 2.0).energies,
+            map_energies(labels, self.pop, 2.0).energies,
+        )
+
+    @pytest.mark.parametrize(
+        "bad, exc",
+        [(np.nan, NonFiniteEntry), (np.inf, NonFiniteEntry), (-0.2, NegativeEntry),
+         (0.9, NotNormalized)],
+    )
+    def test_rejects_bad_label_anywhere(self, bad, exc):
+        q = self.q.copy()
+        q[4, 2, 1] = bad
+        with pytest.raises(exc):
+            map_energies(q, self.pop, rho=1.0)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (7, 2, 4), (1, 7, 3, 4)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(LengthMismatch):
+            map_energies(np.full(shape, 0.25), self.pop, rho=1.0)
+
+    def test_rejects_single_class(self):
+        with pytest.raises(BadLength):
+            map_energies(np.ones((7, 3, 1)), self.pop, rho=1.0)
+
+
 class TestEnergyFrame:
     def test_rejects_negative_energy(self):
         with pytest.raises(NegativeEnergy):
@@ -93,6 +146,23 @@ class TestEnergyFrame:
     def test_rejects_row_sum_mismatch(self):
         with pytest.raises(ValueError):
             EnergyFrame(np.array([[0.5, 0.2]]), np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "e, eta", [([[np.nan, 1.0]], [1.0]), ([[np.inf, 1.0]], [np.inf]), ([[0.5, 0.5]], [np.nan])]
+    )
+    def test_rejects_non_finite(self, e, eta):
+        # abs(nan - eta) > tol is False: the row-sum check alone lets NaN pass
+        with pytest.raises(NonFiniteEntry):
+            EnergyFrame(np.array(e), np.array(eta))
+
+    def test_per_trial_frame(self):
+        e = np.array([[[0.5, 0.5]], [[1.0, 0.0]], [[0.2, 0.8]]])
+        frame = EnergyFrame(e, np.array([1.0]))
+        assert (frame.num_devices, frame.num_classes) == (1, 2)
+        with pytest.raises(NotNormalized):
+            EnergyFrame(e * [[[1.0]], [[1.0]], [[0.5]]], np.array([1.0]))
+        with pytest.raises(LengthMismatch):
+            EnergyFrame(e[None], np.array([1.0]))
 
     def test_reference_energies_are_eta(self):
         frame = EnergyFrame(np.array([[0.5, 0.5]]), np.array([1.0]), include_reference=True)
