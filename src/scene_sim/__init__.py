@@ -23,13 +23,11 @@ from .channel import (
 from .core import (
     ChannelModel,
     DevicePopulation,
-    DeviceProfile,
     Estimator,
     RandomSource,
     RhoRule,
     RoundConfig,
     SoftLabel,
-    population_from_arrays,
     validate_soft_label,
     weighted_average,
 )

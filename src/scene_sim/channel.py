@@ -146,8 +146,6 @@ def _check_frame(energies: EnergyFrame, pop: DevicePopulation, cfg: RoundConfig)
         raise ShapeMismatch(
             f"frame has {energies.num_classes} classes, config {cfg.num_classes}"
         )
-    if cfg.use_reference_re and not energies.include_reference:
-        raise ShapeMismatch("config requests a reference slot the frame lacks")
 
 
 def simulate_rounds(
@@ -181,7 +179,7 @@ def simulate_rounds(
     s, m = cfg.reps, cfg.antennas
     e_ext = energies.energies  # ([T,] N, K[+1]), reference slot appended when configured
     if cfg.use_reference_re:
-        ref = np.broadcast_to(energies.reference_energies[:, None], e_ext.shape[:-1] + (1,))
+        ref = np.broadcast_to(energies.eta[:, None], e_ext.shape[:-1] + (1,))
         e_ext = np.concatenate([e_ext, ref], axis=-1)
     kt = e_ext.shape[-1]
     beta = pop.betas_true

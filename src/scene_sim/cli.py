@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import enum
 import json
+import math
 import os
 import sys
 import types
@@ -125,6 +126,8 @@ def _convert(tp, value, path: str):
     if tp is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{path}: expected a number")
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value}")
         return float(value)
     if tp is int:
         if not isinstance(value, int) or isinstance(value, bool):
@@ -194,7 +197,7 @@ def cmd_round(spec: RoundSpec, seed: int, out_dir: Path) -> int:
     qbar = weighted_average(labels, pop).probs
     k = labels[0].num_classes
     cfg = spec.round_config(pop, k, spec.s, spec.m, spec.snr_db)
-    frame = map_energies(labels, pop, cfg.rho, include_reference=cfg.use_reference_re)
+    frame = map_energies(labels, pop, cfg.rho)
     received = simulate_round(frame, pop, cfg, chan_rng)
     if spec.estimator is Estimator.RATIO:
         result = ratio_estimate(received)
@@ -343,6 +346,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        for flag in ("snr_db", "rho"):
+            value = getattr(args, flag)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"--{flag.replace('_', '-')} must be finite, got {value}")
         spec = load_config(args.config, command)
         spec = _apply_overrides(spec, args)
         if args.seed is not None:

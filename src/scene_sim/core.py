@@ -7,7 +7,7 @@ there is no global RNG state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Sequence
 
@@ -101,70 +101,54 @@ def validate_soft_label(v: Sequence[float] | np.ndarray) -> SoftLabel:
     return SoftLabel(np.asarray(v, dtype=np.float64))
 
 
-@dataclass(frozen=True)
-class DeviceProfile:
-    """Per-device transmit profile.
-
-    ``beta_true`` is the actual large-scale power gain seen by the channel;
-    ``beta_assumed`` is the device-side estimate used for transmit scaling.
-    Their ratio ``gamma`` is the calibration mismatch (1 = perfectly known gain).
-    ``power_cap`` is the per-repetition energy budget.
-    """
-
-    omega: float
-    beta_true: float
-    beta_assumed: float
-    power_cap: float
-
-    def __post_init__(self) -> None:
-        if self.omega < 0:
-            raise ValueError(f"omega must be >= 0, got {self.omega}")
-        if self.beta_true <= 0 or self.beta_assumed <= 0:
-            raise ValueError("large-scale gains must be positive")
-        if self.power_cap <= 0:
-            raise ValueError("power cap must be positive")
-        if not np.isfinite(self.gamma):
-            raise ValueError("gamma = beta_true / beta_assumed must be finite")
-
-    @property
-    def gamma(self) -> float:
-        return self.beta_true / self.beta_assumed
-
-
 @dataclass(frozen=True, eq=False)
 class DevicePopulation:
-    """An ordered collection of devices with weights summing to one."""
+    """N devices as four read-only float64 vectors, one entry per device.
 
-    devices: tuple[DeviceProfile, ...]
+    ``omegas`` are the aggregation weights (>= 0, summing to one).
+    ``betas_true`` is the actual large-scale power gain seen by the channel;
+    ``betas_assumed`` the device-side estimate used for transmit scaling
+    (None: the true gains, i.e. calibrated devices). Their ratio ``gammas`` is
+    the calibration mismatch (1 = perfectly known gain). ``power_caps`` are the
+    per-repetition energy budgets (None: ones).
+    """
+
+    omegas: np.ndarray
+    betas_true: np.ndarray
+    betas_assumed: np.ndarray | None = None
+    power_caps: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        devs = tuple(self.devices)
-        object.__setattr__(self, "devices", devs)
-        if len(devs) < 1:
+        if self.betas_assumed is None:
+            object.__setattr__(self, "betas_assumed", self.betas_true)
+        if self.power_caps is None:
+            object.__setattr__(self, "power_caps", np.ones(np.shape(self.betas_true)))
+        vecs = [np.array(getattr(self, f.name), dtype=np.float64) for f in fields(self)]
+        if len({v.shape for v in vecs}) != 1 or vecs[0].ndim != 1:
+            raise LengthMismatch("per-device arrays must be vectors of equal length")
+        for f, v in zip(fields(self), vecs):
+            v.flags.writeable = False
+            object.__setattr__(self, f.name, v)
+        omegas, betas_true, betas_assumed, power_caps = vecs
+        if omegas.size < 1:
             raise ValueError("population needs at least one device")
-        total = sum(d.omega for d in devs)
+        if not np.isfinite(vecs).all():
+            raise NonFiniteEntry("per-device entries must be finite")
+        if np.any(omegas < 0):
+            raise ValueError(f"omega must be >= 0, got {float(omegas.min())}")
+        if np.any(betas_true <= 0) or np.any(betas_assumed <= 0):
+            raise ValueError("large-scale gains must be positive")
+        if np.any(power_caps <= 0):
+            raise ValueError("power caps must be positive")
+        if not np.all(np.isfinite(self.gammas)):
+            raise ValueError("gamma = beta_true / beta_assumed must be finite")
+        total = float(omegas.sum())
         if abs(total - 1.0) > SIMPLEX_SUM_TOL:
             raise NotNormalized(f"device weights sum to {total!r}, expected 1")
 
     @property
     def num_devices(self) -> int:
-        return len(self.devices)
-
-    @property
-    def omegas(self) -> np.ndarray:
-        return np.array([d.omega for d in self.devices])
-
-    @property
-    def betas_true(self) -> np.ndarray:
-        return np.array([d.beta_true for d in self.devices])
-
-    @property
-    def betas_assumed(self) -> np.ndarray:
-        return np.array([d.beta_assumed for d in self.devices])
-
-    @property
-    def power_caps(self) -> np.ndarray:
-        return np.array([d.power_cap for d in self.devices])
+        return self.omegas.size
 
     @property
     def gammas(self) -> np.ndarray:
@@ -174,33 +158,6 @@ class DevicePopulation:
     def gamma_bar(self) -> float:
         """Weighted mean mismatch, sum_i omega_i * gamma_i."""
         return float(self.omegas @ self.gammas)
-
-
-def population_from_arrays(
-    omegas: Sequence[float],
-    betas_true: Sequence[float],
-    betas_assumed: Sequence[float] | None = None,
-    power_caps: Sequence[float] | None = None,
-) -> DevicePopulation:
-    """Convenience constructor; ``betas_assumed`` defaults to the true gains
-    (calibrated devices) and ``power_caps`` to 1."""
-    omegas = np.asarray(omegas, dtype=np.float64)
-    betas_true = np.asarray(betas_true, dtype=np.float64)
-    if betas_assumed is None:
-        betas_assumed = betas_true
-    betas_assumed = np.asarray(betas_assumed, dtype=np.float64)
-    if power_caps is None:
-        power_caps = np.ones_like(betas_true)
-    power_caps = np.asarray(power_caps, dtype=np.float64)
-    n = len(omegas)
-    if not (len(betas_true) == len(betas_assumed) == len(power_caps) == n):
-        raise LengthMismatch("per-device arrays must have equal length")
-    return DevicePopulation(
-        tuple(
-            DeviceProfile(float(o), float(bt), float(ba), float(p))
-            for o, bt, ba, p in zip(omegas, betas_true, betas_assumed, power_caps)
-        )
-    )
 
 
 class ChannelModel(Enum):
@@ -277,10 +234,10 @@ class RoundConfig:
             raise BadLength(f"need K >= 2 classes, got {self.num_classes}")
         if self.reps < 1 or self.antennas < 1:
             raise ValueError("reps and antennas must be >= 1")
-        if self.rho <= 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be >= 0")
+        if not 0 < self.rho < np.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if not 0 <= self.noise_var < np.inf:
+            raise ValueError(f"noise_var must be >= 0 and finite, got {self.noise_var}")
         coerce_settings(self, channel_model=ChannelModel)
         check_correlation(time_corr=self.time_corr, space_corr=self.space_corr)
 

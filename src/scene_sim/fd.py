@@ -10,12 +10,11 @@ accuracy numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from . import analysis
 from .channel import PathlossModel, simulate_rounds
 from .core import (
     DevicePopulation,
@@ -28,7 +27,7 @@ from .core import (
 )
 from .estimators import clip_renormalize, ratio_project, reference_ratios, scene_raw
 from .montecarlo import PopulationSpec
-from .power import map_energies, resolve_rho
+from .power import map_energies, resolve_round
 
 FD_CSV_HEADER = "round,U,S,M,snr_db,aggregation,server_acc,agg_l2_err,seed"
 
@@ -353,24 +352,11 @@ def aggregate_targets(
     if cfg.aggregation is Aggregation.PLAIN:
         return plain, plain
     probs = client_probs.transpose(1, 0, 2)  # (U, N, K): one frame row per sample
-    frame = map_energies(probs, pop, round_cfg.rho, include_reference=round_cfg.use_reference_re)
+    frame = map_energies(probs, pop, round_cfg.rho)
     y, y_ref = simulate_rounds(frame, pop, round_cfg, rng, trials=probs.shape[0])
     if cfg.aggregation is Aggregation.RATIO:
         return ratio_project(reference_ratios(y, y_ref)), plain
     return clip_renormalize(scene_raw(y, round_cfg.sample_count, round_cfg.rho)), plain
-
-
-def _resolve_round_config(cfg: FdProtocolConfig, pop: DevicePopulation) -> RoundConfig:
-    rho = resolve_rho(cfg.rho_rule, cfg.round.rho, pop)
-    noise = cfg.round.noise_var
-    if cfg.snr_db is not None:
-        noise = analysis.calibrate_noise(rho, cfg.round.num_classes, cfg.snr_db)
-    return replace(
-        cfg.round,
-        rho=rho,
-        noise_var=noise,
-        use_reference_re=cfg.aggregation is Aggregation.RATIO,
-    )
 
 
 def one_shot_distill(
@@ -395,7 +381,9 @@ def one_shot_distill(
     pop = PopulationSpec(
         n_devices=cfg.clients, pathloss=cfg.pathloss, power_cap_range=cfg.power_cap_range
     ).draw(pop_rng)
-    round_cfg = _resolve_round_config(cfg, pop)
+    round_cfg = resolve_round(
+        cfg.round, cfg.rho_rule, pop, cfg.snr_db, cfg.aggregation is Aggregation.RATIO
+    )
     targets, plain = aggregate_targets(cfg, client_probs, pop, round_cfg, channel_rng)
     agg_err = float(np.linalg.norm(targets - plain, axis=1).mean())
 

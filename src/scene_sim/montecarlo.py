@@ -30,11 +30,10 @@ from .core import (
     check_range,
     check_simplex,
     coerce_settings,
-    population_from_arrays,
     weighted_average,
 )
 from .estimators import clip_renormalize, ratio_project, reference_ratios, scene_raw
-from .power import map_energies, resolve_rho
+from .power import map_energies, resolve_round
 
 # Trials per scheduling job; fixed so outputs do not depend on worker count.
 _JOB_TRIALS = 20_000
@@ -149,7 +148,7 @@ class PopulationSpec:
         else:
             gammas = gen.uniform(*self.gamma_range, n)
             assumed = betas / gammas
-        return population_from_arrays(omegas, betas, assumed, caps)
+        return DevicePopulation(omegas, betas, assumed, caps)
 
 
 @dataclass(frozen=True)
@@ -214,6 +213,8 @@ class SetupSpec:
         coerce_settings(
             self, rho_rule=RhoRule, channel_model=ChannelModel, estimator=Estimator
         )
+        if not self.rho_value > 0:
+            raise ValueError(f"rho_value must be positive, got {self.rho_value}")
         n_fixed = len(self.labels.fixed) if self.labels.kind is LabelKind.FIXED else None
         if n_fixed not in (None, self.population.n_devices):
             raise ValueError(f"{n_fixed} fixed labels for {self.population.n_devices} devices")
@@ -229,19 +230,11 @@ class SetupSpec:
     def round_config(
         self, pop: DevicePopulation, k: int, s: int, m: int, snr_db: float, **corr: float
     ) -> RoundConfig:
-        """Parameters of the (S, M, SNR) point: rho by the rule, noise power
-        calibrated to the SNR, and the AR(1) coefficients ``corr``."""
-        rho = resolve_rho(self.rho_rule, self.rho_value, pop)
-        return RoundConfig(
-            num_classes=k,
-            reps=s,
-            antennas=m,
-            rho=rho,
-            noise_var=analysis.calibrate_noise(rho, k, snr_db),
-            channel_model=self.channel_model,
-            use_reference_re=self.estimator is not Estimator.SCENE,
-            **corr,
-        )
+        """Parameters of the (S, M, SNR) point with the AR(1) coefficients
+        ``corr``, resolved by :func:`power.resolve_round`."""
+        base = RoundConfig(k, s, m, self.rho_value, channel_model=self.channel_model, **corr)
+        reference = self.estimator is not Estimator.SCENE
+        return resolve_round(base, self.rho_rule, pop, snr_db, reference)
 
 
 @dataclass(frozen=True)
@@ -334,7 +327,7 @@ def _point_stats(
 ) -> dict[str, TrialStats]:
     """Run all trials of one sweep point, returning stats keyed by estimator
     variant ("scene", "scene_proj", "ratio", "ratio_proj")."""
-    frame = map_energies(labels, pop, cfg.rho, include_reference=cfg.use_reference_re)
+    frame = map_energies(labels, pop, cfg.rho)
     want_scene = spec.estimator is not Estimator.RATIO
     want_ratio = spec.estimator is not Estimator.SCENE
 

@@ -1,14 +1,24 @@
-"""Soft-label to transmit-energy mapping, per-device caps, and the min-rho
-scale negotiation."""
+"""Soft-label to transmit-energy mapping, per-device caps, the min-rho
+scale negotiation, and the resolution of a round's scale, noise power and
+reference slot."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .core import DevicePopulation, LengthMismatch, RhoRule, SoftLabel, check_simplex, stack_labels
+from .analysis import calibrate_noise
+from .core import (
+    DevicePopulation,
+    LengthMismatch,
+    RhoRule,
+    RoundConfig,
+    SoftLabel,
+    check_simplex,
+    stack_labels,
+)
 
 
 class NonPositiveRho(ValueError):
@@ -19,10 +29,6 @@ class NegativeEnergy(ValueError):
     """Transmit energies cannot be negative."""
 
 
-class EmptyActiveSet(ValueError):
-    """No device with positive weight is participating."""
-
-
 @dataclass(frozen=True, eq=False)
 class EnergyFrame:
     """Per-device, per-class transmit energies for one round, or for T rounds.
@@ -31,13 +37,12 @@ class EnergyFrame:
     i spends on class slot c, and ``eta[i]`` its per-repetition total in every
     round. Rows sum to eta (checked by :func:`core.check_simplex`): the
     per-round transmit energy of a device does not depend on its label.
-    When ``include_reference`` is set, an extra reference slot carrying the
-    full eta_i per device is transmitted alongside the K class slots.
+    When the round uses a reference slot, each device sends its full eta_i
+    on it alongside the K class slots.
     """
 
     energies: np.ndarray
     eta: np.ndarray
-    include_reference: bool = False
 
     def __post_init__(self) -> None:
         e = np.array(self.energies, dtype=np.float64)
@@ -64,17 +69,11 @@ class EnergyFrame:
     def num_classes(self) -> int:
         return self.energies.shape[-1]
 
-    @property
-    def reference_energies(self) -> np.ndarray:
-        """Energy each device puts on the reference slot (its full eta)."""
-        return self.eta
-
 
 def map_energies(
     labels: Sequence[SoftLabel] | np.ndarray,
     pop: DevicePopulation,
     rho: float,
-    include_reference: bool = False,
 ) -> EnergyFrame:
     """Map soft labels to transmit energies E[i, c] = eta_i * q[i, c] with
     eta_i = rho * omega_i / beta_assumed_i.
@@ -92,15 +91,13 @@ def map_energies(
     if q.ndim not in (2, 3) or q.shape[-2] != pop.num_devices:
         raise LengthMismatch(f"labels of shape {q.shape} for {pop.num_devices} devices")
     eta = rho * pop.omegas / pop.betas_assumed
-    return EnergyFrame(eta[:, None] * q, eta, include_reference)
+    return EnergyFrame(eta[:, None] * q, eta)
 
 
 def _local_rho(pop: DevicePopulation) -> tuple[np.ndarray, np.ndarray]:
     """Active-device indices and their feasible-scale estimates beta*P/omega."""
     omegas = pop.omegas
-    active = np.flatnonzero(omegas > 0)
-    if active.size == 0:
-        raise EmptyActiveSet("all devices have zero weight")
+    active = np.flatnonzero(omegas > 0)  # nonempty: the weights sum to one
     rho_i = pop.betas_assumed[active] * pop.power_caps[active] / omegas[active]
     return active, rho_i
 
@@ -116,9 +113,15 @@ def min_rho(pop: DevicePopulation) -> float:
     return float(rho_i.min())
 
 
-def resolve_rho(rule: RhoRule, fixed: float, pop: DevicePopulation) -> float:
-    """Energy scale set by ``rule``: ``fixed`` itself, or :func:`min_rho`."""
-    return fixed if rule is RhoRule.FIXED else min_rho(pop)
+def resolve_round(
+    base: RoundConfig, rule: RhoRule, pop: DevicePopulation, snr_db: float | None, reference: bool
+) -> RoundConfig:
+    """``base`` with rho set by ``rule`` (``base.rho`` itself, or
+    :func:`min_rho`), the noise power calibrated to ``snr_db`` (None keeps
+    ``base.noise_var``), and the reference slot on or off."""
+    rho = base.rho if rule is RhoRule.FIXED else min_rho(pop)
+    noise = base.noise_var if snr_db is None else calibrate_noise(rho, base.num_classes, snr_db)
+    return replace(base, rho=rho, noise_var=noise, use_reference_re=reference)
 
 
 @dataclass(frozen=True)

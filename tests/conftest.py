@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scene_sim import RandomSource, ReceivedEnergies, population_from_arrays
+from scene_sim import DevicePopulation, RandomSource, ReceivedEnergies
 
 
 @pytest.fixture
@@ -11,7 +11,7 @@ def rng():
 
 def make_uniform_population(n, beta=1.0, cap=10.0):
     """n identical devices with equal weight and calibrated gains."""
-    return population_from_arrays(
+    return DevicePopulation(
         np.full(n, 1.0 / n), np.full(n, beta), power_caps=np.full(n, cap)
     )
 
@@ -20,7 +20,7 @@ def extended_energies(energies, cfg):
     """([T,] N, K[+1]) energy array, reference slot appended when configured."""
     e = energies.energies
     if cfg.use_reference_re:
-        ref = np.broadcast_to(energies.reference_energies[:, None], e.shape[:-1] + (1,))
+        ref = np.broadcast_to(energies.eta[:, None], e.shape[:-1] + (1,))
         return np.concatenate([e, ref], axis=-1)
     return e
 

@@ -15,6 +15,7 @@ import scene_sim.fd
 from scene_sim import (
     ChannelModel,
     CrossoverModel,
+    DevicePopulation,
     ExperimentSpec,
     FdProtocolConfig,
     LabelSpec,
@@ -26,10 +27,9 @@ from scene_sim import (
     calibrate_noise,
     crossover_threshold,
     map_energies,
+    min_rho,
     mismatch_bias,
     mismatch_bias_bound,
-    min_rho,
-    population_from_arrays,
     run_experiment,
     run_fd,
     run_min_rho_protocol,
@@ -64,7 +64,7 @@ def draw_population(gen, n, gamma_range=None, weight_rule="random"):
         omegas = gen.uniform(0.1, 1.0, n)
         omegas /= omegas.sum()
     assumed = betas if gamma_range is None else betas / gen.uniform(*gamma_range, n)
-    return population_from_arrays(omegas, betas, assumed, caps)
+    return DevicePopulation(omegas, betas, assumed, caps)
 
 
 def dirichlet_labels(gen, n, k, alpha=0.3):
@@ -72,7 +72,7 @@ def dirichlet_labels(gen, n, k, alpha=0.3):
 
 
 def scene_samples(pop, labels, cfg, seed, trials):
-    frame = map_energies(labels, pop, cfg.rho, include_reference=cfg.use_reference_re)
+    frame = map_energies(labels, pop, cfg.rho)
     y, y_ref = simulate_rounds(frame, pop, cfg, RandomSource(seed), trials=trials)
     return scene_raw(y, cfg.sample_count, cfg.rho), y, y_ref
 
@@ -223,13 +223,13 @@ def test_05_bias_formula_and_bound():
         n, k = int(gen.integers(1, 6)), int(gen.integers(2, 8))
         omegas = gen.dirichlet(np.ones(n))
         gammas = np.clip(gen.uniform(1 - delta, 1 + delta, n), 1 - delta, 1 + delta)
-        pop = population_from_arrays(omegas, np.ones(n), 1.0 / gammas)
+        pop = DevicePopulation(omegas, np.ones(n), 1.0 / gammas)
         labels = dirichlet_labels(gen, n, k, alpha=0.5)
         norm = float(np.linalg.norm(mismatch_bias(pop, labels)))
         assert norm <= mismatch_bias_bound(delta, k) + 1e-12
 
     # (iii) equality at the vertex case
-    pop = population_from_arrays([1.0], [1.0 + delta], [1.0])
+    pop = DevicePopulation([1.0], [1.0 + delta], [1.0])
     bias = mismatch_bias(pop, [validate_soft_label((1.0, 0.0))])
     gap = abs(np.linalg.norm(bias) - mismatch_bias_bound(delta, 2))
     assert gap <= 1e-12, f"vertex case misses the bound by {gap}"
@@ -256,21 +256,21 @@ def test_07_ratio_estimator():
     """Reference-slot ratios cancel the unknown scale exactly in the
     deterministic case and reweight by gamma on average."""
     # (i) exact cancellation, single device
-    pop = population_from_arrays([1.0], [0.037])
+    pop = DevicePopulation([1.0], [0.037])
     labels = [validate_soft_label((0.62, 0.25, 0.13))]
     cfg = RoundConfig(num_classes=3, reps=2, antennas=2, rho=1.3, noise_var=0.0,
                       use_reference_re=True)
-    frame = map_energies(labels, pop, cfg.rho, include_reference=True)
+    frame = map_energies(labels, pop, cfg.rho)
     y = frozen_received(frame, pop, cfg)
     err = np.abs(ratio_estimate(y).projected.probs - labels[0].probs).max()
     assert err <= 1e-12, f"deterministic cancellation error {err}"
 
     # (ii) multi-device frozen case recovers the gamma-reweighted average
     gammas = np.array([1.4, 0.8])
-    pop2 = population_from_arrays([0.5, 0.5], [1.0, 0.5], [1.0 / 1.4, 0.5 / 0.8])
+    pop2 = DevicePopulation([0.5, 0.5], [1.0, 0.5], [1.0 / 1.4, 0.5 / 0.8])
     labels2 = [validate_soft_label((0.8, 0.15, 0.05)),
                validate_soft_label((0.1, 0.3, 0.6))]
-    frame2 = map_energies(labels2, pop2, cfg.rho, include_reference=True)
+    frame2 = map_energies(labels2, pop2, cfg.rho)
     y2 = frozen_received(frame2, pop2, cfg)
     q = np.stack([lab.probs for lab in labels2])
     target = (pop2.omegas * gammas) @ q / (pop2.omegas @ gammas)
@@ -284,7 +284,7 @@ def test_07_ratio_estimator():
     cfg3 = RoundConfig(num_classes=3, reps=64, antennas=64, rho=1.0,
                        noise_var=0.0,
                        channel_model=ChannelModel.DIAGONAL, use_reference_re=True)
-    frame3 = map_energies(labels2, pop2, cfg3.rho, include_reference=True)
+    frame3 = map_energies(labels2, pop2, cfg3.rho)
     y3, ref3 = simulate_rounds(frame3, pop2, cfg3, RandomSource(702), trials=10_000)
     ratios = y3 / ref3[:, None]
     se = ratios.std(axis=0, ddof=1) / np.sqrt(ratios.shape[0])
@@ -373,7 +373,7 @@ def _fd_shared_setup(seed=424242, unlabeled=128):
     n = base.clients
     betas = sample_pathloss(base.pathloss, n, pop_rng)
     caps = pop_rng.generator.uniform(0.5, 1.5, n)
-    pop = population_from_arrays(np.full(n, 1.0 / n), betas, power_caps=caps)
+    pop = DevicePopulation(np.full(n, 1.0 / n), betas, power_caps=caps)
     idx = sel_rng.generator.choice(split.open_features.shape[0], unlabeled, replace=False)
     x_u = split.open_features[idx]
     probs = np.stack([c.predict_proba(x_u) for c in clients])

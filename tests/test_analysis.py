@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from scene_sim import (
     ChannelModel,
     CrossoverModel,
+    DevicePopulation,
     RandomSource,
     RoundConfig,
     ar1_acf,
@@ -15,7 +16,6 @@ from scene_sim import (
     map_energies,
     mismatch_bias,
     mismatch_bias_bound,
-    population_from_arrays,
     scene_raw,
     scene_variance_diagonal,
     simulate_rounds,
@@ -32,7 +32,7 @@ def random_mismatch_setup(gen, n, k, gamma_lo, gamma_hi):
     omegas = gen.dirichlet(np.ones(n))
     gammas = gen.uniform(gamma_lo, gamma_hi, n)
     betas = gen.uniform(0.5, 2.0, n)
-    pop = population_from_arrays(omegas, betas, betas / gammas)
+    pop = DevicePopulation(omegas, betas, betas / gammas)
     labels = [validate_soft_label(gen.dirichlet(np.full(k, 0.3))) for _ in range(n)]
     return pop, labels
 
@@ -45,12 +45,12 @@ class TestMismatchBias:
 
     def test_single_device_vertex(self):
         # gamma = 1.2, q = (1, 0): bias = 0.2 * (1 - 1/2, 0 - 1/2)
-        pop = population_from_arrays([1.0], [1.2], [1.0])
+        pop = DevicePopulation([1.0], [1.2], [1.0])
         labels = [validate_soft_label((1.0, 0.0))]
         assert np.allclose(mismatch_bias(pop, labels), [0.1, -0.1])
 
     def test_uniform_label_contributes_nothing(self):
-        pop = population_from_arrays([0.5, 0.5], [3.0, 1.0], [1.0, 1.0])
+        pop = DevicePopulation([0.5, 0.5], [3.0, 1.0], [1.0, 1.0])
         labels = [
             validate_soft_label((0.25, 0.25, 0.25, 0.25)),
             validate_soft_label((0.25, 0.25, 0.25, 0.25)),
@@ -92,7 +92,7 @@ class TestMismatchBiasBound:
         bound = mismatch_bias_bound(0.2, 2)
         assert bound == pytest.approx(0.2 * np.sqrt(0.5))
         assert bound == pytest.approx(0.14142, abs=1e-5)
-        pop = population_from_arrays([1.0], [1.2], [1.0])
+        pop = DevicePopulation([1.0], [1.2], [1.0])
         bias = mismatch_bias(pop, [validate_soft_label((1.0, 0.0))])
         assert np.linalg.norm(bias) == pytest.approx(bound, abs=1e-12)
 
@@ -117,7 +117,7 @@ class TestMismatchBiasBound:
 class TestVarianceBound:
     def test_single_device_value(self):
         # N=1, omega=1, q_c=0.7, sigma=0, S=M=1, rho=1 -> 2 * 0.49
-        pop = population_from_arrays([1.0], [1.0])
+        pop = DevicePopulation([1.0], [1.0])
         labels = [validate_soft_label((0.7, 0.3))]
         cfg = RoundConfig(num_classes=2, reps=1, antennas=1, rho=1.0, noise_var=0.0)
         bound = variance_bound(pop, labels, cfg)
@@ -125,7 +125,7 @@ class TestVarianceBound:
         assert bound[1] == pytest.approx(2 * 0.09)
 
     def test_vanishes_as_sm_grows(self):
-        pop = population_from_arrays([1.0], [1.0])
+        pop = DevicePopulation([1.0], [1.0])
         labels = [validate_soft_label((0.7, 0.3))]
         prev = np.inf
         for s in (1, 4, 16, 256, 4096):

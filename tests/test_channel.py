@@ -5,12 +5,12 @@ import pytest
 
 from scene_sim import (
     ChannelModel,
+    DevicePopulation,
     PathlossModel,
     RandomSource,
     RoundConfig,
     calibrate_noise,
     map_energies,
-    population_from_arrays,
     sample_pathloss,
     scene_raw,
     scene_variance_diagonal,
@@ -30,9 +30,9 @@ from conftest import (
 )
 
 
-def frame_from_energies(e, include_reference=False):
+def frame_from_energies(e):
     e = np.atleast_2d(np.asarray(e, dtype=float))
-    return EnergyFrame(e, e.sum(axis=1), include_reference)
+    return EnergyFrame(e, e.sum(axis=1))
 
 
 class TestSamplePathloss:
@@ -84,7 +84,7 @@ class TestFrozenClosedForm:
         self.assert_kernel_mean(frame, pop, cfg, seed=9)
 
     def test_scales_with_sample_count_and_beta(self):
-        pop = population_from_arrays([1.0], [2.0])
+        pop = DevicePopulation([1.0], [2.0])
         frame = frame_from_energies([[3.0, 1.0]])
         cfg = RoundConfig(num_classes=2, reps=4, antennas=2, noise_var=0.0)
         assert np.allclose(frozen_round(frame, pop, cfg)[0], [[8 * 2 * 3.0, 8 * 2 * 1.0]])
@@ -118,7 +118,7 @@ class TestSimulateRoundMoments:
     def test_superposition_per_sample_variance(self):
         # per-sample aggregate is CN(0, m_c): energy exponential with
         # mean m_c + sigma^2, variance (m_c + sigma^2)^2
-        pop = population_from_arrays([0.5, 0.5], [1.0, 2.0])
+        pop = DevicePopulation([0.5, 0.5], [1.0, 2.0])
         energies = np.array([[2.0, 0.5], [1.0, 1.5]])
         frame = frame_from_energies(energies)
         sigma2 = 0.3
@@ -131,7 +131,7 @@ class TestSimulateRoundMoments:
 
     def test_diagonal_per_sample_variance(self):
         # Rayleigh: Var(E_i |h_i|^2) = E_i^2 beta_i^2; noise energy adds sigma^4
-        pop = population_from_arrays([0.5, 0.5], [1.0, 2.0])
+        pop = DevicePopulation([0.5, 0.5], [1.0, 2.0])
         energies = np.array([[2.0, 0.5], [1.0, 1.5]])
         frame = frame_from_energies(energies)
         sigma2 = 0.3
@@ -162,9 +162,9 @@ class TestSimulateRoundMoments:
         assert np.mean(snr_emp) / 10.0**1.0 == pytest.approx(1.0, abs=0.05)
 
     def test_reference_slot_mean(self):
-        pop = population_from_arrays([0.6, 0.4], [1.5, 0.5])
+        pop = DevicePopulation([0.6, 0.4], [1.5, 0.5])
         labels = [validate_soft_label((0.7, 0.3)), validate_soft_label((0.2, 0.8))]
-        frame = map_energies(labels, pop, rho=1.0, include_reference=True)
+        frame = map_energies(labels, pop, rho=1.0)
         cfg = RoundConfig(num_classes=2, reps=2, antennas=1, noise_var=0.1,
                           use_reference_re=True)
         y, ref = simulate_rounds(frame, pop, cfg, RandomSource(6), trials=100_000)
@@ -186,7 +186,7 @@ class TestDiagonalGammaSums:
     @pytest.mark.parametrize("s, m", [(1, 1), (4, 4)])
     @pytest.mark.parametrize("snr_db", [None, 5.0])
     def test_moments_match_reference_and_closed_form(self, s, m, snr_db):
-        pop = population_from_arrays(
+        pop = DevicePopulation(
             [0.4, 0.3, 0.2, 0.1], [1.6, 0.4, 1.0, 0.9], power_caps=np.full(4, 2.0)
         )
         labels = [
@@ -199,7 +199,7 @@ class TestDiagonalGammaSums:
             noise_var=0.0 if snr_db is None else calibrate_noise(rho, 3, snr_db),
             channel_model=ChannelModel.DIAGONAL, use_reference_re=True,
         )
-        frame = map_energies(labels, pop, rho, include_reference=True)
+        frame = map_energies(labels, pop, rho)
         y, y_ref = simulate_rounds(frame, pop, cfg, RandomSource(31), trials=400_000)
         fast = np.column_stack([y, y_ref])
         slow = diagonal_reference_rounds(frame, pop, cfg, RandomSource(32), 100_000)
@@ -232,13 +232,6 @@ class TestSimulateRoundErrors:
         with pytest.raises(ShapeMismatch):
             simulate_round(frame, pop, cfg, rng)
 
-    def test_reference_requested_but_missing(self, rng):
-        pop = make_uniform_population(1)
-        frame = frame_from_energies([[1.0, 1.0]])
-        cfg = RoundConfig(num_classes=2, use_reference_re=True)
-        with pytest.raises(ShapeMismatch):
-            simulate_round(frame, pop, cfg, rng)
-
 
 # The three branches of the kernel: complex superposition, Gamma sums
 # (uncorrelated diagonal), and AR(1) complex fading (correlated diagonal).
@@ -258,13 +251,12 @@ class TestPerTrialFrames:
     def test_equal_rows_bit_identical(self, branch, reference, chunk_elems, monkeypatch):
         if chunk_elems is not None:  # many small chunks
             monkeypatch.setattr(channel, "_CHUNK_ELEMS", chunk_elems)
-        pop = population_from_arrays([0.2, 0.3, 0.5], [0.6, 1.0, 1.7])
+        pop = DevicePopulation([0.2, 0.3, 0.5], [0.6, 1.0, 1.7])
         q = np.random.default_rng(4).dirichlet(np.full(4, 0.5), size=3)
         cfg = RoundConfig(num_classes=4, reps=2, antennas=3, rho=0.8, noise_var=0.4,
                           use_reference_re=reference, **branch)
-        shared = map_energies(q, pop, cfg.rho, include_reference=reference)
-        per_trial = map_energies(np.broadcast_to(q, (40, 3, 4)), pop, cfg.rho,
-                                 include_reference=reference)
+        shared = map_energies(q, pop, cfg.rho)
+        per_trial = map_energies(np.broadcast_to(q, (40, 3, 4)), pop, cfg.rho)
         y2, ref2 = simulate_rounds(shared, pop, cfg, RandomSource(21), trials=40)
         y3, ref3 = simulate_rounds(per_trial, pop, cfg, RandomSource(21), trials=40)
         assert np.array_equal(y2, y3)
@@ -275,12 +267,12 @@ class TestPerTrialFrames:
         # trial t puts all energy on class hot[t] and no noise is added, so
         # every other class slot receives exactly zero, across chunk borders
         monkeypatch.setattr(channel, "_CHUNK_ELEMS", 50)
-        pop = population_from_arrays([0.5, 0.5], [1.0, 0.4])
+        pop = DevicePopulation([0.5, 0.5], [1.0, 0.4])
         k, trials = 3, 30
         hot = np.random.default_rng(5).integers(0, k, trials)
         q = np.broadcast_to(np.eye(k)[hot][:, None, :], (trials, 2, k))
         cfg = RoundConfig(num_classes=k, reps=2, antennas=2, use_reference_re=True, **branch)
-        frame = map_energies(q, pop, 1.0, include_reference=True)
+        frame = map_energies(q, pop, 1.0)
         y, y_ref = simulate_rounds(frame, pop, cfg, RandomSource(22), trials=trials)
         assert np.all(y[np.arange(trials), hot] > 0) and np.all(y_ref > 0)
         assert np.array_equal(y * (1 - np.eye(k)[hot]), np.zeros((trials, k)))

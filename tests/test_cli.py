@@ -332,6 +332,51 @@ class TestErrorPaths:
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["round", "sweep", "fd"])
+    @pytest.mark.parametrize("flag", ["--snr-db", "--rho"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_flag_rejected(self, tmp_path, capsys, command, flag, value):
+        # sweep --snr-db nan used to run noise-free and write empty snr_db cells
+        out = tmp_path / "out"
+        assert run_cli([command, f"{flag}={value}", "--out", out]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, section",
+        [
+            ("sweep", {"snr_db_values": [float("nan")]}),
+            ("round", {"snr_db": float("inf")}),
+            ("round", {"rho_rule": "fixed", "rho_value": float("nan")}),
+            ("sweep", {"population": {"pathloss": {"exponent": float("inf")}}}),
+            ("fd", {"snr_db": float("nan")}),
+            ("fd", {"round": {"num_classes": 10, "rho": float("-inf")}}),
+            ("crossover", {"constant_pairs": [[1.0, float("nan")]]}),
+        ],
+    )
+    def test_non_finite_config_value_rejected(self, tmp_path, capsys, command, section):
+        # json reads NaN and Infinity literals; fd with snr_db NaN used to
+        # run noise-free and write nan into fd_metrics.csv
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({command: section}))
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(str(cfg), command)
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("config error")
+        assert not (out / "config_resolved.json").exists()
+
+    @pytest.mark.parametrize("rule", ["min_rho", "fixed"])
+    @pytest.mark.parametrize("command", ["round", "sweep"])
+    def test_rho_value_checked_at_load(self, tmp_path, capsys, command, rule):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({command: {"rho_rule": rule, "rho_value": 0.0}}))
+        with pytest.raises(ConfigError, match="rho_value"):
+            load_config(str(cfg), command)
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", cfg, "--out", out]) == 1
+        assert not out.exists()
+
     def test_wrong_type(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"sweep": {"trials": "many"}}))

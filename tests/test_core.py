@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scene_sim import (
-    DeviceProfile,
     DevicePopulation,
     RandomSource,
     RoundConfig,
-    population_from_arrays,
     validate_soft_label,
     weighted_average,
 )
@@ -123,25 +121,25 @@ def soft_label_vectors(draw, max_k=12):
 
 class TestWeightedAverage:
     def test_symmetry(self):
-        pop = population_from_arrays([0.5, 0.5], [1.0, 1.0])
+        pop = DevicePopulation([0.5, 0.5], [1.0, 1.0])
         labels = [validate_soft_label((1.0, 0.0)), validate_soft_label((0.0, 1.0))]
         assert np.allclose(weighted_average(labels, pop).probs, [0.5, 0.5])
 
     def test_single_device_identity(self):
-        pop = population_from_arrays([1.0], [1.0])
+        pop = DevicePopulation([1.0], [1.0])
         labels = [validate_soft_label((0.7, 0.3))]
         assert np.allclose(weighted_average(labels, pop).probs, [0.7, 0.3])
 
     def test_direct_arithmetic(self):
         # oracle: elementwise sum of omega_i * q_i computed by hand
-        pop = population_from_arrays([0.25, 0.75], [1.0, 1.0])
+        pop = DevicePopulation([0.25, 0.75], [1.0, 1.0])
         labels = [validate_soft_label((0.8, 0.2)), validate_soft_label((0.4, 0.6))]
         expected = [0.25 * 0.8 + 0.75 * 0.4, 0.25 * 0.2 + 0.75 * 0.6]
         assert np.allclose(weighted_average(labels, pop).probs, expected)
         assert np.allclose(expected, [0.5, 0.5])
 
     def test_length_mismatch(self):
-        pop = population_from_arrays([0.5, 0.5], [1.0, 1.0])
+        pop = DevicePopulation([0.5, 0.5], [1.0, 1.0])
         with pytest.raises(LengthMismatch):
             weighted_average([validate_soft_label((0.5, 0.5))], pop)
 
@@ -154,7 +152,7 @@ class TestWeightedAverage:
     def test_convex_combination_stays_on_simplex(self, q1, q2, w):
         k = min(len(q1), len(q2))
         q1, q2 = q1[:k] / q1[:k].sum(), q2[:k] / q2[:k].sum()
-        pop = population_from_arrays([w, 1.0 - w], [1.0, 1.0])
+        pop = DevicePopulation([w, 1.0 - w], [1.0, 1.0])
         out = weighted_average(
             [validate_soft_label(q1), validate_soft_label(q2)], pop
         )
@@ -162,37 +160,89 @@ class TestWeightedAverage:
         validate_soft_label(out.probs)
 
 
+def population_kwargs(**changes):
+    """Arguments of a valid two-device population, with ``changes`` applied."""
+    kwargs = dict(
+        omegas=[0.25, 0.75], betas_true=[1.0, 2.0], betas_assumed=[2.0, 2.0], power_caps=[3.0, 4.0]
+    )
+    kwargs.update(changes)
+    return kwargs
+
+
 class TestDeviceTypes:
     def test_gamma(self):
-        d = DeviceProfile(omega=0.5, beta_true=2.0, beta_assumed=1.0, power_cap=1.0)
-        assert d.gamma == 2.0
+        pop = DevicePopulation([0.5, 0.5], [2.0, 1.0], [1.0, 1.0])
+        assert np.array_equal(pop.gammas, [2.0, 1.0])
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(omega=0.5, beta_true=0.0, beta_assumed=1.0, power_cap=1.0),
-            dict(omega=0.5, beta_true=1.0, beta_assumed=-1.0, power_cap=1.0),
-            dict(omega=0.5, beta_true=1.0, beta_assumed=1.0, power_cap=0.0),
-            dict(omega=-0.1, beta_true=1.0, beta_assumed=1.0, power_cap=1.0),
+            population_kwargs(betas_true=[0.0, 2.0]),
+            population_kwargs(betas_assumed=[2.0, -1.0]),
+            population_kwargs(power_caps=[3.0, 0.0]),
+            population_kwargs(omegas=[-0.1, 1.1]),
         ],
     )
     def test_invalid_profiles(self, kwargs):
         with pytest.raises(ValueError):
-            DeviceProfile(**kwargs)
+            DevicePopulation(**kwargs)
+
+    def test_non_finite_gamma(self):
+        with pytest.raises(ValueError, match="gamma"), np.errstate(over="ignore"):
+            DevicePopulation([1.0], [1e300], [1e-300])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["omegas", "betas_true", "betas_assumed", "power_caps"])
+    def test_non_finite_entries(self, field, bad):
+        # a NaN weight also slips past the sum check, which compares False
+        values = population_kwargs()[field]
+        with pytest.raises(NonFiniteEntry):
+            DevicePopulation(**population_kwargs(**{field: [values[0], bad]}))
 
     def test_weights_must_sum_to_one(self):
-        good = DeviceProfile(0.6, 1.0, 1.0, 1.0)
         with pytest.raises(NotNormalized):
-            DevicePopulation((good, good))
+            DevicePopulation([0.6, 0.6], [1.0, 1.0])
 
     def test_empty_population(self):
         with pytest.raises(ValueError):
-            DevicePopulation(())
+            DevicePopulation([], [])
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(omegas=[1.0]),
+            dict(betas_true=[1.0, 2.0, 3.0]),
+            dict(betas_assumed=[2.0]),
+            dict(power_caps=[[3.0, 4.0]]),
+            dict(omegas=0.5, betas_true=1.0, betas_assumed=1.0, power_caps=1.0),
+        ],
+    )
+    def test_unequal_lengths(self, changes):
+        with pytest.raises(LengthMismatch):
+            DevicePopulation(**population_kwargs(**changes))
 
     def test_population_arrays(self):
-        pop = population_from_arrays([0.25, 0.75], [1.0, 2.0], [2.0, 2.0], [3.0, 4.0])
+        pop = DevicePopulation(**population_kwargs())
+        assert pop.num_devices == 2
         assert np.allclose(pop.gammas, [0.5, 1.0])
         assert pop.gamma_bar == pytest.approx(0.25 * 0.5 + 0.75 * 1.0)
+        for v in (pop.omegas, pop.betas_true, pop.betas_assumed, pop.power_caps):
+            assert v.dtype == np.float64 and v.shape == (2,)
+
+    def test_defaults(self):
+        pop = DevicePopulation([0.5, 0.5], [1.0, 2.0])
+        assert np.array_equal(pop.betas_assumed, [1.0, 2.0])
+        assert np.array_equal(pop.power_caps, [1.0, 1.0])
+        assert np.array_equal(pop.gammas, [1.0, 1.0])
+
+    def test_arrays_read_only(self):
+        omegas = np.array([0.5, 0.5])
+        pop = DevicePopulation(omegas, [1.0, 2.0])
+        omegas[0] = 0.0  # the population keeps its own copy
+        assert pop.omegas[0] == 0.5
+        for v in (pop.omegas, pop.betas_true, pop.betas_assumed, pop.power_caps):
+            with pytest.raises(ValueError):
+                v[0] = 2.0
 
 
 class TestRoundConfig:
@@ -214,6 +264,12 @@ class TestRoundConfig:
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
             RoundConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["rho", "noise_var"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RoundConfig(num_classes=4, **{field: bad})
 
 
 class TestRandomSource:

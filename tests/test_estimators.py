@@ -6,10 +6,10 @@ from hypothesis.extra import numpy as hnp
 
 from scene_sim import (
     ChannelModel,
+    DevicePopulation,
     RandomSource,
     RoundConfig,
     map_energies,
-    population_from_arrays,
     project_simplex,
     ratio_estimate,
     scene_estimate,
@@ -171,13 +171,13 @@ class TestBatchedForms:
 class TestRatioEstimate:
     def test_common_scale_cancels_exactly(self):
         # frozen channel, zero noise: Y_c = SM*beta*eta*q_c and R = SM*beta*eta
-        pop = population_from_arrays([1.0], [0.37])
+        pop = DevicePopulation([1.0], [0.37])
         labels = [validate_soft_label((0.7, 0.3))]
         cfg = RoundConfig(
             num_classes=2, reps=2, antennas=2, rho=1.7, noise_var=0.0,
             use_reference_re=True,
         )
-        frame = map_energies(labels, pop, cfg.rho, include_reference=True)
+        frame = map_energies(labels, pop, cfg.rho)
         y = frozen_received(frame, pop, cfg)
         res = ratio_estimate(y)
         assert np.allclose(res.projected.probs, [0.7, 0.3], atol=1e-12)
@@ -211,7 +211,7 @@ class TestRatioEstimate:
     def test_heterogeneous_gamma_reweights_mean(self):
         # noise-free Monte Carlo mean approaches sum(w*gamma*q)/gamma_bar
         gammas = np.array([2.0, 1.0])
-        pop = population_from_arrays(
+        pop = DevicePopulation(
             [0.5, 0.5], [1.0, 1.0], 1.0 / gammas, [100.0, 100.0]
         )
         labels = [validate_soft_label((0.9, 0.1)), validate_soft_label((0.2, 0.8))]
@@ -219,7 +219,7 @@ class TestRatioEstimate:
             num_classes=2, reps=16, antennas=16, rho=1.0, noise_var=0.0,
             channel_model=ChannelModel.DIAGONAL, use_reference_re=True,
         )
-        frame = map_energies(labels, pop, cfg.rho, include_reference=True)
+        frame = map_energies(labels, pop, cfg.rho)
         y, ref = simulate_rounds(frame, pop, cfg, RandomSource(8), trials=30_000)
         ratios = y / ref[:, None]
         q = np.stack([lab.probs for lab in labels])

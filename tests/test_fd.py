@@ -16,7 +16,7 @@ from scene_sim import (
     validate_soft_label,
 )
 from scene_sim.cli import load_config
-from scene_sim.core import BadRange, RoundConfig, SoftLabel, population_from_arrays
+from scene_sim.core import BadRange, DevicePopulation, RoundConfig, SoftLabel
 from scene_sim.estimators import ratio_estimate, scene_estimate
 from scene_sim.fd import Aggregation, DatasetSpec, Divergence, EmptyBudget, aggregate_targets
 from scene_sim.power import map_energies
@@ -222,7 +222,7 @@ class TestAggregateTargets:
     @staticmethod
     def inputs(aggregation):
         # miscalibrated devices and peaked labels, so projection clips entries
-        pop = population_from_arrays(
+        pop = DevicePopulation(
             [0.2, 0.3, 0.5], [0.6, 1.0, 1.7], [2.0, 0.4, 1.7], [1.0, 1.0, 1.0]
         )
         u = TestAggregateTargets.U
@@ -242,7 +242,7 @@ class TestAggregateTargets:
         targets, plain = aggregate_targets(cfg, probs, pop, round_cfg, RandomSource(0))
         for j in range(self.U):
             labels = [SoftLabel(probs[i, j]) for i in range(3)]
-            frame = map_energies(labels, pop, round_cfg.rho, round_cfg.use_reference_re)
+            frame = map_energies(labels, pop, round_cfg.rho)
             received = frozen_received(frame, pop, round_cfg)
             if aggregation is Aggregation.RATIO:
                 expected = ratio_estimate(received).projected.probs

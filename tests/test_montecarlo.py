@@ -24,10 +24,10 @@ from scene_sim import (
 from scene_sim.channel import PathlossModel
 from scene_sim.core import (
     BadRange,
+    DevicePopulation,
     NonFiniteEntry,
     NotNormalized,
     RoundConfig,
-    population_from_arrays,
     validate_soft_label,
 )
 from scene_sim.montecarlo import CSV_HEADER, InsufficientSweep, MixedSnr, write_rows_csv
@@ -282,7 +282,7 @@ class TestEstimateMseConstants:
             trials=20_000,
         )
         est = estimate_mse_constants(spec)
-        pop = population_from_arrays([1.0], [1.0])
+        pop = DevicePopulation([1.0], [1.0])
         labs = [validate_soft_label(labels[0])]
         cfg = RoundConfig(num_classes=5, reps=1, antennas=1, rho=1.0, noise_var=0.0,
                           channel_model=ChannelModel.DIAGONAL)

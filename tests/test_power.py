@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scene_sim import (
+    DevicePopulation,
     EnergyFrame,
     map_energies,
     min_rho,
-    population_from_arrays,
     run_min_rho_protocol,
     validate_soft_label,
 )
@@ -18,7 +18,7 @@ from scene_sim.core import (
     NonFiniteEntry,
     NotNormalized,
 )
-from scene_sim.power import EmptyActiveSet, NegativeEnergy, NonPositiveRho
+from scene_sim.power import NegativeEnergy, NonPositiveRho
 
 
 def feasible(pop, rho):
@@ -33,36 +33,36 @@ def random_population(gen, n):
     betas = gen.uniform(0.05, 3.0, n)
     assumed = betas * gen.uniform(0.7, 1.3, n)
     caps = gen.uniform(0.5, 1.5, n)
-    return population_from_arrays(omegas, betas, assumed, caps)
+    return DevicePopulation(omegas, betas, assumed, caps)
 
 
 class TestMapEnergies:
     def test_direct_evaluation(self):
         # eta = rho*omega/beta_assumed = 2*1/0.25 = 8; E = eta * q
-        pop = population_from_arrays([1.0], [0.25], [0.25], [10.0])
+        pop = DevicePopulation([1.0], [0.25], [0.25], [10.0])
         frame = map_energies([validate_soft_label((0.75, 0.25))], pop, rho=2.0)
         assert np.allclose(frame.eta, [8.0])
         assert np.allclose(frame.energies, [[6.0, 2.0]])
         assert frame.energies.sum() == pytest.approx(8.0)
 
     def test_vertex_label_concentrates_energy(self):
-        pop = population_from_arrays([1.0], [1.0])
+        pop = DevicePopulation([1.0], [1.0])
         frame = map_energies([validate_soft_label((1.0, 0.0, 0.0))], pop, rho=3.0)
         assert np.allclose(frame.energies, [[3.0, 0.0, 0.0]])
 
     def test_uniform_label_splits_evenly(self):
-        pop = population_from_arrays([1.0], [1.0])
+        pop = DevicePopulation([1.0], [1.0])
         k = 5
         frame = map_energies([validate_soft_label([1.0 / k] * k)], pop, rho=2.0)
         assert np.allclose(frame.energies, 2.0 / k)
 
     def test_nonpositive_rho(self):
-        pop = population_from_arrays([1.0], [1.0])
+        pop = DevicePopulation([1.0], [1.0])
         with pytest.raises(NonPositiveRho):
             map_energies([validate_soft_label((0.5, 0.5))], pop, rho=0.0)
 
     def test_uses_assumed_beta_not_true(self):
-        pop = population_from_arrays([1.0], [4.0], [2.0], [10.0])
+        pop = DevicePopulation([1.0], [4.0], [2.0], [10.0])
         frame = map_energies([validate_soft_label((0.5, 0.5))], pop, rho=1.0)
         assert np.allclose(frame.eta, [0.5])  # rho / beta_assumed
 
@@ -72,7 +72,7 @@ class TestMapEnergies:
     )
     @settings(max_examples=30)
     def test_scaling_covariance(self, rho, scale):
-        pop = population_from_arrays([0.3, 0.7], [1.0, 2.0])
+        pop = DevicePopulation([0.3, 0.7], [1.0, 2.0])
         labels = [validate_soft_label((0.2, 0.8)), validate_soft_label((0.9, 0.1))]
         base = map_energies(labels, pop, rho)
         scaled = map_energies(labels, pop, scale * rho)
@@ -101,12 +101,12 @@ class TestBatchedMapEnergies:
         self.q = np.random.default_rng(6).dirichlet(np.full(4, 0.5), size=(7, 3))
 
     def test_rows_equal_the_single_round_frames(self):
-        frame = map_energies(self.q, self.pop, rho=1.3, include_reference=True)
+        frame = map_energies(self.q, self.pop, rho=1.3)
         assert frame.energies.shape == (7, 3, 4)
         assert frame.num_devices == 3 and frame.num_classes == 4
         for t in range(7):
             labels = [validate_soft_label(row) for row in self.q[t]]
-            single = map_energies(labels, self.pop, rho=1.3, include_reference=True)
+            single = map_energies(labels, self.pop, rho=1.3)
             assert np.array_equal(frame.energies[t], single.energies)
             assert np.array_equal(frame.eta, single.eta)
 
@@ -164,24 +164,20 @@ class TestEnergyFrame:
         with pytest.raises(LengthMismatch):
             EnergyFrame(e[None], np.array([1.0]))
 
-    def test_reference_energies_are_eta(self):
-        frame = EnergyFrame(np.array([[0.5, 0.5]]), np.array([1.0]), include_reference=True)
-        assert np.allclose(frame.reference_energies, [1.0])
-
 
 class TestMinRho:
     def test_two_device_example(self):
         # local scales: 1*1/0.5 = 2 and 0.5*1/0.5 = 1 -> min 1
-        pop = population_from_arrays([0.5, 0.5], [1.0, 0.5], [1.0, 0.5], [1.0, 1.0])
+        pop = DevicePopulation([0.5, 0.5], [1.0, 0.5], [1.0, 0.5], [1.0, 1.0])
         assert min_rho(pop) == pytest.approx(1.0)
 
     def test_single_device(self):
-        pop = population_from_arrays([1.0], [1.0], [1.0], [1.0])
+        pop = DevicePopulation([1.0], [1.0], [1.0], [1.0])
         assert min_rho(pop) == pytest.approx(1.0)
 
     def test_identical_devices_independent_of_n(self):
         for n in (1, 3, 7):
-            pop = population_from_arrays(
+            pop = DevicePopulation(
                 np.full(n, 1.0 / n), np.full(n, 2.0), np.full(n, 2.0), np.full(n, 0.5)
             )
             assert min_rho(pop) == pytest.approx(2.0 * 0.5 * n)
@@ -199,14 +195,8 @@ class TestMinRho:
 
     def test_zero_weight_devices_excluded(self):
         # the zero-weight device would give an infinite local scale
-        pop = population_from_arrays([1.0, 0.0], [1.0, 1e-9], [1.0, 1e-9], [1.0, 1.0])
+        pop = DevicePopulation([1.0, 0.0], [1.0, 1e-9], [1.0, 1e-9], [1.0, 1.0])
         assert min_rho(pop) == pytest.approx(1.0)
-
-    def test_empty_active_set(self):
-        pop = population_from_arrays([1.0], [1.0])
-        object.__setattr__(pop.devices[0], "omega", 0.0)
-        with pytest.raises(EmptyActiveSet):
-            min_rho(pop)
 
 
 class TestMinRhoProtocol:
@@ -220,7 +210,7 @@ class TestMinRhoProtocol:
 
     def test_minimum_of_reports(self):
         # devices engineered to report exactly (4, 2, 9)
-        pop = population_from_arrays(
+        pop = DevicePopulation(
             [0.25, 0.25, 0.5], [1.0, 0.5, 4.5], [1.0, 0.5, 4.5], [1.0, 1.0, 1.0]
         )
         rho_min, transcript = run_min_rho_protocol(pop)
