@@ -82,16 +82,22 @@ def variance_bound(
 def scene_variance_diagonal(
     pop: DevicePopulation, labels: Sequence[SoftLabel], cfg: RoundConfig
 ) -> np.ndarray:
-    """Exact Var(r_c) under the diagonal channel model.
+    """Exact Var(r_c) under the diagonal channel model, correlated or not.
 
     With independent class energies, Var(Y_c - Ybar) expands exactly to
     (1 - 2/K) Var(Y_c) + (1/K^2) sum_j Var(Y_j), and the per-sample energy
-    variance is sum_i (rho omega_i gamma_i q_{i,c})^2 + sigma_N^4.
+    variance is f * sum_i (rho omega_i gamma_i q_{i,c})^2 + sigma_N^4. The
+    factor f = ||C||_F^2 / (S*M) of the fading correlation C (see ``channel``)
+    is sum_{s,s'} time_corr^|s-s'| * sum_{m,m'} space_corr^|m-m'| / (S*M).
     """
     q = stack_labels(labels)
     k = q.shape[1]
+    frobenius2 = 1.0
+    for count, corr in ((cfg.reps, cfg.time_corr), (cfg.antennas, cfg.space_corr)):
+        lag = np.arange(count)
+        frobenius2 *= float((corr ** np.abs(lag[:, None] - lag)).sum())
     per_sample = (
-        cfg.rho**2 * ((pop.omegas * pop.gammas) ** 2) @ (q**2)
+        frobenius2 / cfg.sample_count * cfg.rho**2 * ((pop.omegas * pop.gammas) ** 2) @ (q**2)
         + noise_energy_variance(cfg.noise_var)
     )
     centered = (1.0 - 2.0 / k) * per_sample + per_sample.sum() / k**2

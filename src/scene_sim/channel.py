@@ -8,11 +8,13 @@ uniform phase per slot. DIAGONAL adds per-device fading energies directly,
 with fading drawn independently per class slot; class energies are then
 mutually independent, which is the regime the variance identities assume.
 
-Complex fading and noise samples are drawn in single precision (they only
-feed Monte Carlo statistics); energies are accumulated in double precision.
-The uncorrelated DIAGONAL model draws no complex samples: the S*M i.i.d.
-Exp(1) fading energies of a (device, slot) pair sum to exactly one
-Gamma(S*M, 1) draw, made in double precision, and the noise energy likewise.
+SUPERPOSITION draws complex fading and noise samples in single precision (they
+only feed Monte Carlo statistics); energies accumulate in double precision.
+DIAGONAL draws none: the fading amplitudes of a (device, slot) pair are
+CN(0, C), C = KMS_S(sqrt(time_corr)) (x) KMS_M(sqrt(space_corr)), so their
+energy is exactly sum_g lam_g * Gamma(mult_g, 1) over the eigenvalue groups of
+C (one Gamma(S*M, 1) without correlation); a slot's noise energy is
+noise_var * Gamma(S*M, 1), since the noise is uncorrelated.
 """
 
 from __future__ import annotations
@@ -133,6 +135,17 @@ def _sample_fading(
     return z
 
 
+def _kms_groups(n: int, corr: float) -> list[tuple[float, int]]:
+    """Eigenvalue groups (value, multiplicity) of the n x n amplitude
+    correlation matrix r^|i-j|, r = sqrt(corr): one group of size n when corr
+    is zero, else the n eigenvalues."""
+    if corr == 0.0:
+        return [(1.0, n)]
+    lag = np.arange(n)
+    kms = math.sqrt(corr) ** np.abs(lag[:, None] - lag)
+    return [(float(lam), 1) for lam in np.linalg.eigvalsh(kms)]
+
+
 def _abs2_f64(z: np.ndarray) -> np.ndarray:
     return z.real.astype(np.float64) ** 2 + z.imag.astype(np.float64) ** 2
 
@@ -161,12 +174,11 @@ def simulate_rounds(
     (trials,) or None. An (N, K) frame is sent in every trial; a (T, N, K)
     frame needs T == ``trials`` and sends its row t in trial t, so T equal
     rows give the Y of their (N, K) frame bit for bit.
-    Fading and noise are redrawn each trial, AR(1)-correlated across
+    Fading and noise are redrawn each trial, fading AR(1)-correlated across
     repetitions and antennas by ``cfg.time_corr``/``cfg.space_corr``.
-    In the DIAGONAL model with both coefficients zero, the S*M fading energies
-    of a (device, slot) pair are i.i.d. Exp(1), so their sum is drawn directly
-    as Gamma(S*M, 1), and the slot's noise energy as noise_var * Gamma(S*M, 1):
-    the same distribution as summing S*M complex samples, from another stream.
+    DIAGONAL draws each slot's fading and noise energies as the Gamma sums of
+    the module docstring: the distribution of summing S*M complex samples,
+    from another stream.
     Chunking is a pure implementation detail and fixed given the shapes, so
     results depend only on the arguments and the stream state.
     """
@@ -184,21 +196,23 @@ def simulate_rounds(
     kt = e_ext.shape[-1]
     beta = pop.betas_true
     gen = rng.generator
-    noise_std = np.float32(math.sqrt(cfg.noise_var)) if cfg.noise_var > 0 else None
 
     out = np.empty((trials, kt), dtype=np.float64)
     superposition = cfg.channel_model is ChannelModel.SUPERPOSITION
-    gamma_sums = not superposition and cfg.time_corr == 0.0 and cfg.space_corr == 0.0
-    per_trial = n * kt if gamma_sums else n * kt * s * m
-    chunk = max(1, min(trials, _CHUNK_ELEMS // max(per_trial, 1)))
-
     if superposition:
+        per_trial = n * kt * s * m
         w = np.sqrt(beta[:, None] * e_ext).astype(np.float32)  # amplitudes
-    elif gamma_sums:
-        w = beta[:, None] * e_ext
+        noise_std = np.float32(math.sqrt(cfg.noise_var)) if cfg.noise_var > 0 else None
     else:
-        w = e_ext
+        groups = [
+            (lam_t * lam_s, mult_t * mult_s)
+            for lam_t, mult_t in _kms_groups(s, cfg.time_corr)
+            for lam_s, mult_s in _kms_groups(m, cfg.space_corr)
+        ]
+        per_trial = n * kt * len(groups)
+        w = beta[:, None] * e_ext
     w = np.broadcast_to(w, (trials, n, kt))  # row t is sent in trial t
+    chunk = max(1, min(trials, _CHUNK_ELEMS // max(per_trial, 1)))
 
     for lo in range(0, trials, chunk):
         b = min(chunk, trials - lo)
@@ -215,20 +229,14 @@ def simulate_rounds(
             if noise_std is not None:
                 sig += _complex_normal(gen, (b, kt, s, m)) * noise_std
             out[lo : lo + b] = _abs2_f64(sig).sum(axis=(2, 3))
-        elif gamma_sums:
-            y = np.einsum("bik,bik->bk", gen.standard_gamma(s * m, (b, n, kt)), w[lo : lo + b])
+        else:
+            wb = w[lo : lo + b]
+            y = sum(
+                lam * np.einsum("bik,bik->bk", gen.standard_gamma(mult, (b, n, kt)), wb)
+                for lam, mult in groups
+            )
             if cfg.noise_var > 0:
                 y += gen.standard_gamma(s * m, (b, kt)) * cfg.noise_var
-            out[lo : lo + b] = y
-        else:
-            # Correlated fading, independent per class slot: class energies
-            # decouple, but the S*M samples of a slot do not.
-            g = _sample_fading(gen, (b, n, kt), cfg)
-            h2 = _abs2_f64(g) * beta[None, :, None, None, None]
-            y = np.einsum("bik,biksm->bk", w[lo : lo + b], h2)
-            if noise_std is not None:
-                nz = _complex_normal(gen, (b, kt, s, m))
-                y += _abs2_f64(nz).sum(axis=(2, 3)) * cfg.noise_var
             out[lo : lo + b] = y
     if cfg.use_reference_re:
         return out[:, : cfg.num_classes], out[:, cfg.num_classes].copy()

@@ -74,6 +74,14 @@ class CrossoverSpec:
     def __post_init__(self) -> None:
         if self.estimate_c_nc and self.sweep is None:
             raise ConfigError("estimate_c_nc requires a sweep section")
+        if self.num_classes < 2:
+            raise ValueError(f"need num_classes >= 2, got {self.num_classes}")
+        if not (self.budgets and self.pilot_costs and self.constant_pairs):
+            raise ValueError("crossover lists must be nonempty")
+        if min(self.budgets) < 1 or min(self.pilot_costs) < 0:
+            raise ValueError("need budgets >= 1 and pilot_costs >= 0")
+        if any(c <= 0 for pair in self.constant_pairs for c in pair):
+            raise ValueError(f"MSE constants must be positive, got {self.constant_pairs}")
 
 
 _SECTION_TYPES = {

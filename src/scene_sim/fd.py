@@ -21,7 +21,6 @@ from .core import (
     RandomSource,
     RhoRule,
     RoundConfig,
-    SoftLabel,
     check_range,
     coerce_settings,
 )
@@ -126,9 +125,6 @@ class SoftmaxClassifier:
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return _softmax(x @ self.weights + self.bias)
-
-    def predict_label(self, x: np.ndarray) -> SoftLabel:
-        return SoftLabel(self.predict_proba(np.atleast_2d(x))[0])
 
     def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
         pred = self.predict_proba(x).argmax(axis=1)

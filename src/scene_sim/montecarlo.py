@@ -65,20 +65,12 @@ class TrialStats:
     m2: np.ndarray
 
     @classmethod
-    def zeros(cls, k: int) -> "TrialStats":
-        return cls(0, np.zeros(k), np.zeros(k))
-
-    @classmethod
     def from_samples(cls, x: np.ndarray) -> "TrialStats":
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         mean = x.mean(axis=0)
         return cls(x.shape[0], mean, ((x - mean) ** 2).sum(axis=0))
 
     def merge(self, other: "TrialStats") -> "TrialStats":
-        if self.n == 0:
-            return TrialStats(other.n, other.mean.copy(), other.m2.copy())
-        if other.n == 0:
-            return TrialStats(self.n, self.mean.copy(), self.m2.copy())
         n = self.n + other.n
         delta = other.mean - self.mean
         mean = self.mean + delta * (other.n / n)

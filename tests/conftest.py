@@ -58,22 +58,38 @@ def variance_se(x):
     return np.sqrt(np.maximum(m4 - (t - 3) / (t - 1) * m2**2, 0.0) / t)
 
 
-def _cn_energy(gen, shape):
-    """|z|^2 of standard circular complex Gaussians CN(0, 1)."""
-    z = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
-    return np.abs(z) ** 2
+def _cn(gen, shape):
+    """Standard circular complex Gaussians CN(0, 1)."""
+    return gen.standard_normal(shape + (2,)).view(np.complex128)[..., 0] / np.sqrt(2.0)
+
+
+def _abs2(z):
+    return z.real**2 + z.imag**2
 
 
 def diagonal_reference_rounds(energies, pop, cfg, rng, trials):
-    """Slow reference of the uncorrelated diagonal model: Y of shape
-    (trials, K[+1]) summing, sample by sample over the S*M observations, the
-    energy beta_i E_{i,c} |h|^2 of every device and noise_var |n|^2, with each
-    h and n an independent CN(0, 1) draw."""
-    assert cfg.time_corr == 0.0 and cfg.space_corr == 0.0
+    """Slow reference of the diagonal model: Y of shape (trials, K[+1])
+    summing, sample by sample over the S*M observations, the energy
+    beta_i E_{i,c} |h|^2 of every device and noise_var |n|^2. Each n is an
+    independent CN(0, 1) draw. The h of a (device, slot) pair are CN(0, 1)
+    draws run through stationary AR(1) recursions with coefficient
+    sqrt(time_corr) across repetitions, then sqrt(space_corr) across antennas,
+    so |h|^2 has autocorrelation time_corr^|ds| * space_corr^|dm|."""
     weights = pop.betas_true[:, None] * extended_energies(energies, cfg)
     gen = rng.generator
+    shape = (trials,) + weights.shape
+    a, b = np.sqrt(cfg.time_corr), np.sqrt(cfg.space_corr)
     y = np.zeros((trials, weights.shape[1]))
-    for _ in range(cfg.sample_count):
-        y += np.einsum("bik,ik->bk", _cn_energy(gen, (trials,) + weights.shape), weights)
-        y += cfg.noise_var * _cn_energy(gen, y.shape)
+    along_time = [None] * cfg.antennas  # time-filtered h of the previous repetition
+    for s in range(cfg.reps):
+        for m in range(cfg.antennas):
+            h = _cn(gen, shape)
+            if s > 0:
+                h = a * along_time[m] + np.sqrt(1 - a * a) * h
+            along_time[m] = h
+            if m > 0:
+                h = b * prev + np.sqrt(1 - b * b) * h
+            prev = h
+            y += np.einsum("bik,ik->bk", _abs2(h), weights)
+            y += cfg.noise_var * _abs2(_cn(gen, y.shape))
     return y

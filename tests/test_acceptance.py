@@ -3,6 +3,38 @@
 Each test prints one PASS line (visible with `pytest -s`); a failure carries
 the offending numbers in the assertion message. Monte Carlo checks run on
 fixed seeds so the suite is deterministic.
+
+False-failure probability of each Monte Carlo gate, that is the chance that
+it fails on correct code at a fresh seed. A two-sided k-SE band fails with
+probability 2 * Phi(-k) (0.0027 at k = 3) under a normal approximation, and
+several bands combine by the union bound:
+
+* 01: 20 class bands at 3 SE (2 models x 10 classes): <= 0.054.
+* 02: the five splits share one exact Var * S*M (``scene_variance_diagonal``);
+  the class-mean variance of a point has relative SD <= 0.005 at 1e5 trials,
+  so a 0.10 spread needs a pair 14 SD apart: < 1e-40.
+* 03: the bound is >= 1.11x the exact variance on all 20 configs; with the
+  3-SE allowance a violation needs a 14 SD excursion of a sample variance
+  (relative SD <= 0.018 at 2e4 trials): < 1e-40 over the 200 class bands.
+* 04: 10 class bands, each the sum of the two sides' 3-SE widths, which is at
+  least 3 SE of their difference: <= 0.027.
+* 05 (i): 100 class bands at 3 SE (20 configs x 5 classes): about 0.24.
+* 07 (iii): 3 ratio bands at 3 SE, whose centre is off by the second-order
+  ratio bias E[Y] E[1/R] - E[Y] / E[R] = 0.72-0.89 SE at 1e4 trials
+  (measured on 4e6 trials): about 0.04.
+* 09: the exact correlated variance is 8.3-8.4% below the prediction c / S_eff
+  (finite-S factor 2.75 against 3); the 20% gate then leaves >= 27 SD of the
+  sample variances (relative SD <= 0.005 at 2e5 trials): < 1e-100.
+* 11b: adjacent mean errors lie >= 9.5 SE apart (20 seeds each): < 1e-20.
+* 11c: S = 4 beats S = 1 by 0.0072 in mean accuracy, paired SE 0.0028 over
+  the 10 seeds (2.6 SE): about 0.005, the weakest margin of the suite.
+* 11d: the three splits have one distribution; each mean of 12 accuracies has
+  SE 0.0028, so their range exceeds 0.02 with probability about 2e-6.
+
+Exact or exhaustive gates, which fail only on a fault: 05 (ii) over 10^4
+populations and (iii) at the vertex, 06 over 1000 populations, 08 over 10^4
+label sets and a worked example, 10 over the whole grid, 11a (frozen fading
+transports exactly) and 12 (reruns are byte-identical). 03b asserts nothing.
 """
 
 from dataclasses import replace
@@ -279,8 +311,8 @@ def test_07_ratio_estimator():
 
     # (iii) Monte Carlo mean matches the reweighted average within 3 SE.
     # The reweighting formula holds for noise-free reception (with noise the
-    # offset enters both numerator and denominator); S*M = 4096 pushes the
-    # second-order ratio bias below the sampling noise.
+    # offset enters both numerator and denominator); S*M = 4096 keeps the
+    # second-order ratio bias at 0.72-0.89 SE (see the module docstring).
     cfg3 = RoundConfig(num_classes=3, reps=64, antennas=64, rho=1.0,
                        noise_var=0.0,
                        channel_model=ChannelModel.DIAGONAL, use_reference_re=True)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +166,35 @@ class TestVarianceBound:
         assert np.all(np.abs(emp / predicted - 1.0) < 0.05)
         # and the bound indeed dominates the exact value here
         assert np.all(predicted <= variance_bound(pop, labels, cfg))
+
+    def test_diagonal_variance_correlation_factor(self):
+        # the signal term scales by f = sum(lam^2) / (S*M) over the eigenvalues
+        # of C = KMS_S(sqrt(time_corr)) (x) KMS_M(sqrt(space_corr)); f is
+        # exactly 1 without correlation, and the noise term never changes
+        pop = DevicePopulation([0.6, 0.4], [1.5, 0.5], [1.0, 0.5])
+        labels = [validate_soft_label((0.7, 0.2, 0.1)), validate_soft_label((0.1, 0.3, 0.6))]
+        cfg = RoundConfig(num_classes=3, reps=4, antennas=2, rho=1.3, noise_var=0.2)
+        signal = cfg.rho**2 * ((pop.omegas * pop.gammas) ** 2) @ (
+            np.stack([q.probs for q in labels]) ** 2
+        )
+
+        def closed_form(f):
+            per_sample = f * signal + cfg.noise_var**2
+            centered = (1.0 - 2.0 / 3) * per_sample + per_sample.sum() / 9
+            return centered / (cfg.sample_count * cfg.rho**2)
+
+        assert np.array_equal(scene_variance_diagonal(pop, labels, cfg), closed_form(1.0))
+
+        def kms(n, corr):
+            lag = np.arange(n)
+            return np.sqrt(corr) ** np.abs(lag[:, None] - lag)
+
+        for tc, sc in ((0.3, 0.0), (0.0, 0.2), (0.5, 0.7)):
+            lam = np.linalg.eigvalsh(np.kron(kms(4, tc), kms(2, sc)))
+            corr = replace(cfg, time_corr=tc, space_corr=sc)
+            assert scene_variance_diagonal(pop, labels, corr) == pytest.approx(
+                closed_form((lam**2).sum() / 8), rel=1e-12
+            )
 
 
 class TestEffectiveSamples:

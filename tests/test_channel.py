@@ -175,17 +175,30 @@ class TestSimulateRoundMoments:
 
 
 class TestDiagonalGammaSums:
-    """The uncorrelated diagonal kernel draws the S*M fading energies of a
-    slot as one Gamma(S*M, 1) sum. Its moments must match the sample-by-sample
-    reference and the closed-form variance of the self-centering estimate."""
+    """The diagonal kernel draws the fading energy of a slot as
+    eigenvalue-weighted Gamma sums (one Gamma(S*M, 1) without correlation).
+    Its moments must match the sample-by-sample AR(1) reference and the
+    closed-form variance of the self-centering estimate."""
 
     # Two-sided 4-sigma bands: false-failure probability 6e-5 per comparison,
-    # under 0.01 over the 4 cases x 4 comparisons x up to 4 slots.
+    # about 0.012 over the 12 cases x 4 comparisons x up to 4 slots.
     Z = 4.0
 
     @pytest.mark.parametrize("s, m", [(1, 1), (4, 4)])
     @pytest.mark.parametrize("snr_db", [None, 5.0])
     def test_moments_match_reference_and_closed_form(self, s, m, snr_db):
+        self.check_moments(s, m, snr_db, 0.0, 0.0)
+
+    @pytest.mark.parametrize("s, m", [(4, 4), (16, 1)])
+    @pytest.mark.parametrize(
+        "time_corr, space_corr", [(0.3, 0.0), (0.0, 0.2), (0.3, 0.2), (0.9, 0.0)]
+    )
+    def test_correlated_moments_match_reference_and_closed_form(
+        self, s, m, time_corr, space_corr
+    ):
+        self.check_moments(s, m, 5.0, time_corr, space_corr)
+
+    def check_moments(self, s, m, snr_db, time_corr, space_corr):
         pop = DevicePopulation(
             [0.4, 0.3, 0.2, 0.1], [1.6, 0.4, 1.0, 0.9], power_caps=np.full(4, 2.0)
         )
@@ -198,6 +211,7 @@ class TestDiagonalGammaSums:
             num_classes=3, reps=s, antennas=m, rho=rho,
             noise_var=0.0 if snr_db is None else calibrate_noise(rho, 3, snr_db),
             channel_model=ChannelModel.DIAGONAL, use_reference_re=True,
+            time_corr=time_corr, space_corr=space_corr,
         )
         frame = map_energies(labels, pop, rho)
         y, y_ref = simulate_rounds(frame, pop, cfg, RandomSource(31), trials=400_000)
@@ -233,8 +247,9 @@ class TestSimulateRoundErrors:
             simulate_round(frame, pop, cfg, rng)
 
 
-# The three branches of the kernel: complex superposition, Gamma sums
-# (uncorrelated diagonal), and AR(1) complex fading (correlated diagonal).
+# The two branches of the kernel, complex superposition and diagonal Gamma
+# sums; the diagonal one with a single group (uncorrelated) and with many
+# groups (correlated), which chunks by groups under the 50-element override.
 KERNEL_BRANCHES = [
     dict(channel_model=ChannelModel.SUPERPOSITION),
     dict(channel_model=ChannelModel.DIAGONAL),

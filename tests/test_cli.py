@@ -147,6 +147,29 @@ class TestCrossoverCommand:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "crossover.csv").exists()
 
+    @pytest.mark.parametrize("section", [
+        {"num_classes": 1},
+        {"budgets": [0]},
+        {"budgets": [100, -5]},
+        {"pilot_costs": [-3]},
+        {"constant_pairs": [[0.0, 2.0]]},
+        {"constant_pairs": [[1.0, 2.0], [1.0, -2.0]]},
+        {"budgets": []},
+        {"constant_pairs": []},
+    ])
+    def test_bad_grid_rejected_at_load(self, tmp_path, capsys, section):
+        # these used to write config_resolved.json and then fail in the run,
+        # or, for a negative pilot cost or an empty list, exit 0 with a
+        # header-only crossover.csv
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"crossover": section}))
+        with pytest.raises(ConfigError):
+            load_config(str(cfg), "crossover")
+        out = tmp_path / "out"
+        assert run_cli(["crossover", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
     def test_fitted_constant_replaces_configured(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({

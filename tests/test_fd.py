@@ -63,7 +63,6 @@ class TestSoftmaxClassifier:
         probs = model.predict_proba(x)
         for row in probs:
             validate_soft_label(row)
-        validate_soft_label(model.predict_label(x[0]).probs)
 
     def test_gradient_matches_finite_differences(self, rng):
         # central differences of the mean KL loss, relative 1e-4

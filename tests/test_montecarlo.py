@@ -79,10 +79,6 @@ class TestTrialStats:
         assert np.allclose(left.mean, right.mean, rtol=1e-12)
         assert np.allclose(left.m2, right.m2, rtol=1e-9)
 
-    def test_merge_with_empty(self):
-        x = np.random.default_rng(3).normal(size=(50, 2))
-        st_ = TrialStats.zeros(2).merge(TrialStats.from_samples(x))
-        assert np.allclose(st_.mean, x.mean(axis=0))
 
 
 class TestLabelSpec:
