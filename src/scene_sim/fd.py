@@ -4,13 +4,14 @@ aggregation primitive as its transport.
 A synthetic Gaussian-cluster dataset and linear softmax classifiers stand in
 for an image benchmark; the point is the aggregation behavior (repetition
 sweet spot, S*M invariance, gap to noise-free averaging), not absolute
-accuracy numbers.
+accuracy numbers. Clients pretrain in lockstep, one SGD over a leading model
+axis, with outputs bit-identical to training each alone; the server's
+distillation is the one-model case of the same function.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -104,6 +105,49 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _mean_kl(probs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Mean KL(target || prediction) over the sample axis, one per model; zero
+    target entries contribute 0. Infinite when a model puts exactly zero
+    probability on a supported class, which is how runaway training manifests."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entropy_term = np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)), 0.0)
+        cross = np.where(t > 0, t * np.log(probs), 0.0)
+    return (entropy_term - cross).sum(axis=-1).mean(axis=-1)
+
+
+def train_lockstep(
+    weights: np.ndarray, bias: np.ndarray, x: np.ndarray, targets: np.ndarray,
+    epochs: int, batch_size: int, learning_rate: float, rngs: list[RandomSource],
+) -> np.ndarray:
+    """Mini-batch SGD on the KL loss for C linear softmax models at once.
+
+    Model i has weights[i] (d, K) and bias[i] (K,), both updated in place,
+    trains on x[i] (n, d) against targets[i] (n, K) and shuffles each epoch
+    with rngs[i]. Each step is one batched matmul over the model axis, and
+    every model sees the arithmetic it would see trained alone. The gradient
+    of the mean KL w.r.t. the scores is (softmax - target)/B, the same as
+    cross-entropy with soft targets. Returns the (epochs, C) end-of-epoch
+    losses; raises Divergence as soon as any model's loss is non-finite.
+    """
+    gens = [r.generator for r in rngs]
+    rows = np.arange(len(gens))[:, None]
+    n = x.shape[1]
+    losses = np.empty((epochs, len(gens)))
+    for epoch in range(epochs):
+        order = np.stack([gen.permutation(n) for gen in gens])
+        xs, ts = x[rows, order], targets[rows, order]
+        for lo in range(0, n, batch_size):
+            xb = xs[:, lo : lo + batch_size]
+            p = _softmax(xb @ weights + bias[:, None])
+            grad_scores = (p - ts[:, lo : lo + batch_size]) / xb.shape[1]
+            weights -= learning_rate * (xb.transpose(0, 2, 1) @ grad_scores)
+            bias -= learning_rate * grad_scores.sum(axis=1)
+        losses[epoch] = loss = _mean_kl(_softmax(x @ weights + bias[:, None]), targets)
+        if not np.isfinite(loss).all():
+            raise Divergence(f"losses became {loss} (lr={learning_rate}, batch={batch_size})")
+    return losses
+
+
 class SoftmaxClassifier:
     """Linear classifier with softmax outputs.
 
@@ -131,64 +175,20 @@ class SoftmaxClassifier:
         return float((pred == y).mean())
 
     def kl_loss(self, x: np.ndarray, targets: np.ndarray) -> float:
-        """Mean KL(target || prediction); zero target entries contribute 0.
-
-        Infinite when the model puts exactly zero probability on a supported
-        class, which is how runaway training manifests.
-        """
-        p = self.predict_proba(x)
-        t = np.asarray(targets)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            entropy_term = np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)), 0.0)
-            cross = np.where(t > 0, t * np.log(p), 0.0)
-        return float((entropy_term - cross).sum(axis=1).mean())
+        """Mean KL(target || prediction); infinite once training ran away."""
+        return float(_mean_kl(self.predict_proba(x), np.asarray(targets)))
 
     def train_soft(
-        self,
-        x: np.ndarray,
-        targets: np.ndarray,
-        epochs: int,
-        batch_size: int,
-        learning_rate: float,
-        rng: RandomSource,
+        self, x: np.ndarray, targets: np.ndarray, epochs: int, batch_size: int,
+        learning_rate: float, rng: RandomSource,
     ) -> list[float]:
-        """SGD on the KL loss; returns the loss at the end of each epoch.
-
-        The gradient of the mean KL w.r.t. the scores is (softmax - target)/B,
-        the same as cross-entropy with soft targets.
-        """
-        gen = rng.generator
-        n = x.shape[0]
-        losses = []
-        for _ in range(epochs):
-            order = gen.permutation(n)
-            for lo in range(0, n, batch_size):
-                idx = order[lo : lo + batch_size]
-                xb, tb = x[idx], targets[idx]
-                p = self.predict_proba(xb)
-                grad_scores = (p - tb) / len(idx)
-                self.weights -= learning_rate * (xb.T @ grad_scores)
-                self.bias -= learning_rate * grad_scores.sum(axis=0)
-            loss = self.kl_loss(x, targets)
-            if not math.isfinite(loss):
-                raise Divergence(
-                    f"loss became {loss} (lr={learning_rate}, batch={batch_size})"
-                )
-            losses.append(loss)
-        return losses
-
-    def train_labels(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        epochs: int,
-        batch_size: int,
-        learning_rate: float,
-        rng: RandomSource,
-    ) -> list[float]:
-        """Supervised training: one-hot targets through the same SGD loop."""
-        k = self.bias.size
-        return self.train_soft(x, np.eye(k)[y], epochs, batch_size, learning_rate, rng)
+        """SGD on the KL loss, the one-model case of :func:`train_lockstep`;
+        returns the loss at the end of each epoch."""
+        losses = train_lockstep(
+            self.weights[None], self.bias[None], x[None], np.asarray(targets)[None],
+            epochs, batch_size, learning_rate, [rng],
+        )
+        return losses[:, 0].tolist()
 
 
 @dataclass(frozen=True)
@@ -199,6 +199,10 @@ class DatasetSpec:
     dim: int = 16
     size: int = 10_000
     noise_std: float = 0.3
+
+    def __post_init__(self) -> None:
+        if self.dim < 1 or self.noise_std < 0:
+            raise ValueError(f"need dim >= 1, noise_std >= 0, got {self.dim}, {self.noise_std}")
 
 
 @dataclass(frozen=True)
@@ -240,6 +244,12 @@ class FdProtocolConfig:
             raise ValueError("private + open exceeds the dataset size")
         if self.clients < 1:
             raise ValueError("need at least one client")
+        if self.batch_size < 1 or not self.learning_rate > 0:
+            raise ValueError(f"need batch_size >= 1, learning_rate > 0, got "
+                             f"{self.batch_size}, {self.learning_rate}")
+        if min(self.pretrain_epochs, self.distill_epochs) < 0:
+            raise ValueError(f"need pretrain_epochs, distill_epochs >= 0, got "
+                             f"{self.pretrain_epochs}, {self.distill_epochs}")
         check_range(power_cap_range=self.power_cap_range)
         # The run sets the round's class count, reference slot and noise power
         # from data, aggregation and snr_db; a round value that disagrees is
@@ -260,10 +270,11 @@ class FdProtocolConfig:
 
 @dataclass(frozen=True, eq=False)
 class DatasetSplit:
-    """Even IID partition of the private set plus shared open and test sets."""
+    """Even IID partition of the private set, as (C, n, d) client features and
+    (C, n) client labels, plus shared open and test sets."""
 
-    client_features: tuple[np.ndarray, ...]
-    client_labels: tuple[np.ndarray, ...]
+    client_features: np.ndarray
+    client_labels: np.ndarray
     open_features: np.ndarray
     test_features: np.ndarray
     test_labels: np.ndarray
@@ -278,14 +289,10 @@ def split_dataset(data: SyntheticDataset, cfg: FdProtocolConfig) -> DatasetSplit
     per_client = i_p // cfg.clients
     if per_client < 1:
         raise ValueError("private set too small for the client count")
-    feats, labs = [], []
-    for i in range(cfg.clients):
-        lo = i * per_client
-        feats.append(data.features[lo : lo + per_client])
-        labs.append(data.labels[lo : lo + per_client])
+    shards = slice(0, cfg.clients * per_client)
     return DatasetSplit(
-        client_features=tuple(feats),
-        client_labels=tuple(labs),
+        client_features=data.features[shards].reshape(cfg.clients, per_client, -1),
+        client_labels=data.labels[shards].reshape(cfg.clients, per_client),
         open_features=data.features[i_p : i_p + i_o],
         test_features=data.features[i_p + i_o :],
         test_labels=data.labels[i_p + i_o :],
@@ -295,23 +302,18 @@ def split_dataset(data: SyntheticDataset, cfg: FdProtocolConfig) -> DatasetSplit
 def pretrain_clients(
     cfg: FdProtocolConfig, split: DatasetSplit, rng: RandomSource
 ) -> list[SoftmaxClassifier]:
-    """Supervised pretraining of one classifier per client on its shard."""
-    dim = split.client_features[0].shape[1]
-    k = cfg.data.num_classes
+    """Supervised pretraining of one classifier per client on its shard: all
+    clients train in lockstep on one-hot targets; client i initializes from
+    stream 2i and shuffles with stream 2i+1."""
+    x, k = split.client_features, cfg.data.num_classes
     streams = rng.split(2 * cfg.clients)
-    clients = []
-    for i in range(cfg.clients):
-        model = SoftmaxClassifier.initialize(dim, k, streams[2 * i])
-        model.train_labels(
-            split.client_features[i],
-            split.client_labels[i],
-            cfg.pretrain_epochs,
-            cfg.batch_size,
-            cfg.learning_rate,
-            streams[2 * i + 1],
-        )
-        clients.append(model)
-    return clients
+    inits = [SoftmaxClassifier.initialize(x.shape[2], k, s) for s in streams[0::2]]
+    weights = np.stack([m.weights for m in inits])
+    bias = np.stack([m.bias for m in inits])
+    targets = np.eye(k)[split.client_labels]
+    train_lockstep(weights, bias, x, targets, cfg.pretrain_epochs, cfg.batch_size,
+                   cfg.learning_rate, streams[1::2])
+    return [SoftmaxClassifier(w, b) for w, b in zip(weights, bias)]
 
 
 @dataclass(frozen=True)
@@ -404,13 +406,7 @@ def run_fd(cfg: FdProtocolConfig, seed: int) -> FdMetrics:
     """End-to-end pipeline: generate data, pretrain clients, distill once."""
     root = RandomSource(seed)
     data_rng, pretrain_rng, server_rng, distill_rng = root.split(4)
-    data = SyntheticDataset.generate(
-        data_rng,
-        num_classes=cfg.data.num_classes,
-        dim=cfg.data.dim,
-        size=cfg.data.size,
-        noise_std=cfg.data.noise_std,
-    )
+    data = SyntheticDataset.generate(data_rng, **asdict(cfg.data))
     split = split_dataset(data, cfg)
     clients = pretrain_clients(cfg, split, pretrain_rng)
     server = SoftmaxClassifier.initialize(cfg.data.dim, cfg.data.num_classes, server_rng)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from scene_sim import DevicePopulation, RandomSource, ReceivedEnergies
+from scene_sim.fd import Divergence
 
 
 @pytest.fixture
@@ -93,3 +96,32 @@ def diagonal_reference_rounds(energies, pop, cfg, rng, trials):
             y += np.einsum("bik,ik->bk", _abs2(h), weights)
             y += cfg.noise_var * _abs2(_cn(gen, y.shape))
     return y
+
+
+def reference_sgd(model, x, targets, epochs, batch_size, learning_rate, rng):
+    """Slow reference of ``fd.train_lockstep`` for one model: the per-client
+    loop it replaces. Each epoch shuffles with ``rng``, each batch gathers its
+    rows of ``x`` by index and takes one SGD step on the mean KL loss, and
+    the epoch ends with the full-shard loss. Updates ``model`` in place,
+    returns the per-epoch losses and raises Divergence on a non-finite one."""
+    gen = rng.generator
+    n = x.shape[0]
+    losses = []
+    for _ in range(epochs):
+        order = gen.permutation(n)
+        for lo in range(0, n, batch_size):
+            idx = order[lo : lo + batch_size]
+            xb, tb = x[idx], targets[idx]
+            p = model.predict_proba(xb)
+            grad_scores = (p - tb) / len(idx)
+            model.weights -= learning_rate * (xb.T @ grad_scores)
+            model.bias -= learning_rate * grad_scores.sum(axis=0)
+        p, t = model.predict_proba(x), targets
+        with np.errstate(divide="ignore", invalid="ignore"):
+            entropy_term = np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)), 0.0)
+            cross = np.where(t > 0, t * np.log(p), 0.0)
+        loss = float((entropy_term - cross).sum(axis=1).mean())
+        if not math.isfinite(loss):
+            raise Divergence(f"loss became {loss}")
+        losses.append(loss)
+    return losses

@@ -346,6 +346,38 @@ class TestErrorPaths:
             assert capsys.readouterr().err.startswith("config error")
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"batch_size": -4},
+            {"batch_size": 0},
+            {"learning_rate": 0},
+            {"learning_rate": -1},
+            {"pretrain_epochs": -1},
+            {"distill_epochs": -1},
+            {"data": {"dim": 0}},
+            {"data": {"noise_std": -0.3}},
+        ],
+    )
+    def test_fd_training_settings_checked_at_load(self, tmp_path, capsys, section):
+        # these used to exit 0 at chance-level accuracy, or for batch_size 0
+        # write config_resolved.json and then fail inside the SGD loop
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"fd": section}))
+        with pytest.raises(ConfigError):
+            load_config(str(cfg), "fd")
+        out = tmp_path / "out"
+        assert run_cli(["fd", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
+    def test_fd_zero_epochs_still_load(self, tmp_path):
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps({"fd": {"pretrain_epochs": 0, "distill_epochs": 0,
+                                          "data": {"noise_std": 0.0}}}))
+        spec = load_config(str(cfg), "fd")
+        assert spec.pretrain_epochs == spec.distill_epochs == 0
+
     @pytest.mark.parametrize("command", ["round", "sweep", "crossover", "fd"])
     @pytest.mark.parametrize("threads", [0, -4])
     def test_threads_below_one_rejected(self, tmp_path, capsys, command, threads):

@@ -18,10 +18,17 @@ from scene_sim import (
 from scene_sim.cli import load_config
 from scene_sim.core import BadRange, DevicePopulation, RoundConfig, SoftLabel
 from scene_sim.estimators import ratio_estimate, scene_estimate
-from scene_sim.fd import Aggregation, DatasetSpec, Divergence, EmptyBudget, aggregate_targets
+from scene_sim.fd import (
+    Aggregation,
+    DatasetSpec,
+    Divergence,
+    EmptyBudget,
+    aggregate_targets,
+    train_lockstep,
+)
 from scene_sim.power import map_energies
 
-from conftest import frozen_received, frozen_round
+from conftest import frozen_received, frozen_round, reference_sgd
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -111,7 +118,8 @@ class TestSoftmaxClassifier:
         # well-separated clusters: shift by 3x the class direction
         x += np.eye(4)[:3][y] * 3
         before = model.accuracy(x, y)
-        model.train_labels(x, y, epochs=10, batch_size=16, learning_rate=0.5, rng=train_rng)
+        model.train_soft(x, np.eye(3)[y], epochs=10, batch_size=16, learning_rate=0.5,
+                         rng=train_rng)
         assert model.accuracy(x, y) > max(before, 0.95)
 
     def test_divergence_detected(self, rng):
@@ -120,8 +128,7 @@ class TestSoftmaxClassifier:
         x = np.random.default_rng(0).standard_normal((32, 4)) * 10
         t = np.eye(3)[np.random.default_rng(1).integers(0, 3, 32)]
         with pytest.raises(Divergence):
-            model.train_labels(x, t.argmax(axis=1), epochs=50, batch_size=4,
-                               learning_rate=1e12, rng=train_rng)
+            model.train_soft(x, t, epochs=50, batch_size=4, learning_rate=1e12, rng=train_rng)
 
     def test_same_seed_identical_weights(self):
         def train(seed):
@@ -131,12 +138,87 @@ class TestSoftmaxClassifier:
             gen = np.random.default_rng(9)
             x = gen.standard_normal((64, 5))
             y = gen.integers(0, 3, 64)
-            model.train_labels(x, y, 3, 8, 0.2, train_rng)
+            model.train_soft(x, np.eye(3)[y], 3, 8, 0.2, train_rng)
             return model
 
         a, b = train(4), train(4)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
+
+
+class TestLockstepSgd:
+    """``train_lockstep`` against the per-model loop it replaced: weights,
+    biases and per-epoch losses are bit-identical for every model."""
+
+    D, K = 6, 4
+
+    def problem(self, c, n, seed=0):
+        gen = np.random.default_rng(seed)
+        weights = 0.1 * gen.standard_normal((c, self.D, self.K))
+        bias = 0.1 * gen.standard_normal((c, self.K))
+        x = gen.standard_normal((c, n, self.D))
+        targets = gen.dirichlet(np.full(self.K, 0.5), size=(c, n))
+        # one-hot rows too, whose zero entries take the other KL branch
+        targets[:, ::2] = np.eye(self.K)[targets[:, ::2].argmax(axis=-1)]
+        return weights, bias, x, targets
+
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize(
+        "n, batch_size, epochs",
+        [(64, 8, 3), (1333, 4, 2), (20, 32, 3), (64, 8, 0)],
+        ids=["divides", "ragged", "batch-above-shard", "zero-epochs"],
+    )
+    def test_matches_reference_loop(self, c, n, batch_size, epochs):
+        weights, bias, x, targets = self.problem(c, n)
+        fast_w, fast_b = weights.copy(), bias.copy()
+        losses = train_lockstep(fast_w, fast_b, x, targets, epochs, batch_size, 0.7,
+                                RandomSource(5).split(c))
+        assert losses.shape == (epochs, c)
+        for i, rng in enumerate(RandomSource(5).split(c)):
+            model = SoftmaxClassifier(weights[i], bias[i])
+            ref = reference_sgd(model, x[i], targets[i], epochs, batch_size, 0.7, rng)
+            assert np.array_equal(fast_w[i], model.weights)
+            assert np.array_equal(fast_b[i], model.bias)
+            assert losses[:, i].tolist() == ref
+        assert epochs == 0 or not np.array_equal(fast_w, weights)
+
+    def test_train_soft_is_the_one_model_case(self):
+        weights, bias, x, targets = self.problem(1, 50)
+        model = SoftmaxClassifier(weights[0], bias[0])
+        losses = model.train_soft(x[0], targets[0], 3, 8, 0.7, RandomSource(6))
+        ref_model = SoftmaxClassifier(weights[0], bias[0])
+        ref = reference_sgd(ref_model, x[0], targets[0], 3, 8, 0.7, RandomSource(6))
+        assert losses == ref
+        assert np.array_equal(model.weights, ref_model.weights)
+        assert np.array_equal(model.bias, ref_model.bias)
+
+    def test_one_diverging_model_raises(self):
+        weights, bias, x, targets = self.problem(3, 32)
+        x[2] *= 10  # only this shard runs away at lr 30
+
+        def alone(i):
+            model = SoftmaxClassifier(weights[i], bias[i])
+            return reference_sgd(model, x[i], targets[i], 50, 4, 30.0, RandomSource(i))
+
+        alone(0), alone(1)
+        with pytest.raises(Divergence):
+            alone(2)
+        with pytest.raises(Divergence):
+            train_lockstep(weights, bias, x, targets, 50, 4, 30.0,
+                           [RandomSource(i) for i in range(3)])
+
+    def test_pretrain_clients_matches_reference_loop(self):
+        cfg = FdProtocolConfig(clients=3, pretrain_epochs=2, batch_size=4, learning_rate=1.0)
+        data_rng, pre_rng = RandomSource(7).split(2)
+        split = split_dataset(SyntheticDataset.generate(data_rng), cfg)
+        clients = pretrain_clients(cfg, split, pre_rng)
+        streams = RandomSource(7).split(2)[1].split(2 * cfg.clients)
+        for i, model in enumerate(clients):
+            ref = SoftmaxClassifier.initialize(16, 10, streams[2 * i])
+            reference_sgd(ref, split.client_features[i], np.eye(10)[split.client_labels[i]],
+                          2, 4, 1.0, streams[2 * i + 1])
+            assert np.array_equal(model.weights, ref.weights)
+            assert np.array_equal(model.bias, ref.bias)
 
 
 class TestPretraining:
