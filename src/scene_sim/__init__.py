@@ -15,7 +15,6 @@ from .analysis import (
 )
 from .channel import (
     PathlossModel,
-    ReceivedEnergies,
     sample_pathloss,
     simulate_round,
     simulate_rounds,
@@ -28,12 +27,9 @@ from .core import (
     RhoRule,
     RoundConfig,
     SoftLabel,
-    validate_soft_label,
     weighted_average,
 )
 from .estimators import (
-    AggregateResult,
-    project_simplex,
     ratio_estimate,
     scene_estimate,
     scene_raw,

@@ -171,8 +171,10 @@ class CrossoverModel:
             raise BadBudget(
                 f"need 0 <= P < B, got P={self.pilot_cost}, B={self.budget}"
             )
-        if self.c_coh <= 0 or self.c_nc <= 0:
-            raise ValueError("MSE constants must be positive")
+        if not (0 < self.c_coh < math.inf and 0 < self.c_nc < math.inf):
+            raise ValueError(
+                f"MSE constants must be positive and finite, got {self.c_coh}, {self.c_nc}"
+            )
         if self.num_classes < 2:
             raise ValueError("need K >= 2 classes")
 

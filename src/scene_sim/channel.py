@@ -72,30 +72,6 @@ def sample_pathloss(model: PathlossModel, n: int, rng: RandomSource) -> np.ndarr
     return beta
 
 
-@dataclass(frozen=True, eq=False)
-class ReceivedEnergies:
-    """Aggregated received energies of one round.
-
-    ``y[c]`` sums |sample|^2 over the S*M observations of class slot c;
-    ``y_ref`` is the same for the optional reference slot.
-    """
-
-    y: np.ndarray
-    y_ref: float | None
-    sample_count: int
-
-    def __post_init__(self) -> None:
-        y = np.array(self.y, dtype=np.float64)
-        if np.any(y < 0):
-            raise ValueError("received energies are sums of squares, got negative")
-        y.flags.writeable = False
-        object.__setattr__(self, "y", y)
-
-    @property
-    def num_classes(self) -> int:
-        return self.y.size
-
-
 _INV_SQRT2 = np.float32(1.0 / math.sqrt(2.0))
 _TWO_PI = np.float32(2.0 * math.pi)
 
@@ -248,12 +224,14 @@ def simulate_round(
     pop: DevicePopulation,
     cfg: RoundConfig,
     rng: RandomSource,
-) -> ReceivedEnergies:
+) -> tuple[np.ndarray, float | None]:
     """Simulate one round: :func:`simulate_rounds` with a single trial.
 
-    Under either model E[Y_c] = S*M * (sum_i beta_i E_{i,c} + noise_var),
-    whatever the correlation coefficients in ``cfg``.
+    Returns ``(y, y_ref)``: the (K,) class energies, each summing |sample|^2
+    over the S*M observations of its slot, and the reference-slot energy, or
+    None without a reference slot. Under either model
+    E[Y_c] = S*M * (sum_i beta_i E_{i,c} + noise_var), whatever the
+    correlation coefficients in ``cfg``.
     """
     y, y_ref = simulate_rounds(energies, pop, cfg, rng, trials=1)
-    ref = float(y_ref[0]) if y_ref is not None else None
-    return ReceivedEnergies(y[0], ref, cfg.sample_count)
+    return y[0], None if y_ref is None else float(y_ref[0])

@@ -33,6 +33,7 @@ from .fd import FD_CSV_HEADER, FdProtocolConfig, fd_csv_row, run_fd
 from .montecarlo import (
     ExperimentSpec,
     SetupSpec,
+    check_mse_fit,
     estimate_mse_constants,
     run_experiment,
     write_rows_csv,
@@ -62,7 +63,8 @@ class RoundSpec(SetupSpec):
 
 @dataclass(frozen=True)
 class CrossoverSpec:
-    """Grid evaluation of the pilot-cost crossover model."""
+    """Grid evaluation of the pilot-cost crossover model. With
+    ``estimate_c_nc`` the c_nc of every pair is fitted from ``sweep``."""
 
     budgets: tuple[int, ...] = (100,)
     pilot_costs: tuple[int, ...] = tuple(range(0, 100, 2))
@@ -72,8 +74,10 @@ class CrossoverSpec:
     sweep: ExperimentSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.estimate_c_nc and self.sweep is None:
-            raise ConfigError("estimate_c_nc requires a sweep section")
+        if self.estimate_c_nc:
+            if self.sweep is None:
+                raise ConfigError("estimate_c_nc requires a sweep section")
+            check_mse_fit(self.sweep)
         if self.num_classes < 2:
             raise ValueError(f"need num_classes >= 2, got {self.num_classes}")
         if not (self.budgets and self.pilot_costs and self.constant_pairs):
@@ -206,11 +210,11 @@ def cmd_round(spec: RoundSpec, seed: int, out_dir: Path) -> int:
     k = labels[0].num_classes
     cfg = spec.round_config(pop, k, spec.s, spec.m, spec.snr_db)
     frame = map_energies(labels, pop, cfg.rho)
-    received = simulate_round(frame, pop, cfg, chan_rng)
+    y, y_ref = simulate_round(frame, pop, cfg, chan_rng)
     if spec.estimator is Estimator.RATIO:
-        result = ratio_estimate(received)
+        raw, projected = ratio_estimate(y, y_ref)
     else:
-        result = scene_estimate(received, cfg)
+        raw, projected = scene_estimate(y, cfg)
     bias = analysis.mismatch_bias(pop, labels)
     bound = analysis.variance_bound(pop, labels, cfg)
 
@@ -220,8 +224,8 @@ def cmd_round(spec: RoundSpec, seed: int, out_dir: Path) -> int:
           f"{'bias':>12} {'var_bound':>12}")
     for c in range(k):
         print(
-            f"{c:>5} {qbar[c]:>12.6f} {result.raw[c]:>12.6f} "
-            f"{result.projected.probs[c]:>12.6f} {bias[c]:>12.6f} {bound[c]:>12.6f}"
+            f"{c:>5} {qbar[c]:>12.6f} {raw[c]:>12.6f} "
+            f"{projected[c]:>12.6f} {bias[c]:>12.6f} {bound[c]:>12.6f}"
         )
     return 0
 
@@ -238,7 +242,7 @@ def cmd_sweep(spec: ExperimentSpec, seed: int, out_dir: Path, threads: int | Non
 def cmd_crossover(spec: CrossoverSpec, seed: int, out_dir: Path, threads: int | None) -> int:
     """Evaluate the crossover threshold over the (B, P) grid."""
     pairs = list(spec.constant_pairs)
-    if spec.estimate_c_nc and spec.sweep is not None:
+    if spec.estimate_c_nc:
         fit = estimate_mse_constants(replace(spec.sweep, seed=seed), threads=threads)
         pairs = [(c_coh, fit.c_nc) for (c_coh, _) in pairs]
         print(f"using fitted c_nc = {fit.c_nc:.6g} (se {fit.se:.2g})")

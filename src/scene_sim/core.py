@@ -92,15 +92,6 @@ class SoftLabel:
         return self.probs.size
 
 
-def validate_soft_label(v: Sequence[float] | np.ndarray) -> SoftLabel:
-    """Check simplex membership and wrap ``v`` as a :class:`SoftLabel`.
-
-    Raises ``BadLength``, ``NonFiniteEntry``, ``NegativeEntry`` or
-    ``NotNormalized``.
-    """
-    return SoftLabel(np.asarray(v, dtype=np.float64))
-
-
 @dataclass(frozen=True, eq=False)
 class DevicePopulation:
     """N devices as four read-only float64 vectors, one entry per device.

@@ -3,12 +3,9 @@ projection, and top-T label compression."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import ReceivedEnergies
-from .core import BadLength, RoundConfig, SoftLabel
+from .core import RoundConfig, SoftLabel
 
 
 class ZeroRho(ValueError):
@@ -27,28 +24,6 @@ class BadT(ValueError):
     """Truncation size outside 1..K."""
 
 
-@dataclass(frozen=True, eq=False)
-class AggregateResult:
-    """Output of one aggregation round.
-
-    ``raw`` is the signed estimate the statistical claims are about; for the
-    self-centering estimator its entries sum to one identically. ``projected``
-    is the clipped-and-renormalized soft label actually handed to learners.
-    ``centering_gain`` is the scale applied to energies: 1/(S*M*rho) for the
-    self-centering estimator, 1/R for the ratio estimator.
-    """
-
-    raw: np.ndarray
-    projected: SoftLabel
-    centering_gain: float
-    used_ratio: bool
-
-    def __post_init__(self) -> None:
-        r = np.array(self.raw, dtype=np.float64)
-        r.flags.writeable = False
-        object.__setattr__(self, "raw", r)
-
-
 def clip_renormalize(v: np.ndarray) -> np.ndarray:
     """Clip negatives to zero and renormalize along the trailing (class) axis,
     vectorized over leading axes. A row with nothing positive becomes the
@@ -57,34 +32,6 @@ def clip_renormalize(v: np.ndarray) -> np.ndarray:
     totals = clipped.sum(axis=-1, keepdims=True)
     uniform = np.full_like(clipped, 1.0 / v.shape[-1])
     return np.divide(clipped, totals, out=uniform, where=totals > 0)
-
-
-def project_simplex(v: np.ndarray) -> SoftLabel:
-    """Light projection of one vector onto the simplex by
-    :func:`clip_renormalize`. Idempotent on valid soft labels."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size < 2:
-        raise BadLength(f"need a vector of K >= 2 entries, got shape {v.shape}")
-    return SoftLabel(clip_renormalize(v))
-
-
-def reference_ratios(y: np.ndarray, y_ref: np.ndarray | float | None) -> np.ndarray:
-    """Ratios q~_c = Y_c / R, vectorized over leading axes: ``y`` has the
-    classes on its trailing axis and ``y_ref`` the leading shape of ``y``."""
-    if y_ref is None:
-        raise ZeroReference("received energies carry no reference slot")
-    y_ref = np.asarray(y_ref, dtype=np.float64)
-    if np.any(y_ref <= 0.0):
-        raise ZeroReference(f"reference energy must be positive, got {float(y_ref.min())!r}")
-    return y / y_ref[..., None]
-
-
-def ratio_project(ratios: np.ndarray) -> np.ndarray:
-    """Clip-renormalized ratios; a row with nothing positive carries no
-    label information, so it raises instead of falling back to uniform."""
-    if np.any(ratios.max(axis=-1) <= 0.0):
-        raise AllNonpositive("all ratio entries are nonpositive")
-    return clip_renormalize(ratios)
 
 
 def scene_raw(y: np.ndarray, sample_count: int, rho: float) -> np.ndarray:
@@ -102,41 +49,42 @@ def scene_raw(y: np.ndarray, sample_count: int, rho: float) -> np.ndarray:
     return centered / (sample_count * rho) + 1.0 / k
 
 
-def scene_estimate(y: ReceivedEnergies, cfg: RoundConfig) -> AggregateResult:
-    """Self-centering estimate of the weighted soft-label average.
+def scene_estimate(y: np.ndarray, cfg: RoundConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Self-centering estimate of the weighted soft-label average from the
+    energies ``y`` (classes on the trailing axis, any leading trial axes).
 
-    Unbiased for calibrated devices under either channel model; variance
-    decays as 1/(S*M). Statistical tests should look at ``raw``; projection
-    introduces a (shrinking) bias.
+    Returns ``(raw, projected)``: :func:`scene_raw`, the signed estimate the
+    statistical claims are about (unbiased for calibrated devices under
+    either channel model, variance decaying as 1/(S*M)), and its
+    :func:`clip_renormalize` projection, the soft label handed to learners.
     """
-    if y.sample_count != cfg.sample_count:
-        raise ValueError(
-            f"energies aggregated over {y.sample_count} samples, "
-            f"config says {cfg.sample_count}"
-        )
-    raw = scene_raw(y.y, cfg.sample_count, cfg.rho)
-    return AggregateResult(
-        raw=raw,
-        projected=project_simplex(raw),
-        centering_gain=1.0 / (cfg.sample_count * cfg.rho),
-        used_ratio=False,
-    )
+    raw = scene_raw(y, cfg.sample_count, cfg.rho)
+    return raw, clip_renormalize(raw)
 
 
-def ratio_estimate(y: ReceivedEnergies) -> AggregateResult:
-    """Reference-slot ratio estimate q~_c = Y_c / R, clip-renormalized.
+def ratio_estimate(
+    y: np.ndarray, y_ref: np.ndarray | float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference-slot ratio estimate q~_c = Y_c / R, vectorized over leading
+    axes: ``y`` has the classes on its trailing axis and ``y_ref`` the leading
+    shape of ``y``.
 
     Dividing by the reference energy cancels the common received scale, so no
     gain knowledge is needed at all; heterogeneous per-device mismatch still
-    reweights the average. ``raw`` holds the plain ratios (not sum-normalized).
+    reweights the average. Returns ``(ratios, projected)``: the plain ratios
+    (not sum-normalized) and their clip-renormalization. A row with nothing
+    positive carries no label information, so it raises instead of falling
+    back to uniform.
     """
-    ratios = reference_ratios(y.y, y.y_ref)
-    return AggregateResult(
-        raw=ratios,
-        projected=SoftLabel(ratio_project(ratios)),
-        centering_gain=1.0 / y.y_ref,
-        used_ratio=True,
-    )
+    if y_ref is None:
+        raise ZeroReference("received energies carry no reference slot")
+    y_ref = np.asarray(y_ref, dtype=np.float64)
+    if np.any(y_ref <= 0.0):
+        raise ZeroReference(f"reference energy must be positive, got {float(y_ref.min())!r}")
+    ratios = y / y_ref[..., None]
+    if np.any(ratios.max(axis=-1) <= 0.0):
+        raise AllNonpositive("all ratio entries are nonpositive")
+    return ratios, clip_renormalize(ratios)
 
 
 def top_t_truncate(q: SoftLabel, t: int) -> tuple[SoftLabel, float]:

@@ -25,7 +25,7 @@ from .core import (
     check_range,
     coerce_settings,
 )
-from .estimators import clip_renormalize, ratio_project, reference_ratios, scene_raw
+from .estimators import ratio_estimate, scene_estimate
 from .montecarlo import PopulationSpec
 from .power import map_energies, resolve_round
 
@@ -343,8 +343,8 @@ def aggregate_targets(
     plain is the noise-free weighted average used as the error baseline.
     Each sample is one independent OTA round: the U rounds are one
     (U, N, K) energy frame sent by a single :func:`channel.simulate_rounds`
-    call on ``rng``, and the targets are the clip-renormalized self-centering
-    or reference-ratio estimates, the same functions the sweeps use.
+    call on ``rng``, and the targets are the projected self-centering or
+    reference-ratio estimates, the same functions the sweeps use.
     """
     plain = np.einsum("i,iuk->uk", pop.omegas, client_probs)
     if cfg.aggregation is Aggregation.PLAIN:
@@ -353,8 +353,8 @@ def aggregate_targets(
     frame = map_energies(probs, pop, round_cfg.rho)
     y, y_ref = simulate_rounds(frame, pop, round_cfg, rng, trials=probs.shape[0])
     if cfg.aggregation is Aggregation.RATIO:
-        return ratio_project(reference_ratios(y, y_ref)), plain
-    return clip_renormalize(scene_raw(y, round_cfg.sample_count, round_cfg.rho)), plain
+        return ratio_estimate(y, y_ref)[1], plain
+    return scene_estimate(y, round_cfg)[1], plain
 
 
 def one_shot_distill(

@@ -32,7 +32,7 @@ from .core import (
     coerce_settings,
     weighted_average,
 )
-from .estimators import clip_renormalize, ratio_project, reference_ratios, scene_raw
+from .estimators import ratio_estimate, scene_estimate
 from .power import map_energies, resolve_round
 
 # Trials per scheduling job; fixed so outputs do not depend on worker count.
@@ -44,7 +44,8 @@ CSV_HEADER = (
 
 
 class InsufficientSweep(ValueError):
-    """Constant fitting needs at least three distinct S*M products."""
+    """Constant fitting needs self-centering variances at three or more
+    distinct S*M products."""
 
 
 class MixedSnr(ValueError):
@@ -329,15 +330,15 @@ def _point_stats(
     def run_job(args) -> dict[str, TrialStats]:
         count, stream = args
         y, y_ref = simulate_rounds(frame, pop, cfg, stream, trials=count)
-        out: dict[str, TrialStats] = {}
+        estimates = {}
         if want_scene:
-            raw = scene_raw(y, cfg.sample_count, cfg.rho)
-            out["scene"] = TrialStats.from_samples(raw)
-            out["scene_proj"] = TrialStats.from_samples(clip_renormalize(raw))
+            estimates["scene"] = scene_estimate(y, cfg)
         if want_ratio:
-            ratios = reference_ratios(y, y_ref)
-            out["ratio"] = TrialStats.from_samples(ratios)
-            out["ratio_proj"] = TrialStats.from_samples(ratio_project(ratios))
+            estimates["ratio"] = ratio_estimate(y, y_ref)
+        out: dict[str, TrialStats] = {}
+        for name, (raw, projected) in estimates.items():
+            out[name] = TrialStats.from_samples(raw)
+            out[name + "_proj"] = TrialStats.from_samples(projected)
         return out
 
     work = list(zip(jobs, streams))
@@ -419,14 +420,13 @@ class MseConstantEstimate:
     per_point: tuple[float, ...]
 
 
-def estimate_mse_constants(
-    spec: ExperimentSpec, threads: int | None = None
-) -> MseConstantEstimate:
-    """Estimate the c in Var(r_c) ~ c / (S*M) from a sweep.
+def check_mse_fit(spec: ExperimentSpec) -> None:
+    """Reject a sweep :func:`estimate_mse_constants` cannot fit.
 
-    Requires at least three distinct S*M products so flatness of the fit is
-    informative about the scaling law rather than a single budget, and a
-    single SNR, since c grows with the sigma_N^4 / rho^2 noise term.
+    The fit needs at least three distinct S*M products, so flatness of the
+    fit is informative about the scaling law rather than a single budget; a
+    single SNR, since c grows with the sigma_N^4 / rho^2 noise term; and
+    self-centering variances, so the scene estimator and two or more trials.
     """
     snrs = sorted(set(spec.snr_db_values))
     if len(snrs) > 1:
@@ -436,13 +436,23 @@ def estimate_mse_constants(
         raise InsufficientSweep(
             f"need >= 3 distinct S*M products, got {sorted(products)}"
         )
-    rows = [r for r in run_experiment(spec, threads) if r.estimator == "scene"]
+    if spec.estimator is Estimator.RATIO:
+        raise InsufficientSweep("c_nc is fitted to the scene estimator; the sweep runs only 'ratio'")
+    if spec.trials < 2:
+        raise InsufficientSweep(f"a variance needs >= 2 trials per point, got {spec.trials}")
+
+
+def estimate_mse_constants(
+    spec: ExperimentSpec, threads: int | None = None
+) -> MseConstantEstimate:
+    """Estimate the c in Var(r_c) ~ c / (S*M) from a sweep that passes
+    :func:`check_mse_fit`."""
+    check_mse_fit(spec)
     by_point: dict[tuple[int, int, float], list[float]] = {}
-    for r in rows:
-        if r.var is None:
-            continue
-        by_point.setdefault((r.s, r.m, r.snr_db), []).append(r.var * r.s * r.m)
+    for r in run_experiment(spec, threads):
+        if r.estimator == "scene":
+            by_point.setdefault((r.s, r.m, r.snr_db), []).append(r.var * r.s * r.m)
     per_point = tuple(float(np.mean(v)) for v in by_point.values())
     c_hat = float(np.mean(per_point))
-    se = float(np.std(per_point, ddof=1) / math.sqrt(len(per_point))) if len(per_point) > 1 else float("nan")
+    se = float(np.std(per_point, ddof=1) / math.sqrt(len(per_point)))
     return MseConstantEstimate(c_hat, se, per_point)

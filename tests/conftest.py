@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scene_sim import DevicePopulation, RandomSource, ReceivedEnergies
+from scene_sim import DevicePopulation, RandomSource
 from scene_sim.fd import Divergence
 
 
@@ -42,14 +42,6 @@ def frozen_round(energies, pop, cfg, rng=None, trials=1):
     if cfg.use_reference_re:
         return y[:, :-1], y[:, -1].copy()
     return y, None
-
-
-def frozen_received(energies, pop, cfg):
-    """One :func:`frozen_round` as the ``ReceivedEnergies`` that
-    ``simulate_round`` returns and the single-round estimators take."""
-    y, y_ref = frozen_round(energies, pop, cfg)
-    ref = None if y_ref is None else float(y_ref[0])
-    return ReceivedEnergies(y[0], ref, cfg.sample_count)
 
 
 def variance_se(x):

@@ -54,6 +54,7 @@ from scene_sim import (
     PopulationSpec,
     RandomSource,
     RoundConfig,
+    SoftLabel,
     SoftmaxClassifier,
     SyntheticDataset,
     calibrate_noise,
@@ -69,7 +70,6 @@ from scene_sim import (
     scene_variance_diagonal,
     simulate_rounds,
     top_t_truncate,
-    validate_soft_label,
     variance_bound,
     weighted_average,
 )
@@ -78,7 +78,7 @@ from scene_sim.estimators import ratio_estimate
 from scene_sim.fd import aggregate_targets, pretrain_clients, split_dataset
 from scene_sim.cli import main as cli_main
 
-from conftest import frozen_received, frozen_round, variance_se
+from conftest import frozen_round, variance_se
 
 
 def report(num, name, detail=""):
@@ -100,7 +100,7 @@ def draw_population(gen, n, gamma_range=None, weight_rule="random"):
 
 
 def dirichlet_labels(gen, n, k, alpha=0.3):
-    return [validate_soft_label(gen.dirichlet(np.full(k, alpha))) for _ in range(n)]
+    return [SoftLabel(gen.dirichlet(np.full(k, alpha))) for _ in range(n)]
 
 
 def scene_samples(pop, labels, cfg, seed, trials):
@@ -206,7 +206,7 @@ def test_04_balanced_case_identity():
     k, n = 10, 5
     gen = np.random.default_rng(404)
     pop = draw_population(gen, n, weight_rule="uniform")
-    labels = [validate_soft_label(np.full(k, 1.0 / k))] * n
+    labels = [SoftLabel(np.full(k, 1.0 / k))] * n
     rho = min_rho(pop)
     cfg = RoundConfig(
         num_classes=k, reps=2, antennas=2, rho=rho,
@@ -262,7 +262,7 @@ def test_05_bias_formula_and_bound():
 
     # (iii) equality at the vertex case
     pop = DevicePopulation([1.0], [1.0 + delta], [1.0])
-    bias = mismatch_bias(pop, [validate_soft_label((1.0, 0.0))])
+    bias = mismatch_bias(pop, [SoftLabel((1.0, 0.0))])
     gap = abs(np.linalg.norm(bias) - mismatch_bias_bound(delta, 2))
     assert gap <= 1e-12, f"vertex case misses the bound by {gap}"
     report(5, "mismatch bias", "closed form, bound, and vertex equality verified")
@@ -289,24 +289,24 @@ def test_07_ratio_estimator():
     deterministic case and reweight by gamma on average."""
     # (i) exact cancellation, single device
     pop = DevicePopulation([1.0], [0.037])
-    labels = [validate_soft_label((0.62, 0.25, 0.13))]
+    labels = [SoftLabel((0.62, 0.25, 0.13))]
     cfg = RoundConfig(num_classes=3, reps=2, antennas=2, rho=1.3, noise_var=0.0,
                       use_reference_re=True)
     frame = map_energies(labels, pop, cfg.rho)
-    y = frozen_received(frame, pop, cfg)
-    err = np.abs(ratio_estimate(y).projected.probs - labels[0].probs).max()
+    _, projected = ratio_estimate(*frozen_round(frame, pop, cfg))
+    err = np.abs(projected - labels[0].probs).max()
     assert err <= 1e-12, f"deterministic cancellation error {err}"
 
     # (ii) multi-device frozen case recovers the gamma-reweighted average
     gammas = np.array([1.4, 0.8])
     pop2 = DevicePopulation([0.5, 0.5], [1.0, 0.5], [1.0 / 1.4, 0.5 / 0.8])
-    labels2 = [validate_soft_label((0.8, 0.15, 0.05)),
-               validate_soft_label((0.1, 0.3, 0.6))]
+    labels2 = [SoftLabel((0.8, 0.15, 0.05)),
+               SoftLabel((0.1, 0.3, 0.6))]
     frame2 = map_energies(labels2, pop2, cfg.rho)
-    y2 = frozen_received(frame2, pop2, cfg)
+    ratios, _ = ratio_estimate(*frozen_round(frame2, pop2, cfg))
     q = np.stack([lab.probs for lab in labels2])
     target = (pop2.omegas * gammas) @ q / (pop2.omegas @ gammas)
-    err2 = np.abs(ratio_estimate(y2).raw - target).max()
+    err2 = np.abs(ratios - target).max()
     assert err2 <= 1e-12, f"frozen reweighted recovery error {err2}"
 
     # (iii) Monte Carlo mean matches the reweighted average within 3 SE.
@@ -341,7 +341,7 @@ def test_08_top_t_bias_bound():
             delta_bar += wi * delta
         assert np.abs(bias).sum() <= 2 * delta_bar + 1e-12
 
-    q = validate_soft_label((0.5, 0.3, 0.1, 0.1))
+    q = SoftLabel((0.5, 0.3, 0.1, 0.1))
     q_trunc, delta = top_t_truncate(q, 2)
     l1 = np.abs(q_trunc.probs - q.probs).sum()
     assert l1 == pytest.approx(0.4, abs=1e-12)

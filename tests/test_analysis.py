@@ -11,6 +11,7 @@ from scene_sim import (
     DevicePopulation,
     RandomSource,
     RoundConfig,
+    SoftLabel,
     ar1_acf,
     calibrate_noise,
     crossover_threshold,
@@ -21,7 +22,6 @@ from scene_sim import (
     scene_raw,
     scene_variance_diagonal,
     simulate_rounds,
-    validate_soft_label,
     variance_bound,
     weighted_average,
 )
@@ -35,27 +35,27 @@ def random_mismatch_setup(gen, n, k, gamma_lo, gamma_hi):
     gammas = gen.uniform(gamma_lo, gamma_hi, n)
     betas = gen.uniform(0.5, 2.0, n)
     pop = DevicePopulation(omegas, betas, betas / gammas)
-    labels = [validate_soft_label(gen.dirichlet(np.full(k, 0.3))) for _ in range(n)]
+    labels = [SoftLabel(gen.dirichlet(np.full(k, 0.3))) for _ in range(n)]
     return pop, labels
 
 
 class TestMismatchBias:
     def test_calibrated_devices_unbiased(self):
         pop = make_uniform_population(3)
-        labels = [validate_soft_label((0.5, 0.3, 0.2))] * 3
+        labels = [SoftLabel((0.5, 0.3, 0.2))] * 3
         assert np.allclose(mismatch_bias(pop, labels), 0.0)
 
     def test_single_device_vertex(self):
         # gamma = 1.2, q = (1, 0): bias = 0.2 * (1 - 1/2, 0 - 1/2)
         pop = DevicePopulation([1.0], [1.2], [1.0])
-        labels = [validate_soft_label((1.0, 0.0))]
+        labels = [SoftLabel((1.0, 0.0))]
         assert np.allclose(mismatch_bias(pop, labels), [0.1, -0.1])
 
     def test_uniform_label_contributes_nothing(self):
         pop = DevicePopulation([0.5, 0.5], [3.0, 1.0], [1.0, 1.0])
         labels = [
-            validate_soft_label((0.25, 0.25, 0.25, 0.25)),
-            validate_soft_label((0.25, 0.25, 0.25, 0.25)),
+            SoftLabel((0.25, 0.25, 0.25, 0.25)),
+            SoftLabel((0.25, 0.25, 0.25, 0.25)),
         ]
         assert np.allclose(mismatch_bias(pop, labels), 0.0)
 
@@ -95,7 +95,7 @@ class TestMismatchBiasBound:
         assert bound == pytest.approx(0.2 * np.sqrt(0.5))
         assert bound == pytest.approx(0.14142, abs=1e-5)
         pop = DevicePopulation([1.0], [1.2], [1.0])
-        bias = mismatch_bias(pop, [validate_soft_label((1.0, 0.0))])
+        bias = mismatch_bias(pop, [SoftLabel((1.0, 0.0))])
         assert np.linalg.norm(bias) == pytest.approx(bound, abs=1e-12)
 
     def test_k10_value(self):
@@ -120,7 +120,7 @@ class TestVarianceBound:
     def test_single_device_value(self):
         # N=1, omega=1, q_c=0.7, sigma=0, S=M=1, rho=1 -> 2 * 0.49
         pop = DevicePopulation([1.0], [1.0])
-        labels = [validate_soft_label((0.7, 0.3))]
+        labels = [SoftLabel((0.7, 0.3))]
         cfg = RoundConfig(num_classes=2, reps=1, antennas=1, rho=1.0, noise_var=0.0)
         bound = variance_bound(pop, labels, cfg)
         assert bound[0] == pytest.approx(0.98)
@@ -128,7 +128,7 @@ class TestVarianceBound:
 
     def test_vanishes_as_sm_grows(self):
         pop = DevicePopulation([1.0], [1.0])
-        labels = [validate_soft_label((0.7, 0.3))]
+        labels = [SoftLabel((0.7, 0.3))]
         prev = np.inf
         for s in (1, 4, 16, 256, 4096):
             cfg = RoundConfig(num_classes=2, reps=s, antennas=1, rho=1.0, noise_var=0.1)
@@ -143,7 +143,7 @@ class TestVarianceBound:
         values = []
         for n in (1, 2, 4, 8):
             pop = make_uniform_population(n)
-            labels = [validate_soft_label(labels_k)] * n
+            labels = [SoftLabel(labels_k)] * n
             cfg = RoundConfig(num_classes=4, reps=1, antennas=1, rho=1.0, noise_var=0.0)
             values.append(variance_bound(pop, labels, cfg)[0])
         ratios = np.array(values[:-1]) / np.array(values[1:])
@@ -172,7 +172,7 @@ class TestVarianceBound:
         # of C = KMS_S(sqrt(time_corr)) (x) KMS_M(sqrt(space_corr)); f is
         # exactly 1 without correlation, and the noise term never changes
         pop = DevicePopulation([0.6, 0.4], [1.5, 0.5], [1.0, 0.5])
-        labels = [validate_soft_label((0.7, 0.2, 0.1)), validate_soft_label((0.1, 0.3, 0.6))]
+        labels = [SoftLabel((0.7, 0.2, 0.1)), SoftLabel((0.1, 0.3, 0.6))]
         cfg = RoundConfig(num_classes=3, reps=4, antennas=2, rho=1.3, noise_var=0.2)
         signal = cfg.rho**2 * ((pop.omegas * pop.gammas) ** 2) @ (
             np.stack([q.probs for q in labels]) ** 2
@@ -262,6 +262,14 @@ class TestCrossover:
         assert res.s_nc == pytest.approx(10.0)
         assert res.mse_coh == pytest.approx(1.0 / 8.0)
         assert res.mse_nc == pytest.approx(2.0 / 10.0)
+
+    @pytest.mark.parametrize("c_coh, c_nc", [
+        (1.0, float("nan")), (float("nan"), 1.0), (1.0, float("inf")), (float("inf"), 1.0),
+    ])
+    def test_non_finite_constants_rejected(self, c_coh, c_nc):
+        # nan <= 0 is False, so a nan fit used to pass and fill the grid with nan
+        with pytest.raises(ValueError, match="finite"):
+            CrossoverModel(budget=100, pilot_cost=10, c_coh=c_coh, c_nc=c_nc, num_classes=10)
 
     def test_bad_budget(self):
         with pytest.raises(BadBudget):

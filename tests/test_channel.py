@@ -9,6 +9,7 @@ from scene_sim import (
     PathlossModel,
     RandomSource,
     RoundConfig,
+    SoftLabel,
     calibrate_noise,
     map_energies,
     sample_pathloss,
@@ -16,7 +17,6 @@ from scene_sim import (
     scene_variance_diagonal,
     simulate_round,
     simulate_rounds,
-    validate_soft_label,
 )
 from scene_sim import channel
 from scene_sim.channel import BadRange, ShapeMismatch
@@ -148,7 +148,7 @@ class TestSimulateRoundMoments:
         # signal power / noise power per slot should equal rho*qbar_c/sigma^2
         pop = make_uniform_population(3)
         gen = np.random.default_rng(0)
-        labels = [validate_soft_label(gen.dirichlet(np.full(4, 0.5))) for _ in range(3)]
+        labels = [SoftLabel(gen.dirichlet(np.full(4, 0.5))) for _ in range(3)]
         rho = 2.0
         frame = map_energies(labels, pop, rho)
         sigma2 = calibrate_noise(rho, 4, snr_db=10.0)
@@ -163,7 +163,7 @@ class TestSimulateRoundMoments:
 
     def test_reference_slot_mean(self):
         pop = DevicePopulation([0.6, 0.4], [1.5, 0.5])
-        labels = [validate_soft_label((0.7, 0.3)), validate_soft_label((0.2, 0.8))]
+        labels = [SoftLabel((0.7, 0.3)), SoftLabel((0.2, 0.8))]
         frame = map_energies(labels, pop, rho=1.0)
         cfg = RoundConfig(num_classes=2, reps=2, antennas=1, noise_var=0.1,
                           use_reference_re=True)
@@ -203,7 +203,7 @@ class TestDiagonalGammaSums:
             [0.4, 0.3, 0.2, 0.1], [1.6, 0.4, 1.0, 0.9], power_caps=np.full(4, 2.0)
         )
         labels = [
-            validate_soft_label(q)
+            SoftLabel(q)
             for q in ((0.7, 0.2, 0.1), (0.1, 0.8, 0.1), (0.3, 0.3, 0.4), (0.05, 0.05, 0.9))
         ]
         rho = 1.0
@@ -245,6 +245,23 @@ class TestSimulateRoundErrors:
         cfg = RoundConfig(num_classes=2)
         with pytest.raises(ShapeMismatch):
             simulate_round(frame, pop, cfg, rng)
+
+
+class TestSimulateRound:
+    @pytest.mark.parametrize("model", list(ChannelModel))
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_one_trial_of_simulate_rounds(self, model, reference):
+        pop = make_uniform_population(2)
+        frame = frame_from_energies([[1.0, 0.5], [0.7, 0.3]])
+        cfg = RoundConfig(num_classes=2, reps=3, antennas=2, noise_var=0.2,
+                          channel_model=model, use_reference_re=reference)
+        y, y_ref = simulate_round(frame, pop, cfg, RandomSource(12))
+        ys, refs = simulate_rounds(frame, pop, cfg, RandomSource(12), trials=1)
+        assert y.shape == (2,) and np.array_equal(y, ys[0])
+        if reference:
+            assert type(y_ref) is float and y_ref == refs[0]
+        else:
+            assert y_ref is None and refs is None
 
 
 # The two branches of the kernel, complex superposition and diagonal Gamma
@@ -307,10 +324,10 @@ class TestCorrelatedFading:
         frame = frame_from_energies([[1.0, 0.5], [0.7, 0.3]])
         cfg = RoundConfig(num_classes=2, reps=3, antennas=2, noise_var=0.2)
         zero = replace(cfg, time_corr=0.0, space_corr=0.0)
-        a = simulate_round(frame, pop, cfg, RandomSource(11))
-        b = simulate_round(frame, pop, zero, RandomSource(11))
+        a, _ = simulate_round(frame, pop, cfg, RandomSource(11))
+        b, _ = simulate_round(frame, pop, zero, RandomSource(11))
         y, _ = simulate_rounds(frame, pop, zero, RandomSource(11), trials=1)
-        assert np.array_equal(a.y, b.y) and np.array_equal(a.y, y[0])
+        assert np.array_equal(a, b) and np.array_equal(a, y[0])
 
     @pytest.mark.parametrize("model", list(ChannelModel))
     @pytest.mark.parametrize("corr", [dict(time_corr=0.9), dict(space_corr=0.9)])
@@ -319,9 +336,9 @@ class TestCorrelatedFading:
         frame = frame_from_energies([[1.0, 0.5], [0.7, 0.3]])
         cfg = RoundConfig(num_classes=2, reps=3, antennas=2, noise_var=0.2,
                           channel_model=model)
-        a = simulate_round(frame, pop, cfg, RandomSource(11))
-        b = simulate_round(frame, pop, replace(cfg, **corr), RandomSource(11))
-        assert not np.array_equal(a.y, b.y)
+        a, _ = simulate_round(frame, pop, cfg, RandomSource(11))
+        b, _ = simulate_round(frame, pop, replace(cfg, **corr), RandomSource(11))
+        assert not np.array_equal(a, b)
 
     def test_bad_coefficient(self):
         with pytest.raises(ValueError, match="time_corr"):

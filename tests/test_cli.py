@@ -170,6 +170,28 @@ class TestCrossoverCommand:
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()
 
+    @pytest.mark.parametrize("sweep", [
+        {"estimator": "ratio"},
+        {"trials": 1},
+        {"sm_pairs": [[1, 1], [2, 2], [4, 1]]},
+        {"snr_db_values": [5.0, 10.0]},
+    ], ids=["ratio_only", "one_trial", "two_products", "several_snrs"])
+    def test_unfittable_sweep_rejected_at_load(self, tmp_path, capsys, sweep):
+        # the first two used to print "using fitted c_nc = nan", write nan
+        # rows and exit 0; the last two wrote config_resolved.json first
+        section = {
+            "estimate_c_nc": True,
+            "sweep": {"sm_pairs": [[1, 1], [2, 2], [4, 4]], "trials": 50, **sweep},
+        }
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"crossover": section}))
+        with pytest.raises(ConfigError):
+            load_config(str(cfg), "crossover")
+        out = tmp_path / "out"
+        assert run_cli(["crossover", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
     def test_fitted_constant_replaces_configured(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({

@@ -7,7 +7,6 @@ from scene_sim import (
     DevicePopulation,
     RandomSource,
     RoundConfig,
-    validate_soft_label,
     weighted_average,
 )
 from scene_sim.core import (
@@ -25,32 +24,32 @@ from scene_sim.core import (
 
 class TestValidateSoftLabel:
     def test_uniform_two_class(self):
-        lab = validate_soft_label((0.5, 0.5))
+        lab = SoftLabel((0.5, 0.5))
         assert np.allclose(lab.probs, [0.5, 0.5])
 
     def test_boundary_zero_entry_allowed(self):
-        lab = validate_soft_label((0.7, 0.3, 0.0))
+        lab = SoftLabel((0.7, 0.3, 0.0))
         assert lab.num_classes == 3
         assert lab.probs[2] == 0.0
 
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):
-            validate_soft_label((0.6, 0.6))
+            SoftLabel((0.6, 0.6))
 
     def test_negative_entry(self):
         with pytest.raises(NegativeEntry):
-            validate_soft_label((1.1, -0.1))
+            SoftLabel((1.1, -0.1))
 
     def test_negative_dust_clipped(self):
-        lab = validate_soft_label((1.0 + 1e-13, -1e-13))
+        lab = SoftLabel((1.0 + 1e-13, -1e-13))
         assert lab.probs[1] == 0.0
 
     def test_bad_length(self):
         with pytest.raises(BadLength):
-            validate_soft_label((1.0,))
+            SoftLabel((1.0,))
 
     def test_probs_read_only(self):
-        lab = validate_soft_label((0.5, 0.5))
+        lab = SoftLabel((0.5, 0.5))
         with pytest.raises(ValueError):
             lab.probs[0] = 1.0
 
@@ -122,18 +121,18 @@ def soft_label_vectors(draw, max_k=12):
 class TestWeightedAverage:
     def test_symmetry(self):
         pop = DevicePopulation([0.5, 0.5], [1.0, 1.0])
-        labels = [validate_soft_label((1.0, 0.0)), validate_soft_label((0.0, 1.0))]
+        labels = [SoftLabel((1.0, 0.0)), SoftLabel((0.0, 1.0))]
         assert np.allclose(weighted_average(labels, pop).probs, [0.5, 0.5])
 
     def test_single_device_identity(self):
         pop = DevicePopulation([1.0], [1.0])
-        labels = [validate_soft_label((0.7, 0.3))]
+        labels = [SoftLabel((0.7, 0.3))]
         assert np.allclose(weighted_average(labels, pop).probs, [0.7, 0.3])
 
     def test_direct_arithmetic(self):
         # oracle: elementwise sum of omega_i * q_i computed by hand
         pop = DevicePopulation([0.25, 0.75], [1.0, 1.0])
-        labels = [validate_soft_label((0.8, 0.2)), validate_soft_label((0.4, 0.6))]
+        labels = [SoftLabel((0.8, 0.2)), SoftLabel((0.4, 0.6))]
         expected = [0.25 * 0.8 + 0.75 * 0.4, 0.25 * 0.2 + 0.75 * 0.6]
         assert np.allclose(weighted_average(labels, pop).probs, expected)
         assert np.allclose(expected, [0.5, 0.5])
@@ -141,7 +140,7 @@ class TestWeightedAverage:
     def test_length_mismatch(self):
         pop = DevicePopulation([0.5, 0.5], [1.0, 1.0])
         with pytest.raises(LengthMismatch):
-            weighted_average([validate_soft_label((0.5, 0.5))], pop)
+            weighted_average([SoftLabel((0.5, 0.5))], pop)
 
     @given(
         q1=soft_label_vectors(max_k=6),
@@ -154,10 +153,10 @@ class TestWeightedAverage:
         q1, q2 = q1[:k] / q1[:k].sum(), q2[:k] / q2[:k].sum()
         pop = DevicePopulation([w, 1.0 - w], [1.0, 1.0])
         out = weighted_average(
-            [validate_soft_label(q1), validate_soft_label(q2)], pop
+            [SoftLabel(q1), SoftLabel(q2)], pop
         )
         # closure: the result itself passes validation
-        validate_soft_label(out.probs)
+        SoftLabel(out.probs)
 
 
 def population_kwargs(**changes):

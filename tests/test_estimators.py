@@ -9,32 +9,23 @@ from scene_sim import (
     DevicePopulation,
     RandomSource,
     RoundConfig,
+    SoftLabel,
     map_energies,
-    project_simplex,
     ratio_estimate,
     scene_estimate,
     scene_raw,
     simulate_rounds,
     top_t_truncate,
-    validate_soft_label,
 )
-from scene_sim.channel import ReceivedEnergies
 from scene_sim.estimators import (
     AllNonpositive,
     BadT,
     ZeroReference,
     ZeroRho,
     clip_renormalize,
-    ratio_project,
-    reference_ratios,
 )
 
-from conftest import frozen_received, make_uniform_population
-
-
-def received(y, y_ref=None, sample_count=1):
-    return ReceivedEnergies(np.asarray(y, dtype=float), y_ref, sample_count)
-
+from conftest import frozen_round, make_uniform_population
 
 energy_vectors = hnp.arrays(
     np.float64,
@@ -47,30 +38,23 @@ class TestSceneEstimate:
     def test_hand_evaluated_example(self):
         # K=2, S=M=1, rho=1, Y=(3,1): Ybar=2, raw = (1.5, -0.5)
         cfg = RoundConfig(num_classes=2, reps=1, antennas=1, rho=1.0)
-        res = scene_estimate(received([3.0, 1.0]), cfg)
-        assert np.allclose(res.raw, [1.5, -0.5])
-        assert np.allclose(res.projected.probs, [1.0, 0.0])
-        assert res.centering_gain == pytest.approx(1.0)
-        assert not res.used_ratio
+        raw, projected = scene_estimate(np.array([3.0, 1.0]), cfg)
+        assert np.allclose(raw, [1.5, -0.5])
+        assert np.allclose(projected, [1.0, 0.0])
 
     def test_equal_energies_give_uniform(self):
         cfg = RoundConfig(num_classes=4, reps=2, antennas=3, rho=0.7)
-        res = scene_estimate(received([5.0] * 4, sample_count=6), cfg)
-        assert np.allclose(res.raw, 0.25)
+        raw, _ = scene_estimate(np.full(4, 5.0), cfg)
+        assert np.allclose(raw, 0.25)
 
     def test_noise_free_fixed_gain_recovery(self):
         pop = make_uniform_population(1)
-        labels = [validate_soft_label((0.7, 0.3))]
+        labels = [SoftLabel((0.7, 0.3))]
         cfg = RoundConfig(num_classes=2, reps=3, antennas=2, rho=2.0, noise_var=0.0)
         frame = map_energies(labels, pop, cfg.rho)
-        y = frozen_received(frame, pop, cfg)
-        res = scene_estimate(y, cfg)
-        assert np.allclose(res.raw, [0.7, 0.3], atol=1e-12)
-
-    def test_sample_count_mismatch(self):
-        cfg = RoundConfig(num_classes=2, reps=2, antennas=2)
-        with pytest.raises(ValueError):
-            scene_estimate(received([1.0, 1.0], sample_count=3), cfg)
+        y, _ = frozen_round(frame, pop, cfg)
+        raw, _ = scene_estimate(y, cfg)
+        assert np.allclose(raw, [[0.7, 0.3]], atol=1e-12)
 
     def test_zero_rho(self):
         with pytest.raises(ZeroRho):
@@ -116,16 +100,18 @@ class TestCenteringIdentity:
 
 
 class TestProjectSimplex:
+    """The light simplex projection of both estimators, clip_renormalize."""
+
     def test_single_positive_entry(self):
-        assert np.allclose(project_simplex(np.array([1.5, -0.5])).probs, [1.0, 0.0])
+        assert np.allclose(clip_renormalize(np.array([1.5, -0.5])), [1.0, 0.0])
 
     def test_idempotent_on_simplex(self):
         v = np.array([0.2, 0.3, 0.5])
-        assert np.allclose(project_simplex(v).probs, v)
+        assert np.allclose(clip_renormalize(v), v)
 
     def test_uniform_fallback(self):
-        out = project_simplex(np.array([-1.0, -2.0, -3.0]))
-        assert np.allclose(out.probs, 1 / 3)
+        out = clip_renormalize(np.array([-1.0, -2.0, -3.0]))
+        assert np.allclose(out, 1 / 3)
 
     @given(
         v=hnp.arrays(
@@ -136,77 +122,90 @@ class TestProjectSimplex:
     )
     @settings(max_examples=100)
     def test_output_is_valid_label(self, v):
-        out = project_simplex(v)
-        validate_soft_label(out.probs)
+        out = clip_renormalize(v)
+        SoftLabel(out)
         # idempotence
-        assert np.allclose(project_simplex(out.probs).probs, out.probs, atol=1e-12)
+        assert np.allclose(clip_renormalize(out), out, atol=1e-12)
 
 
 class TestBatchedForms:
-    """The forms vectorized over trials agree row by row with the
-    single-round estimators and raise the same errors."""
+    """The estimators are vectorized over leading axes: each row of a batch
+    equals the one-row call, and a bad row makes the whole batch raise."""
 
-    def test_clip_renormalize_rows_match_project_simplex(self):
+    def test_clip_renormalize_rows_match_single_rows(self):
         v = np.random.default_rng(3).normal(size=(50, 5))
         v[7] = -1.0  # nothing positive: uniform fallback
         for row_in, row_out in zip(v, clip_renormalize(v)):
-            assert np.array_equal(project_simplex(row_in).probs, row_out)
+            assert np.array_equal(clip_renormalize(row_in), row_out)
 
     def test_ratio_rows_match_ratio_estimate(self):
         gen = np.random.default_rng(4)
         y, y_ref = gen.uniform(0, 5, (20, 4)), gen.uniform(1, 5, 20)
-        ratios = reference_ratios(y, y_ref)
-        for i, (raw, proj) in enumerate(zip(ratios, ratio_project(ratios))):
-            single = ratio_estimate(received(y[i], y_ref=float(y_ref[i])))
-            assert np.array_equal(single.raw, raw)
-            assert np.array_equal(single.projected.probs, proj)
+        ratios, projected = ratio_estimate(y, y_ref)
+        for i, (raw, proj) in enumerate(zip(ratios, projected)):
+            single_raw, single_proj = ratio_estimate(y[i], float(y_ref[i]))
+            assert np.array_equal(single_raw, raw)
+            assert np.array_equal(single_proj, proj)
+
+    def test_estimates_over_two_leading_axes(self):
+        gen = np.random.default_rng(5)
+        y, y_ref = gen.uniform(0, 5, (3, 7, 4)), gen.uniform(1, 5, (3, 7))
+        cfg = RoundConfig(num_classes=4, reps=2, antennas=3, rho=0.4)
+        for batch, single in (
+            (scene_estimate(y, cfg), lambda i, j: scene_estimate(y[i, j], cfg)),
+            (ratio_estimate(y, y_ref), lambda i, j: ratio_estimate(y[i, j], y_ref[i, j])),
+        ):
+            assert all(out.shape == y.shape for out in batch)
+            for i in range(3):
+                for j in range(7):
+                    raw, projected = single(i, j)
+                    assert np.array_equal(batch[0][i, j], raw)
+                    assert np.array_equal(batch[1][i, j], projected)
 
     def test_batched_errors(self):
         with pytest.raises(ZeroReference):
-            reference_ratios(np.ones((3, 2)), np.array([1.0, 0.0, 2.0]))
+            ratio_estimate(np.ones((3, 2)), np.array([1.0, 0.0, 2.0]))
         with pytest.raises(AllNonpositive):
-            ratio_project(np.array([[1.0, 0.0], [0.0, 0.0]]))
+            ratio_estimate(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
 
 
 class TestRatioEstimate:
     def test_common_scale_cancels_exactly(self):
         # frozen channel, zero noise: Y_c = SM*beta*eta*q_c and R = SM*beta*eta
         pop = DevicePopulation([1.0], [0.37])
-        labels = [validate_soft_label((0.7, 0.3))]
+        labels = [SoftLabel((0.7, 0.3))]
         cfg = RoundConfig(
             num_classes=2, reps=2, antennas=2, rho=1.7, noise_var=0.0,
             use_reference_re=True,
         )
         frame = map_energies(labels, pop, cfg.rho)
-        y = frozen_received(frame, pop, cfg)
-        res = ratio_estimate(y)
-        assert np.allclose(res.projected.probs, [0.7, 0.3], atol=1e-12)
-        assert res.used_ratio
+        _, projected = ratio_estimate(*frozen_round(frame, pop, cfg))
+        assert np.allclose(projected, [[0.7, 0.3]], atol=1e-12)
 
     def test_degenerate_all_mass(self):
-        res = ratio_estimate(received([0.0, 5.0], y_ref=5.0))
-        assert np.allclose(res.projected.probs, [0.0, 1.0])
+        _, projected = ratio_estimate(np.array([0.0, 5.0]), 5.0)
+        assert np.allclose(projected, [0.0, 1.0])
 
     def test_missing_reference(self):
         with pytest.raises(ZeroReference):
-            ratio_estimate(received([1.0, 2.0]))
+            ratio_estimate(np.array([1.0, 2.0]), None)
 
     def test_zero_reference(self):
         with pytest.raises(ZeroReference):
-            ratio_estimate(received([1.0, 2.0], y_ref=0.0))
+            ratio_estimate(np.array([1.0, 2.0]), 0.0)
 
     def test_all_nonpositive(self):
         with pytest.raises(AllNonpositive):
-            ratio_estimate(received([0.0, 0.0], y_ref=1.0))
+            ratio_estimate(np.array([0.0, 0.0]), 1.0)
 
     @given(kappa=st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=50)
     def test_scale_invariance(self, kappa):
         y = np.array([2.0, 0.5, 1.5])
-        base = ratio_estimate(received(y, y_ref=3.0))
-        scaled = ratio_estimate(received(kappa * y, y_ref=kappa * 3.0))
-        assert np.allclose(base.raw, scaled.raw, rtol=1e-9)
-        assert np.allclose(base.projected.probs, scaled.projected.probs, rtol=1e-9)
+        base_raw, base_proj = ratio_estimate(y, 3.0)
+        scaled_raw, scaled_proj = ratio_estimate(kappa * y, kappa * 3.0)
+        assert np.allclose(base_raw, scaled_raw, rtol=1e-9)
+        assert np.allclose(base_proj, scaled_proj, rtol=1e-9)
 
     def test_heterogeneous_gamma_reweights_mean(self):
         # noise-free Monte Carlo mean approaches sum(w*gamma*q)/gamma_bar
@@ -214,7 +213,7 @@ class TestRatioEstimate:
         pop = DevicePopulation(
             [0.5, 0.5], [1.0, 1.0], 1.0 / gammas, [100.0, 100.0]
         )
-        labels = [validate_soft_label((0.9, 0.1)), validate_soft_label((0.2, 0.8))]
+        labels = [SoftLabel((0.9, 0.1)), SoftLabel((0.2, 0.8))]
         cfg = RoundConfig(
             num_classes=2, reps=16, antennas=16, rho=1.0, noise_var=0.0,
             channel_model=ChannelModel.DIAGONAL, use_reference_re=True,
@@ -231,7 +230,7 @@ class TestRatioEstimate:
 
 class TestTopTTruncate:
     def test_worked_example_attains_bias_bound(self):
-        q = validate_soft_label((0.5, 0.3, 0.1, 0.1))
+        q = SoftLabel((0.5, 0.3, 0.1, 0.1))
         q_trunc, delta = top_t_truncate(q, 2)
         assert np.allclose(q_trunc.probs, [0.625, 0.375, 0.0, 0.0])
         assert delta == pytest.approx(0.2)
@@ -239,25 +238,25 @@ class TestTopTTruncate:
         assert l1 == pytest.approx(2 * delta)
 
     def test_t_equals_k_identity(self):
-        q = validate_soft_label((0.4, 0.35, 0.25))
+        q = SoftLabel((0.4, 0.35, 0.25))
         q_trunc, delta = top_t_truncate(q, 3)
         assert np.allclose(q_trunc.probs, q.probs)
         assert delta == pytest.approx(0.0, abs=1e-15)
 
     def test_concentrated_mass(self):
-        q = validate_soft_label((1.0, 0.0, 0.0))
+        q = SoftLabel((1.0, 0.0, 0.0))
         q_trunc, delta = top_t_truncate(q, 1)
         assert np.allclose(q_trunc.probs, [1.0, 0.0, 0.0])
         assert delta == 0.0
 
     def test_tie_broken_by_class_index(self):
-        q = validate_soft_label((0.25, 0.25, 0.25, 0.25))
+        q = SoftLabel((0.25, 0.25, 0.25, 0.25))
         q_trunc, delta = top_t_truncate(q, 2)
         assert np.allclose(q_trunc.probs, [0.5, 0.5, 0.0, 0.0])
         assert delta == pytest.approx(0.5)
 
     def test_bad_t(self):
-        q = validate_soft_label((0.5, 0.5))
+        q = SoftLabel((0.5, 0.5))
         with pytest.raises(BadT):
             top_t_truncate(q, 0)
         with pytest.raises(BadT):
@@ -267,7 +266,7 @@ class TestTopTTruncate:
         gen = np.random.default_rng(5)
         for _ in range(200):
             k = int(gen.integers(3, 12))
-            q = validate_soft_label(gen.dirichlet(np.full(k, 0.4)))
+            q = SoftLabel(gen.dirichlet(np.full(k, 0.4)))
             t = int(gen.integers(1, k + 1))
             q_trunc, delta = top_t_truncate(q, t)
             l1 = np.abs(q_trunc.probs - q.probs).sum()
@@ -279,7 +278,7 @@ class TestTopTTruncate:
         for _ in range(300):
             n, k = int(gen.integers(1, 6)), int(gen.integers(3, 10))
             w = gen.dirichlet(np.ones(n))
-            labels = [validate_soft_label(gen.dirichlet(np.full(k, 0.4))) for _ in range(n)]
+            labels = [SoftLabel(gen.dirichlet(np.full(k, 0.4))) for _ in range(n)]
             t = int(gen.integers(1, k + 1))
             bias = np.zeros(k)
             delta_bar = 0.0

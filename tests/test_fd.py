@@ -13,7 +13,6 @@ from scene_sim import (
     pretrain_clients,
     run_fd,
     split_dataset,
-    validate_soft_label,
 )
 from scene_sim.cli import load_config
 from scene_sim.core import BadRange, DevicePopulation, RoundConfig, SoftLabel
@@ -28,7 +27,7 @@ from scene_sim.fd import (
 )
 from scene_sim.power import map_energies
 
-from conftest import frozen_received, frozen_round, reference_sgd
+from conftest import frozen_round, reference_sgd
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,7 +68,7 @@ class TestSoftmaxClassifier:
         x = rng.generator.standard_normal((20, 8))
         probs = model.predict_proba(x)
         for row in probs:
-            validate_soft_label(row)
+            SoftLabel(row)
 
     def test_gradient_matches_finite_differences(self, rng):
         # central differences of the mean KL loss, relative 1e-4
@@ -324,11 +323,11 @@ class TestAggregateTargets:
         for j in range(self.U):
             labels = [SoftLabel(probs[i, j]) for i in range(3)]
             frame = map_energies(labels, pop, round_cfg.rho)
-            received = frozen_received(frame, pop, round_cfg)
+            y, y_ref = frozen_round(frame, pop, round_cfg)
             if aggregation is Aggregation.RATIO:
-                expected = ratio_estimate(received).projected.probs
+                _, expected = ratio_estimate(y[0], None if y_ref is None else y_ref[0])
             else:
-                expected = scene_estimate(received, round_cfg).projected.probs
+                _, expected = scene_estimate(y[0], round_cfg)
             assert np.abs(targets[j] - expected).max() <= 1e-12
         # the mismatch moves the targets off plain; scene also clips entries
         assert np.abs(targets - plain).max() > 0.05

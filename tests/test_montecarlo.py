@@ -28,7 +28,7 @@ from scene_sim.core import (
     NonFiniteEntry,
     NotNormalized,
     RoundConfig,
-    validate_soft_label,
+    SoftLabel,
 )
 from scene_sim.montecarlo import CSV_HEADER, InsufficientSweep, MixedSnr, write_rows_csv
 
@@ -279,7 +279,7 @@ class TestEstimateMseConstants:
         )
         est = estimate_mse_constants(spec)
         pop = DevicePopulation([1.0], [1.0])
-        labs = [validate_soft_label(labels[0])]
+        labs = [SoftLabel(labels[0])]
         cfg = RoundConfig(num_classes=5, reps=1, antennas=1, rho=1.0, noise_var=0.0,
                           channel_model=ChannelModel.DIAGONAL)
         exact = float(np.mean(scene_variance_diagonal(pop, labs, cfg)))
@@ -307,6 +307,15 @@ class TestEstimateMseConstants:
     def test_rejects_several_snrs(self):
         spec = small_spec(sm_pairs=((1, 1), (2, 2), (4, 4)), snr_db_values=(5.0, 10.0))
         with pytest.raises(MixedSnr, match=r"5\.0, 10\.0"):
+            estimate_mse_constants(spec)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(estimator=Estimator.RATIO), dict(trials=1),
+    ], ids=["ratio_only", "one_trial"])
+    def test_rejects_sweeps_without_scene_variances(self, overrides):
+        # there are no scene variances to fit: this used to return c_nc = nan
+        spec = small_spec(sm_pairs=((1, 1), (2, 2), (4, 4)), **overrides)
+        with pytest.raises(InsufficientSweep):
             estimate_mse_constants(spec)
 
     def test_rho_invariance_at_fixed_snr(self):

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from scene_sim import (
     DevicePopulation,
     EnergyFrame,
+    SoftLabel,
     map_energies,
     min_rho,
     run_min_rho_protocol,
-    validate_soft_label,
 )
 from scene_sim.core import (
     BadLength,
@@ -40,30 +40,30 @@ class TestMapEnergies:
     def test_direct_evaluation(self):
         # eta = rho*omega/beta_assumed = 2*1/0.25 = 8; E = eta * q
         pop = DevicePopulation([1.0], [0.25], [0.25], [10.0])
-        frame = map_energies([validate_soft_label((0.75, 0.25))], pop, rho=2.0)
+        frame = map_energies([SoftLabel((0.75, 0.25))], pop, rho=2.0)
         assert np.allclose(frame.eta, [8.0])
         assert np.allclose(frame.energies, [[6.0, 2.0]])
         assert frame.energies.sum() == pytest.approx(8.0)
 
     def test_vertex_label_concentrates_energy(self):
         pop = DevicePopulation([1.0], [1.0])
-        frame = map_energies([validate_soft_label((1.0, 0.0, 0.0))], pop, rho=3.0)
+        frame = map_energies([SoftLabel((1.0, 0.0, 0.0))], pop, rho=3.0)
         assert np.allclose(frame.energies, [[3.0, 0.0, 0.0]])
 
     def test_uniform_label_splits_evenly(self):
         pop = DevicePopulation([1.0], [1.0])
         k = 5
-        frame = map_energies([validate_soft_label([1.0 / k] * k)], pop, rho=2.0)
+        frame = map_energies([SoftLabel([1.0 / k] * k)], pop, rho=2.0)
         assert np.allclose(frame.energies, 2.0 / k)
 
     def test_nonpositive_rho(self):
         pop = DevicePopulation([1.0], [1.0])
         with pytest.raises(NonPositiveRho):
-            map_energies([validate_soft_label((0.5, 0.5))], pop, rho=0.0)
+            map_energies([SoftLabel((0.5, 0.5))], pop, rho=0.0)
 
     def test_uses_assumed_beta_not_true(self):
         pop = DevicePopulation([1.0], [4.0], [2.0], [10.0])
-        frame = map_energies([validate_soft_label((0.5, 0.5))], pop, rho=1.0)
+        frame = map_energies([SoftLabel((0.5, 0.5))], pop, rho=1.0)
         assert np.allclose(frame.eta, [0.5])  # rho / beta_assumed
 
     @given(
@@ -73,7 +73,7 @@ class TestMapEnergies:
     @settings(max_examples=30)
     def test_scaling_covariance(self, rho, scale):
         pop = DevicePopulation([0.3, 0.7], [1.0, 2.0])
-        labels = [validate_soft_label((0.2, 0.8)), validate_soft_label((0.9, 0.1))]
+        labels = [SoftLabel((0.2, 0.8)), SoftLabel((0.9, 0.1))]
         base = map_energies(labels, pop, rho)
         scaled = map_energies(labels, pop, scale * rho)
         assert np.allclose(scaled.energies, scale * base.energies, rtol=1e-12)
@@ -85,7 +85,7 @@ class TestMapEnergies:
         for seed in range(3):
             gen = np.random.default_rng(seed)
             labels = [
-                validate_soft_label(gen.dirichlet(np.full(6, 0.4))) for _ in range(4)
+                SoftLabel(gen.dirichlet(np.full(6, 0.4))) for _ in range(4)
             ]
             rows.append(map_energies(labels, pop, rho=1.5).energies.sum(axis=1))
         assert np.allclose(rows[0], rows[1])
@@ -105,13 +105,13 @@ class TestBatchedMapEnergies:
         assert frame.energies.shape == (7, 3, 4)
         assert frame.num_devices == 3 and frame.num_classes == 4
         for t in range(7):
-            labels = [validate_soft_label(row) for row in self.q[t]]
+            labels = [SoftLabel(row) for row in self.q[t]]
             single = map_energies(labels, self.pop, rho=1.3)
             assert np.array_equal(frame.energies[t], single.energies)
             assert np.array_equal(frame.eta, single.eta)
 
     def test_two_dimensional_array_equals_label_list(self):
-        labels = [validate_soft_label(row) for row in self.q[0]]
+        labels = [SoftLabel(row) for row in self.q[0]]
         assert np.array_equal(
             map_energies(self.q[0], self.pop, 2.0).energies,
             map_energies(labels, self.pop, 2.0).energies,
@@ -224,7 +224,7 @@ class TestMinRhoProtocol:
             pop = random_population(gen, int(gen.integers(2, 10)))
             rho_min, _ = run_min_rho_protocol(pop)
             labels = [
-                validate_soft_label(gen.dirichlet(np.full(4, 0.5)))
+                SoftLabel(gen.dirichlet(np.full(4, 0.5)))
                 for _ in range(pop.num_devices)
             ]
             frame = map_energies(labels, pop, rho_min)
