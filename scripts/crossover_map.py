@@ -12,10 +12,9 @@ from scene_sim import (
     ExperimentSpec,
     LabelSpec,
     PopulationSpec,
-    crossover_threshold,
     estimate_mse_constants,
 )
-from scene_sim.analysis import CROSSOVER_CSV_HEADER, crossover_csv_row
+from scene_sim.analysis import CROSSOVER_CSV_HEADER
 
 
 def main() -> None:
@@ -46,17 +45,10 @@ def main() -> None:
 
     lines = [CROSSOVER_CSV_HEADER]
     for b in args.budgets:
-        model = CrossoverModel(budget=b, pilot_cost=0, c_coh=args.c_coh,
-                               c_nc=c_nc, num_classes=10)
-        res = crossover_threshold(model)
-        print(f"B={b:>4}: threshold P >= {res.p_threshold:.1f} "
-              f"({res.p_threshold / b:.0%} of the budget)")
-        for p in range(0, b):
-            at_p = crossover_threshold(
-                CrossoverModel(budget=b, pilot_cost=p, c_coh=args.c_coh,
-                               c_nc=c_nc, num_classes=10)
-            )
-            lines.append(crossover_csv_row(at_p, p))
+        model = CrossoverModel(budget=b, c_coh=args.c_coh, c_nc=c_nc, num_classes=10)
+        print(f"B={b:>4}: threshold P >= {model.p_threshold:.1f} "
+              f"({model.p_threshold / b:.0%} of the budget)")
+        lines += [model.csv_row(p) for p in range(b)]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n")

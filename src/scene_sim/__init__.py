@@ -2,11 +2,9 @@
 aggregation of soft labels in federated distillation."""
 
 from .analysis import (
-    CrossoverAnalysis,
     CrossoverModel,
     ar1_acf,
     calibrate_noise,
-    crossover_threshold,
     effective_samples,
     mismatch_bias,
     mismatch_bias_bound,

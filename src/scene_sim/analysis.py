@@ -154,91 +154,56 @@ class CrossoverModel:
     """Round-budget model comparing pilot-based coherent aggregation with the
     pilot-free noncoherent scheme.
 
-    ``budget`` is the per-round resource-element budget B, ``pilot_cost`` the
-    REs a coherent design spends on channel acquisition, and ``c_coh``/``c_nc``
+    ``budget`` is the per-round resource-element budget B and ``c_coh``/``c_nc``
     scheme-dependent MSE constants absorbing everything beyond the common
-    1/(M*S) averaging law.
+    1/(M*S) averaging law. A coherent design spends P of the B REs on channel
+    acquisition, so it repeats S_coh = (B-P)/K times against S_nc = B/K. MSEs
+    are per receive antenna (M = 1); the comparison does not depend on M.
     """
 
     budget: int
-    pilot_cost: int
     c_coh: float
     c_nc: float
     num_classes: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.pilot_cost < self.budget:
-            raise BadBudget(
-                f"need 0 <= P < B, got P={self.pilot_cost}, B={self.budget}"
-            )
+        if self.budget < 1:
+            raise BadBudget(f"need B >= 1, got B={self.budget}")
         if not (0 < self.c_coh < math.inf and 0 < self.c_nc < math.inf):
             raise ValueError(
                 f"MSE constants must be positive and finite, got {self.c_coh}, {self.c_nc}"
             )
         if self.num_classes < 2:
             raise ValueError("need K >= 2 classes")
+        if not all(map(math.isfinite, self.mse(self.budget - 1))):  # the MSEs peak at P = B - 1
+            raise ValueError(f"MSE constants {self.c_coh}, {self.c_nc} overflow the round MSE")
 
+    @property
+    def p_threshold(self) -> float:
+        """Pilot cost from which the pilot-free scheme wins:
+        max(0, (1 - c_coh/c_nc) * B)."""
+        return max(0.0, (1.0 - self.c_coh / self.c_nc) * self.budget)
 
-@dataclass(frozen=True)
-class CrossoverAnalysis:
-    """Threshold and per-scheme quantities at the model's pilot cost.
-
-    MSEs are reported per receive antenna (M = 1); the comparison between the
-    two schemes does not depend on M.
-    """
-
-    p_threshold: float
-    s_coh: float
-    s_nc: float
-    mse_coh: float
-    mse_nc: float
-    budget: int
-    c_coh: float
-    c_nc: float
-
-    def scene_wins(self, pilot_cost: float) -> bool:
-        """True when the noncoherent scheme has the lower round MSE at the
-        given pilot cost: c_nc / B <= c_coh / (B - P)."""
+    def _check(self, pilot_cost: int) -> None:
         if not 0 <= pilot_cost < self.budget:
-            raise BadBudget(
-                f"need 0 <= P < B, got P={pilot_cost}, B={self.budget}"
-            )
+            raise BadBudget(f"need 0 <= P < B, got P={pilot_cost}, B={self.budget}")
+
+    def mse(self, pilot_cost: int) -> tuple[float, float]:
+        """Round MSEs ``(c_coh / S_coh, c_nc / S_nc)`` at pilot cost P."""
+        self._check(pilot_cost)
+        k = self.num_classes
+        return self.c_coh / ((self.budget - pilot_cost) / k), self.c_nc / (self.budget / k)
+
+    def scene_wins(self, pilot_cost: int) -> bool:
+        """True when the noncoherent scheme has the lower round MSE at pilot
+        cost P: c_nc / B <= c_coh / (B - P)."""
+        self._check(pilot_cost)
         return self.c_nc / self.budget <= self.c_coh / (self.budget - pilot_cost)
 
-
-def crossover_threshold(model: CrossoverModel) -> CrossoverAnalysis:
-    """Pilot-cost threshold above which the pilot-free scheme wins:
-    P_threshold = max(0, (1 - c_coh/c_nc) * B).
-
-    Also exposes the usable repetition counts S_coh = (B-P)/K, S_nc = B/K and
-    the resulting round MSEs c/(M*S) at M = 1.
-    """
-    b = model.budget
-    s_coh = (b - model.pilot_cost) / model.num_classes
-    s_nc = b / model.num_classes
-    return CrossoverAnalysis(
-        p_threshold=max(0.0, (1.0 - model.c_coh / model.c_nc) * b),
-        s_coh=s_coh,
-        s_nc=s_nc,
-        mse_coh=model.c_coh / s_coh,
-        mse_nc=model.c_nc / s_nc,
-        budget=b,
-        c_coh=model.c_coh,
-        c_nc=model.c_nc,
-    )
-
-
-def crossover_csv_row(res: CrossoverAnalysis, pilot_cost: int) -> str:
-    """One row under ``CROSSOVER_CSV_HEADER``: the round MSEs of both schemes
-    at ``pilot_cost`` (17 significant digits) and whether SCENE wins there."""
-    return ",".join(
-        [
-            str(res.budget),
-            str(pilot_cost),
-            f"{res.c_coh:.17g}",
-            f"{res.c_nc:.17g}",
-            f"{res.mse_coh:.17g}",
-            f"{res.mse_nc:.17g}",
-            str(int(res.scene_wins(pilot_cost))),
-        ]
-    )
+    def csv_row(self, pilot_cost: int) -> str:
+        """One row under ``CROSSOVER_CSV_HEADER``: the round MSEs of both
+        schemes at ``pilot_cost`` (17 significant digits) and whether SCENE
+        wins there."""
+        numbers = (self.c_coh, self.c_nc, *self.mse(pilot_cost))
+        return ",".join([str(self.budget), str(pilot_cost), *(f"{x:.17g}" for x in numbers),
+                         str(int(self.scene_wins(pilot_cost)))])

@@ -20,12 +20,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import analysis
-from .analysis import (
-    CROSSOVER_CSV_HEADER,
-    CrossoverModel,
-    crossover_csv_row,
-    crossover_threshold,
-)
+from .analysis import CROSSOVER_CSV_HEADER, CrossoverModel
 from .channel import simulate_round
 from .core import ChannelModel, Estimator, RhoRule, weighted_average
 from .estimators import ratio_estimate, scene_estimate
@@ -63,29 +58,31 @@ class RoundSpec(SetupSpec):
 
 @dataclass(frozen=True)
 class CrossoverSpec:
-    """Grid evaluation of the pilot-cost crossover model. With
-    ``estimate_c_nc`` the c_nc of every pair is fitted from ``sweep``."""
+    """Grid evaluation of the pilot-cost crossover model. A ``sweep`` section
+    replaces the c_nc of every pair by one fitted from that sweep."""
 
     budgets: tuple[int, ...] = (100,)
     pilot_costs: tuple[int, ...] = tuple(range(0, 100, 2))
     constant_pairs: tuple[tuple[float, float], ...] = ((1.0, 2.0),)
     num_classes: int = 10
-    estimate_c_nc: bool = False
     sweep: ExperimentSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.estimate_c_nc:
-            if self.sweep is None:
-                raise ConfigError("estimate_c_nc requires a sweep section")
+        if self.sweep is not None:
             check_mse_fit(self.sweep)
-        if self.num_classes < 2:
-            raise ValueError(f"need num_classes >= 2, got {self.num_classes}")
         if not (self.budgets and self.pilot_costs and self.constant_pairs):
             raise ValueError("crossover lists must be nonempty")
-        if min(self.budgets) < 1 or min(self.pilot_costs) < 0:
-            raise ValueError("need budgets >= 1 and pilot_costs >= 0")
-        if any(c <= 0 for pair in self.constant_pairs for c in pair):
-            raise ValueError(f"MSE constants must be positive, got {self.constant_pairs}")
+        if not 0 <= min(self.pilot_costs) < min(self.budgets):
+            raise ValueError(f"every budget needs a row: need 0 <= min(pilot_costs) < "
+                             f"min(budgets), got {self.pilot_costs} and {self.budgets}")
+        self.models()  # each model checks its budget, constants and K
+
+    def models(self, fitted_c_nc: float | None = None) -> list[CrossoverModel]:
+        """One model per (constant pair, budget) in CSV order; ``fitted_c_nc``
+        replaces the configured c_nc of every pair."""
+        return [CrossoverModel(b, c_coh, c_nc if fitted_c_nc is None else fitted_c_nc,
+                               self.num_classes)
+                for c_coh, c_nc in self.constant_pairs for b in self.budgets]
 
 
 _SECTION_TYPES = {
@@ -121,20 +118,15 @@ def _convert(tp, value, path: str):
             return tp(value)
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-    origin = typing.get_origin(tp)
-    if origin in (tuple, list):
+    if typing.get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected an array")
         args = typing.get_args(tp)
-        if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        if len(args) == 2 and args[1] is Ellipsis:
             return tuple(_convert(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
-        if origin is tuple and len(args) == len(value):
-            return tuple(
-                _convert(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value))
-            )
-        if origin is tuple:
+        if len(args) != len(value):
             raise ConfigError(f"{path}: expected {len(args)} entries, got {len(value)}")
-        return [_convert(args[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
+        return tuple(_convert(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
     if tp is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{path}: expected a number")
@@ -148,10 +140,6 @@ def _convert(tp, value, path: str):
     if tp is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected a boolean")
-        return value
-    if tp is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string")
         return value
     raise ConfigError(f"{path}: unsupported config field type {tp!r}")
 
@@ -203,9 +191,9 @@ def _echo_config(spec, command: str, seed: int, out_dir: Path) -> None:
     )
 
 
-def cmd_round(spec: RoundSpec, seed: int, out_dir: Path) -> int:
+def cmd_round(spec: RoundSpec) -> int:
     """Run one aggregation round end to end and print the per-class table."""
-    pop, labels, chan_rng = spec.draw(seed)
+    pop, labels, chan_rng = spec.draw(spec.seed)
     qbar = weighted_average(labels, pop).probs
     k = labels[0].num_classes
     cfg = spec.round_config(pop, k, spec.s, spec.m, spec.snr_db)
@@ -230,34 +218,26 @@ def cmd_round(spec: RoundSpec, seed: int, out_dir: Path) -> int:
     return 0
 
 
-def cmd_sweep(spec: ExperimentSpec, seed: int, out_dir: Path, threads: int | None) -> int:
+def cmd_sweep(spec: ExperimentSpec, out_dir: Path, threads: int | None) -> int:
     """Run the Monte Carlo sweep and write sweep.csv."""
-    rows = run_experiment(replace(spec, seed=seed), threads=threads)
+    rows = run_experiment(spec, threads=threads)
     with open(out_dir / "sweep.csv", "w", newline="") as fp:
         write_rows_csv(rows, fp)
     print(f"wrote {len(rows)} rows to {out_dir / 'sweep.csv'}")
     return 0
 
 
-def cmd_crossover(spec: CrossoverSpec, seed: int, out_dir: Path, threads: int | None) -> int:
-    """Evaluate the crossover threshold over the (B, P) grid."""
-    pairs = list(spec.constant_pairs)
-    if spec.estimate_c_nc:
-        fit = estimate_mse_constants(replace(spec.sweep, seed=seed), threads=threads)
-        pairs = [(c_coh, fit.c_nc) for (c_coh, _) in pairs]
+def cmd_crossover(spec: CrossoverSpec, out_dir: Path, threads: int | None) -> int:
+    """Evaluate the crossover model over the (B, P) grid, with c_nc fitted
+    from the ``sweep`` section when there is one."""
+    fitted = None
+    if spec.sweep is not None:
+        fit = estimate_mse_constants(spec.sweep, threads=threads)
+        fitted = fit.c_nc
         print(f"using fitted c_nc = {fit.c_nc:.6g} (se {fit.se:.2g})")
     lines = [CROSSOVER_CSV_HEADER]
-    for c_coh, c_nc in pairs:
-        for b in spec.budgets:
-            model = CrossoverModel(
-                budget=b, pilot_cost=0, c_coh=c_coh, c_nc=c_nc,
-                num_classes=spec.num_classes,
-            )
-            for p in spec.pilot_costs:
-                if not 0 <= p < b:
-                    continue
-                res = crossover_threshold(replace(model, pilot_cost=p))
-                lines.append(crossover_csv_row(res, p))
+    for model in spec.models(fitted):
+        lines += [model.csv_row(p) for p in spec.pilot_costs if p < model.budget]
     (out_dir / "crossover.csv").write_text("\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} rows to {out_dir / 'crossover.csv'}")
     return 0
@@ -324,6 +304,19 @@ def _apply_overrides(spec, args):
         raise ConfigError(f"command-line flags: {exc}") from exc
 
 
+def _seeded(spec, flag: int | None):
+    """The section with its run seed resolved, and that seed: ``--seed``, else
+    the section's own seed (the sweep's for crossover), else 0. The seed is
+    written into the section, so the echoed config shows the one that ran."""
+    inner = spec.sweep if isinstance(spec, CrossoverSpec) else spec
+    if not hasattr(inner, "seed"):
+        return spec, 0 if flag is None else flag
+    inner = replace(inner, seed=inner.seed if flag is None else flag)
+    if isinstance(spec, CrossoverSpec):
+        return replace(spec, sweep=inner), inner.seed
+    return inner, inner.seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scene-sim",
@@ -363,23 +356,17 @@ def main(argv: list[str] | None = None) -> int:
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"--{flag.replace('_', '-')} must be finite, got {value}")
         spec = load_config(args.config, command)
-        spec = _apply_overrides(spec, args)
-        if args.seed is not None:
-            seed = args.seed
-        elif hasattr(spec, "seed"):
-            seed = spec.seed
-        else:
-            seed = 0
+        spec, seed = _seeded(_apply_overrides(spec, args), args.seed)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _echo_config(spec, command, seed, out_dir)
         threads = args.threads if args.threads is not None else os.cpu_count()
         if command == "round":
-            return cmd_round(spec, seed, out_dir)
+            return cmd_round(spec)
         if command == "sweep":
-            return cmd_sweep(spec, seed, out_dir, threads)
+            return cmd_sweep(spec, out_dir, threads)
         if command == "crossover":
-            return cmd_crossover(spec, seed, out_dir, threads)
+            return cmd_crossover(spec, out_dir, threads)
         return cmd_fd(spec, seed, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -58,7 +58,6 @@ from scene_sim import (
     SoftmaxClassifier,
     SyntheticDataset,
     calibrate_noise,
-    crossover_threshold,
     map_energies,
     min_rho,
     mismatch_bias,
@@ -381,13 +380,10 @@ def test_10_crossover_grid():
     checked = 0
     for c_coh, c_nc in pairs:
         for b in np.linspace(20, 510, 50).astype(int):
-            analysis_at = crossover_threshold(
-                CrossoverModel(budget=int(b), pilot_cost=0, c_coh=c_coh,
-                               c_nc=c_nc, num_classes=10)
-            )
+            model = CrossoverModel(budget=int(b), c_coh=c_coh, c_nc=c_nc, num_classes=10)
             for p in np.linspace(0, b - 1, 50).astype(int):
                 brute = c_nc / b <= c_coh / (b - p)  # direct MSE comparison
-                formula = analysis_at.scene_wins(int(p))
+                formula = p >= model.p_threshold
                 checked += 1
                 disagreements += brute != formula
     assert disagreements == 0, f"{disagreements} disagreements on {checked} points"

@@ -14,7 +14,6 @@ from scene_sim import (
     SoftLabel,
     ar1_acf,
     calibrate_noise,
-    crossover_threshold,
     effective_samples,
     map_energies,
     mismatch_bias,
@@ -236,32 +235,32 @@ class TestCalibrateNoise:
 
 class TestCrossover:
     def test_equal_constants_threshold_zero(self):
-        model = CrossoverModel(budget=100, pilot_cost=10, c_coh=1.0, c_nc=1.0, num_classes=10)
-        res = crossover_threshold(model)
-        assert res.p_threshold == 0.0
-        assert res.scene_wins(1)
-        assert res.scene_wins(0)
+        model = CrossoverModel(budget=100, c_coh=1.0, c_nc=1.0, num_classes=10)
+        assert model.p_threshold == 0.0
+        assert model.scene_wins(1)
+        assert model.scene_wins(0)
 
     def test_boundary_example(self):
-        model = CrossoverModel(budget=100, pilot_cost=50, c_coh=1.0, c_nc=2.0, num_classes=10)
-        res = crossover_threshold(model)
-        assert res.p_threshold == pytest.approx(50.0)
-        assert res.scene_wins(50)
-        assert not res.scene_wins(49)
+        model = CrossoverModel(budget=100, c_coh=1.0, c_nc=2.0, num_classes=10)
+        assert model.p_threshold == pytest.approx(50.0)
+        assert model.scene_wins(50)
+        assert not model.scene_wins(49)
 
     def test_coherent_dominates_clamped(self):
-        model = CrossoverModel(budget=100, pilot_cost=10, c_coh=3.0, c_nc=1.0, num_classes=10)
-        res = crossover_threshold(model)
-        assert res.p_threshold == 0.0
-        assert res.scene_wins(10)
+        model = CrossoverModel(budget=100, c_coh=3.0, c_nc=1.0, num_classes=10)
+        assert model.p_threshold == 0.0
+        assert model.scene_wins(10)
 
     def test_exposed_quantities(self):
-        model = CrossoverModel(budget=100, pilot_cost=20, c_coh=1.0, c_nc=2.0, num_classes=10)
-        res = crossover_threshold(model)
-        assert res.s_coh == pytest.approx(8.0)
-        assert res.s_nc == pytest.approx(10.0)
-        assert res.mse_coh == pytest.approx(1.0 / 8.0)
-        assert res.mse_nc == pytest.approx(2.0 / 10.0)
+        # S_coh = (B - P) / K = 8 and S_nc = B / K = 10
+        model = CrossoverModel(budget=100, c_coh=1.0, c_nc=2.0, num_classes=10)
+        assert model.mse(20) == pytest.approx((1.0 / 8.0, 2.0 / 10.0))
+        assert model.mse(0) == pytest.approx((1.0 / 10.0, 2.0 / 10.0))
+
+    def test_csv_row(self):
+        model = CrossoverModel(budget=100, c_coh=1.0, c_nc=2.0, num_classes=10)
+        assert model.csv_row(20) == "100,20,1,2,0.125,0.20000000000000001,0"
+        assert model.csv_row(50).endswith(",1")
 
     @pytest.mark.parametrize("c_coh, c_nc", [
         (1.0, float("nan")), (float("nan"), 1.0), (1.0, float("inf")), (float("inf"), 1.0),
@@ -269,14 +268,22 @@ class TestCrossover:
     def test_non_finite_constants_rejected(self, c_coh, c_nc):
         # nan <= 0 is False, so a nan fit used to pass and fill the grid with nan
         with pytest.raises(ValueError, match="finite"):
-            CrossoverModel(budget=100, pilot_cost=10, c_coh=c_coh, c_nc=c_nc, num_classes=10)
+            CrossoverModel(budget=100, c_coh=c_coh, c_nc=c_nc, num_classes=10)
+
+    @pytest.mark.parametrize("c_coh, c_nc", [(1e308, 1.0), (1.0, 1e308)])
+    def test_overflowing_mse_rejected(self, c_coh, c_nc):
+        # c * K / (B - P) overflows at P = B - 1 and would write inf rows
+        with pytest.raises(ValueError, match="overflow"):
+            CrossoverModel(budget=1, c_coh=c_coh, c_nc=c_nc, num_classes=10)
 
     def test_bad_budget(self):
         with pytest.raises(BadBudget):
-            CrossoverModel(budget=100, pilot_cost=100, c_coh=1.0, c_nc=1.0, num_classes=10)
-        model = CrossoverModel(budget=100, pilot_cost=0, c_coh=1.0, c_nc=1.0, num_classes=10)
-        with pytest.raises(BadBudget):
-            crossover_threshold(model).scene_wins(100)
+            CrossoverModel(budget=0, c_coh=1.0, c_nc=1.0, num_classes=10)
+        model = CrossoverModel(budget=100, c_coh=1.0, c_nc=1.0, num_classes=10)
+        for method in (model.mse, model.scene_wins, model.csv_row):
+            for p in (100, -1):
+                with pytest.raises(BadBudget):
+                    method(p)
 
     @given(
         b=st.integers(min_value=10, max_value=500),
@@ -285,12 +292,12 @@ class TestCrossover:
     )
     @settings(max_examples=100)
     def test_threshold_consistent_with_mse_comparison(self, b, c_coh, c_nc):
-        model = CrossoverModel(budget=b, pilot_cost=0, c_coh=c_coh, c_nc=c_nc, num_classes=10)
-        res = crossover_threshold(model)
+        model = CrossoverModel(budget=b, c_coh=c_coh, c_nc=c_nc, num_classes=10)
         for p in range(0, b, max(1, b // 17)):
             wins_by_mse = c_nc / b <= c_coh / (b - p)
-            wins_by_threshold = p >= res.p_threshold
+            wins_by_threshold = p >= model.p_threshold
             # the two characterizations may only disagree within float
             # rounding of the threshold itself
-            if abs(p - res.p_threshold) > 1e-9 * b:
+            if abs(p - model.p_threshold) > 1e-9 * b:
                 assert wins_by_mse == wins_by_threshold
+            assert model.scene_wins(p) == wins_by_mse

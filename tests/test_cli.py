@@ -1,8 +1,27 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from scene_sim.cli import ConfigError, load_config, main
+from scene_sim.cli import ConfigError, _convert, load_config, main
+
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED_CONFIGS = sorted((ROOT / "configs").glob("*.json")) + sorted(
+    (ROOT / "perfbench" / "configs").glob("*.json")
+)
+# A sweep the c_nc fit accepts, small enough for a unit test.
+FIT_SWEEP = {
+    "population": {"n_devices": 3},
+    "labels": {"kind": "dirichlet", "num_classes": 10, "alpha": 0.3},
+    "sm_pairs": [[1, 1], [2, 2], [4, 4]],
+    "snr_db_values": [5.0],
+    "channel_model": "diagonal",
+    "trials": 200,
+}
 
 
 def run_cli(args):
@@ -156,11 +175,14 @@ class TestCrossoverCommand:
         {"constant_pairs": [[1.0, 2.0], [1.0, -2.0]]},
         {"budgets": []},
         {"constant_pairs": []},
+        {"budgets": [100], "pilot_costs": [150, 200]},
+        {"budgets": [1], "constant_pairs": [[1e308, 1.0]]},
     ])
     def test_bad_grid_rejected_at_load(self, tmp_path, capsys, section):
         # these used to write config_resolved.json and then fail in the run,
-        # or, for a negative pilot cost or an empty list, exit 0 with a
-        # header-only crossover.csv
+        # or, for a negative pilot cost, an empty list or pilot costs no
+        # budget admits, exit 0 with a header-only crossover.csv; a constant
+        # whose round MSE overflows wrote inf rows
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"crossover": section}))
         with pytest.raises(ConfigError):
@@ -177,12 +199,11 @@ class TestCrossoverCommand:
         {"snr_db_values": [5.0, 10.0]},
     ], ids=["ratio_only", "one_trial", "two_products", "several_snrs"])
     def test_unfittable_sweep_rejected_at_load(self, tmp_path, capsys, sweep):
-        # the first two used to print "using fitted c_nc = nan", write nan
-        # rows and exit 0; the last two wrote config_resolved.json first
-        section = {
-            "estimate_c_nc": True,
-            "sweep": {"sm_pairs": [[1, 1], [2, 2], [4, 4]], "trials": 50, **sweep},
-        }
+        # a sweep section used to be ignored without "estimate_c_nc", so
+        # each of these exited 0 on the configured constants; with it, the
+        # first two printed "using fitted c_nc = nan", wrote nan rows and
+        # exited 0, and the last two wrote config_resolved.json first
+        section = {"sweep": {"sm_pairs": [[1, 1], [2, 2], [4, 4]], "trials": 50, **sweep}}
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"crossover": section}))
         with pytest.raises(ConfigError):
@@ -192,6 +213,12 @@ class TestCrossoverCommand:
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()
 
+    def test_estimate_c_nc_key_removed(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"crossover": {"estimate_c_nc": True, "sweep": FIT_SWEEP}}))
+        with pytest.raises(ConfigError, match="estimate_c_nc"):
+            load_config(str(cfg), "crossover")
+
     def test_fitted_constant_replaces_configured(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
@@ -200,15 +227,7 @@ class TestCrossoverCommand:
                 "pilot_costs": [0, 50],
                 "constant_pairs": [[1.0, 99.0]],
                 "num_classes": 10,
-                "estimate_c_nc": True,
-                "sweep": {
-                    "population": {"n_devices": 3},
-                    "labels": {"kind": "dirichlet", "num_classes": 10, "alpha": 0.3},
-                    "sm_pairs": [[1, 1], [2, 2], [4, 4]],
-                    "snr_db_values": [5.0],
-                    "channel_model": "diagonal",
-                    "trials": 2000,
-                },
+                "sweep": {**FIT_SWEEP, "trials": 2000},
             }
         }))
         assert run_cli(["crossover", "--config", cfg, "--seed", 4, "--out", tmp_path]) == 0
@@ -459,3 +478,108 @@ class TestErrorPaths:
         cfg.write_text(json.dumps({"sweep": {"trials": "many"}}))
         assert run_cli(["sweep", "--config", cfg, "--out", tmp_path]) == 1
         assert "trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tp", [list[int], str, dict[str, int]])
+    def test_unsupported_field_type_is_loud(self, tp):
+        with pytest.raises(ConfigError, match="unsupported config field type"):
+            _convert(tp, [1], "x")
+
+
+class TestRunSeed:
+    """The run seed is ``--seed``, else the section's own seed (the sweep's
+    for crossover), else 0, and the echoed config shows the one that ran."""
+
+    def crossover_config(self, tmp_path, **sweep):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "crossover": {"budgets": [100], "pilot_costs": [0, 50],
+                          "sweep": {**FIT_SWEEP, **sweep}}
+        }))
+        return cfg
+
+    def run(self, tmp_path, name, *args):
+        out = tmp_path / name
+        assert run_cli([*args, "--out", out]) == 0
+        return out
+
+    def test_crossover_fit_uses_sweep_seed(self, tmp_path):
+        # the fit used to ignore sweep.seed and run at seed 0, while
+        # config_resolved.json echoed the configured 5
+        cfg = self.crossover_config(tmp_path, seed=5)
+        own = self.run(tmp_path, "own", "crossover", "--config", cfg)
+        flag = self.run(tmp_path, "flag", "crossover", "--config", cfg, "--seed", 5)
+        zero = self.run(tmp_path, "zero", "crossover", "--config", cfg, "--seed", 0)
+        assert (own / "crossover.csv").read_bytes() == (flag / "crossover.csv").read_bytes()
+        assert (own / "crossover.csv").read_bytes() != (zero / "crossover.csv").read_bytes()
+        echo = json.loads((own / "config_resolved.json").read_text())
+        assert echo["seed"] == echo["crossover"]["sweep"]["seed"] == 5
+        echo = json.loads((zero / "config_resolved.json").read_text())
+        assert echo["seed"] == echo["crossover"]["sweep"]["seed"] == 0
+
+    @pytest.mark.parametrize("command", ["sweep", "round"])
+    def test_seed_flag_echoed_in_section(self, tmp_path, command):
+        # sweep --seed 9 used to echo "sweep": {"seed": 0} next to "seed": 9
+        args = [command, "--seed", 9]
+        if command == "sweep":
+            cfg = tmp_path / "s.json"
+            cfg.write_text(json.dumps({"sweep": {**FIT_SWEEP, "seed": 3}}))
+            args += ["--config", cfg]
+        out = self.run(tmp_path, "out", *args)
+        echo = json.loads((out / "config_resolved.json").read_text())
+        assert echo["seed"] == echo[command]["seed"] == 9
+
+    def test_sweep_section_seed_used_without_flag(self, tmp_path):
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({"sweep": {**FIT_SWEEP, "seed": 3}}))
+        own = self.run(tmp_path, "own", "sweep", "--config", cfg)
+        flag = self.run(tmp_path, "flag", "sweep", "--config", cfg, "--seed", 3)
+        assert (own / "sweep.csv").read_bytes() == (flag / "sweep.csv").read_bytes()
+        assert json.loads((own / "config_resolved.json").read_text())["seed"] == 3
+
+    def test_crossover_without_sweep_echoes_flag(self, tmp_path):
+        out = self.run(tmp_path, "out", "crossover", "--seed", 7)
+        assert json.loads((out / "config_resolved.json").read_text())["seed"] == 7
+
+
+@pytest.mark.parametrize(
+    "path, section",
+    [(p, s) for p in SHIPPED_CONFIGS for s in json.loads(p.read_text())],
+    ids=lambda v: v.name if isinstance(v, Path) else v,
+)
+def test_shipped_config_loads(path, section):
+    # a key deleted from a section type must not leave a shipped config broken
+    load_config(str(path), section)
+
+
+_CONSTANT = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-300, 1.0, 1e300, 1e308]),
+    st.floats(min_value=-10.0, max_value=1e308, allow_nan=False),
+)
+_CROSSOVER_SECTION = st.fixed_dictionaries({}, optional={
+    "budgets": st.lists(st.integers(0, 5), min_size=1, max_size=3),
+    "pilot_costs": st.lists(st.integers(-1, 6), min_size=1, max_size=4),
+    "constant_pairs": st.lists(st.tuples(_CONSTANT, _CONSTANT), min_size=1, max_size=3),
+    "num_classes": st.integers(0, 4),
+    "sweep": st.just(FIT_SWEEP),
+})
+
+
+@given(section=_CROSSOVER_SECTION)
+@example(section={"budgets": [1], "pilot_costs": [1]})  # used to write a header-only CSV
+@example(section={"budgets": [1], "constant_pairs": [[1e308, 1.0]]})  # used to write inf
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_crossover_section_rejected_at_load_or_runs_finite(section):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.json"
+        cfg.write_text(json.dumps({"crossover": section}))
+        out = Path(tmp) / "out"
+        try:
+            spec = load_config(str(cfg), "crossover")
+        except ConfigError:
+            assert run_cli(["crossover", "--config", cfg, "--out", out]) == 1
+            assert not out.exists()
+            return
+        assert run_cli(["crossover", "--config", cfg, "--out", out]) == 0
+        rows = [row.split(",") for row in (out / "crossover.csv").read_text().splitlines()[1:]]
+        assert {int(row[0]) for row in rows} == set(spec.budgets)  # every budget has rows
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
