@@ -146,7 +146,13 @@ def calibrate_noise(rho: float, k: int, snr_db: float) -> float:
         raise ValueError(f"rho must be positive, got {rho}")
     if k < 2:
         raise ValueError(f"need K >= 2, got {k}")
-    return (rho / k) / 10.0 ** (snr_db / 10.0)
+    try:
+        noise = (rho / k) / 10.0 ** (snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):  # 10^(snr_db/10) past the float range
+        noise = 0.0
+    if not 0.0 < noise < math.inf:
+        raise ValueError(f"snr_db {snr_db} puts the noise power outside the float range")
+    return noise
 
 
 @dataclass(frozen=True)

@@ -175,45 +175,51 @@ def simulate_rounds(
 
     out = np.empty((trials, kt), dtype=np.float64)
     superposition = cfg.channel_model is ChannelModel.SUPERPOSITION
-    if superposition:
-        per_trial = n * kt * s * m
-        w = np.sqrt(beta[:, None] * e_ext).astype(np.float32)  # amplitudes
-        noise_std = np.float32(math.sqrt(cfg.noise_var)) if cfg.noise_var > 0 else None
-    else:
-        groups = [
-            (lam_t * lam_s, mult_t * mult_s)
-            for lam_t, mult_t in _kms_groups(s, cfg.time_corr)
-            for lam_s, mult_s in _kms_groups(m, cfg.space_corr)
-        ]
-        per_trial = n * kt * len(groups)
-        w = beta[:, None] * e_ext
-    w = np.broadcast_to(w, (trials, n, kt))  # row t is sent in trial t
-    chunk = max(1, min(trials, _CHUNK_ELEMS // max(per_trial, 1)))
-
-    for lo in range(0, trials, chunk):
-        b = min(chunk, trials - lo)
+    # Past the float32 range a superposition sample turns inf and its energy
+    # inf or nan; that is checked once on the energies below.
+    with np.errstate(over="ignore", invalid="ignore"):
         if superposition:
-            # One fading realization per (device, rep, antenna), shared by all
-            # class slots of that sample; independent phase per slot.
-            g = _sample_fading(gen, (b, n), cfg)
-            u = gen.random((b, n, kt, s, m), dtype=np.float32)
-            u *= _TWO_PI
-            phase = np.empty(u.shape, dtype=np.complex64)
-            np.cos(u, out=phase.real)
-            np.sin(u, out=phase.imag)
-            sig = np.einsum("bik,bism,biksm->bksm", w[lo : lo + b], g, phase)
-            if noise_std is not None:
-                sig += _complex_normal(gen, (b, kt, s, m)) * noise_std
-            out[lo : lo + b] = _abs2_f64(sig).sum(axis=(2, 3))
+            per_trial = n * kt * s * m
+            w = np.sqrt(beta[:, None] * e_ext).astype(np.float32)  # amplitudes
+            noise_std = np.float32(math.sqrt(cfg.noise_var)) if cfg.noise_var > 0 else None
         else:
-            wb = w[lo : lo + b]
-            y = sum(
-                lam * np.einsum("bik,bik->bk", gen.standard_gamma(mult, (b, n, kt)), wb)
-                for lam, mult in groups
-            )
-            if cfg.noise_var > 0:
-                y += gen.standard_gamma(s * m, (b, kt)) * cfg.noise_var
-            out[lo : lo + b] = y
+            groups = [
+                (lam_t * lam_s, mult_t * mult_s)
+                for lam_t, mult_t in _kms_groups(s, cfg.time_corr)
+                for lam_s, mult_s in _kms_groups(m, cfg.space_corr)
+            ]
+            per_trial = n * kt * len(groups)
+            w = beta[:, None] * e_ext
+        w = np.broadcast_to(w, (trials, n, kt))  # row t is sent in trial t
+        chunk = max(1, min(trials, _CHUNK_ELEMS // max(per_trial, 1)))
+
+        for lo in range(0, trials, chunk):
+            b = min(chunk, trials - lo)
+            if superposition:
+                # One fading realization per (device, rep, antenna), shared by all
+                # class slots of that sample; independent phase per slot.
+                g = _sample_fading(gen, (b, n), cfg)
+                u = gen.random((b, n, kt, s, m), dtype=np.float32)
+                u *= _TWO_PI
+                phase = np.empty(u.shape, dtype=np.complex64)
+                np.cos(u, out=phase.real)
+                np.sin(u, out=phase.imag)
+                sig = np.einsum("bik,bism,biksm->bksm", w[lo : lo + b], g, phase)
+                if noise_std is not None:
+                    sig += _complex_normal(gen, (b, kt, s, m)) * noise_std
+                out[lo : lo + b] = _abs2_f64(sig).sum(axis=(2, 3))
+            else:
+                wb = w[lo : lo + b]
+                y = sum(
+                    lam * np.einsum("bik,bik->bk", gen.standard_gamma(mult, (b, n, kt)), wb)
+                    for lam, mult in groups
+                )
+                if cfg.noise_var > 0:
+                    y += gen.standard_gamma(s * m, (b, kt)) * cfg.noise_var
+                out[lo : lo + b] = y
+    if not np.isfinite(out).all():
+        raise ValueError(f"received energies overflow at noise_var {cfg.noise_var:.3g}: "
+                         "the SNR is too low or the energies too large")
     if cfg.use_reference_re:
         return out[:, : cfg.num_classes], out[:, cfg.num_classes].copy()
     return out, None

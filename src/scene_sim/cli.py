@@ -22,7 +22,7 @@ from pathlib import Path
 from . import analysis
 from .analysis import CROSSOVER_CSV_HEADER, CrossoverModel
 from .channel import simulate_round
-from .core import ChannelModel, Estimator, RhoRule, weighted_average
+from .core import Estimator, weighted_average
 from .estimators import ratio_estimate, scene_estimate
 from .fd import FD_CSV_HEADER, FdProtocolConfig, fd_csv_row, run_fd
 from .montecarlo import (
@@ -255,55 +255,6 @@ def cmd_fd(spec: FdProtocolConfig, seed: int, out_dir: Path) -> int:
     return 0
 
 
-# Per-field flags; ``crossover`` takes none of them.
-_FIELD_FLAGS = ("s", "m", "snr_db", "rho", "model", "estimator")
-
-
-def _apply_overrides(spec, args):
-    """Fold the per-field flags into the loaded section. A flag the command
-    cannot honour is a config error, never silently dropped."""
-    given = {f: getattr(args, f) for f in _FIELD_FLAGS if getattr(args, f) is not None}
-    if not given:
-        return spec
-    if isinstance(spec, CrossoverSpec):
-        names = ", ".join("--" + f.replace("_", "-") for f in given)
-        raise ConfigError(f"crossover takes no per-field flags, got {names}")
-    fixed_rho = {"rho_rule": RhoRule.FIXED} if "rho" in given else {}
-    try:
-        if isinstance(spec, FdProtocolConfig):
-            round_cfg = replace(
-                spec.round,
-                reps=given.get("s", spec.round.reps),
-                antennas=given.get("m", spec.round.antennas),
-                rho=given.get("rho", spec.round.rho),
-                channel_model=given.get("model", spec.round.channel_model),
-            )
-            return replace(
-                spec,
-                round=round_cfg,
-                snr_db=given.get("snr_db", spec.snr_db),
-                aggregation=given.get("estimator", spec.aggregation),
-                **fixed_rho,
-            )
-        updates = dict(
-            rho_value=given.get("rho", spec.rho_value),
-            channel_model=given.get("model", spec.channel_model),
-            estimator=given.get("estimator", spec.estimator),
-            **fixed_rho,
-        )
-        if isinstance(spec, RoundSpec):
-            updates.update({f: given[f] for f in ("s", "m", "snr_db") if f in given})
-        else:
-            if "s" in given or "m" in given:
-                s0, m0 = spec.sm_pairs[0]
-                updates["sm_pairs"] = ((given.get("s", s0), given.get("m", m0)),)
-            if "snr_db" in given:
-                updates["snr_db_values"] = (given["snr_db"],)
-        return replace(spec, **updates)
-    except ValueError as exc:
-        raise ConfigError(f"command-line flags: {exc}") from exc
-
-
 def _seeded(spec, flag: int | None):
     """The section with its run seed resolved, and that seed: ``--seed``, else
     the section's own seed (the sweep's for crossover), else 0. The seed is
@@ -329,19 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("crossover", "evaluate the pilot-cost crossover grid; writes crossover.csv"),
         ("fd", "one-shot federated distillation run; writes fd_metrics.csv"),
     ):
-        p = sub.add_parser(name, help=helptext)
+        p = sub.add_parser(name, help=helptext, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="root random seed")
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads for trial parallelism")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--s", type=int, default=None, help="repetitions override")
-        p.add_argument("--m", type=int, default=None, help="antennas override")
-        p.add_argument("--snr-db", type=float, default=None, dest="snr_db")
-        p.add_argument("--rho", type=float, default=None,
-                       help="fixed energy scale (disables the min-rho rule)")
-        p.add_argument("--model", choices=[m.value for m in ChannelModel], default=None)
-        p.add_argument("--estimator", choices=[e.value for e in Estimator], default=None)
     return parser
 
 
@@ -351,12 +295,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        for flag in ("snr_db", "rho"):
-            value = getattr(args, flag)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"--{flag.replace('_', '-')} must be finite, got {value}")
-        spec = load_config(args.config, command)
-        spec, seed = _seeded(_apply_overrides(spec, args), args.seed)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        spec, seed = _seeded(load_config(args.config, command), args.seed)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _echo_config(spec, command, seed, out_dir)

@@ -240,10 +240,13 @@ class FdProtocolConfig:
             raise EmptyBudget("unlabeled budget must be >= 1")
         if self.unlabeled_budget > self.open_size:
             raise ValueError("unlabeled budget exceeds the open pool")
-        if self.private_size + self.open_size > self.data.size:
-            raise ValueError("private + open exceeds the dataset size")
         if self.clients < 1:
             raise ValueError("need at least one client")
+        if self.private_size < self.clients:
+            raise ValueError(f"need private_size >= clients, got {self.private_size}, "
+                             f"{self.clients}")
+        if self.private_size + self.open_size >= self.data.size:
+            raise ValueError("private_size + open_size leaves no test sample in data.size")
         if self.batch_size < 1 or not self.learning_rate > 0:
             raise ValueError(f"need batch_size >= 1, learning_rate > 0, got "
                              f"{self.batch_size}, {self.learning_rate}")
@@ -284,11 +287,7 @@ def split_dataset(data: SyntheticDataset, cfg: FdProtocolConfig) -> DatasetSplit
     """Carve the dataset into per-client private shards, the open pool, and
     the held-out test set (generation already shuffled the samples)."""
     i_p, i_o = cfg.private_size, cfg.open_size
-    if data.size - i_p - i_o < 1:
-        raise ValueError("no samples left for the test set")
     per_client = i_p // cfg.clients
-    if per_client < 1:
-        raise ValueError("private set too small for the client count")
     shards = slice(0, cfg.clients * per_client)
     return DatasetSplit(
         client_features=data.features[shards].reshape(cfg.clients, per_client, -1),

@@ -208,6 +208,8 @@ class SetupSpec:
         )
         if not self.rho_value > 0:
             raise ValueError(f"rho_value must be positive, got {self.rho_value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         n_fixed = len(self.labels.fixed) if self.labels.kind is LabelKind.FIXED else None
         if n_fixed not in (None, self.population.n_devices):
             raise ValueError(f"{n_fixed} fixed labels for {self.population.n_devices} devices")

@@ -232,6 +232,13 @@ class TestCalibrateNoise:
             2 * calibrate_noise(1.0, 10, 7.0)
         )
 
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, -3200.0, float("nan")])
+    def test_out_of_range_snr_names_snr_db(self, snr_db):
+        # 4000 raised OverflowError, -4000 ZeroDivisionError, -3200 gave inf
+        # and nan gave a nan noise power
+        with pytest.raises(ValueError, match="snr_db"):
+            calibrate_noise(1.0, 10, snr_db)
+
 
 class TestCrossover:
     def test_equal_constants_threshold_zero(self):

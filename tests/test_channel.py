@@ -246,6 +246,17 @@ class TestSimulateRoundErrors:
         with pytest.raises(ShapeMismatch):
             simulate_round(frame, pop, cfg, rng)
 
+    @pytest.mark.parametrize("noise_var, energy", [(1e80, 1.0), (1e77, 1.0), (0.0, 1e78)])
+    def test_float32_overflow_is_loud(self, rng, noise_var, energy):
+        # a noise std or amplitude past the float32 range, or (1e77) one whose
+        # samples overflow, used to give nan energies: round at -800 dB
+        # printed nan estimates and exited 0
+        pop = make_uniform_population(2)
+        frame = frame_from_energies([[energy, energy]] * 2)
+        cfg = RoundConfig(num_classes=2, reps=2, noise_var=noise_var)
+        with pytest.raises(ValueError, match="SNR is too low"):
+            simulate_rounds(frame, pop, cfg, rng, trials=50)
+
 
 class TestSimulateRound:
     @pytest.mark.parametrize("model", list(ChannelModel))

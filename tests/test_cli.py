@@ -43,10 +43,9 @@ class TestRoundCommand:
         assert first == second
 
     def test_overrides_reflected_in_echo(self, tmp_path):
-        run_cli([
-            "round", "--seed", 1, "--out", tmp_path,
-            "--snr-db", 10, "--s", 4, "--m", 4,
-        ])
+        cfg = tmp_path / "round.json"
+        cfg.write_text(json.dumps({"round": {"snr_db": 10, "s": 4, "m": 4}}))
+        assert run_cli(["round", "--config", cfg, "--seed", 1, "--out", tmp_path]) == 0
         echoed = json.loads((tmp_path / "config_resolved.json").read_text())
         assert echoed["round"]["snr_db"] == 10.0
         assert echoed["round"]["s"] == 4
@@ -76,9 +75,14 @@ class TestRoundCommand:
 
     def test_estimator_both_rejected(self, tmp_path, capsys):
         # a round runs one estimator; "both" used to run scene silently
-        code = run_cli(["round", "--seed", 7, "--out", tmp_path, "--estimator", "both"])
-        assert code == 1
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"round": {"estimator": "both"}}))
+        with pytest.raises(ConfigError, match="both"):
+            load_config(str(cfg), "round")
+        out = tmp_path / "out"
+        assert run_cli(["round", "--config", cfg, "--seed", 7, "--out", out]) == 1
         assert "both" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -124,8 +128,10 @@ class TestSweepCommand:
 
     def test_estimator_override(self, tmp_path):
         cfg = self.sweep_config(tmp_path)
-        run_cli(["sweep", "--config", cfg, "--seed", 5, "--out", tmp_path,
-                 "--estimator", "both"])
+        raw = json.loads(cfg.read_text())
+        raw["sweep"]["estimator"] = "both"
+        cfg.write_text(json.dumps(raw))
+        assert run_cli(["sweep", "--config", cfg, "--seed", 5, "--out", tmp_path]) == 0
         content = (tmp_path / "sweep.csv").read_text()
         assert ",ratio," in content and ",scene," in content
 
@@ -162,7 +168,9 @@ class TestCrossoverCommand:
     ])
     def test_per_field_flags_rejected(self, tmp_path, capsys, flag, value):
         # the crossover grid has no such field; the flag used to be ignored
-        assert run_cli(["crossover", "--out", tmp_path, flag, value]) == 1
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["crossover", "--out", tmp_path, flag, value])
+        assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "crossover.csv").exists()
 
@@ -267,17 +275,28 @@ class TestFdCommand:
             tmp_path / "b" / "fd_metrics.csv"
         ).read_bytes()
 
-    def test_estimator_both_rejected(self, tmp_path, capsys):
+    def fd_config_with(self, tmp_path, **fields):
         cfg = self.fd_config(tmp_path)
-        code = run_cli(["fd", "--config", cfg, "--seed", 2, "--out", tmp_path,
-                        "--estimator", "both"])
-        assert code == 1
+        raw = json.loads(cfg.read_text())
+        raw["fd"].update(fields)
+        cfg.write_text(json.dumps(raw))
+        return cfg
+
+    def test_estimator_both_rejected(self, tmp_path, capsys):
+        # FD aggregates with one estimator; "both" is no aggregation
+        cfg = self.fd_config_with(tmp_path, aggregation="both")
+        with pytest.raises(ConfigError, match="both"):
+            load_config(str(cfg), "fd")
+        out = tmp_path / "out"
+        assert run_cli(["fd", "--config", cfg, "--seed", 2, "--out", out]) == 1
         assert "both" in capsys.readouterr().err
-        assert not (tmp_path / "fd_metrics.csv").exists()
+        assert not out.exists()
 
     def test_rho_override(self, tmp_path):
-        cfg = self.fd_config(tmp_path)
-        run_cli(["fd", "--config", cfg, "--seed", 2, "--out", tmp_path, "--rho", 0.25])
+        cfg = self.fd_config_with(tmp_path, rho_rule="fixed",
+                                  round={"num_classes": 10, "reps": 2, "antennas": 1,
+                                         "rho": 0.25})
+        assert run_cli(["fd", "--config", cfg, "--seed", 2, "--out", tmp_path]) == 0
         echoed = json.loads((tmp_path / "config_resolved.json").read_text())
         assert echoed["fd"]["rho_rule"] == "fixed"
         assert echoed["fd"]["round"]["rho"] == 0.25
@@ -298,9 +317,8 @@ class TestFdCommand:
         assert not (tmp_path / "out").exists()
 
     def test_snr_override(self, tmp_path):
-        cfg = self.fd_config(tmp_path)
-        run_cli(["fd", "--config", cfg, "--seed", 2, "--out", tmp_path,
-                 "--snr-db", 10])
+        cfg = self.fd_config_with(tmp_path, snr_db=10)
+        assert run_cli(["fd", "--config", cfg, "--seed", 2, "--out", tmp_path]) == 0
         echoed = json.loads((tmp_path / "config_resolved.json").read_text())
         assert echoed["fd"]["snr_db"] == 10.0
         assert ",10," in (tmp_path / "fd_metrics.csv").read_text().splitlines()[1]
@@ -331,9 +349,17 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command", ["round", "sweep"])
     @pytest.mark.parametrize("flag", ["--s", "--m"])
     def test_zero_count_flag_rejected_at_load(self, tmp_path, capsys, command, flag):
-        # used to write config_resolved.json and fail only when the round ran
+        # the zero S or M that --s 0 / --m 0 used to set, now set in the
+        # section; it used to write config_resolved.json and fail only when
+        # the round ran
+        s, m = (0, 4) if flag == "--s" else (4, 0)
+        section = {"s": s, "m": m} if command == "round" else {"sm_pairs": [[s, m]]}
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({command: section}))
+        with pytest.raises(ConfigError):
+            load_config(str(cfg), command)
         out = tmp_path / "out"
-        assert run_cli([command, "--out", out, flag, 0]) == 1
+        assert run_cli([command, "--config", cfg, "--out", out]) == 1
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()
 
@@ -398,11 +424,15 @@ class TestErrorPaths:
             {"distill_epochs": -1},
             {"data": {"dim": 0}},
             {"data": {"noise_std": -0.3}},
+            {"private_size": 0},
+            {"clients": 50, "private_size": 10},
+            {"private_size": 6000, "open_size": 4000},
         ],
     )
     def test_fd_training_settings_checked_at_load(self, tmp_path, capsys, section):
         # these used to exit 0 at chance-level accuracy, or for batch_size 0
-        # write config_resolved.json and then fail inside the SGD loop
+        # and splits with an empty client shard or test set write
+        # config_resolved.json and then fail inside the run
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"fd": section}))
         with pytest.raises(ConfigError):
@@ -432,9 +462,12 @@ class TestErrorPaths:
     @pytest.mark.parametrize("flag", ["--snr-db", "--rho"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_flag_rejected(self, tmp_path, capsys, command, flag, value):
-        # sweep --snr-db nan used to run noise-free and write empty snr_db cells
+        # sweep --snr-db nan used to run noise-free and write empty snr_db
+        # cells; the flag is gone, so its attached form is a usage error
         out = tmp_path / "out"
-        assert run_cli([command, f"{flag}={value}", "--out", out]) == 1
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, f"{flag}={value}", "--out", out])
+        assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
@@ -539,6 +572,44 @@ class TestRunSeed:
     def test_crossover_without_sweep_echoes_flag(self, tmp_path):
         out = self.run(tmp_path, "out", "crossover", "--seed", 7)
         assert json.loads((out / "config_resolved.json").read_text())["seed"] == 7
+
+    @pytest.mark.parametrize("command", ["round", "sweep", "crossover", "fd"])
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys, command):
+        # round, sweep and fd used to write config_resolved.json and then fail
+        # in RandomSource; crossover exited 0 and echoed seed -1
+        out = tmp_path / "out"
+        assert run_cli([command, "--seed", -1, "--out", out]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, section", [
+        ("round", {"seed": -1}),
+        ("sweep", {"seed": -2}),
+        ("crossover", {"sweep": {**FIT_SWEEP, "seed": -1}}),
+    ])
+    def test_negative_section_seed_rejected_at_load(self, tmp_path, capsys, command, section):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({command: section}))
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(str(cfg), command)
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--s", "--m", "--snr-db", "--rho", "--model", "--estimator",
+                                  "--se"])
+@pytest.mark.parametrize("command", ["round", "sweep", "crossover", "fd"])
+def test_deleted_flag_is_usage_error(tmp_path, capsys, command, flag):
+    # a setting is spelled only in its config section, and flags are not
+    # abbreviated, so a deleted "--s 2" cannot be read as "--seed 2"
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, flag, 2, "--out", out])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

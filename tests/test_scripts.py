@@ -1,6 +1,9 @@
-"""Smoke tests of the experiment scripts: each runs in a subprocess at a tiny
-size, exits 0 and writes a CSV headed like the library's own exports."""
+"""Smoke tests of the experiment scripts and the ``python -m scene_sim`` entry
+point, each run in a subprocess: the scripts at a tiny size exit 0 and write a
+CSV headed like the library's own exports. A subprocess runs with Python's
+default warning filters, not with the suite's RuntimeWarnings-as-errors."""
 
+import json
 import os
 import subprocess
 import sys
@@ -15,17 +18,25 @@ from scene_sim.montecarlo import CSV_HEADER
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, out, *args):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), "--out", str(out), *map(str, args)],
-        env=env, capture_output=True, text=True, timeout=300,
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+def run_script(name, out, *args):
+    proc = run_python(ROOT / "scripts" / name, "--out", out, *args)
     assert proc.returncode == 0, proc.stderr
     return out.read_text().splitlines()
+
+
+def run_cli(*args):
+    return run_python("-m", "scene_sim", *args)
 
 
 @pytest.mark.parametrize(
@@ -49,3 +60,32 @@ def test_fd_budget_reruns_byte_identical(tmp_path):
     first = run_script("fd_budget.py", tmp_path / "a.csv", *args)
     assert first == run_script("fd_budget.py", tmp_path / "b.csv", *args)
     assert len(first) == 3  # header + one row per (S, seed)
+
+
+@pytest.mark.parametrize("command", ["round", "crossover"])
+def test_cli_runs_shipped_config(tmp_path, command):
+    proc = run_cli(command, "--config", f"configs/{command}.json", "--out", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "config_resolved.json").exists()
+
+
+def test_cli_deleted_flag_is_usage_error(tmp_path):
+    proc = run_cli("round", "--s", 2, "--out", tmp_path / "out")
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_fd_overflow_fails(tmp_path):
+    # at -800 dB the superposition noise overflows float32; with default
+    # warning filters this used to exit 0 with agg_l2_err taken against
+    # all-uniform targets
+    cfg = tmp_path / "fd.json"
+    cfg.write_text(json.dumps({"fd": {
+        "clients": 2, "private_size": 100, "open_size": 100, "unlabeled_budget": 8,
+        "pretrain_epochs": 1, "distill_epochs": 1, "snr_db": -800.0, "data": {"size": 300},
+    }}))
+    proc = run_cli("fd", "--config", cfg, "--out", tmp_path / "out")
+    assert proc.returncode == 1
+    assert "SNR is too low" in proc.stderr
+    assert not (tmp_path / "out" / "fd_metrics.csv").exists()
