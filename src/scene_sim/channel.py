@@ -8,9 +8,17 @@ uniform phase per slot. DIAGONAL adds per-device fading energies directly,
 with fading drawn independently per class slot; class energies are then
 mutually independent, which is the regime the variance identities assume.
 
-SUPERPOSITION draws complex fading and noise samples in single precision (they
-only feed Monte Carlo statistics); energies accumulate in double precision.
-DIAGONAL draws none: the fading amplitudes of a (device, slot) pair are
+SUPERPOSITION draws each device's fading magnitude r = |g| per (repetition,
+antenna) sample and a uniform phase per class slot: g times an independent
+uniform phase has the law of |g| times that phase, so the complex g is drawn
+only under correlation (its AR(1) block, then |g|). Magnitudes, phases and the
+real and imaginary slot sums are single precision; their energy
+x2 = sum_{s,m} |x_sm|^2 is reduced in double precision. Given x2, the noisy
+energy sum |x + n|^2 with n ~ CN(0, noise_var) has exactly the law
+noise_var * Gamma(S*M - 1/2, 1) + (sqrt(x2) + sqrt(noise_var/2) * Z)^2, that
+is (noise_var/2) * chi'^2_{2SM}(2 x2 / noise_var), so one Gamma and one normal
+double draw per slot replace the 2*S*M noise samples.
+DIAGONAL draws no samples: the fading amplitudes of a (device, slot) pair are
 CN(0, C), C = KMS_S(sqrt(time_corr)) (x) KMS_M(sqrt(space_corr)), so their
 energy is exactly sum_g lam_g * Gamma(mult_g, 1) over the eigenvalue groups of
 C (one Gamma(S*M, 1) without correlation); a slot's noise energy is
@@ -27,8 +35,11 @@ import numpy as np
 from .core import BadRange, ChannelModel, DevicePopulation, RandomSource, RoundConfig, check_range
 from .power import EnergyFrame
 
-# Target element count of one vectorized chunk of trials.
+# Target element count of one vectorized chunk of trials: the Gamma draws of
+# the diagonal branch, and the (trials, N, K[+1], S, M) phase block of the
+# superposition branch, sized so that its work blocks stay in cache.
 _CHUNK_ELEMS = 8_000_000
+_SUPER_CHUNK_ELEMS = 500_000
 
 
 class ShapeMismatch(ValueError):
@@ -102,8 +113,7 @@ def _sample_fading(
 
     The correlation coefficients are specified in the energy domain: the
     squared magnitudes have autocorrelation time_corr^|ds| * space_corr^|dm|,
-    so the underlying amplitude process uses the square roots. With both
-    coefficients zero this reduces to i.i.d. draws (same stream consumption).
+    so the underlying amplitude process uses the square roots.
     """
     z = _complex_normal(gen, prefix + (cfg.reps, cfg.antennas))
     _ar1_filter_inplace(z, math.sqrt(cfg.time_corr), axis=-2)
@@ -122,8 +132,37 @@ def _kms_groups(n: int, corr: float) -> list[tuple[float, int]]:
     return [(float(lam), 1) for lam in np.linalg.eigvalsh(kms)]
 
 
-def _abs2_f64(z: np.ndarray) -> np.ndarray:
-    return z.real.astype(np.float64) ** 2 + z.imag.astype(np.float64) ** 2
+def _superpose(
+    gen: np.random.Generator, w: np.ndarray, cfg: RoundConfig, theta: np.ndarray, trig: np.ndarray
+) -> np.ndarray:
+    """Noisy superposition energies (b, K[+1]) of one chunk of trials sending
+    the float32 amplitudes ``w`` (b, N, K[+1]); ``theta`` and ``trig`` are
+    (b, N, K[+1], S, M) float32 work blocks.
+
+    Each device's gain is drawn as its magnitude r, shared by the class slots
+    of a sample, times a fresh uniform phase per slot. The slot sums are two
+    real contractions, and their energy x2 is reduced in float64. The noise
+    energy given x2 is drawn exactly as in the module docstring.
+    """
+    b, n, kt = w.shape
+    s, m = cfg.reps, cfg.antennas
+    if cfg.time_corr or cfg.space_corr:
+        r = np.abs(_sample_fading(gen, (b, n), cfg))
+    else:
+        r = gen.standard_exponential((b, n, s, m), dtype=np.float32)
+        np.sqrt(r, out=r)
+    gen.random(dtype=np.float32, out=theta)
+    theta *= _TWO_PI
+    parts = np.empty((2, b, kt, s, m), dtype=np.float32)  # real, imaginary
+    for part, fn in zip(parts, (np.cos, np.sin)):
+        fn(theta, out=trig)
+        np.einsum("bik,bism,biksm->bksm", w, r, trig, out=part)
+    x2 = np.einsum("xbksm,xbksm->bk", parts, parts, dtype=np.float64)
+    if cfg.noise_var == 0:
+        return x2
+    y = gen.standard_gamma(s * m - 0.5, x2.shape) * cfg.noise_var
+    y += (np.sqrt(x2) + math.sqrt(cfg.noise_var / 2) * gen.standard_normal(x2.shape)) ** 2
+    return y
 
 
 def _check_frame(energies: EnergyFrame, pop: DevicePopulation, cfg: RoundConfig) -> None:
@@ -152,9 +191,10 @@ def simulate_rounds(
     rows give the Y of their (N, K) frame bit for bit.
     Fading and noise are redrawn each trial, fading AR(1)-correlated across
     repetitions and antennas by ``cfg.time_corr``/``cfg.space_corr``.
-    DIAGONAL draws each slot's fading and noise energies as the Gamma sums of
-    the module docstring: the distribution of summing S*M complex samples,
-    from another stream.
+    SUPERPOSITION draws fading magnitudes, phases and the exact noise energy,
+    and DIAGONAL each slot's fading and noise energies as Gamma sums (module
+    docstring): both the distribution of summing S*M complex samples, from
+    fewer draws.
     Chunking is a pure implementation detail and fixed given the shapes, so
     results depend only on the arguments and the stream state.
     """
@@ -175,39 +215,30 @@ def simulate_rounds(
 
     out = np.empty((trials, kt), dtype=np.float64)
     superposition = cfg.channel_model is ChannelModel.SUPERPOSITION
-    # Past the float32 range a superposition sample turns inf and its energy
-    # inf or nan; that is checked once on the energies below.
+    # Past the float32 range an amplitude turns inf, and past the float64
+    # range an energy; that is checked once on the energies below.
     with np.errstate(over="ignore", invalid="ignore"):
         if superposition:
-            per_trial = n * kt * s * m
+            budget, per_trial = _SUPER_CHUNK_ELEMS, n * kt * s * m
             w = np.sqrt(beta[:, None] * e_ext).astype(np.float32)  # amplitudes
-            noise_std = np.float32(math.sqrt(cfg.noise_var)) if cfg.noise_var > 0 else None
         else:
             groups = [
                 (lam_t * lam_s, mult_t * mult_s)
                 for lam_t, mult_t in _kms_groups(s, cfg.time_corr)
                 for lam_s, mult_s in _kms_groups(m, cfg.space_corr)
             ]
-            per_trial = n * kt * len(groups)
+            budget, per_trial = _CHUNK_ELEMS, n * kt * len(groups)
             w = beta[:, None] * e_ext
         w = np.broadcast_to(w, (trials, n, kt))  # row t is sent in trial t
-        chunk = max(1, min(trials, _CHUNK_ELEMS // max(per_trial, 1)))
+        chunk = max(1, min(trials, budget // per_trial))
+        if superposition:  # phase and cos/sin blocks, reused by every chunk
+            theta = np.empty((chunk, n, kt, s, m), dtype=np.float32)
+            trig = np.empty_like(theta)
 
         for lo in range(0, trials, chunk):
             b = min(chunk, trials - lo)
             if superposition:
-                # One fading realization per (device, rep, antenna), shared by all
-                # class slots of that sample; independent phase per slot.
-                g = _sample_fading(gen, (b, n), cfg)
-                u = gen.random((b, n, kt, s, m), dtype=np.float32)
-                u *= _TWO_PI
-                phase = np.empty(u.shape, dtype=np.complex64)
-                np.cos(u, out=phase.real)
-                np.sin(u, out=phase.imag)
-                sig = np.einsum("bik,bism,biksm->bksm", w[lo : lo + b], g, phase)
-                if noise_std is not None:
-                    sig += _complex_normal(gen, (b, kt, s, m)) * noise_std
-                out[lo : lo + b] = _abs2_f64(sig).sum(axis=(2, 3))
+                out[lo : lo + b] = _superpose(gen, w[lo : lo + b], cfg, theta[:b], trig[:b])
             else:
                 wb = w[lo : lo + b]
                 y = sum(

@@ -211,11 +211,16 @@ def cmd_round(spec: RoundSpec) -> int:
     print(f"{'class':>5} {'q_bar':>12} {'raw':>12} {'projected':>12} "
           f"{'bias':>12} {'var_bound':>12}")
     for c in range(k):
-        print(
-            f"{c:>5} {qbar[c]:>12.6f} {raw[c]:>12.6f} "
-            f"{projected[c]:>12.6f} {bias[c]:>12.6f} {bound[c]:>12.6f}"
-        )
+        cells = (_cell(col[c]) for col in (qbar, raw, projected, bias, bound))
+        print(f"{c:>5} " + " ".join(cells))
     return 0
+
+
+def _cell(x: float) -> str:
+    """A 12-character table cell: six decimals when they fit, else six
+    significant digits."""
+    fixed = f"{x:>12.6f}"
+    return fixed if len(fixed) <= 12 else f"{x:>12.6g}"
 
 
 def cmd_sweep(spec: ExperimentSpec, out_dir: Path, threads: int | None) -> int:

@@ -285,7 +285,12 @@ class DatasetSplit:
 
 def split_dataset(data: SyntheticDataset, cfg: FdProtocolConfig) -> DatasetSplit:
     """Carve the dataset into per-client private shards, the open pool, and
-    the held-out test set (generation already shuffled the samples)."""
+    the held-out test set (generation already shuffled the samples). ``data``
+    must have the size, dimension and class count of ``cfg.data``."""
+    got = (data.size, data.dim, data.num_classes)
+    want = (cfg.data.size, cfg.data.dim, cfg.data.num_classes)
+    if got != want:
+        raise ValueError(f"data has (size, dim, num_classes) {got}, config {want}")
     i_p, i_o = cfg.private_size, cfg.open_size
     per_client = i_p // cfg.clients
     shards = slice(0, cfg.clients * per_client)

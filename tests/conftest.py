@@ -90,6 +90,48 @@ def diagonal_reference_rounds(energies, pop, cfg, rng, trials):
     return y
 
 
+def superposition_reference_rounds(energies, pop, cfg, rng, trials, chunk=10_000):
+    """Slow reference of the superposition model: the complex-sample kernel
+    that drawing magnitudes and the exact noise energy replaced, chunk by
+    chunk of trials. Y of shape (trials, K[+1]) sums, over the S*M samples of
+    each slot, |sum_i sqrt(beta_i E_ic) g_ism e^(j theta_icsm) + n_csm|^2. The
+    g are complex64 CN(0, 1) draws run through stationary AR(1) recursions
+    with coefficient sqrt(time_corr) across repetitions, then sqrt(space_corr)
+    across antennas; each theta is uniform on [0, 2 pi) and each n a
+    CN(0, noise_var) draw."""
+    w = np.sqrt(pop.betas_true[:, None] * extended_energies(energies, cfg)).astype(np.float32)
+    n, kt = w.shape[-2:]
+    w = np.broadcast_to(w, (trials, n, kt))
+    s, m = cfg.reps, cfg.antennas
+    gen = rng.generator
+
+    def complex_normal(shape):
+        z = gen.standard_normal(shape + (2,), dtype=np.float32).view(np.complex64)[..., 0]
+        return z * np.float32(1 / np.sqrt(2.0))
+
+    def ar1(z, corr, axis):
+        coeff = math.sqrt(corr)
+        a, b = np.float32(coeff), np.float32(math.sqrt(1.0 - coeff * coeff))
+        zm = np.moveaxis(z, axis, 0)
+        for t in range(1, zm.shape[0]):
+            zm[t] = a * zm[t - 1] + b * zm[t]
+
+    y = np.empty((trials, kt))
+    for lo in range(0, trials, chunk):
+        b = min(chunk, trials - lo)
+        g = complex_normal((b, n, s, m))
+        ar1(g, cfg.time_corr, -2)
+        ar1(g, cfg.space_corr, -1)
+        u = gen.random((b, n, kt, s, m), dtype=np.float32) * np.float32(2 * np.pi)
+        phase = np.empty(u.shape, dtype=np.complex64)
+        np.cos(u, out=phase.real)
+        np.sin(u, out=phase.imag)
+        sig = np.einsum("bik,bism,biksm->bksm", w[lo : lo + b], g, phase)
+        sig += complex_normal((b, kt, s, m)) * np.float32(np.sqrt(cfg.noise_var))
+        y[lo : lo + b] = _abs2(sig.astype(np.complex128)).sum(axis=(2, 3))
+    return y
+
+
 def reference_sgd(model, x, targets, epochs, batch_size, learning_rate, rng):
     """Slow reference of ``fd.train_lockstep`` for one model: the per-client
     loop it replaces. Each epoch shuffles with ``rng``, each batch gathers its

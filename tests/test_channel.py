@@ -24,8 +24,10 @@ from scene_sim.power import EnergyFrame
 
 from conftest import (
     diagonal_reference_rounds,
+    extended_energies,
     frozen_round,
     make_uniform_population,
+    superposition_reference_rounds,
     variance_se,
 )
 
@@ -129,6 +131,20 @@ class TestSimulateRoundMoments:
         rel = np.abs(y.var(axis=0, ddof=1) / expected_var - 1.0)
         assert np.all(rel < 0.05)
 
+    @pytest.mark.parametrize("noise_var", [1e-320, 1e77, 1e80])
+    def test_extreme_noise_is_finite_and_unbiased(self, noise_var):
+        # the noise energy is drawn in float64: a subnormal noise power and
+        # one whose float32 samples overflowed both give finite energies with
+        # E[Y_c] = S*M * (sum_i beta_i E_ic + noise_var), within 4 SE
+        pop = make_uniform_population(2)
+        frame = frame_from_energies([[1.0, 0.5], [0.7, 0.3]])
+        cfg = RoundConfig(num_classes=2, reps=2, antennas=2, noise_var=noise_var)
+        y, _ = simulate_rounds(frame, pop, cfg, RandomSource(7), trials=20_000)
+        assert np.isfinite(y).all() and (y > 0).all()
+        expected = 4 * (pop.betas_true @ frame.energies + noise_var)
+        se = y.std(axis=0, ddof=1) / np.sqrt(len(y))
+        assert np.all(np.abs(y.mean(axis=0) - expected) <= 4 * se)
+
     def test_diagonal_per_sample_variance(self):
         # Rayleigh: Var(E_i |h_i|^2) = E_i^2 beta_i^2; noise energy adds sigma^4
         pop = DevicePopulation([0.5, 0.5], [1.0, 2.0])
@@ -231,6 +247,58 @@ class TestDiagonalGammaSums:
         assert np.all(np.abs(raw.var(axis=0, ddof=1) - exact) <= self.Z * variance_se(raw))
 
 
+class TestSuperpositionDistribution:
+    """The superposition kernel draws each fading magnitude, one phase per
+    class slot and the exact noise energy of a slot given its noise-free
+    energy. Its per-slot means, variances and cross-class correlations must
+    match the complex-sample reference, and its means the closed form
+    E[Y_c] = S*M * (sum_i beta_i E_ic + noise_var)."""
+
+    # 4-SE bands: false-failure probability at most 6e-5 per comparison,
+    # about 0.005 over the 78 comparisons of the 4 cases.
+    Z = 4.0
+    # Correlation SEs are batch means: the spread of the per-batch estimates.
+    BATCHES = 40
+
+    @pytest.mark.parametrize("reference", [False, True])
+    @pytest.mark.parametrize("corr", [{}, dict(time_corr=0.3, space_corr=0.2)])
+    def test_moments_match_reference_and_closed_form(self, reference, corr):
+        pop = DevicePopulation(
+            [0.4, 0.3, 0.2, 0.1], [1.6, 0.4, 1.0, 0.9], power_caps=np.full(4, 2.0)
+        )
+        q = np.array([(0.7, 0.2, 0.1), (0.1, 0.8, 0.1), (0.3, 0.3, 0.4), (0.05, 0.05, 0.9)])
+        cfg = RoundConfig(
+            num_classes=3, reps=2, antennas=3, noise_var=calibrate_noise(1.0, 3, 0.0),
+            use_reference_re=reference, **corr,
+        )
+        frame = map_energies(q, pop, 1.0)
+        y, y_ref = simulate_rounds(frame, pop, cfg, RandomSource(41), trials=400_000)
+        fast = y if y_ref is None else np.column_stack([y, y_ref])
+        slow = superposition_reference_rounds(frame, pop, cfg, RandomSource(42), 200_000)
+
+        mean_se = np.sqrt(fast.var(axis=0) / len(fast) + slow.var(axis=0) / len(slow))
+        assert np.all(np.abs(fast.mean(axis=0) - slow.mean(axis=0)) <= self.Z * mean_se)
+        var_se = np.hypot(variance_se(fast), variance_se(slow))
+        assert np.all(np.abs(fast.var(axis=0) - slow.var(axis=0)) <= self.Z * var_se)
+        (fast_corr, fast_se), (slow_corr, slow_se) = map(self.cross_class_corr, (fast, slow))
+        assert np.all(np.abs(fast_corr - slow_corr) <= self.Z * np.hypot(fast_se, slow_se))
+        # the slots share each device's fading magnitude: positive correlation
+        assert np.all(fast_corr > self.Z * fast_se)
+
+        expected = cfg.sample_count * (
+            pop.betas_true @ extended_energies(frame, cfg) + cfg.noise_var
+        )
+        se = fast.std(axis=0, ddof=1) / np.sqrt(len(fast))
+        assert np.all(np.abs(fast.mean(axis=0) - expected) <= self.Z * se)
+
+    def cross_class_corr(self, y):
+        """Correlations of every slot pair and their batch-means SEs."""
+        pairs = np.triu_indices(y.shape[1], 1)
+        batches = [np.corrcoef(part, rowvar=False)[pairs] for part in np.split(y, self.BATCHES)]
+        se = np.std(batches, axis=0, ddof=1) / np.sqrt(self.BATCHES)
+        return np.corrcoef(y, rowvar=False)[pairs], se
+
+
 class TestSimulateRoundErrors:
     def test_shape_mismatch_devices(self, rng):
         pop = make_uniform_population(2)
@@ -246,11 +314,11 @@ class TestSimulateRoundErrors:
         with pytest.raises(ShapeMismatch):
             simulate_round(frame, pop, cfg, rng)
 
-    @pytest.mark.parametrize("noise_var, energy", [(1e80, 1.0), (1e77, 1.0), (0.0, 1e78)])
+    @pytest.mark.parametrize("noise_var, energy", [(1.7e308, 1.0), (1e308, 1.0), (0.0, 1e78)])
     def test_float32_overflow_is_loud(self, rng, noise_var, energy):
-        # a noise std or amplitude past the float32 range, or (1e77) one whose
-        # samples overflow, used to give nan energies: round at -800 dB
-        # printed nan estimates and exited 0
+        # an amplitude past the float32 range (1e78), or a noise power whose
+        # energies pass the float64 range, used to give inf or nan energies:
+        # round at -800 dB printed nan estimates and exited 0
         pop = make_uniform_population(2)
         frame = frame_from_energies([[energy, energy]] * 2)
         cfg = RoundConfig(num_classes=2, reps=2, noise_var=noise_var)
@@ -275,13 +343,15 @@ class TestSimulateRound:
             assert y_ref is None and refs is None
 
 
-# The two branches of the kernel, complex superposition and diagonal Gamma
-# sums; the diagonal one with a single group (uncorrelated) and with many
-# groups (correlated), which chunks by groups under the 50-element override.
+# The two branches of the kernel, superposition and diagonal Gamma sums;
+# the diagonal one with a single group (uncorrelated) and with many groups
+# (correlated), which chunks by groups under the 50-element override; the
+# superposition one also correlated, which draws |g| from complex AR(1) fading.
 KERNEL_BRANCHES = [
     dict(channel_model=ChannelModel.SUPERPOSITION),
     dict(channel_model=ChannelModel.DIAGONAL),
     dict(channel_model=ChannelModel.DIAGONAL, time_corr=0.3, space_corr=0.2),
+    dict(channel_model=ChannelModel.SUPERPOSITION, time_corr=0.3, space_corr=0.2),
 ]
 
 
@@ -294,6 +364,7 @@ class TestPerTrialFrames:
     def test_equal_rows_bit_identical(self, branch, reference, chunk_elems, monkeypatch):
         if chunk_elems is not None:  # many small chunks
             monkeypatch.setattr(channel, "_CHUNK_ELEMS", chunk_elems)
+            monkeypatch.setattr(channel, "_SUPER_CHUNK_ELEMS", chunk_elems)
         pop = DevicePopulation([0.2, 0.3, 0.5], [0.6, 1.0, 1.7])
         q = np.random.default_rng(4).dirichlet(np.full(4, 0.5), size=3)
         cfg = RoundConfig(num_classes=4, reps=2, antennas=3, rho=0.8, noise_var=0.4,
@@ -310,6 +381,7 @@ class TestPerTrialFrames:
         # trial t puts all energy on class hot[t] and no noise is added, so
         # every other class slot receives exactly zero, across chunk borders
         monkeypatch.setattr(channel, "_CHUNK_ELEMS", 50)
+        monkeypatch.setattr(channel, "_SUPER_CHUNK_ELEMS", 50)
         pop = DevicePopulation([0.5, 0.5], [1.0, 0.4])
         k, trials = 3, 30
         hot = np.random.default_rng(5).integers(0, k, trials)

@@ -42,6 +42,17 @@ class TestRoundCommand:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_extreme_values_keep_the_columns(self, tmp_path, capsys):
+        # at -700 dB raw and var_bound reach about 1e68 and 1e137: fixed-point
+        # cells of 70 and 140 digits used to break the table
+        cfg = tmp_path / "round.json"
+        cfg.write_text(json.dumps({"round": {"snr_db": -700}}))
+        assert run_cli(["round", "--config", cfg, "--out", tmp_path]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 11 and all(len(row) == 5 + 5 * 13 for row in rows)
+        assert all(len(row.split()) == 6 for row in rows)
+        assert "e+" in rows[1]
+
     def test_overrides_reflected_in_echo(self, tmp_path):
         cfg = tmp_path / "round.json"
         cfg.write_text(json.dumps({"round": {"snr_db": 10, "s": 4, "m": 4}}))

@@ -261,6 +261,16 @@ class TestSplit:
         assert split.open_features.shape[0] == 4000
         assert split.test_features.shape[0] == 2000
 
+    @pytest.mark.parametrize(
+        "data", [dict(size=8000), dict(dim=8), dict(num_classes=5)], ids=["size", "dim", "classes"]
+    )
+    def test_data_must_match_config(self, data):
+        # an 8000-sample dataset under the default 4000 + 4000 split used to
+        # give a test set of shape (0, 16) without an error
+        generated = SyntheticDataset.generate(RandomSource(0), **data)
+        with pytest.raises(ValueError, match="num_classes"):
+            split_dataset(generated, FdProtocolConfig())
+
     def test_config_validation(self):
         with pytest.raises(EmptyBudget):
             FdProtocolConfig(unlabeled_budget=0)

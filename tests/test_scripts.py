@@ -77,15 +77,47 @@ def test_cli_deleted_flag_is_usage_error(tmp_path):
 
 
 def test_cli_fd_overflow_fails(tmp_path):
-    # at -800 dB the superposition noise overflows float32; with default
-    # warning filters this used to exit 0 with agg_l2_err taken against
-    # all-uniform targets
+    # at -3085 dB calibrate_noise still gives a finite noise power (5e307
+    # here), but the superposition energies pass the float64 range; with
+    # default warning filters such an overflow used to exit 0 with agg_l2_err
+    # taken against all-uniform targets
     cfg = tmp_path / "fd.json"
     cfg.write_text(json.dumps({"fd": {
         "clients": 2, "private_size": 100, "open_size": 100, "unlabeled_budget": 8,
-        "pretrain_epochs": 1, "distill_epochs": 1, "snr_db": -800.0, "data": {"size": 300},
+        "pretrain_epochs": 1, "distill_epochs": 1, "snr_db": -3085.0, "data": {"size": 300},
     }}))
     proc = run_cli("fd", "--config", cfg, "--out", tmp_path / "out")
     assert proc.returncode == 1
     assert "SNR is too low" in proc.stderr
     assert not (tmp_path / "out" / "fd_metrics.csv").exists()
+
+
+# Peak resident set of the child's own address space (VmHWM). Its ru_maxrss
+# would not do: Linux carries the peak of the address space that exec
+# replaced, here the forking test process, into it.
+_PEAK_RSS = """
+import re, sys
+from pathlib import Path
+from scene_sim import cli
+code = cli.main(sys.argv[1:])
+status = Path("/proc/self/status").read_text()
+print(int(re.search(r"VmHWM:\\s*(\\d+) kB", status).group(1)) // 1024)
+sys.exit(code)
+"""
+
+
+def test_superposition_sweep_memory_is_bounded(tmp_path):
+    # two workers at S*M = 16 and N = 10, K = 10 with both estimators: chunks
+    # of 8 M complex samples per worker peaked at 340-373 MB; cache-sized
+    # chunks keep the whole process near 55 MB (peak RSS, in MB)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"sweep": {
+        "population": {"n_devices": 10, "weight_rule": "random"},
+        "labels": {"kind": "dirichlet", "num_classes": 10, "alpha": 0.3},
+        "sm_pairs": [[4, 4]], "snr_db_values": [5.0], "channel_model": "superposition",
+        "estimator": "both", "trials": 40000,
+    }}))
+    proc = run_python("-c", _PEAK_RSS, "sweep", "--config", cfg, "--threads", 2,
+                      "--out", tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) < 150
