@@ -38,6 +38,7 @@ from .fd import (
     DatasetSpec,
     FdMetrics,
     FdProtocolConfig,
+    FdSetup,
     SoftmaxClassifier,
     SyntheticDataset,
     one_shot_distill,

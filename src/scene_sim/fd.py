@@ -6,11 +6,14 @@ for an image benchmark; the point is the aggregation behavior (repetition
 sweet spot, S*M invariance, gap to noise-free averaging), not absolute
 accuracy numbers. Clients pretrain in lockstep, one SGD over a leading model
 axis, with outputs bit-identical to training each alone; the server's
-distillation is the one-model case of the same function.
+distillation is the one-model case of the same function. An :class:`FdSetup`
+holds everything built before distillation, so a study over distillation
+settings pretrains once per seed.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
@@ -100,19 +103,29 @@ class SyntheticDataset:
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place in ``scores``."""
+    np.subtract(scores, np.maximum.reduce(scores, axis=-1, keepdims=True), out=scores)
+    np.exp(scores, out=scores)
+    return np.divide(scores, np.add.reduce(scores, axis=-1, keepdims=True), out=scores)
 
 
-def _mean_kl(probs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Mean KL(target || prediction) over the sample axis, one per model; zero
-    target entries contribute 0. Infinite when a model puts exactly zero
-    probability on a supported class, which is how runaway training manifests."""
+def _entropy_term(t: np.ndarray) -> np.ndarray:
+    """Elementwise t log t of the targets, 0 where t = 0: the part of the KL
+    loss that does not depend on the model."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        entropy_term = np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)), 0.0)
-        cross = np.where(t > 0, t * np.log(probs), 0.0)
-    return (entropy_term - cross).sum(axis=-1).mean(axis=-1)
+        return np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)), 0.0)
+
+
+def _mean_kl(probs: np.ndarray, t: np.ndarray, entropy_term: np.ndarray) -> np.ndarray:
+    """Mean KL(target || prediction) over the sample axis, one per model, given
+    ``_entropy_term(t)``; zero target entries contribute 0. Overwrites
+    ``probs``. Infinite when a model puts exactly zero probability on a
+    supported class, which is how runaway training manifests."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(probs, out=probs)
+        np.multiply(t, probs, out=probs)
+    np.copyto(probs, 0.0, where=~(t > 0))
+    return np.subtract(entropy_term, probs, out=probs).sum(axis=-1).mean(axis=-1)
 
 
 def train_lockstep(
@@ -121,28 +134,83 @@ def train_lockstep(
 ) -> np.ndarray:
     """Mini-batch SGD on the KL loss for C linear softmax models at once.
 
-    Model i has weights[i] (d, K) and bias[i] (K,), both updated in place,
-    trains on x[i] (n, d) against targets[i] (n, K) and shuffles each epoch
-    with rngs[i]. Each step is one batched matmul over the model axis, and
-    every model sees the arithmetic it would see trained alone. The gradient
-    of the mean KL w.r.t. the scores is (softmax - target)/B, the same as
-    cross-entropy with soft targets. Returns the (epochs, C) end-of-epoch
-    losses; raises Divergence as soon as any model's loss is non-finite.
+    Model i has weights[i] (d, K) and bias[i] (K,), trains on x[i] (n, d)
+    against targets[i] (n, K) and shuffles each epoch with rngs[i]. Each step
+    is one batched matmul over the model axis, and every model sees the
+    arithmetic it would see trained alone. The gradient of the mean KL w.r.t.
+    the scores is (softmax - target)/B, the same as cross-entropy with soft
+    targets. Returns the (epochs, C) end-of-epoch losses; raises Divergence as
+    soon as any model's loss is non-finite.
+
+    Steps are bound by numpy call overhead, so they run on buffers reused for
+    the whole call: weights and bias are one (C, d+1, K) block, and one
+    matmul of the epoch's shuffled ``[x | 1]``, transposed, with the score
+    gradient gives the gradient of both. The epoch loss reuses a buffer and
+    the targets' entropy term. ``weights`` and ``bias`` (views too) receive
+    the block at the end of every epoch, so after Divergence they hold the
+    epoch that diverged.
     """
     gens = [r.generator for r in rngs]
-    rows = np.arange(len(gens))[:, None]
-    n = x.shape[1]
-    losses = np.empty((epochs, len(gens)))
+    c, n, d = x.shape
+    k = targets.shape[-1]
+    params = np.concatenate([weights, bias[:, None]], axis=1)
+    w, b = params[:, :d], params[:, d:]
+    flat_x = np.concatenate([x, np.ones((c, n, 1))], axis=2).reshape(c * n, d + 1)
+    flat_t = targets.reshape(c * n, k)
+    entropy = _entropy_term(targets)
+    xs, ts, probs = np.empty((c, n, d + 1)), np.empty((c, n, k)), np.empty((c, n, k))
+    bs = max(min(batch_size, n), 1)  # an empty shard runs no step
+    scores, row, grad = np.empty((c, bs, k)), np.empty((c, bs, 1)), np.empty_like(params)
+
+    def buffers(size):
+        # a batch's scores and per-row buffer (row max, then row sum), the
+        # latter also as the 2-D view the reductions write (cheaper than
+        # keepdims), and the divisor as a 0-d array (cheaper than a float)
+        return scores[:, :size], row[:, :size], row[:, :size, 0], np.array(size, float)
+
+    # Full batches are views along a leading batch axis, which iteration
+    # makes per step; the ragged last batch follows. The gradient's left
+    # operand stays a transposed view: BLAS sums a contiguous transposed
+    # copy in another order, which changes the bits.
+    nb, rest = divmod(n, bs)
+    tail = nb * bs
+    xs4 = xs[:, :tail].reshape(c, nb, bs, d + 1).transpose(1, 0, 2, 3)
+    ts4 = ts[:, :tail].reshape(c, nb, bs, k).transpose(1, 0, 2, 3)
+    full = (xs4[..., :d], xs4.transpose(0, 1, 3, 2), ts4, *map(itertools.repeat, buffers(bs)))
+    ragged = [] if rest == 0 else [
+        (xs[:, tail:, :d], xs[:, tail:].transpose(0, 2, 1), ts[:, tail:], *buffers(rest))
+    ]
+    lr = np.array(learning_rate, float)
+    offsets = np.arange(c)[:, None] * n
+    matmul, add, subtract, divide, multiply, exp = (
+        np.matmul, np.add, np.subtract, np.divide, np.multiply, np.exp
+    )
+    max_rows, sum_rows = np.maximum.reduce, np.add.reduce
+    losses = np.empty((epochs, c))
     for epoch in range(epochs):
-        order = np.stack([gen.permutation(n) for gen in gens])
-        xs, ts = x[rows, order], targets[rows, order]
-        for lo in range(0, n, batch_size):
-            xb = xs[:, lo : lo + batch_size]
-            p = _softmax(xb @ weights + bias[:, None])
-            grad_scores = (p - ts[:, lo : lo + batch_size]) / xb.shape[1]
-            weights -= learning_rate * (xb.transpose(0, 2, 1) @ grad_scores)
-            bias -= learning_rate * grad_scores.sum(axis=1)
-        losses[epoch] = loss = _mean_kl(_softmax(x @ weights + bias[:, None]), targets)
+        order = np.stack([gen.permutation(n) for gen in gens]) + offsets
+        # order is a permutation, so "clip" never clips; unlike "raise" it
+        # gathers straight into the buffer
+        np.take(flat_x, order, axis=0, out=xs, mode="clip")
+        np.take(flat_t, order, axis=0, out=ts, mode="clip")
+        # the step, with outputs passed positionally (cheaper than out=)
+        for xb, xtb, tb, s, m, m_rows, size in itertools.chain(zip(*full), ragged):
+            matmul(xb, w, s)
+            add(s, b, s)
+            max_rows(s, 2, None, m_rows)
+            subtract(s, m, s)
+            exp(s, s)
+            sum_rows(s, 2, None, m_rows)
+            divide(s, m, s)
+            subtract(s, tb, s)
+            divide(s, size, s)
+            matmul(xtb, s, grad)
+            multiply(grad, lr, grad)
+            subtract(params, grad, params)
+        np.copyto(weights, w)
+        np.copyto(bias, b[:, 0])
+        np.add(np.matmul(x, weights, out=probs), bias[:, None], out=probs)
+        losses[epoch] = loss = _mean_kl(_softmax(probs), targets, entropy)
         if not np.isfinite(loss).all():
             raise Divergence(f"losses became {loss} (lr={learning_rate}, batch={batch_size})")
     return losses
@@ -176,7 +244,8 @@ class SoftmaxClassifier:
 
     def kl_loss(self, x: np.ndarray, targets: np.ndarray) -> float:
         """Mean KL(target || prediction); infinite once training ran away."""
-        return float(_mean_kl(self.predict_proba(x), np.asarray(targets)))
+        t = np.asarray(targets)
+        return float(_mean_kl(self.predict_proba(x), t, _entropy_term(t)))
 
     def train_soft(
         self, x: np.ndarray, targets: np.ndarray, epochs: int, batch_size: int,
@@ -406,16 +475,56 @@ def one_shot_distill(
     return trained, metrics
 
 
+# The config fields that the data, the split, pretraining or the server's
+# initial model read; every other field acts only in distillation.
+_SETUP_FIELDS = ("data", "clients", "private_size", "open_size", "pretrain_epochs",
+                 "batch_size", "learning_rate")
+
+
+@dataclass(frozen=True, eq=False)
+class FdSetup:
+    """What :func:`run_fd` builds before distilling at one seed: the split of
+    the generated data, the pretrained clients and the server's initial
+    model, drawn from streams 0-2 of the seed's root split. No distillation
+    setting (U, S, M, SNR, aggregation, distillation epochs) changes it, so
+    one setup serves every such config. Its arrays are read-only."""
+
+    cfg: FdProtocolConfig
+    seed: int
+    split: DatasetSplit
+    clients: tuple[SoftmaxClassifier, ...]
+    server: SoftmaxClassifier
+
+    @classmethod
+    def build(cls, cfg: FdProtocolConfig, seed: int) -> "FdSetup":
+        data_rng, pretrain_rng, server_rng, _ = RandomSource(seed).split(4)
+        data = SyntheticDataset.generate(data_rng, **asdict(cfg.data))
+        split = split_dataset(data, cfg)
+        clients = tuple(pretrain_clients(cfg, split, pretrain_rng))
+        server = SoftmaxClassifier.initialize(cfg.data.dim, cfg.data.num_classes, server_rng)
+        for model in (*clients, server):
+            model.weights.flags.writeable = model.bias.flags.writeable = False
+        for array in vars(split).values():
+            array.flags.writeable = False
+        return cls(cfg, seed, split, clients, server)
+
+    def distill(self, cfg: FdProtocolConfig) -> FdMetrics:
+        """Distill once under ``cfg``, which must agree with the setup's config
+        in every field the setup reads. Runs on stream 3 of the seed's root
+        split, derived afresh on every call (``RandomSource.split`` spawns
+        statefully), so the result equals ``run_fd(cfg, seed)``."""
+        differ = [f for f in _SETUP_FIELDS if getattr(cfg, f) != getattr(self.cfg, f)]
+        if differ:
+            raise ValueError(f"config differs from the setup's in {', '.join(differ)}")
+        distill_rng = RandomSource(self.seed).split(4)[3]
+        _, metrics = one_shot_distill(cfg, self.split, list(self.clients), self.server,
+                                      distill_rng)
+        return metrics
+
+
 def run_fd(cfg: FdProtocolConfig, seed: int) -> FdMetrics:
     """End-to-end pipeline: generate data, pretrain clients, distill once."""
-    root = RandomSource(seed)
-    data_rng, pretrain_rng, server_rng, distill_rng = root.split(4)
-    data = SyntheticDataset.generate(data_rng, **asdict(cfg.data))
-    split = split_dataset(data, cfg)
-    clients = pretrain_clients(cfg, split, pretrain_rng)
-    server = SoftmaxClassifier.initialize(cfg.data.dim, cfg.data.num_classes, server_rng)
-    _, metrics = one_shot_distill(cfg, split, clients, server, distill_rng)
-    return metrics
+    return FdSetup.build(cfg, seed).distill(cfg)
 
 
 def fd_csv_row(metrics: FdMetrics, seed: int, round_index: int = 1) -> str:

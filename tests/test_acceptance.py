@@ -50,6 +50,7 @@ from scene_sim import (
     DevicePopulation,
     ExperimentSpec,
     FdProtocolConfig,
+    FdSetup,
     LabelSpec,
     PopulationSpec,
     RandomSource,
@@ -450,13 +451,20 @@ def test_11c_repetition_sweet_spot():
     """At 5 dB and a fixed airtime budget B = U*S, spending part of the
     budget on repetition beats sending every sample once."""
     budget = 2048
-    acc = {}
-    for s in (1, 4, 16):
-        cfg = FdProtocolConfig(
+    configs = {
+        s: FdProtocolConfig(
             clients=3, unlabeled_budget=budget // s, batch_size=4, learning_rate=1.0,
             round=RoundConfig(num_classes=10, reps=s, antennas=1), snr_db=5.0,
         )
-        acc[s] = float(np.mean([run_fd(cfg, seed).server_accuracy for seed in range(10)]))
+        for s in (1, 4, 16)
+    }
+    accs = {s: [] for s in configs}
+    for seed in range(10):
+        # the same distillation as run_fd(cfg, seed), pretraining once for all S
+        setup = FdSetup.build(configs[1], seed)
+        for s, cfg in configs.items():
+            accs[s].append(setup.distill(cfg).server_accuracy)
+    acc = {s: float(np.mean(a)) for s, a in accs.items()}
     assert max(acc[4], acc[16]) > acc[1], f"no sweet spot: {acc}"
     report(11, "FD (c) repetition sweet spot",
            f"S=1: {acc[1]:.3f}, S=4: {acc[4]:.3f}, S=16: {acc[16]:.3f}")

@@ -7,6 +7,7 @@ import pytest
 import scene_sim.fd
 from scene_sim import (
     FdProtocolConfig,
+    FdSetup,
     RandomSource,
     SoftmaxClassifier,
     SyntheticDataset,
@@ -164,8 +165,8 @@ class TestLockstepSgd:
     @pytest.mark.parametrize("c", [1, 3])
     @pytest.mark.parametrize(
         "n, batch_size, epochs",
-        [(64, 8, 3), (1333, 4, 2), (20, 32, 3), (64, 8, 0)],
-        ids=["divides", "ragged", "batch-above-shard", "zero-epochs"],
+        [(64, 8, 3), (1333, 4, 2), (20, 32, 3), (20, 10**12, 2), (64, 8, 0)],
+        ids=["divides", "ragged", "batch-above-shard", "huge-batch", "zero-epochs"],
     )
     def test_matches_reference_loop(self, c, n, batch_size, epochs):
         weights, bias, x, targets = self.problem(c, n)
@@ -206,6 +207,23 @@ class TestLockstepSgd:
             train_lockstep(weights, bias, x, targets, 50, 4, 30.0,
                            [RandomSource(i) for i in range(3)])
 
+    def test_caller_views_hold_the_diverged_epoch(self):
+        # train_soft hands over views of the model's arrays; they are written
+        # at the end of every epoch, so after Divergence (at epoch 3 here) they
+        # hold the epoch that diverged, as the per-step reference leaves them
+        weights, bias, x, targets = self.problem(3, 32)
+        x, targets = 2 * x[2:], targets[2:]
+        model = SoftmaxClassifier(weights[2], bias[2])
+        ref = SoftmaxClassifier(weights[2], bias[2])
+        with pytest.raises(Divergence):
+            train_lockstep(model.weights[None], model.bias[None], x, targets, 50, 4, 30.0,
+                           [RandomSource(2)])
+        with pytest.raises(Divergence):
+            reference_sgd(ref, x[0], targets[0], 50, 4, 30.0, RandomSource(2))
+        assert not np.array_equal(model.weights, weights[2])
+        assert np.array_equal(model.weights, ref.weights, equal_nan=True)
+        assert np.array_equal(model.bias, ref.bias, equal_nan=True)
+
     def test_pretrain_clients_matches_reference_loop(self):
         cfg = FdProtocolConfig(clients=3, pretrain_epochs=2, batch_size=4, learning_rate=1.0)
         data_rng, pre_rng = RandomSource(7).split(2)
@@ -218,6 +236,47 @@ class TestLockstepSgd:
                           2, 4, 1.0, streams[2 * i + 1])
             assert np.array_equal(model.weights, ref.weights)
             assert np.array_equal(model.bias, ref.bias)
+
+
+class TestFdSetup:
+    """One setup per seed serves every distillation config: distilling from
+    it gives exactly ``run_fd``, and a config that changes what the setup
+    built is refused."""
+
+    BASE = FdProtocolConfig(
+        clients=2, private_size=200, open_size=200, unlabeled_budget=32, pretrain_epochs=2,
+        distill_epochs=2, batch_size=8, data=DatasetSpec(size=500),
+    )
+
+    @pytest.mark.parametrize("aggregation", list(Aggregation), ids=lambda a: a.value)
+    def test_distill_equals_run_fd(self, aggregation):
+        setup = FdSetup.build(self.BASE, seed=3)
+        # S = 1 again last: the distillation stream is derived afresh per call
+        for s in (1, 4, 16, 1):
+            cfg = replace(self.BASE, aggregation=aggregation, unlabeled_budget=32 // s,
+                          round=replace(self.BASE.round, reps=s))
+            assert setup.distill(cfg) == run_fd(cfg, seed=3)
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(data=DatasetSpec(size=600)), dict(clients=3), dict(private_size=210),
+         dict(open_size=210), dict(pretrain_epochs=3), dict(batch_size=4),
+         dict(learning_rate=0.25)],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_setup_field_change_is_refused(self, change):
+        setup = FdSetup.build(self.BASE, seed=0)
+        with pytest.raises(ValueError, match=next(iter(change))):
+            setup.distill(replace(self.BASE, **change))
+
+    def test_arrays_are_read_only(self):
+        setup = FdSetup.build(self.BASE, seed=0)
+        models = (*setup.clients, setup.server)
+        arrays = [*vars(setup.split).values()] + [a for m in models for a in (m.weights, m.bias)]
+        assert len(arrays) == 5 + 2 * (self.BASE.clients + 1)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
 
 class TestPretraining:

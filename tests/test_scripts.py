@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from scene_sim import FdProtocolConfig, RoundConfig, run_fd
 from scene_sim.analysis import CROSSOVER_CSV_HEADER
-from scene_sim.fd import FD_CSV_HEADER
+from scene_sim.fd import FD_CSV_HEADER, fd_csv_row
 from scene_sim.montecarlo import CSV_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +61,48 @@ def test_fd_budget_reruns_byte_identical(tmp_path):
     first = run_script("fd_budget.py", tmp_path / "a.csv", *args)
     assert first == run_script("fd_budget.py", tmp_path / "b.csv", *args)
     assert len(first) == 3  # header + one row per (S, seed)
+
+
+@pytest.mark.parametrize("seeds", [1, 2])
+def test_fd_budget_rows_equal_run_fd(tmp_path, seeds):
+    # the script pretrains once per seed for every S; its rows stay those of
+    # one run_fd call per (S, seed), in the order S outer, seed inner
+    reps = (2, 4)
+    proc = run_python(ROOT / "scripts" / "fd_budget.py", "--out", tmp_path / "out.csv",
+                      "--budget", 16, "--reps", *reps, "--seeds", seeds, "--clients", 2)
+    assert proc.returncode == 0, proc.stderr
+    expected = [FD_CSV_HEADER]
+    for s in reps:
+        cfg = FdProtocolConfig(
+            clients=2, unlabeled_budget=16 // s, batch_size=4, learning_rate=1.0,
+            round=RoundConfig(num_classes=10, reps=s, antennas=1), snr_db=5.0,
+        )
+        expected += [fd_csv_row(run_fd(cfg, seed), seed) for seed in range(seeds)]
+    assert (tmp_path / "out.csv").read_text().splitlines() == expected
+    # one seed has no standard error: no "+-" term and no RuntimeWarning
+    acc_lines = [line for line in proc.stdout.splitlines() if "server acc" in line]
+    assert len(acc_lines) == len(reps)
+    assert all(("+-" in line) == (seeds > 1) for line in acc_lines)
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--seeds", 0], "--seeds"),  # used to write nan rows
+        (["--reps", 2, 0], "--reps"),  # used to raise ZeroDivisionError
+        (["--reps", 1, -4], "--reps"),
+        (["--budget", 8, "--reps", 4, 16], "--budget"),  # used to raise EmptyBudget
+        (["--clients", 0], "client"),
+    ],
+    ids=["seeds", "zero-rep", "negative-rep", "budget-below-rep", "config"],
+)
+def test_fd_budget_bad_arguments_are_usage_errors(tmp_path, args, message):
+    proc = run_python(ROOT / "scripts" / "fd_budget.py", "--out", tmp_path / "out.csv", *args)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["round", "crossover"])
