@@ -11,7 +11,9 @@ mutually independent, which is the regime the variance identities assume.
 SUPERPOSITION draws each device's fading magnitude r = |g| per (repetition,
 antenna) sample and a uniform phase per class slot: g times an independent
 uniform phase has the law of |g| times that phase, so the complex g is drawn
-only under correlation (its AR(1) block, then |g|). Magnitudes, phases and the
+only under correlation (its AR(1) block, then |g|). The phases are made from
+raw PCG64 words, with the values and generator state of
+Generator.random(dtype=float32) times 2 pi. Magnitudes, phases and the
 real and imaginary slot sums are single precision; their energy
 x2 = sum_{s,m} |x_sm|^2 is reduced in double precision. Given x2, the noisy
 energy sum |x + n|^2 with n ~ CN(0, noise_var) has exactly the law
@@ -85,6 +87,36 @@ def sample_pathloss(model: PathlossModel, n: int, rng: RandomSource) -> np.ndarr
 
 _INV_SQRT2 = np.float32(1.0 / math.sqrt(2.0))
 _TWO_PI = np.float32(2.0 * math.pi)
+# float32(2 pi) * 2^-24: scaling by a power of two is exact, so one multiply
+# of a 24-bit word by it rounds like numpy's (word * 2^-24) * float32(2 pi).
+_PHASE_STEP = np.float32(float(_TWO_PI) * 2.0**-24)
+
+
+def _uniform_phases(gen: np.random.Generator, out: np.ndarray) -> None:
+    """Fill the contiguous float32 ``out`` with uniform phases on [0, 2 pi),
+    the values and generator state of ``gen.random(dtype=np.float32,
+    out=out); out *= 2 pi``, from raw PCG64 words.
+
+    numpy's float32 draw takes the top 24 bits of the next 32-bit half-word:
+    first a pending one, then the low and high halves of each 64-bit output,
+    buffering the high half of an output whose low half ends the draw.
+    ``random_raw`` yields the 64-bit outputs without the per-element call, so
+    the one-element draws at either end go through ``gen.random``.
+    """
+    flat = out.reshape(-1)
+    bitgen = gen.bit_generator
+    head = bitgen.state["has_uint32"]  # 1 when a half-word is pending
+    pairs, tail = divmod(flat.size - head, 2)
+    if head:
+        flat[0] = gen.random(dtype=np.float32) * _TWO_PI
+    if pairs:
+        # little-endian halves: the low half of each output comes first
+        words = bitgen.random_raw(pairs).astype("<u8", copy=False).view("<u4")
+        np.right_shift(words, 8, out=words)  # 24 bits, exact in int32 and float32
+        np.multiply(words.view(np.int32), _PHASE_STEP, out=flat[head : head + 2 * pairs],
+                    dtype=np.float32)  # a float32 loop: int32 alone promotes to float64
+    if tail:
+        flat[-1] = gen.random(dtype=np.float32) * _TWO_PI
 
 
 def _complex_normal(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -140,9 +172,11 @@ def _superpose(
     (b, N, K[+1], S, M) float32 work blocks.
 
     Each device's gain is drawn as its magnitude r, shared by the class slots
-    of a sample, times a fresh uniform phase per slot. The slot sums are two
-    real contractions, and their energy x2 is reduced in float64. The noise
-    energy given x2 is drawn exactly as in the module docstring.
+    of a sample, times a fresh uniform phase per slot; :func:`_uniform_phases`
+    makes the phases from raw PCG64 words, bit for bit the float32
+    ``gen.random`` draw times 2 pi. The slot sums are two real contractions,
+    and their energy x2 is reduced in float64. The noise energy given x2 is
+    drawn exactly as in the module docstring.
     """
     b, n, kt = w.shape
     s, m = cfg.reps, cfg.antennas
@@ -151,8 +185,7 @@ def _superpose(
     else:
         r = gen.standard_exponential((b, n, s, m), dtype=np.float32)
         np.sqrt(r, out=r)
-    gen.random(dtype=np.float32, out=theta)
-    theta *= _TWO_PI
+    _uniform_phases(gen, theta)
     parts = np.empty((2, b, kt, s, m), dtype=np.float32)  # real, imaginary
     for part, fn in zip(parts, (np.cos, np.sin)):
         fn(theta, out=trig)

@@ -36,6 +36,13 @@ from .montecarlo import (
 from .power import map_energies
 
 
+# Default --threads: one worker per core, at most this many. A sweep worker
+# peaks at about 64 MB (a diagonal chunk of 8 M float64 Gamma draws; a
+# superposition worker holds about 10 MB), so the default pool of a
+# many-core host stays near 0.5 GB.
+_DEFAULT_MAX_THREADS = 8
+
+
 class ConfigError(ValueError):
     """Malformed or unknown configuration content."""
 
@@ -289,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="root random seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for trial parallelism")
+                       help="worker threads for trial parallelism "
+                            f"(default: one per core, at most {_DEFAULT_MAX_THREADS})")
         p.add_argument("--out", default="out", help="output directory")
     return parser
 
@@ -306,7 +314,9 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _echo_config(spec, command, seed, out_dir)
-        threads = args.threads if args.threads is not None else os.cpu_count()
+        threads = args.threads
+        if threads is None:
+            threads = min(os.cpu_count() or 1, _DEFAULT_MAX_THREADS)
         if command == "round":
             return cmd_round(spec)
         if command == "sweep":

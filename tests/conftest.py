@@ -44,6 +44,14 @@ def frozen_round(energies, pop, cfg, rng=None, trials=1):
     return y, None
 
 
+def random_phases(gen, out):
+    """Reference phase draw of the superposition kernel: numpy's float32
+    uniforms times float32(2 pi), filling ``out`` in place. Called like
+    ``channel._uniform_phases``, which makes the same bits from raw words."""
+    gen.random(dtype=np.float32, out=out)
+    out *= np.float32(2 * np.pi)
+
+
 def variance_se(x):
     """Standard error of the per-column sample variance via fourth moments."""
     t = x.shape[0]

@@ -27,6 +27,7 @@ from conftest import (
     extended_energies,
     frozen_round,
     make_uniform_population,
+    random_phases,
     superposition_reference_rounds,
     variance_se,
 )
@@ -492,3 +493,61 @@ class TestCorrelatedFading:
         assert np.all(var_corr > 0.55 * var_one)
         # and far above the independent-averaging level var_one / 16
         assert np.all(var_corr > 5 * var_one / 16)
+
+
+def effective_state(gen):
+    """PCG64 state with the buffered half-word only when one is pending."""
+    state = gen.bit_generator.state
+    return state["state"], state["has_uint32"] and state["uinteger"]
+
+
+class TestRawWordPhases:
+    """The superposition phases come from raw PCG64 words, bit for bit and
+    state for state the numpy float32 draw they replace."""
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("shape", [(1,), (2,), (7,), (1001,), (3, 2, 1, 5, 4)])
+    def test_equals_numpy_draw(self, pending, shape):
+        fast, slow = np.random.default_rng(31), np.random.default_rng(31)
+        if pending:  # a single float32 draw leaves the high half-word buffered
+            fast.random(dtype=np.float32), slow.random(dtype=np.float32)
+        assert fast.bit_generator.state["has_uint32"] == pending
+        a, b = np.empty(shape, np.float32), np.empty(shape, np.float32)
+        channel._uniform_phases(fast, a)
+        random_phases(slow, b)
+        assert a.tobytes() == b.tobytes()
+        assert np.all((a >= 0) & (a < 2 * np.pi))
+        assert effective_state(fast) == effective_state(slow)
+        for draw in (lambda g: g.random(5, dtype=np.float32),
+                     lambda g: g.random(5),
+                     lambda g: g.integers(0, 2**32, 5, dtype=np.uint32)):
+            assert draw(fast).tobytes() == draw(slow).tobytes()
+
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            dict(n=1, k=2, reps=2, antennas=2, trials=40),
+            # 3 * 3 * 1 * 3 = 27 phases a trial, an odd count per chunk of 50
+            dict(n=3, k=3, reps=1, antennas=3, trials=7),
+            dict(n=3, k=3, reps=1, antennas=3, trials=7, use_reference_re=True),
+            dict(n=4, k=3, reps=3, antennas=2, trials=30, time_corr=0.4, space_corr=0.3),
+            dict(n=4, k=3, reps=3, antennas=2, trials=30, per_trial=True),
+        ],
+    )
+    @pytest.mark.parametrize("chunk_elems", [None, 50])
+    def test_kernel_matches_numpy_draw(self, setup, chunk_elems, monkeypatch):
+        setup = dict(setup)
+        n, k, trials = setup.pop("n"), setup.pop("k"), setup.pop("trials")
+        per_trial = setup.pop("per_trial", False)
+        if chunk_elems is not None:  # chunk borders inside the call
+            monkeypatch.setattr(channel, "_SUPER_CHUNK_ELEMS", chunk_elems)
+        pop = DevicePopulation(np.full(n, 1.0 / n), np.linspace(0.5, 1.5, n))
+        size = (trials, n) if per_trial else n
+        q = np.random.default_rng(n + k).dirichlet(np.full(k, 0.5), size=size)
+        cfg = RoundConfig(num_classes=k, rho=0.8, noise_var=0.3, **setup)
+        frame = map_energies(q, pop, cfg.rho)
+        fast = simulate_rounds(frame, pop, cfg, RandomSource(23), trials)
+        monkeypatch.setattr(channel, "_uniform_phases", random_phases)
+        slow = simulate_rounds(frame, pop, cfg, RandomSource(23), trials)
+        for a, b in zip(fast, slow):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from scene_sim import cli
 from scene_sim.cli import ConfigError, _convert, load_config, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -136,6 +137,17 @@ class TestSweepCommand:
         assert (tmp_path / "t1" / "sweep.csv").read_bytes() == (
             tmp_path / "t4" / "sweep.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("flag, threads", [([], cli._DEFAULT_MAX_THREADS),
+                                               (["--threads", 64], 64)])
+    def test_default_threads_capped(self, tmp_path, monkeypatch, flag, threads):
+        # a 256-core host gets the capped default; an explicit value stays
+        seen = []
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 256)
+        monkeypatch.setattr(cli, "run_experiment", lambda spec, threads: seen.append(threads) or [])
+        cfg = self.sweep_config(tmp_path)
+        assert run_cli(["sweep", "--config", cfg, "--out", tmp_path, *flag]) == 0
+        assert seen == [threads]
 
     def test_estimator_override(self, tmp_path):
         cfg = self.sweep_config(tmp_path)
