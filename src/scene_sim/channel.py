@@ -11,9 +11,11 @@ mutually independent, which is the regime the variance identities assume.
 SUPERPOSITION draws each device's fading magnitude r = |g| per (repetition,
 antenna) sample and a uniform phase per class slot: g times an independent
 uniform phase has the law of |g| times that phase, so the complex g is drawn
-only under correlation (its AR(1) block, then |g|). The phases are made from
-raw PCG64 words, with the values and generator state of
-Generator.random(dtype=float32) times 2 pi. Magnitudes, phases and the
+only under correlation (its AR(1) block, then |g|). Each phase is one 16-bit
+piece of a raw PCG64 word times 2 pi / 2^16, four per word: a uniform draw on
+the 65 536-point lattice of [0, 2 pi). E[e^(j n theta)] = 0 for every n not
+divisible by 65 536, so every moment of the slot energies below that order is
+the one of continuous uniform phases. Magnitudes, phases and the
 real and imaginary slot sums are single precision; their energy
 x2 = sum_{s,m} |x_sm|^2 is reduced in double precision. Given x2, the noisy
 energy sum |x + n|^2 with n ~ CN(0, noise_var) has exactly the law
@@ -86,37 +88,23 @@ def sample_pathloss(model: PathlossModel, n: int, rng: RandomSource) -> np.ndarr
 
 
 _INV_SQRT2 = np.float32(1.0 / math.sqrt(2.0))
-_TWO_PI = np.float32(2.0 * math.pi)
-# float32(2 pi) * 2^-24: scaling by a power of two is exact, so one multiply
-# of a 24-bit word by it rounds like numpy's (word * 2^-24) * float32(2 pi).
-_PHASE_STEP = np.float32(float(_TWO_PI) * 2.0**-24)
+# float32(2 pi) * 2^-16, the lattice step: scaling by a power of two is exact,
+# so one multiply of a 16-bit piece k by it rounds k * 2^-16 * float32(2 pi).
+_PHASE_STEP = np.float32(2.0 * math.pi) * np.float32(2.0**-16)
 
 
 def _uniform_phases(gen: np.random.Generator, out: np.ndarray) -> None:
-    """Fill the contiguous float32 ``out`` with uniform phases on [0, 2 pi),
-    the values and generator state of ``gen.random(dtype=np.float32,
-    out=out); out *= 2 pi``, from raw PCG64 words.
+    """Fill the contiguous float32 ``out`` with uniform phases on the lattice
+    k * 2 pi / 2^16, k = 0 .. 2^16 - 1, of [0, 2 pi).
 
-    numpy's float32 draw takes the top 24 bits of the next 32-bit half-word:
-    first a pending one, then the low and high halves of each 64-bit output,
-    buffering the high half of an output whose low half ends the draw.
-    ``random_raw`` yields the 64-bit outputs without the per-element call, so
-    the one-element draws at either end go through ``gen.random``.
+    Each 64-bit ``random_raw`` word gives four 16-bit pieces k, low piece
+    first; the unused pieces of the last word are dropped, so the generator
+    advances by exactly ceil(out.size / 4) words.
     """
     flat = out.reshape(-1)
-    bitgen = gen.bit_generator
-    head = bitgen.state["has_uint32"]  # 1 when a half-word is pending
-    pairs, tail = divmod(flat.size - head, 2)
-    if head:
-        flat[0] = gen.random(dtype=np.float32) * _TWO_PI
-    if pairs:
-        # little-endian halves: the low half of each output comes first
-        words = bitgen.random_raw(pairs).astype("<u8", copy=False).view("<u4")
-        np.right_shift(words, 8, out=words)  # 24 bits, exact in int32 and float32
-        np.multiply(words.view(np.int32), _PHASE_STEP, out=flat[head : head + 2 * pairs],
-                    dtype=np.float32)  # a float32 loop: int32 alone promotes to float64
-    if tail:
-        flat[-1] = gen.random(dtype=np.float32) * _TWO_PI
+    words = gen.bit_generator.random_raw(-(-flat.size // 4))
+    pieces = words.astype("<u8", copy=False).view("<u2")[: flat.size]
+    np.multiply(pieces, _PHASE_STEP, out=flat, dtype=np.float32)  # one float32 loop
 
 
 def _complex_normal(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -173,8 +161,8 @@ def _superpose(
 
     Each device's gain is drawn as its magnitude r, shared by the class slots
     of a sample, times a fresh uniform phase per slot; :func:`_uniform_phases`
-    makes the phases from raw PCG64 words, bit for bit the float32
-    ``gen.random`` draw times 2 pi. The slot sums are two real contractions,
+    draws the phases on a 2^16-point lattice, four per raw PCG64 word, after
+    the magnitudes. The slot sums are two real contractions,
     and their energy x2 is reduced in float64. The noise energy given x2 is
     drawn exactly as in the module docstring.
     """

@@ -36,10 +36,10 @@ from .montecarlo import (
 from .power import map_energies
 
 
-# Default --threads: one worker per core, at most this many. A sweep worker
-# peaks at about 64 MB (a diagonal chunk of 8 M float64 Gamma draws; a
-# superposition worker holds about 10 MB), so the default pool of a
-# many-core host stays near 0.5 GB.
+# Default --threads: one worker per usable core, at most this many. A sweep
+# worker peaks at about 64 MB (a diagonal chunk of 8 M float64 Gamma draws; a
+# superposition worker holds under 10 MB, 1 MB of it the raw PCG64 words of a
+# chunk's phases), so the default pool of a many-core host stays near 0.5 GB.
 _DEFAULT_MAX_THREADS = 8
 
 
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="root random seed")
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads for trial parallelism "
-                            f"(default: one per core, at most {_DEFAULT_MAX_THREADS})")
+                            f"(default: one per usable core, at most {_DEFAULT_MAX_THREADS})")
         p.add_argument("--out", default="out", help="output directory")
     return parser
 
@@ -315,8 +315,10 @@ def main(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         _echo_config(spec, command, seed, out_dir)
         threads = args.threads
-        if threads is None:
-            threads = min(os.cpu_count() or 1, _DEFAULT_MAX_THREADS)
+        if threads is None:  # the CPUs this process may run on, where the OS tells
+            usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count() or 1)
+            threads = min(usable, _DEFAULT_MAX_THREADS)
         if command == "round":
             return cmd_round(spec)
         if command == "sweep":

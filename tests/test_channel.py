@@ -502,32 +502,46 @@ def effective_state(gen):
 
 
 class TestRawWordPhases:
-    """The superposition phases come from raw PCG64 words, bit for bit and
-    state for state the numpy float32 draw they replace."""
+    """The superposition phases are four 16-bit lattice phases per raw PCG64
+    word, bit for bit and state for state the explicit numpy raw-word draw of
+    ``conftest.random_phases``."""
 
     @pytest.mark.parametrize("pending", [False, True])
-    @pytest.mark.parametrize("shape", [(1,), (2,), (7,), (1001,), (3, 2, 1, 5, 4)])
+    @pytest.mark.parametrize("shape", [(1,), (3,), (4,), (5,), (7, 11, 13)])
     def test_equals_numpy_draw(self, pending, shape):
         fast, slow = np.random.default_rng(31), np.random.default_rng(31)
+        advanced = np.random.default_rng(31)
         if pending:  # a single float32 draw leaves the high half-word buffered
-            fast.random(dtype=np.float32), slow.random(dtype=np.float32)
+            for g in (fast, slow, advanced):
+                g.random(dtype=np.float32)
         assert fast.bit_generator.state["has_uint32"] == pending
+        buffered = effective_state(fast)[1]
         a, b = np.empty(shape, np.float32), np.empty(shape, np.float32)
         channel._uniform_phases(fast, a)
         random_phases(slow, b)
         assert a.tobytes() == b.tobytes()
-        assert np.all((a >= 0) & (a < 2 * np.pi))
+        # exactly ceil(size / 4) words (advance drops the buffered half-word,
+        # which the phases leave as it was)
+        advanced.bit_generator.advance(-(-a.size // 4))
+        assert effective_state(fast) == (effective_state(advanced)[0], buffered)
         assert effective_state(fast) == effective_state(slow)
         for draw in (lambda g: g.random(5, dtype=np.float32),
                      lambda g: g.random(5),
                      lambda g: g.integers(0, 2**32, 5, dtype=np.uint32)):
             assert draw(fast).tobytes() == draw(slow).tobytes()
+        # every phase is k * float32(2 pi) * 2^-16 for an integer k < 2^16
+        step = np.float32(2 * np.pi) * np.float32(2.0**-16)
+        k = np.rint(a / step)
+        assert np.all((k >= 0) & (k < 2**16))
+        assert (k.astype(np.float32) * step).tobytes() == a.tobytes()
+        assert np.all((a >= 0) & (a < 2 * np.pi))
 
     @pytest.mark.parametrize(
         "setup",
         [
             dict(n=1, k=2, reps=2, antennas=2, trials=40),
-            # 3 * 3 * 1 * 3 = 27 phases a trial, an odd count per chunk of 50
+            # 3 * 3 * 1 * 3 = 27 phases a trial: a chunk of 50 elements is one
+            # trial, whose last word keeps one of its four pieces unused
             dict(n=3, k=3, reps=1, antennas=3, trials=7),
             dict(n=3, k=3, reps=1, antennas=3, trials=7, use_reference_re=True),
             dict(n=4, k=3, reps=3, antennas=2, trials=30, time_corr=0.4, space_corr=0.3),

@@ -138,16 +138,32 @@ class TestSweepCommand:
             tmp_path / "t4" / "sweep.csv"
         ).read_bytes()
 
+    def default_threads(self, tmp_path, monkeypatch, flag=(), usable=256):
+        """Threads a sweep gets on a 256-CPU host whose affinity set has
+        ``usable`` CPUs (None: a platform without ``os.sched_getaffinity``)."""
+        seen = []
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 256)
+        if usable is None:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(usable)),
+                                raising=False)
+        monkeypatch.setattr(cli, "run_experiment", lambda spec, threads: seen.append(threads) or [])
+        cfg = self.sweep_config(tmp_path)
+        assert run_cli(["sweep", "--config", cfg, "--out", tmp_path, *flag]) == 0
+        return seen
+
     @pytest.mark.parametrize("flag, threads", [([], cli._DEFAULT_MAX_THREADS),
                                                (["--threads", 64], 64)])
     def test_default_threads_capped(self, tmp_path, monkeypatch, flag, threads):
         # a 256-core host gets the capped default; an explicit value stays
-        seen = []
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 256)
-        monkeypatch.setattr(cli, "run_experiment", lambda spec, threads: seen.append(threads) or [])
-        cfg = self.sweep_config(tmp_path)
-        assert run_cli(["sweep", "--config", cfg, "--out", tmp_path, *flag]) == 0
-        assert seen == [threads]
+        assert self.default_threads(tmp_path, monkeypatch, flag) == [threads]
+
+    @pytest.mark.parametrize("usable, threads", [(2, 2), (None, cli._DEFAULT_MAX_THREADS)])
+    def test_default_threads_follow_affinity(self, tmp_path, monkeypatch, usable, threads):
+        # two usable CPUs of a 256-CPU host get two workers; without an
+        # affinity call the host's CPU count decides, still capped
+        assert self.default_threads(tmp_path, monkeypatch, usable=usable) == [threads]
 
     def test_estimator_override(self, tmp_path):
         cfg = self.sweep_config(tmp_path)
