@@ -77,6 +77,9 @@ class CrossoverSpec:
     def __post_init__(self) -> None:
         if self.sweep is not None:
             check_mse_fit(self.sweep)
+            if self.sweep.labels.num_classes != self.num_classes:
+                raise ValueError(f"the fit sweep has K = {self.sweep.labels.num_classes} "
+                                 f"classes, the crossover num_classes = {self.num_classes}")
         if not (self.budgets and self.pilot_costs and self.constant_pairs):
             raise ValueError("crossover lists must be nonempty")
         if not 0 <= min(self.pilot_costs) < min(self.budgets):

@@ -527,11 +527,11 @@ def run_fd(cfg: FdProtocolConfig, seed: int) -> FdMetrics:
     return FdSetup.build(cfg, seed).distill(cfg)
 
 
-def fd_csv_row(metrics: FdMetrics, seed: int, round_index: int = 1) -> str:
+def fd_csv_row(metrics: FdMetrics, seed: int) -> str:
     snr = "" if metrics.snr_db is None else f"{metrics.snr_db:.17g}"
     return ",".join(
         [
-            str(round_index),
+            "1",  # one-shot distillation: every run is round 1
             str(metrics.unlabeled_budget),
             str(metrics.reps),
             str(metrics.antennas),

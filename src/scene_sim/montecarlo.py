@@ -8,7 +8,6 @@ in job order, so results are identical no matter how many workers run them.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -170,6 +169,8 @@ class LabelSpec:
             if any(len(row) != self.num_classes for row in self.fixed):
                 raise ValueError(f"every fixed label needs num_classes = {self.num_classes} entries")
             check_simplex(self.fixed)
+        elif self.fixed is not None:
+            raise ValueError(f"fixed labels need kind 'fixed', got kind '{self.kind.value}'")
 
     def draw(self, n_devices: int, rng: RandomSource) -> list[SoftLabel]:
         gen = rng.generator
@@ -258,8 +259,7 @@ class ResultRow:
     """One (sweep point, estimator, class) row of the result table.
 
     ``var``/``se`` are None when undefined (single trial); ``var_bound`` is
-    only populated for the raw self-centering estimator. ``wall_time`` is a
-    diagnostic shared by all rows of a sweep point and is not serialized.
+    only populated for the raw self-centering estimator.
     """
 
     s: int
@@ -276,7 +276,6 @@ class ResultRow:
     se: float | None
     trials: int
     seed: int
-    wall_time: float = 0.0
 
 
 def _fmt(x: float | int | None) -> str:
@@ -373,7 +372,6 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[Res
 
     rows: list[ResultRow] = []
     for (s, m, snr_db), stream in zip(points, point_streams):
-        start = time.perf_counter()
         cfg = spec.round_config(
             pop, k, s, m, snr_db, time_corr=spec.time_corr, space_corr=spec.space_corr
         )
@@ -383,7 +381,6 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[Res
             raise RuntimeError(
                 f"sweep point S={s}, M={m}, snr_db={snr_db} failed: {exc}"
             ) from exc
-        elapsed = time.perf_counter() - start
         bound = analysis.variance_bound(pop, labels, cfg)
         for name, st in stats.items():
             variance = st.variance
@@ -406,7 +403,6 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[Res
                         se=float(se[c]) if has_var else None,
                         trials=st.n,
                         seed=spec.seed,
-                        wall_time=elapsed,
                     )
                 )
     return rows
@@ -419,7 +415,6 @@ class MseConstantEstimate:
 
     c_nc: float
     se: float
-    per_point: tuple[float, ...]
 
 
 def check_mse_fit(spec: ExperimentSpec) -> None:
@@ -457,4 +452,4 @@ def estimate_mse_constants(
     per_point = tuple(float(np.mean(v)) for v in by_point.values())
     c_hat = float(np.mean(per_point))
     se = float(np.std(per_point, ddof=1) / math.sqrt(len(per_point)))
-    return MseConstantEstimate(c_hat, se, per_point)
+    return MseConstantEstimate(c_hat, se)

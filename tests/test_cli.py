@@ -244,7 +244,9 @@ class TestCrossoverCommand:
         {"trials": 1},
         {"sm_pairs": [[1, 1], [2, 2], [4, 1]]},
         {"snr_db_values": [5.0, 10.0]},
-    ], ids=["ratio_only", "one_trial", "two_products", "several_snrs"])
+        # a K = 10 crossover used to take the c_nc fitted at K = 3
+        {"labels": {"kind": "dirichlet", "num_classes": 3}},
+    ], ids=["ratio_only", "one_trial", "two_products", "several_snrs", "other_k"])
     def test_unfittable_sweep_rejected_at_load(self, tmp_path, capsys, sweep):
         # a sweep section used to be ignored without "estimate_c_nc", so
         # each of these exited 0 on the configured constants; with it, the
@@ -422,6 +424,8 @@ class TestErrorPaths:
             {"kind": "fixed", "num_classes": 2, "fixed": [[0.5, 0.6]] * 2},
             {"kind": "dirichlet", "alpha": 0.0},
             {"kind": "dirichlet", "alpha": -1.0},
+            # drew Dirichlet labels and ignored the fixed ones
+            {"kind": "dirichlet", "num_classes": 2, "fixed": [[0.5, 0.5], [1.0, 0.0]]},
         ],
     )
     def test_labels_checked_at_load(self, tmp_path, capsys, command, labels):

@@ -1,6 +1,6 @@
-"""Smoke tests of the experiment scripts and the ``python -m scene_sim`` entry
-point, each run in a subprocess: the scripts at a tiny size exit 0 and write a
-CSV headed like the library's own exports. A subprocess runs with Python's
+"""Smoke tests of the experiment script and the ``python -m scene_sim`` entry
+point, each run in a subprocess: the script at a tiny size exits 0 and writes a
+CSV headed like the library's own export. A subprocess runs with Python's
 default warning filters, not with the suite's RuntimeWarnings-as-errors."""
 
 import json
@@ -12,9 +12,7 @@ from pathlib import Path
 import pytest
 
 from scene_sim import FdProtocolConfig, RoundConfig, run_fd
-from scene_sim.analysis import CROSSOVER_CSV_HEADER
 from scene_sim.fd import FD_CSV_HEADER, fd_csv_row
-from scene_sim.montecarlo import CSV_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,10 +43,8 @@ def run_cli(*args):
     [
         ("fd_budget.py", ["--budget", 16, "--reps", 1, 4, "--seeds", 1, "--clients", 2],
          FD_CSV_HEADER),
-        ("variance_sweep.py", ["--trials", 200, "--devices", 3], CSV_HEADER),
-        ("crossover_map.py", ["--fit-c-nc", "--budgets", 20, 40], CROSSOVER_CSV_HEADER),
     ],
-    ids=["fd_budget", "variance_sweep", "crossover_map"],
+    ids=["fd_budget"],
 )
 def test_script_runs_and_writes_library_header(tmp_path, name, args, header):
     lines = run_script(name, tmp_path / "out.csv", *args)
@@ -105,9 +101,13 @@ def test_fd_budget_bad_arguments_are_usage_errors(tmp_path, args, message):
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["round", "crossover"])
-def test_cli_runs_shipped_config(tmp_path, command):
-    proc = run_cli(command, "--config", f"configs/{command}.json", "--out", tmp_path)
+@pytest.mark.parametrize(
+    "command, config",
+    [("round", "round"), ("crossover", "crossover"), ("crossover", "crossover_map")],
+    ids=["round", "crossover", "crossover_map"],
+)
+def test_cli_runs_shipped_config(tmp_path, command, config):
+    proc = run_cli(command, "--config", f"configs/{config}.json", "--out", tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "config_resolved.json").exists()
 
