@@ -29,6 +29,7 @@ from .core import (
 )
 from .estimators import (
     ratio_estimate,
+    ratio_raw,
     scene_estimate,
     scene_raw,
     top_t_truncate,

@@ -27,6 +27,12 @@ CN(0, C), C = KMS_S(sqrt(time_corr)) (x) KMS_M(sqrt(space_corr)), so their
 energy is exactly sum_g lam_g * Gamma(mult_g, 1) over the eigenvalue groups of
 C (one Gamma(S*M, 1) without correlation); a slot's noise energy is
 noise_var * Gamma(S*M, 1), since the noise is uncorrelated.
+
+Trials run in chunks, and the chunk sizes fix the draws: each chunk draws its
+fading, phases and noise in one fixed order. The float work of a chunk then
+runs in work blocks of trials, which fix the memory: numpy fills a block of
+draws in sequence, so consecutive blocks draw what one fill of the chunk
+draws, and every output bit is independent of the block size.
 """
 
 from __future__ import annotations
@@ -39,11 +45,15 @@ import numpy as np
 from .core import BadRange, ChannelModel, DevicePopulation, RandomSource, RoundConfig, check_range
 from .power import EnergyFrame
 
-# Target element count of one vectorized chunk of trials: the Gamma draws of
-# the diagonal branch, and the (trials, N, K[+1], S, M) phase block of the
-# superposition branch, sized so that its work blocks stay in cache.
+# Target element count of one chunk of trials, which fixes the random stream:
+# the Gamma draws of the diagonal branch, and the (trials, N, K[+1], S, M)
+# phases of the superposition branch. Each chunk's float work then runs in
+# blocks of trials holding at most _WORK_ELEMS phases, or Gamma draws of one
+# eigenvalue group (one trial when a trial has more). The blocks bound a
+# worker's memory; results do not depend on their size.
 _CHUNK_ELEMS = 8_000_000
 _SUPER_CHUNK_ELEMS = 500_000
+_WORK_ELEMS = 262_144
 
 
 class ShapeMismatch(ValueError):
@@ -93,18 +103,17 @@ _INV_SQRT2 = np.float32(1.0 / math.sqrt(2.0))
 _PHASE_STEP = np.float32(2.0 * math.pi) * np.float32(2.0**-16)
 
 
-def _uniform_phases(gen: np.random.Generator, out: np.ndarray) -> None:
-    """Fill the contiguous float32 ``out`` with uniform phases on the lattice
-    k * 2 pi / 2^16, k = 0 .. 2^16 - 1, of [0, 2 pi).
+def _lattice_indices(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Fresh uint16 array of ``shape`` holding uniform indices k of the phase
+    lattice k * 2 pi / 2^16, k = 0 .. 2^16 - 1, of [0, 2 pi).
 
     Each 64-bit ``random_raw`` word gives four 16-bit pieces k, low piece
     first; the unused pieces of the last word are dropped, so the generator
-    advances by exactly ceil(out.size / 4) words.
+    advances by exactly ceil(size / 4) words.
     """
-    flat = out.reshape(-1)
-    words = gen.bit_generator.random_raw(-(-flat.size // 4))
-    pieces = words.astype("<u8", copy=False).view("<u2")[: flat.size]
-    np.multiply(pieces, _PHASE_STEP, out=flat, dtype=np.float32)  # one float32 loop
+    size = math.prod(shape)
+    words = gen.bit_generator.random_raw(-(-size // 4))
+    return words.astype("<u8", copy=False).view("<u2")[:size].reshape(shape)
 
 
 def _complex_normal(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -157,12 +166,13 @@ def _superpose(
 ) -> np.ndarray:
     """Noisy superposition energies (b, K[+1]) of one chunk of trials sending
     the float32 amplitudes ``w`` (b, N, K[+1]); ``theta`` and ``trig`` are
-    (b, N, K[+1], S, M) float32 work blocks.
+    (rows, N, K[+1], S, M) float32 work blocks, so the phases, their cos/sin
+    and the slot sums are formed ``rows`` trials at a time.
 
     Each device's gain is drawn as its magnitude r, shared by the class slots
-    of a sample, times a fresh uniform phase per slot; :func:`_uniform_phases`
-    draws the phases on a 2^16-point lattice, four per raw PCG64 word, after
-    the magnitudes. The slot sums are two real contractions,
+    of a sample, times a fresh uniform phase per slot; :func:`_lattice_indices`
+    draws the phases of the whole chunk on a 2^16-point lattice, four per raw
+    PCG64 word, after the magnitudes. The slot sums are two real contractions,
     and their energy x2 is reduced in float64. The noise energy given x2 is
     drawn exactly as in the module docstring.
     """
@@ -173,12 +183,18 @@ def _superpose(
     else:
         r = gen.standard_exponential((b, n, s, m), dtype=np.float32)
         np.sqrt(r, out=r)
-    _uniform_phases(gen, theta)
-    parts = np.empty((2, b, kt, s, m), dtype=np.float32)  # real, imaginary
-    for part, fn in zip(parts, (np.cos, np.sin)):
-        fn(theta, out=trig)
-        np.einsum("bik,bism,biksm->bksm", w, r, trig, out=part)
-    x2 = np.einsum("xbksm,xbksm->bk", parts, parts, dtype=np.float64)
+    k = _lattice_indices(gen, (b, n, kt, s, m))
+    x2 = np.empty((b, kt))
+    rows = len(theta)
+    for lo in range(0, b, rows):
+        hi = min(lo + rows, b)
+        th, tr = theta[: hi - lo], trig[: hi - lo]
+        np.multiply(k[lo:hi], _PHASE_STEP, out=th, dtype=np.float32)  # one float32 loop
+        parts = np.empty((2, hi - lo, kt, s, m), dtype=np.float32)  # real, imaginary
+        for part, fn in zip(parts, (np.cos, np.sin)):
+            fn(th, out=tr)
+            np.einsum("bik,bism,biksm->bksm", w[lo:hi], r[lo:hi], tr, out=part)
+        np.einsum("xbksm,xbksm->bk", parts, parts, dtype=np.float64, out=x2[lo:hi])
     if cfg.noise_var == 0:
         return x2
     y = gen.standard_gamma(s * m - 0.5, x2.shape) * cfg.noise_var
@@ -252,23 +268,30 @@ def simulate_rounds(
             w = beta[:, None] * e_ext
         w = np.broadcast_to(w, (trials, n, kt))  # row t is sent in trial t
         chunk = max(1, min(trials, budget // per_trial))
+        rows = max(1, min(chunk, _WORK_ELEMS // (per_trial if superposition else n * kt)))
         if superposition:  # phase and cos/sin blocks, reused by every chunk
-            theta = np.empty((chunk, n, kt, s, m), dtype=np.float32)
+            theta = np.empty((rows, n, kt, s, m), dtype=np.float32)
             trig = np.empty_like(theta)
 
         for lo in range(0, trials, chunk):
             b = min(chunk, trials - lo)
             if superposition:
-                out[lo : lo + b] = _superpose(gen, w[lo : lo + b], cfg, theta[:b], trig[:b])
-            else:
-                wb = w[lo : lo + b]
-                y = sum(
-                    lam * np.einsum("bik,bik->bk", gen.standard_gamma(mult, (b, n, kt)), wb)
-                    for lam, mult in groups
-                )
-                if cfg.noise_var > 0:
-                    y += gen.standard_gamma(s * m, (b, kt)) * cfg.noise_var
-                out[lo : lo + b] = y
+                out[lo : lo + b] = _superpose(gen, w[lo : lo + b], cfg, theta, trig)
+                continue
+            # Consecutive fills of a block draw what one fill of the chunk
+            # draws, so each group's Gammas, then the noise, go block by block.
+            y, blocks = out[lo : lo + b], range(0, b, rows)
+            y[...] = 0.0
+            for lam, mult in groups:
+                for r0 in blocks:
+                    wb = w[lo + r0 : lo + min(r0 + rows, b)]
+                    fading = np.einsum("bik,bik->bk", gen.standard_gamma(mult, wb.shape), wb)
+                    fading *= lam
+                    y[r0 : r0 + len(wb)] += fading
+            if cfg.noise_var > 0:
+                for r0 in blocks:
+                    yb = y[r0 : r0 + rows]
+                    yb += gen.standard_gamma(s * m, yb.shape) * cfg.noise_var
     if not np.isfinite(out).all():
         raise ValueError(f"received energies overflow at noise_var {cfg.noise_var:.3g}: "
                          "the SNR is too low or the energies too large")

@@ -28,10 +28,12 @@ def clip_renormalize(v: np.ndarray) -> np.ndarray:
     """Clip negatives to zero and renormalize along the trailing (class) axis,
     vectorized over leading axes. A row with nothing positive becomes the
     uniform label, the zero-information anchor of the estimator."""
-    clipped = np.maximum(v, 0.0)
-    totals = clipped.sum(axis=-1, keepdims=True)
-    uniform = np.full_like(clipped, 1.0 / v.shape[-1])
-    return np.divide(clipped, totals, out=uniform, where=totals > 0)
+    out = np.maximum(v, 0.0)
+    totals = out.sum(axis=-1, keepdims=True)
+    positive = totals > 0
+    np.divide(out, totals, out=out, where=positive)
+    np.copyto(out, 1.0 / v.shape[-1], where=~positive)
+    return out
 
 
 def scene_raw(y: np.ndarray, sample_count: int, rho: float) -> np.ndarray:
@@ -44,9 +46,10 @@ def scene_raw(y: np.ndarray, sample_count: int, rho: float) -> np.ndarray:
     if rho <= 0:
         raise ZeroRho(f"rho must be positive, got {rho}")
     y = np.asarray(y, dtype=np.float64)
-    k = y.shape[-1]
-    centered = y - y.mean(axis=-1, keepdims=True)
-    return centered / (sample_count * rho) + 1.0 / k
+    r = y - y.mean(axis=-1, keepdims=True)
+    r /= sample_count * rho
+    r += 1.0 / y.shape[-1]
+    return r
 
 
 def scene_estimate(y: np.ndarray, cfg: RoundConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -62,19 +65,16 @@ def scene_estimate(y: np.ndarray, cfg: RoundConfig) -> tuple[np.ndarray, np.ndar
     return raw, clip_renormalize(raw)
 
 
-def ratio_estimate(
-    y: np.ndarray, y_ref: np.ndarray | float | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reference-slot ratio estimate q~_c = Y_c / R, vectorized over leading
-    axes: ``y`` has the classes on its trailing axis and ``y_ref`` the leading
+def ratio_raw(y: np.ndarray, y_ref: np.ndarray | float | None) -> np.ndarray:
+    """Reference-slot ratios q~_c = Y_c / R, vectorized over leading axes:
+    ``y`` has the classes on its trailing axis and ``y_ref`` the leading
     shape of ``y``.
 
     Dividing by the reference energy cancels the common received scale, so no
     gain knowledge is needed at all; heterogeneous per-device mismatch still
-    reweights the average. Returns ``(ratios, projected)``: the plain ratios
-    (not sum-normalized) and their clip-renormalization. A row with nothing
-    positive carries no label information, so it raises instead of falling
-    back to uniform.
+    reweights the average. The ratios are not sum-normalized. A row with
+    nothing positive carries no label information, so it raises instead of
+    falling back to uniform.
     """
     if y_ref is None:
         raise ZeroReference("received energies carry no reference slot")
@@ -84,6 +84,15 @@ def ratio_estimate(
     ratios = y / y_ref[..., None]
     if np.any(ratios.max(axis=-1) <= 0.0):
         raise AllNonpositive("all ratio entries are nonpositive")
+    return ratios
+
+
+def ratio_estimate(
+    y: np.ndarray, y_ref: np.ndarray | float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference-slot ratio estimate: ``(ratios, projected)``, the
+    :func:`ratio_raw` ratios and their :func:`clip_renormalize` projection."""
+    ratios = ratio_raw(y, y_ref)
     return ratios, clip_renormalize(ratios)
 
 

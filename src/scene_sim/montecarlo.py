@@ -31,7 +31,7 @@ from .core import (
     coerce_settings,
     weighted_average,
 )
-from .estimators import ratio_estimate, scene_estimate
+from .estimators import clip_renormalize, ratio_raw, scene_raw
 from .power import map_energies, resolve_round
 
 # Trials per scheduling job; fixed so outputs do not depend on worker count.
@@ -68,7 +68,9 @@ class TrialStats:
     def from_samples(cls, x: np.ndarray) -> "TrialStats":
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         mean = x.mean(axis=0)
-        return cls(x.shape[0], mean, ((x - mean) ** 2).sum(axis=0))
+        sq = x - mean
+        sq **= 2
+        return cls(x.shape[0], mean, sq.sum(axis=0))
 
     def merge(self, other: "TrialStats") -> "TrialStats":
         n = self.n + other.n
@@ -331,15 +333,17 @@ def _point_stats(
     def run_job(args) -> dict[str, TrialStats]:
         count, stream = args
         y, y_ref = simulate_rounds(frame, pop, cfg, stream, trials=count)
-        estimates = {}
-        if want_scene:
-            estimates["scene"] = scene_estimate(y, cfg)
-        if want_ratio:
-            estimates["ratio"] = ratio_estimate(y, y_ref)
         out: dict[str, TrialStats] = {}
-        for name, (raw, projected) in estimates.items():
+
+        def add(name: str, raw: np.ndarray) -> None:
+            # one estimate and its projection at a time bound the job's memory
             out[name] = TrialStats.from_samples(raw)
-            out[name + "_proj"] = TrialStats.from_samples(projected)
+            out[name + "_proj"] = TrialStats.from_samples(clip_renormalize(raw))
+
+        if want_scene:
+            add("scene", scene_raw(y, cfg.sample_count, cfg.rho))
+        if want_ratio:
+            add("ratio", ratio_raw(y, y_ref))
         return out
 
     work = list(zip(jobs, streams))

@@ -44,16 +44,15 @@ def frozen_round(energies, pop, cfg, rng=None, trials=1):
     return y, None
 
 
-def random_phases(gen, out):
-    """Reference phase draw of the superposition kernel, filling ``out`` in
-    place: ceil(size / 4) raw PCG64 words, each cut by shifts into four
-    16-bit pieces k, lowest first, the first ``out.size`` pieces made
-    k * 2^-16 * float32(2 pi) in float64 (exact) and rounded to float32.
-    Called like ``channel._uniform_phases``."""
-    words = gen.bit_generator.random_raw(-(-out.size // 4))
+def random_lattice_indices(gen, shape):
+    """Reference draw of the superposition kernel's phase lattice indices:
+    ceil(size / 4) raw PCG64 words, each cut by shifts into four 16-bit
+    pieces k, lowest first, the first ``size`` of them returned as a uint16
+    array of ``shape``. Called like ``channel._lattice_indices``."""
+    size = math.prod(shape)
+    words = gen.bit_generator.random_raw(-(-size // 4))
     k = (words[:, None] >> np.arange(0, 64, 16, dtype=np.uint64)) & np.uint64(0xFFFF)
-    theta = k.reshape(-1)[: out.size] * 2.0**-16 * float(np.float32(2 * np.pi))
-    out[...] = theta.astype(np.float32).reshape(out.shape)
+    return k.reshape(-1)[:size].astype(np.uint16).reshape(shape)
 
 
 def variance_se(x):

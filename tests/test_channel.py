@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from conftest import (
     extended_energies,
     frozen_round,
     make_uniform_population,
-    random_phases,
+    random_lattice_indices,
     superposition_reference_rounds,
     variance_se,
 )
@@ -348,6 +349,7 @@ class TestSimulateRound:
 # the diagonal one with a single group (uncorrelated) and with many groups
 # (correlated), which chunks by groups under the 50-element override; the
 # superposition one also correlated, which draws |g| from complex AR(1) fading.
+# Under the overrides, 7-element work blocks put block borders inside chunks.
 KERNEL_BRANCHES = [
     dict(channel_model=ChannelModel.SUPERPOSITION),
     dict(channel_model=ChannelModel.DIAGONAL),
@@ -363,9 +365,10 @@ class TestPerTrialFrames:
     @pytest.mark.parametrize("reference", [False, True])
     @pytest.mark.parametrize("chunk_elems", [None, 50])
     def test_equal_rows_bit_identical(self, branch, reference, chunk_elems, monkeypatch):
-        if chunk_elems is not None:  # many small chunks
+        if chunk_elems is not None:  # many small chunks of one-trial blocks
             monkeypatch.setattr(channel, "_CHUNK_ELEMS", chunk_elems)
             monkeypatch.setattr(channel, "_SUPER_CHUNK_ELEMS", chunk_elems)
+            monkeypatch.setattr(channel, "_WORK_ELEMS", 7)
         pop = DevicePopulation([0.2, 0.3, 0.5], [0.6, 1.0, 1.7])
         q = np.random.default_rng(4).dirichlet(np.full(4, 0.5), size=3)
         cfg = RoundConfig(num_classes=4, reps=2, antennas=3, rho=0.8, noise_var=0.4,
@@ -380,9 +383,11 @@ class TestPerTrialFrames:
     @pytest.mark.parametrize("branch", KERNEL_BRANCHES)
     def test_row_t_reaches_trial_t(self, branch, monkeypatch):
         # trial t puts all energy on class hot[t] and no noise is added, so
-        # every other class slot receives exactly zero, across chunk borders
+        # every other class slot receives exactly zero, across chunk and
+        # work-block borders
         monkeypatch.setattr(channel, "_CHUNK_ELEMS", 50)
         monkeypatch.setattr(channel, "_SUPER_CHUNK_ELEMS", 50)
+        monkeypatch.setattr(channel, "_WORK_ELEMS", 7)
         pop = DevicePopulation([0.5, 0.5], [1.0, 0.4])
         k, trials = 3, 30
         hot = np.random.default_rng(5).integers(0, k, trials)
@@ -392,6 +397,26 @@ class TestPerTrialFrames:
         y, y_ref = simulate_rounds(frame, pop, cfg, RandomSource(22), trials=trials)
         assert np.all(y[np.arange(trials), hot] > 0) and np.all(y_ref > 0)
         assert np.array_equal(y * (1 - np.eye(k)[hot]), np.zeros((trials, k)))
+
+    @pytest.mark.parametrize("branch", KERNEL_BRANCHES)
+    @pytest.mark.parametrize("reference", [False, True])
+    @pytest.mark.parametrize("per_trial", [False, True])
+    @pytest.mark.parametrize("work_elems", [7, 200])
+    def test_work_block_changes_no_bit(self, branch, reference, per_trial, work_elems,
+                                       monkeypatch):
+        # 7 elements make one-trial blocks; 200 make blocks of 2 (superposition)
+        # and 13-16 (diagonal) trials, so the last of the 43 trials is ragged
+        pop = DevicePopulation([0.2, 0.3, 0.5], [0.6, 1.0, 1.7])
+        shape = (43, 3) if per_trial else 3
+        q = np.random.default_rng(6).dirichlet(np.full(4, 0.5), size=shape)
+        cfg = RoundConfig(num_classes=4, reps=2, antennas=3, rho=0.8, noise_var=0.4,
+                          use_reference_re=reference, **branch)
+        frame = map_energies(q, pop, cfg.rho)
+        default = simulate_rounds(frame, pop, cfg, RandomSource(24), trials=43)
+        monkeypatch.setattr(channel, "_WORK_ELEMS", work_elems)
+        blocked = simulate_rounds(frame, pop, cfg, RandomSource(24), trials=43)
+        for a, b in zip(default, blocked):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("trials", [4, 6])
     def test_trial_count_must_match(self, trials):
@@ -502,9 +527,10 @@ def effective_state(gen):
 
 
 class TestRawWordPhases:
-    """The superposition phases are four 16-bit lattice phases per raw PCG64
-    word, bit for bit and state for state the explicit numpy raw-word draw of
-    ``conftest.random_phases``."""
+    """The superposition phases are k * float32(2 pi) * 2^-16 for lattice
+    indices k, four 16-bit pieces per raw PCG64 word, bit for bit and state
+    for state the explicit numpy raw-word draw of
+    ``conftest.random_lattice_indices``."""
 
     @pytest.mark.parametrize("pending", [False, True])
     @pytest.mark.parametrize("shape", [(1,), (3,), (4,), (5,), (7, 11, 13)])
@@ -516,12 +542,12 @@ class TestRawWordPhases:
                 g.random(dtype=np.float32)
         assert fast.bit_generator.state["has_uint32"] == pending
         buffered = effective_state(fast)[1]
-        a, b = np.empty(shape, np.float32), np.empty(shape, np.float32)
-        channel._uniform_phases(fast, a)
-        random_phases(slow, b)
+        a = channel._lattice_indices(fast, shape)
+        b = random_lattice_indices(slow, shape)
+        assert a.dtype == b.dtype == np.uint16 and a.shape == shape
         assert a.tobytes() == b.tobytes()
         # exactly ceil(size / 4) words (advance drops the buffered half-word,
-        # which the phases leave as it was)
+        # which the indices leave as it was)
         advanced.bit_generator.advance(-(-a.size // 4))
         assert effective_state(fast) == (effective_state(advanced)[0], buffered)
         assert effective_state(fast) == effective_state(slow)
@@ -529,12 +555,12 @@ class TestRawWordPhases:
                      lambda g: g.random(5),
                      lambda g: g.integers(0, 2**32, 5, dtype=np.uint32)):
             assert draw(fast).tobytes() == draw(slow).tobytes()
-        # every phase is k * float32(2 pi) * 2^-16 for an integer k < 2^16
-        step = np.float32(2 * np.pi) * np.float32(2.0**-16)
-        k = np.rint(a / step)
-        assert np.all((k >= 0) & (k < 2**16))
-        assert (k.astype(np.float32) * step).tobytes() == a.tobytes()
-        assert np.all((a >= 0) & (a < 2 * np.pi))
+        # the kernel's float32 scaling of k is k * 2^-16 * float32(2 pi),
+        # exact in float64, rounded to float32, and lies in [0, 2 pi)
+        theta = np.multiply(a, channel._PHASE_STEP, dtype=np.float32)
+        exact = b * 2.0**-16 * float(np.float32(2 * np.pi))
+        assert theta.tobytes() == exact.astype(np.float32).tobytes()
+        assert np.all((theta >= 0) & (theta < 2 * np.pi))
 
     @pytest.mark.parametrize(
         "setup",
@@ -553,15 +579,24 @@ class TestRawWordPhases:
         setup = dict(setup)
         n, k, trials = setup.pop("n"), setup.pop("k"), setup.pop("trials")
         per_trial = setup.pop("per_trial", False)
-        if chunk_elems is not None:  # chunk borders inside the call
+        if chunk_elems is not None:  # chunk and work-block borders inside the call
             monkeypatch.setattr(channel, "_SUPER_CHUNK_ELEMS", chunk_elems)
+            monkeypatch.setattr(channel, "_WORK_ELEMS", 7)
         pop = DevicePopulation(np.full(n, 1.0 / n), np.linspace(0.5, 1.5, n))
         size = (trials, n) if per_trial else n
         q = np.random.default_rng(n + k).dirichlet(np.full(k, 0.5), size=size)
         cfg = RoundConfig(num_classes=k, rho=0.8, noise_var=0.3, **setup)
         frame = map_energies(q, pop, cfg.rho)
         fast = simulate_rounds(frame, pop, cfg, RandomSource(23), trials)
-        monkeypatch.setattr(channel, "_uniform_phases", random_phases)
+        drawn = []
+
+        def reference_draw(gen, shape):
+            drawn.append(math.prod(shape))
+            return random_lattice_indices(gen, shape)
+
+        monkeypatch.setattr(channel, "_lattice_indices", reference_draw)
         slow = simulate_rounds(frame, pop, cfg, RandomSource(23), trials)
+        kt = k + cfg.use_reference_re
+        assert sum(drawn) == trials * n * kt * cfg.reps * cfg.antennas  # every phase
         for a, b in zip(fast, slow):
             assert (a is None and b is None) or a.tobytes() == b.tobytes()

@@ -12,6 +12,7 @@ from scene_sim import (
     SoftLabel,
     map_energies,
     ratio_estimate,
+    ratio_raw,
     scene_estimate,
     scene_raw,
     simulate_rounds,
@@ -162,11 +163,33 @@ class TestBatchedForms:
                     assert np.array_equal(batch[0][i, j], raw)
                     assert np.array_equal(batch[1][i, j], projected)
 
+    def test_in_place_forms_keep_arithmetic_and_inputs(self):
+        # the estimators work in place on arrays they allocate: bit for bit
+        # the out-of-place formulas, with the caller's arrays left as they were
+        gen = np.random.default_rng(6)
+        y = gen.uniform(0, 5, (30, 4))
+        y[3] = 2.0  # raw 1/4 each, so nothing positive in raw - 0.3: uniform fallback
+        y_ref = gen.uniform(1, 5, 30)
+        y_before, ref_before = y.copy(), y_ref.copy()
+        raw = scene_raw(y, 6, 0.7)
+        expected = (y - y.mean(axis=-1, keepdims=True)) / (6 * 0.7) + 1.0 / 4
+        assert raw.tobytes() == expected.tobytes()
+        for v in (raw - 0.3, ratio_raw(y, y_ref)):
+            clipped = np.maximum(v, 0.0)
+            totals = clipped.sum(axis=-1, keepdims=True)
+            expected = np.divide(clipped, totals, out=np.full_like(clipped, 0.25),
+                                 where=totals > 0)
+            v_before = v.copy()
+            assert clip_renormalize(v).tobytes() == expected.tobytes()
+            assert v.tobytes() == v_before.tobytes()
+        assert y.tobytes() == y_before.tobytes() and y_ref.tobytes() == ref_before.tobytes()
+
     def test_batched_errors(self):
-        with pytest.raises(ZeroReference):
-            ratio_estimate(np.ones((3, 2)), np.array([1.0, 0.0, 2.0]))
-        with pytest.raises(AllNonpositive):
-            ratio_estimate(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
+        for ratio in (ratio_estimate, ratio_raw):
+            with pytest.raises(ZeroReference):
+                ratio(np.ones((3, 2)), np.array([1.0, 0.0, 2.0]))
+            with pytest.raises(AllNonpositive):
+                ratio(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
 
 
 class TestRatioEstimate:
@@ -187,16 +210,19 @@ class TestRatioEstimate:
         assert np.allclose(projected, [0.0, 1.0])
 
     def test_missing_reference(self):
-        with pytest.raises(ZeroReference):
-            ratio_estimate(np.array([1.0, 2.0]), None)
+        for ratio in (ratio_estimate, ratio_raw):
+            with pytest.raises(ZeroReference):
+                ratio(np.array([1.0, 2.0]), None)
 
     def test_zero_reference(self):
-        with pytest.raises(ZeroReference):
-            ratio_estimate(np.array([1.0, 2.0]), 0.0)
+        for ratio in (ratio_estimate, ratio_raw):
+            with pytest.raises(ZeroReference):
+                ratio(np.array([1.0, 2.0]), 0.0)
 
     def test_all_nonpositive(self):
-        with pytest.raises(AllNonpositive):
-            ratio_estimate(np.array([0.0, 0.0]), 1.0)
+        for ratio in (ratio_estimate, ratio_raw):
+            with pytest.raises(AllNonpositive):
+                ratio(np.array([0.0, 0.0]), 1.0)
 
     @given(kappa=st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=50)

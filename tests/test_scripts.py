@@ -164,3 +164,20 @@ def test_superposition_sweep_memory_is_bounded(tmp_path):
                       "--out", tmp_path / "out")
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout.splitlines()[-1]) < 150
+
+
+def test_diagonal_sweep_memory_is_bounded(tmp_path):
+    # two workers at N = 40, K = 10, S*M = 16: a worker used to hold its
+    # chunk's 8 M Gamma draws at once (peak near 160 MB); work blocks of
+    # channel._WORK_ELEMS keep the whole process near 50 MB (peak RSS, in MB)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"sweep": {
+        "population": {"n_devices": 40, "weight_rule": "random"},
+        "labels": {"kind": "dirichlet", "num_classes": 10, "alpha": 0.3},
+        "sm_pairs": [[4, 4]], "snr_db_values": [5.0], "channel_model": "diagonal",
+        "trials": 40000,
+    }}))
+    proc = run_python("-c", _PEAK_RSS, "sweep", "--config", cfg, "--threads", 2,
+                      "--out", tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) < 100
