@@ -2,6 +2,10 @@
 """Budget-allocation experiment: split a fixed airtime budget B = U * S
 between unlabeled samples (U) and repetitions (S) and compare server accuracy.
 
+The ``fd`` section of ``--config`` is one point of the study: its airtime
+B = unlabeled_budget * round.reps stays fixed, and each S in ``--reps`` runs
+that config with U = B // S and round.reps = S.
+
 The aggressive distillation step (small batches, constant learning rate)
 makes the final model sensitive to target noise, which is what creates the
 interior optimum; with calm steps the linear student simply averages the
@@ -9,50 +13,49 @@ noise away and sending everything once wins.
 """
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from scene_sim import FdProtocolConfig, FdSetup, RoundConfig
+from scene_sim import FdSetup
+from scene_sim.cli import load_config
 from scene_sim.fd import FD_CSV_HEADER, fd_csv_row
+
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "fd_budget.json"
+DEFAULT_REPS = (1, 2, 4, 8, 16)
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--budget", type=int, default=2048)
-    ap.add_argument("--reps", type=int, nargs="+", default=[1, 2, 4, 8, 16])
+    ap.add_argument("--config", default=str(DEFAULT_CONFIG),
+                    help="JSON config with an fd section (default: configs/fd_budget.json)")
+    ap.add_argument("--reps", type=int, nargs="+", default=list(DEFAULT_REPS))
     ap.add_argument("--seeds", type=int, default=10)
-    ap.add_argument("--snr-db", type=float, default=5.0)
-    ap.add_argument("--clients", type=int, default=3)
-    ap.add_argument("--batch-size", type=int, default=4)
-    ap.add_argument("--learning-rate", type=float, default=1.0)
     ap.add_argument("--out", default="out/fd_budget.csv")
     args = ap.parse_args()
     if args.seeds < 1:
         ap.error(f"--seeds must be at least 1, got {args.seeds}")
     if min(args.reps) < 1:
         ap.error(f"every --reps entry must be at least 1, got {min(args.reps)}")
-    if args.budget < max(args.reps):
-        ap.error(f"--budget {args.budget} leaves no sample at S = {max(args.reps)}")
+    # a ConfigError is a ValueError; so is a derived config the fd checks
+    # reject, such as a U = B // S past the open pool
     try:
-        configs = [
-            FdProtocolConfig(
-                clients=args.clients,
-                unlabeled_budget=args.budget // s,
-                batch_size=args.batch_size,
-                learning_rate=args.learning_rate,
-                round=RoundConfig(num_classes=10, reps=s, antennas=1),
-                snr_db=args.snr_db,
-            )
-            for s in args.reps
-        ]
-    except ValueError as exc:
-        ap.error(str(exc))
+        base = load_config(args.config, "fd")
+        budget = base.unlabeled_budget * base.round.reps
+        if budget < max(args.reps):
+            ap.error(f"budget B = {budget} leaves no sample at S = {max(args.reps)}")
+        configs = [replace(base, unlabeled_budget=budget // s, round=replace(base.round, reps=s))
+                   for s in args.reps]
+    except (OSError, ValueError) as exc:
+        ap.error(f"{args.config}: {exc}")
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = [FD_CSV_HEADER]
-    print(f"budget B = {args.budget} at {args.snr_db} dB, {args.seeds} seeds")
+    level = (f"{base.snr_db} dB" if base.snr_db is not None
+             else f"noise_var {base.round.noise_var:g}")
+    print(f"budget B = {budget} at {level}, {args.seeds} seeds")
     # S changes only distillation, so each seed pretrains once for every S
     per_seed = []
     for seed in range(args.seeds):

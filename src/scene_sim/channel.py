@@ -258,6 +258,13 @@ def simulate_rounds(
         if superposition:
             budget, per_trial = _SUPER_CHUNK_ELEMS, n * kt * s * m
             w = np.sqrt(beta[:, None] * e_ext).astype(np.float32)  # amplitudes
+            # A device whose float32 amplitude sqrt(beta_i * eta_i) is below
+            # the normal range sends nothing; one class entry may be that
+            # small (Dirichlet labels), so the check is per device.
+            amp = np.sqrt(beta * energies.eta).astype(np.float32)
+            if np.any((energies.eta > 0) & (amp < np.finfo(np.float32).tiny)):
+                raise ValueError(f"device amplitudes underflow float32 at rho {cfg.rho:.3g}: "
+                                 "the energies are too small")
         else:
             groups = [
                 (lam_t * lam_s, mult_t * mult_s)

@@ -180,8 +180,7 @@ def load_config(path: str | None, command: str):
     for key in raw:
         if key not in _SECTION_TYPES:
             raise ConfigError(f"unknown config key '{key}'")
-    section = raw.get(command, {})
-    return _from_dict(_SECTION_TYPES[command], section, command)
+    return _convert(_SECTION_TYPES[command], raw.get(command, {}), command)
 
 
 def _to_jsonable(obj):

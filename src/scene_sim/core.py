@@ -193,6 +193,16 @@ def check_range(**ranges: tuple[float, float] | None) -> None:
             raise BadRange(f"{name} needs 0 < lo <= hi, got {tuple(r)}")
 
 
+def check_scale(**scales: float) -> None:
+    """Reject energy scales rho unless rho^2 is a positive, normal, finite
+    float64, rho within about [1.5e-154, 1.3e154]: the variance terms divide
+    by rho^2."""
+    for name, rho in scales.items():
+        square = float(rho) * float(rho)  # inf past the range, with no warning
+        if not (rho > 0 and np.finfo(np.float64).tiny <= square < np.inf):
+            raise ValueError(f"{name} must be positive with a normal, finite square, got {rho}")
+
+
 def check_correlation(**coeffs: float) -> None:
     """Reject AR(1) correlation coefficients outside [0, 1)."""
     for name, c in coeffs.items():
@@ -225,8 +235,7 @@ class RoundConfig:
             raise BadLength(f"need K >= 2 classes, got {self.num_classes}")
         if self.reps < 1 or self.antennas < 1:
             raise ValueError("reps and antennas must be >= 1")
-        if not 0 < self.rho < np.inf:
-            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        check_scale(rho=self.rho)
         if not 0 <= self.noise_var < np.inf:
             raise ValueError(f"noise_var must be >= 0 and finite, got {self.noise_var}")
         coerce_settings(self, channel_model=ChannelModel)

@@ -27,6 +27,7 @@ from .core import (
     SoftLabel,
     check_correlation,
     check_range,
+    check_scale,
     check_simplex,
     coerce_settings,
     weighted_average,
@@ -209,8 +210,7 @@ class SetupSpec:
         coerce_settings(
             self, rho_rule=RhoRule, channel_model=ChannelModel, estimator=Estimator
         )
-        if not self.rho_value > 0:
-            raise ValueError(f"rho_value must be positive, got {self.rho_value}")
+        check_scale(rho_value=self.rho_value)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         n_fixed = len(self.labels.fixed) if self.labels.kind is LabelKind.FIXED else None

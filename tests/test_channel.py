@@ -327,6 +327,27 @@ class TestSimulateRoundErrors:
         with pytest.raises(ValueError, match="SNR is too low"):
             simulate_rounds(frame, pop, cfg, rng, trials=50)
 
+    @pytest.mark.parametrize("energy", [1e-80, 1e-100])
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_float32_underflow_is_loud(self, rng, energy, reference):
+        # an amplitude below the float32 normal range (subnormal at 1e-80,
+        # zero at 1e-100) erased the signal: a sweep at rho_value 1e-100 gave
+        # every scene mean as 1/K and exited 0
+        pop = make_uniform_population(2)
+        frame = frame_from_energies([[energy, energy], [1.0, 1.0]])
+        cfg = RoundConfig(num_classes=2, reps=2, noise_var=0.1, use_reference_re=reference)
+        with pytest.raises(ValueError, match="underflow"):
+            simulate_rounds(frame, pop, cfg, rng, trials=50)
+
+    def test_tiny_class_entry_or_silent_device_is_no_underflow(self, rng):
+        # the check is per device: a Dirichlet label may hold a tiny entry,
+        # and a device with eta = 0 sends nothing by design
+        pop = make_uniform_population(2)
+        frame = frame_from_energies([[1.0, 1e-100], [0.0, 0.0]])
+        cfg = RoundConfig(num_classes=2, reps=2, noise_var=0.1)
+        y, _ = simulate_rounds(frame, pop, cfg, rng, trials=50)
+        assert np.all(np.isfinite(y))
+
 
 class TestSimulateRound:
     @pytest.mark.parametrize("model", list(ChannelModel))

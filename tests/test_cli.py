@@ -165,6 +165,16 @@ class TestSweepCommand:
         # affinity call the host's CPU count decides, still capped
         assert self.default_threads(tmp_path, monkeypatch, usable=usable) == [threads]
 
+    def test_amplitude_underflow_fails(self, tmp_path, capsys):
+        # every float32 amplitude is 0 at rho 1e-100: the sweep used to exit 0
+        # with every scene mean at 1/K
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({"sweep": {"rho_rule": "fixed", "rho_value": 1e-100,
+                                             "sm_pairs": [[4, 4]], "trials": 4000}}))
+        assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        assert "underflow" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
     def test_estimator_override(self, tmp_path):
         cfg = self.sweep_config(tmp_path)
         raw = json.loads(cfg.read_text())
@@ -444,12 +454,35 @@ class TestErrorPaths:
             ("round", {"population": {"power_cap_range": [-0.2, 1.5]}}),
             ("sweep", {"population": {"gamma_range": [1.2, 0.8]}}),
             ("fd", {"power_cap_range": [0.0, 1.5]}),
+            # the type checks of the config reader
+            pytest.param("sweep", {"trials": None}, id="null-not-optional"),
+            pytest.param("sweep", {"population": 3}, id="object-expected"),
+            pytest.param("sweep", [4], id="section-not-object"),  # was an AttributeError
+            pytest.param("sweep", {"sm_pairs": 4}, id="array-expected"),
+            pytest.param("sweep", {"sm_pairs": [[4, 4, 4]]}, id="pair-length"),
+            pytest.param("sweep", {"snr_db_values": ["5"]}, id="number-expected"),
+            pytest.param("sweep", {"population": {"pathloss": {"normalize_mean": 1}}},
+                         id="boolean-expected"),
+            # the checks of the section types
+            pytest.param("sweep", {"population": {"pathloss": {"exponent": 0}}},
+                         id="pathloss-exponent"),
+            pytest.param("sweep", {"population": {"pathloss": {"shadowing_std_db": -1}}},
+                         id="pathloss-shadowing"),
+            pytest.param("sweep", {"population": {"n_devices": 0}}, id="no-device"),
+            pytest.param("sweep", {"labels": {"num_classes": 1}}, id="one-class"),
+            pytest.param("sweep", {"labels": {"kind": "fixed"}}, id="fixed-without-rows"),
+            pytest.param("sweep", {"sm_pairs": []}, id="no-pair"),
+            pytest.param("sweep", {"snr_db_values": []}, id="no-snr"),
+            # rho^2 = 0 in float64; the variance bound divides by it
+            pytest.param("fd", {"round": {"num_classes": 10, "rho": 1e-300}}, id="fd-round-rho"),
         ],
     )
     def test_ranges_checked_at_load(self, tmp_path, capsys, command, section):
         # a negative cap used to pass or fail with the drawn seed
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({command: section}))
+        with pytest.raises(ConfigError):
+            load_config(str(cfg), command)
         for seed in range(5):
             out = tmp_path / f"out{seed}"
             assert run_cli([command, "--config", cfg, "--seed", seed, "--out", out]) == 1
@@ -484,6 +517,21 @@ class TestErrorPaths:
         assert run_cli(["fd", "--config", cfg, "--out", out]) == 1
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()
+
+    def test_top_level_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps([{"sweep": {}}]))
+        with pytest.raises(ConfigError, match="top level"):
+            load_config(str(cfg), "sweep")
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
+    def test_fd_null_snr_loads_as_none(self, tmp_path):
+        cfg = tmp_path / "fd.json"
+        cfg.write_text(json.dumps({"fd": {"snr_db": None}}))
+        assert load_config(str(cfg), "fd").snr_db is None
 
     def test_fd_zero_epochs_still_load(self, tmp_path):
         cfg = tmp_path / "zero.json"
@@ -541,13 +589,18 @@ class TestErrorPaths:
     @pytest.mark.parametrize("rule", ["min_rho", "fixed"])
     @pytest.mark.parametrize("command", ["round", "sweep"])
     def test_rho_value_checked_at_load(self, tmp_path, capsys, command, rule):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({command: {"rho_rule": rule, "rho_value": 0.0}}))
-        with pytest.raises(ConfigError, match="rho_value"):
-            load_config(str(cfg), command)
-        out = tmp_path / "out"
-        assert run_cli([command, "--config", cfg, "--out", out]) == 1
-        assert not out.exists()
+        # rho_value 1e-300 used to write config_resolved.json and then fail
+        # with a bare "float division by zero": the variance bound divides by
+        # rho^2, which is 0 below about 1.5e-154 and inf above 1.3e154
+        for value in (0.0, 1e-300, 1e300):
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps({command: {"rho_rule": rule, "rho_value": value}}))
+            with pytest.raises(ConfigError, match="rho_value"):
+                load_config(str(cfg), command)
+            out = tmp_path / "out"
+            assert run_cli([command, "--config", cfg, "--out", out]) == 1
+            assert capsys.readouterr().err.startswith("config error")
+            assert not out.exists()
 
     def test_wrong_type(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -658,7 +711,10 @@ def test_deleted_flag_is_usage_error(tmp_path, capsys, command, flag):
 @pytest.mark.parametrize(
     "path, section",
     [(p, s) for p in SHIPPED_CONFIGS for s in json.loads(p.read_text())],
-    ids=lambda v: v.name if isinstance(v, Path) else v,
+    # by file name, or by path where the benchmark's copy shares the name
+    ids=lambda v: v if not isinstance(v, Path) else (
+        str(v.relative_to(ROOT)) if v.parent == ROOT / "configs"
+        and (ROOT / "perfbench" / "configs" / v.name).exists() else v.name),
 )
 def test_shipped_config_loads(path, section):
     # a key deleted from a section type must not leave a shipped config broken

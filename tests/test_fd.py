@@ -439,6 +439,14 @@ class TestOneShotDistill:
         ]
         assert runs[0].agg_l2_error != runs[1].agg_l2_error
 
+    def test_amplitude_underflow_is_loud(self):
+        # at a fixed rho of 1e-100 every float32 amplitude is 0: the run used
+        # to distill on uniform targets and report chance-level accuracy
+        cfg = replace(TestFdSetup.BASE, rho_rule="fixed",
+                      round=RoundConfig(num_classes=10, rho=1e-100))
+        with pytest.raises(ValueError, match="underflow"):
+            run_fd(cfg, seed=3)
+
     def test_ratio_transport_runs(self):
         cfg = FdProtocolConfig(aggregation="ratio", unlabeled_budget=32, snr_db=10.0)
         metrics = run_fd(cfg, seed=5)

@@ -3,6 +3,7 @@ point, each run in a subprocess: the script at a tiny size exits 0 and writes a
 CSV headed like the library's own export. A subprocess runs with Python's
 default warning filters, not with the suite's RuntimeWarnings-as-errors."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -38,22 +39,43 @@ def run_cli(*args):
     return run_python("-m", "scene_sim", *args)
 
 
+def load_module(path):
+    """Import a file outside the package, under a name of its own (a module
+    that defines dataclasses must be in ``sys.modules``)."""
+    name = f"{path.parent.name}_{path.stem}"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def fd_budget_config(tmp_path, **fields):
+    """The shipped study config with ``fields`` replaced in its fd section."""
+    section = json.loads((ROOT / "configs" / "fd_budget.json").read_text())["fd"]
+    path = tmp_path / "fd_budget.json"
+    path.write_text(json.dumps({"fd": {**section, **fields}}))
+    return path
+
+
+# B = 16 at 2 clients: a study small enough for a smoke test
+SMALL = dict(unlabeled_budget=16, clients=2)
+DELETED_FLAGS = ["--budget", "--snr-db", "--clients", "--batch-size", "--learning-rate"]
+
+
 @pytest.mark.parametrize(
-    "name, args, header",
-    [
-        ("fd_budget.py", ["--budget", 16, "--reps", 1, 4, "--seeds", 1, "--clients", 2],
-         FD_CSV_HEADER),
-    ],
+    "name, fields, args, header",
+    [("fd_budget.py", SMALL, ["--reps", 1, 4, "--seeds", 1], FD_CSV_HEADER)],
     ids=["fd_budget"],
 )
-def test_script_runs_and_writes_library_header(tmp_path, name, args, header):
-    lines = run_script(name, tmp_path / "out.csv", *args)
+def test_script_runs_and_writes_library_header(tmp_path, name, fields, args, header):
+    cfg = fd_budget_config(tmp_path, **fields)
+    lines = run_script(name, tmp_path / "out.csv", "--config", cfg, *args)
     assert lines[0] == header
     assert len(lines) > 1
 
 
 def test_fd_budget_reruns_byte_identical(tmp_path):
-    args = ["--budget", 16, "--reps", 2, "--seeds", 2, "--clients", 2]
+    args = ["--config", fd_budget_config(tmp_path, **SMALL), "--reps", 2, "--seeds", 2]
     first = run_script("fd_budget.py", tmp_path / "a.csv", *args)
     assert first == run_script("fd_budget.py", tmp_path / "b.csv", *args)
     assert len(first) == 3  # header + one row per (S, seed)
@@ -61,11 +83,14 @@ def test_fd_budget_reruns_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("seeds", [1, 2])
 def test_fd_budget_rows_equal_run_fd(tmp_path, seeds):
-    # the script pretrains once per seed for every S; its rows stay those of
-    # one run_fd call per (S, seed), in the order S outer, seed inner
+    # the config is one point of the study, B = unlabeled_budget * round.reps
+    # = 16; the script pretrains once per seed for every S, and its rows stay
+    # those of one run_fd call per (S, seed), in the order S outer, seed inner
     reps = (2, 4)
+    cfg = fd_budget_config(tmp_path, clients=2, unlabeled_budget=8,
+                           round={"num_classes": 10, "reps": 2, "antennas": 1})
     proc = run_python(ROOT / "scripts" / "fd_budget.py", "--out", tmp_path / "out.csv",
-                      "--budget", 16, "--reps", *reps, "--seeds", seeds, "--clients", 2)
+                      "--config", cfg, "--reps", *reps, "--seeds", seeds)
     assert proc.returncode == 0, proc.stderr
     expected = [FD_CSV_HEADER]
     for s in reps:
@@ -79,26 +104,47 @@ def test_fd_budget_rows_equal_run_fd(tmp_path, seeds):
     acc_lines = [line for line in proc.stdout.splitlines() if "server acc" in line]
     assert len(acc_lines) == len(reps)
     assert all(("+-" in line) == (seeds > 1) for line in acc_lines)
+    assert proc.stdout.startswith("budget B = 16 at 5.0 dB")
     assert proc.stderr == ""
 
 
 @pytest.mark.parametrize(
-    "args, message",
+    "fields, args, message",
     [
-        (["--seeds", 0], "--seeds"),  # used to write nan rows
-        (["--reps", 2, 0], "--reps"),  # used to raise ZeroDivisionError
-        (["--reps", 1, -4], "--reps"),
-        (["--budget", 8, "--reps", 4, 16], "--budget"),  # used to raise EmptyBudget
-        (["--clients", 0], "client"),
+        ({}, ["--seeds", 0], "--seeds"),  # used to write nan rows
+        ({}, ["--reps", 2, 0], "--reps"),  # used to raise ZeroDivisionError
+        ({}, ["--reps", 1, -4], "--reps"),
+        ({"unlabeled_budget": 8}, ["--reps", 4, 16], "budget"),  # used to raise EmptyBudget
+        ({"clients": 0}, [], "client"),
+        ({"budget": 8}, [], "unknown config key 'fd.budget'"),
+        # B = 2048 * 4 leaves U = 8192 at S = 1, past the 4000-sample open pool
+        ({"round": {"num_classes": 10, "reps": 4, "antennas": 1}}, ["--reps", 1, 4],
+         "open pool"),
+        # each fd field is spelled once, in the config's fd section
+        *(({}, [flag, 3], "unrecognized arguments") for flag in DELETED_FLAGS),
     ],
-    ids=["seeds", "zero-rep", "negative-rep", "budget-below-rep", "config"],
+    ids=["seeds", "zero-rep", "negative-rep", "budget-below-rep", "config", "unknown-key",
+         "derived-config", *DELETED_FLAGS],
 )
-def test_fd_budget_bad_arguments_are_usage_errors(tmp_path, args, message):
-    proc = run_python(ROOT / "scripts" / "fd_budget.py", "--out", tmp_path / "out.csv", *args)
+def test_fd_budget_bad_arguments_are_usage_errors(tmp_path, fields, args, message):
+    cfg = fd_budget_config(tmp_path, **fields)
+    proc = run_python(ROOT / "scripts" / "fd_budget.py", "--out", tmp_path / "out.csv",
+                      "--config", cfg, *args)
     assert proc.returncode == 2
     assert "error:" in proc.stderr and message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_fd_budget_study_is_the_benchmarked_one():
+    # the fd-budget benchmark workload runs its own copy of the study; both
+    # must stay the shipped one
+    shipped, bench = (json.loads(p.read_text())["fd"] for p in (
+        ROOT / "configs" / "fd_budget.json", ROOT / "perfbench" / "configs" / "fd_budget.json"))
+    assert shipped == bench
+    script = load_module(ROOT / "scripts" / "fd_budget.py")
+    assert script.DEFAULT_CONFIG == ROOT / "configs" / "fd_budget.json"
+    assert script.DEFAULT_REPS == load_module(ROOT / "perfbench" / "workloads.py").FD_REPS
 
 
 @pytest.mark.parametrize(
