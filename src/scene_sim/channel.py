@@ -28,10 +28,15 @@ energy is exactly sum_g lam_g * Gamma(mult_g, 1) over the eigenvalue groups of
 C (one Gamma(S*M, 1) without correlation); a slot's noise energy is
 noise_var * Gamma(S*M, 1), since the noise is uncorrelated.
 
-Trials run in chunks, and the chunk sizes fix the draws: each chunk draws its
-fading, phases and noise in one fixed order. The float work of a chunk then
-runs in work blocks of trials, which fix the memory: numpy fills a block of
-draws in sequence, so consecutive blocks draw what one fill of the chunk
+Trials run in chunks of :func:`chunk_trials` trials, and the chunks fix the
+draws: each chunk draws its fading, phases and noise in one fixed order, and a
+call of fewer trials is one short chunk. So a call split at a multiple of the
+chunk makes exactly the same draws as one call, and returns the same bits: a
+caller may stream a long run through several calls. A split anywhere else
+moves draws, because the DIAGONAL branch draws each eigenvalue group for the
+whole chunk before the next, and then the noise. The float work of a chunk
+then runs in work blocks of trials, which fix the memory: numpy fills a block
+of draws in sequence, so consecutive blocks draw what one fill of the chunk
 draws, and every output bit is independent of the block size.
 """
 
@@ -161,6 +166,23 @@ def _kms_groups(n: int, corr: float) -> list[tuple[float, int]]:
     return [(float(lam), 1) for lam in np.linalg.eigvalsh(kms)]
 
 
+def chunk_trials(pop: DevicePopulation, cfg: RoundConfig) -> int:
+    """Trials per chunk of :func:`simulate_rounds` for ``pop`` and ``cfg``: a
+    call of more trials runs whole chunks of this size, then one short chunk,
+    and a call of at most this many trials is one chunk. A trial holding more
+    than the chunk budget makes one-trial chunks.
+
+    A call split at a multiple of this count makes the same draws, and gives
+    the same bits, as one call (module docstring).
+    """
+    n, kt = pop.num_devices, cfg.num_classes + cfg.use_reference_re
+    if cfg.channel_model is ChannelModel.SUPERPOSITION:
+        return max(1, _SUPER_CHUNK_ELEMS // (n * kt * cfg.reps * cfg.antennas))
+    # one Gamma draw per eigenvalue group of the correlation (_kms_groups)
+    groups = (cfg.reps if cfg.time_corr else 1) * (cfg.antennas if cfg.space_corr else 1)
+    return max(1, _CHUNK_ELEMS // (n * kt * groups))
+
+
 def _superpose(
     gen: np.random.Generator, w: np.ndarray, cfg: RoundConfig, theta: np.ndarray, trig: np.ndarray
 ) -> np.ndarray:
@@ -256,7 +278,6 @@ def simulate_rounds(
     # range an energy; that is checked once on the energies below.
     with np.errstate(over="ignore", invalid="ignore"):
         if superposition:
-            budget, per_trial = _SUPER_CHUNK_ELEMS, n * kt * s * m
             w = np.sqrt(beta[:, None] * e_ext).astype(np.float32)  # amplitudes
             # A device whose float32 amplitude sqrt(beta_i * eta_i) is below
             # the normal range sends nothing; one class entry may be that
@@ -271,11 +292,10 @@ def simulate_rounds(
                 for lam_t, mult_t in _kms_groups(s, cfg.time_corr)
                 for lam_s, mult_s in _kms_groups(m, cfg.space_corr)
             ]
-            budget, per_trial = _CHUNK_ELEMS, n * kt * len(groups)
             w = beta[:, None] * e_ext
         w = np.broadcast_to(w, (trials, n, kt))  # row t is sent in trial t
-        chunk = max(1, min(trials, budget // per_trial))
-        rows = max(1, min(chunk, _WORK_ELEMS // (per_trial if superposition else n * kt)))
+        chunk = min(trials, chunk_trials(pop, cfg))
+        rows = max(1, min(chunk, _WORK_ELEMS // (n * kt * (s * m if superposition else 1))))
         if superposition:  # phase and cos/sin blocks, reused by every chunk
             theta = np.empty((rows, n, kt, s, m), dtype=np.float32)
             trig = np.empty_like(theta)

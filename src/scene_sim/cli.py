@@ -22,7 +22,7 @@ from pathlib import Path
 from . import analysis
 from .analysis import CROSSOVER_CSV_HEADER, CrossoverModel
 from .channel import simulate_round
-from .core import Estimator, weighted_average
+from .core import Estimator, check_snr, weighted_average
 from .estimators import ratio_estimate, scene_estimate
 from .fd import FD_CSV_HEADER, FdProtocolConfig, fd_csv_row, run_fd
 from .montecarlo import (
@@ -37,10 +37,12 @@ from .power import map_energies
 
 
 # Default --threads: one worker per usable core, at most this many. A sweep
-# worker's 20 000-trial job peaks near 6.5 MB at K = 10 (tracemalloc: 6.2 MB
-# diagonal, 6.5 MB superposition with both estimators). The channel's work
-# blocks keep that flat in N and S*M; it grows with K through four
-# (20 000, K) float64 arrays. So the default pool adds about 50 MB on any host.
+# worker streams its 20 000-trial job in blocks of whole channel chunks, about
+# 2^16 estimates each, and the channel's work blocks keep each chunk flat in N
+# and S*M: a superposition job with both estimators peaks near 4.3 MB at
+# K = 10 and K = 100 alike (tracemalloc, N = 10, S*M = 16). A diagonal block
+# is one chunk of up to 8 M Gamma draws, which fixes the stream: 6.5 MB at
+# K = 10, 26 MB at K = 100. So the default pool adds about 50 MB on any host.
 _DEFAULT_MAX_THREADS = 8
 
 
@@ -62,6 +64,7 @@ class RoundSpec(SetupSpec):
             raise ValueError("a round runs one estimator: 'scene' or 'ratio', not 'both'")
         if self.s < 1 or self.m < 1:
             raise ValueError(f"need s, m >= 1, got s={self.s}, m={self.m}")
+        check_snr(snr_db=self.snr_db)
 
 
 @dataclass(frozen=True)

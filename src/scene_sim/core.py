@@ -7,6 +7,7 @@ there is no global RNG state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Sequence
@@ -201,6 +202,19 @@ def check_scale(**scales: float) -> None:
         square = float(rho) * float(rho)  # inf past the range, with no warning
         if not (rho > 0 and np.finfo(np.float64).tiny <= square < np.inf):
             raise ValueError(f"{name} must be positive with a normal, finite square, got {rho}")
+
+
+def check_snr(**snrs: float) -> None:
+    """Reject SNRs in dB whose linear factor 10^(snr_db/10) is zero or past
+    the float64 range, snr_db about outside [-3230, 3080]: no noise power
+    realizes them."""
+    for name, snr_db in snrs.items():
+        try:
+            factor = 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            factor = math.inf
+        if not 0.0 < factor < math.inf:
+            raise ValueError(f"{name} {snr_db} puts the noise power outside the float range")
 
 
 def check_correlation(**coeffs: float) -> None:

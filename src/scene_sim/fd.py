@@ -26,6 +26,7 @@ from .core import (
     RhoRule,
     RoundConfig,
     check_range,
+    check_snr,
     coerce_settings,
 )
 from .estimators import ratio_estimate, scene_estimate
@@ -338,6 +339,8 @@ class FdProtocolConfig:
             )
         if self.round.noise_var != 0.0 and self.snr_db is not None:
             raise ValueError("give round.noise_var or snr_db, not both")
+        if self.snr_db is not None:
+            check_snr(snr_db=self.snr_db)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,12 +11,12 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from . import analysis
-from .channel import PathlossModel, sample_pathloss, simulate_rounds
+from .channel import PathlossModel, chunk_trials, sample_pathloss, simulate_rounds
 from .core import (
     ChannelModel,
     DevicePopulation,
@@ -29,6 +29,7 @@ from .core import (
     check_range,
     check_scale,
     check_simplex,
+    check_snr,
     coerce_settings,
     weighted_average,
 )
@@ -37,6 +38,10 @@ from .power import map_energies, resolve_round
 
 # Trials per scheduling job; fixed so outputs do not depend on worker count.
 _JOB_TRIALS = 20_000
+# Target estimate elements (trials x K) of one block of a job, rounded up to
+# whole channel chunks. A block's energies and estimates are all a worker
+# holds at once; more, smaller blocks cost numpy calls.
+_BLOCK_ELEMS = 2**16
 
 CSV_HEADER = (
     "S,M,snr_db,rho,model,estimator,class,mean,bias,var,var_bound,se,trials,seed"
@@ -253,6 +258,7 @@ class ExperimentSpec(SetupSpec):
             raise ValueError(f"every sm_pairs entry needs S, M >= 1, got {self.sm_pairs}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        check_snr(**{f"snr_db_values[{i}]": v for i, v in enumerate(self.snr_db_values)})
         check_correlation(time_corr=self.time_corr, space_corr=self.space_corr)
 
 
@@ -322,21 +328,31 @@ def _point_stats(
     threads: int | None,
 ) -> dict[str, TrialStats]:
     """Run all trials of one sweep point, returning stats keyed by estimator
-    variant ("scene", "scene_proj", "ratio", "ratio_proj")."""
+    variant ("scene", "scene_proj", "ratio", "ratio_proj").
+
+    Each job streams its trials through the channel and the estimators in
+    blocks of whole channel chunks, about ``_BLOCK_ELEMS`` estimates each, so
+    it draws what one channel call of the job would draw and holds one
+    block's arrays at a time, whatever its trial count. Block stats merge in
+    block order, then job stats in job order: a job of one block gives the
+    bits of one call, and more blocks move only the last digits of the
+    moments.
+    """
     frame = map_energies(labels, pop, cfg.rho)
     want_scene = spec.estimator is not Estimator.RATIO
     want_ratio = spec.estimator is not Estimator.SCENE
+    chunk = chunk_trials(pop, cfg)
+    block = -(-_BLOCK_ELEMS // (cfg.num_classes * chunk)) * chunk
 
     jobs = [min(_JOB_TRIALS, spec.trials - lo) for lo in range(0, spec.trials, _JOB_TRIALS)]
     streams = rng.split(len(jobs))
 
-    def run_job(args) -> dict[str, TrialStats]:
-        count, stream = args
+    def run_block(count: int, stream: RandomSource) -> dict[str, TrialStats]:
         y, y_ref = simulate_rounds(frame, pop, cfg, stream, trials=count)
         out: dict[str, TrialStats] = {}
 
         def add(name: str, raw: np.ndarray) -> None:
-            # one estimate and its projection at a time bound the job's memory
+            # one estimate and its projection at a time bound the block's memory
             out[name] = TrialStats.from_samples(raw)
             out[name + "_proj"] = TrialStats.from_samples(clip_renormalize(raw))
 
@@ -346,15 +362,23 @@ def _point_stats(
             add("ratio", ratio_raw(y, y_ref))
         return out
 
+    def run_job(args) -> dict[str, TrialStats]:
+        count, stream = args
+        return _merged(run_block(min(block, count - lo), stream) for lo in range(0, count, block))
+
     work = list(zip(jobs, streams))
     if threads is not None and threads > 1 and len(work) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(run_job, work))
     else:
         partials = [run_job(w) for w in work]
+    return _merged(partials)
 
+
+def _merged(parts: Iterable[dict[str, TrialStats]]) -> dict[str, TrialStats]:
+    """Stats of disjoint trial streams merged key by key, in order."""
     merged: dict[str, TrialStats] = {}
-    for part in partials:
+    for part in parts:
         for key, stats in part.items():
             merged[key] = merged[key].merge(stats) if key in merged else stats
     return merged

@@ -447,6 +447,56 @@ class TestPerTrialFrames:
             simulate_rounds(frame, pop, RoundConfig(num_classes=2), RandomSource(0), trials)
 
 
+class GammaSpy:
+    """Generator stand-in recording the trial count of each (trials, slots)
+    Gamma draw: the noise energies, drawn once per chunk in either branch
+    while a work block holds the whole chunk."""
+
+    def __init__(self, gen):
+        self._gen, self.chunks = gen, []
+
+    def standard_gamma(self, shape, size):
+        if len(size) == 2:
+            self.chunks.append(size[0])
+        return self._gen.standard_gamma(shape, size)
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+class TestChunkSplit:
+    """A call split at a multiple of ``channel.chunk_trials`` makes exactly
+    the draws of one call, which is what lets a sweep job stream its trials."""
+
+    @pytest.mark.parametrize("branch", KERNEL_BRANCHES)
+    @pytest.mark.parametrize("reference", [False, True])
+    # several-trial chunks; a trial larger than the budget (one-trial chunks)
+    @pytest.mark.parametrize("budget", [300, 5])
+    def test_split_at_chunk_is_one_call(self, branch, reference, budget, monkeypatch):
+        monkeypatch.setattr(channel, "_CHUNK_ELEMS", budget)
+        monkeypatch.setattr(channel, "_SUPER_CHUNK_ELEMS", budget)
+        pop = DevicePopulation([0.2, 0.3, 0.5], [0.6, 1.0, 1.7])
+        q = np.random.default_rng(7).dirichlet(np.full(4, 0.5), size=3)
+        cfg = RoundConfig(num_classes=4, reps=2, antennas=3, rho=0.8, noise_var=0.4,
+                          use_reference_re=reference, **branch)
+        frame = map_energies(q, pop, cfg.rho)
+        chunk = channel.chunk_trials(pop, cfg)
+        assert chunk > 1 if budget == 300 else chunk == 1
+        trials = 4 * chunk + chunk // 2 + 1  # a short last chunk
+        rng = RandomSource(25)
+        rng.generator = spy = GammaSpy(rng.generator)
+        y, y_ref = simulate_rounds(frame, pop, cfg, rng, trials)
+        assert spy.chunks == [chunk] * 4 + [trials - 4 * chunk]  # the chunks the kernel ran
+        rng = RandomSource(25)
+        parts = [simulate_rounds(frame, pop, cfg, rng, t)
+                 for t in (chunk, 2 * chunk, trials - 3 * chunk)]
+        assert np.concatenate([p[0] for p in parts]).tobytes() == y.tobytes()
+        if reference:
+            assert np.concatenate([p[1] for p in parts]).tobytes() == y_ref.tobytes()
+        else:
+            assert all(p[1] is None for p in parts) and y_ref is None
+
+
 class TestCorrelatedFading:
     def test_zero_coefficients_identical_draws(self):
         # zero coefficients are the independent kernel, draw for draw

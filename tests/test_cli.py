@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from scene_sim import cli
+from scene_sim import channel, cli, montecarlo
 from scene_sim.cli import ConfigError, _convert, load_config, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -475,6 +475,14 @@ class TestErrorPaths:
             pytest.param("sweep", {"snr_db_values": []}, id="no-snr"),
             # rho^2 = 0 in float64; the variance bound divides by it
             pytest.param("fd", {"round": {"num_classes": 10, "rho": 1e-300}}, id="fd-round-rho"),
+            # 10^(snr_db / 10) is 0 or past the float range: these used to
+            # write config_resolved.json and then fail inside the run
+            pytest.param("sweep", {"snr_db_values": [5.0, -4000.0]}, id="sweep-snr-low"),
+            pytest.param("sweep", {"snr_db_values": [4000.0]}, id="sweep-snr-high"),
+            pytest.param("round", {"snr_db": -4000.0}, id="round-snr-low"),
+            pytest.param("round", {"snr_db": 4000.0}, id="round-snr-high"),
+            pytest.param("fd", {"snr_db": -4000.0}, id="fd-snr-low"),
+            pytest.param("fd", {"snr_db": 4000.0}, id="fd-snr-high"),
         ],
     )
     def test_ranges_checked_at_load(self, tmp_path, capsys, command, section):
@@ -753,3 +761,76 @@ def test_crossover_section_rejected_at_load_or_runs_finite(section):
         rows = [row.split(",") for row in (out / "crossover.csv").read_text().splitlines()[1:]]
         assert {int(row[0]) for row in rows} == set(spec.budgets)  # every budget has rows
         assert all(math.isfinite(float(x)) for row in rows for x in row)
+
+
+def _pair(values):
+    return st.tuples(st.sampled_from(values), st.sampled_from(values))
+
+
+# Tiny sizes, so each example runs in milliseconds (the default is 10 000
+# trials); each list holds values that load rejects beside extreme values
+# that must run. Known run-time failures that load cannot see are outside
+# the lists: rho past the float32 amplitude range of the superposition
+# kernel (about 1e+-76), and noise powers rho / K * 10^(-snr_db / 10) above
+# about 1e154 (below about -1540 dB at rho 1), whose squares overflow.
+_SWEEP_SECTION = st.fixed_dictionaries({"trials": st.integers(0, 30)}, optional={
+    "population": st.fixed_dictionaries({}, optional={
+        "n_devices": st.integers(0, 3),
+        "pathloss": st.fixed_dictionaries({}, optional={
+            "exponent": st.sampled_from([0.0, 0.5, 3.5, 8.0]),
+            "distance_range": _pair([0.0, 1e-3, 5.0, 50.0, 1e4]),
+            "shadowing_std_db": st.sampled_from([-1.0, 0.0, 8.0, 40.0]),
+            "normalize_mean": st.booleans(),
+        }),
+        "power_cap_range": _pair([0.0, 1e-6, 0.5, 1.5, 1e6]),
+        "weight_rule": st.sampled_from(["uniform", "random", "randon"]),
+        "gamma_range": st.none() | _pair([0.0, 0.1, 1.0, 10.0]),
+    }),
+    "labels": st.fixed_dictionaries({}, optional={
+        "kind": st.sampled_from(["dirichlet", "vertex", "fixed"]),
+        "num_classes": st.integers(1, 4),
+        "alpha": st.sampled_from([0.0, 1e-3, 0.3, 1e3]),
+        "fixed": st.lists(st.sampled_from([[1.0, 0.0], [0.5, 0.5], [0.5, 0.25, 0.25]]),
+                          min_size=1, max_size=3),
+    }),
+    "sm_pairs": st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=2),
+    "snr_db_values": st.lists(st.sampled_from([-4000.0, -300.0, -20.0, 5.0, 300.0, 4000.0]),
+                              min_size=1, max_size=2),
+    "rho_rule": st.sampled_from(["min_rho", "fixed", "minimum"]),
+    "rho_value": st.sampled_from([0.0, 1e-300, 1e-70, 1e-6, 1.0, 1e6, 1e70, 1e300]),
+    "channel_model": st.sampled_from(["superposition", "diagonal"]),
+    "estimator": st.sampled_from(["scene", "ratio", "both"]),
+    "time_corr": st.sampled_from([0.0, 0.5, 0.99, 1.0]),
+    "space_corr": st.sampled_from([0.0, 0.5, 0.99, 1.0]),
+    "seed": st.integers(-1, 3),
+})
+
+
+@given(section=_SWEEP_SECTION)
+@example(section={"trials": 4, "snr_db_values": [-4000.0]})  # failed after loading
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+def test_sweep_section_rejected_at_load_or_runs_finite(section, monkeypatch):
+    # tiny jobs, chunks and blocks, so up to 30 trials cross job, block and
+    # chunk borders on two threads
+    monkeypatch.setattr(montecarlo, "_JOB_TRIALS", 7)
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMS", 8)
+    monkeypatch.setattr(channel, "_CHUNK_ELEMS", 100)
+    monkeypatch.setattr(channel, "_SUPER_CHUNK_ELEMS", 100)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "s.json"
+        cfg.write_text(json.dumps({"sweep": section}))
+        out = Path(tmp) / "out"
+        try:
+            spec = load_config(str(cfg), "sweep")
+        except ConfigError:
+            assert run_cli(["sweep", "--config", cfg, "--threads", 2, "--out", out]) == 1
+            assert not out.exists()
+            return
+        assert run_cli(["sweep", "--config", cfg, "--threads", 2, "--out", out]) == 0
+        rows = [row.split(",") for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+        variants = 4 if spec.estimator.value == "both" else 2
+        points = len(spec.sm_pairs) * len(spec.snr_db_values)
+        assert len(rows) == points * variants * spec.labels.num_classes
+        numbers = [x for row in rows for i, x in enumerate(row) if i not in (4, 5) and x]
+        assert all(math.isfinite(float(x)) for x in numbers)  # model, estimator aside

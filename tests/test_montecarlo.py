@@ -17,10 +17,15 @@ from scene_sim import (
     TrialStats,
     WeightRule,
     estimate_mse_constants,
+    map_energies,
+    ratio_raw,
     run_experiment,
+    scene_raw,
     scene_variance_diagonal,
+    simulate_rounds,
     variance_bound,
 )
+from scene_sim import montecarlo
 from scene_sim.channel import PathlossModel
 from scene_sim.core import (
     BadRange,
@@ -30,6 +35,7 @@ from scene_sim.core import (
     RoundConfig,
     SoftLabel,
 )
+from scene_sim.estimators import clip_renormalize
 from scene_sim.montecarlo import CSV_HEADER, InsufficientSweep, MixedSnr, write_rows_csv
 
 
@@ -252,6 +258,61 @@ class TestRunExperiment:
                 total += 1
                 hits += abs(r.bias) <= 3 * r.se
         assert hits / total >= 0.99
+
+
+def one_call_per_job(spec, pop, labels, cfg, rng):
+    """Point stats from one channel call and one ``from_samples`` per job,
+    merged in job order: what ``_point_stats`` computed before it streamed."""
+    frame = map_energies(labels, pop, cfg.rho)
+    jobs = [min(montecarlo._JOB_TRIALS, spec.trials - lo)
+            for lo in range(0, spec.trials, montecarlo._JOB_TRIALS)]
+    merged = {}
+    for count, stream in zip(jobs, rng.split(len(jobs))):
+        y, y_ref = simulate_rounds(frame, pop, cfg, stream, trials=count)
+        raws = {}
+        if spec.estimator is not Estimator.RATIO:
+            raws["scene"] = scene_raw(y, cfg.sample_count, cfg.rho)
+        if spec.estimator is not Estimator.SCENE:
+            raws["ratio"] = ratio_raw(y, y_ref)
+        for name, raw in raws.items():
+            for key, x in ((name, raw), (name + "_proj", clip_renormalize(raw))):
+                stats = TrialStats.from_samples(x)
+                merged[key] = merged[key].merge(stats) if key in merged else stats
+    return merged
+
+
+class TestStreamedPointStats:
+    """``_point_stats`` streams each job through the estimators in blocks of
+    whole channel chunks: the draws of one call per job, merged per block."""
+
+    @staticmethod
+    def both(spec, threads):
+        pop, labels, _ = spec.draw(spec.seed)
+        (s, m), = spec.sm_pairs
+        cfg = spec.round_config(pop, labels[0].num_classes, s, m, spec.snr_db_values[0])
+        streamed = montecarlo._point_stats(spec, pop, labels, cfg, RandomSource(11), threads)
+        reference = one_call_per_job(spec, pop, labels, cfg, RandomSource(11))
+        assert list(streamed) == list(reference)
+        return streamed, reference
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_job_of_one_chunk_is_exact(self, threads):
+        # N = 3, K = 5 diagonal: a 20 000-trial job is one chunk, so one block
+        spec = small_spec(estimator="both", trials=45_000)
+        for a, b in zip(*(d.values() for d in self.both(spec, threads))):
+            assert a.n == b.n
+            assert a.mean.tobytes() == b.mean.tobytes() and a.m2.tobytes() == b.m2.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_superposition_blocks_match_within_rounding(self, threads):
+        # N = 3, K = 5, S*M = 4: 6 944-trial chunks, blocks of two chunks, so
+        # the 20 000-trial job runs 13 888 + 6 112 trials and the last job 5 000
+        spec = small_spec(estimator="both", trials=25_000,
+                          channel_model=ChannelModel.SUPERPOSITION)
+        for a, b in zip(*(d.values() for d in self.both(spec, threads))):
+            assert a.n == b.n == 25_000
+            np.testing.assert_allclose(a.mean, b.mean, rtol=1e-12)
+            np.testing.assert_allclose(a.m2, b.m2, rtol=1e-12)
 
 
 class TestEstimateMseConstants:

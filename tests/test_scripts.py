@@ -227,3 +227,21 @@ def test_diagonal_sweep_memory_is_bounded(tmp_path):
                       "--out", tmp_path / "out")
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout.splitlines()[-1]) < 100
+
+
+def test_wide_sweep_memory_is_bounded(tmp_path):
+    # two workers at K = 100 with both estimators: a worker used to hold its
+    # 20 000-trial job's energies and estimates at once, (20 000, K) float64
+    # arrays (peak 115-160 MB); blocks of about 2^16 estimates keep the whole
+    # process near 45 MB (peak RSS, in MB)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"sweep": {
+        "population": {"n_devices": 10, "weight_rule": "random"},
+        "labels": {"kind": "dirichlet", "num_classes": 100, "alpha": 0.3},
+        "sm_pairs": [[4, 4]], "snr_db_values": [5.0], "channel_model": "superposition",
+        "estimator": "both", "trials": 40000,
+    }}))
+    proc = run_python("-c", _PEAK_RSS, "sweep", "--config", cfg, "--threads", 2,
+                      "--out", tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) < 100
