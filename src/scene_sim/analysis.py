@@ -1,6 +1,10 @@
 """Closed-form evaluators: bias under gain mismatch, variance bounds,
 effective sample sizes under correlation, noise calibration, and the
-coherent-vs-noncoherent crossover model."""
+coherent-vs-noncoherent crossover model.
+
+``labels`` arguments take the N device labels as any (N, K) array-like, such
+as a list of :class:`core.SoftLabel`, with rows checked by
+:func:`core.check_simplex`."""
 
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DevicePopulation, RoundConfig, SoftLabel, stack_labels
+from .core import DevicePopulation, RoundConfig, check_simplex
 
 # Autocorrelation sums are truncated at this lag; the geometric tails that
 # appear in practice contribute < 1e-19 beyond it.
@@ -19,26 +23,14 @@ ACF_MAX_LAG = 64
 CROSSOVER_CSV_HEADER = "B,P,c_coh,c_nc,mse_coh,mse_nc,scene_wins"
 
 
-class NegativeDelta(ValueError):
-    """Mismatch radius must be nonnegative."""
-
-
-class BadBudget(ValueError):
-    """Pilot cost must satisfy 0 <= P < B."""
-
-
-class DivergentACF(ValueError):
-    """Correlation sum drove an effective sample count nonpositive."""
-
-
-def mismatch_bias(pop: DevicePopulation, labels: Sequence[SoftLabel]) -> np.ndarray:
+def mismatch_bias(pop: DevicePopulation, labels) -> np.ndarray:
     """Exact bias of the self-centering estimate under gain mismatch:
     E[r_c] - qbar_c = sum_i omega_i (gamma_i - 1) (q_{i,c} - 1/K).
 
     Depends only on first moments, so it holds under either channel model.
     The entries sum to zero (each device term does).
     """
-    q = stack_labels(labels)
+    q = check_simplex(labels)
     if q.shape[0] != pop.num_devices:
         raise ValueError(f"{q.shape[0]} labels for {pop.num_devices} devices")
     k = q.shape[1]
@@ -51,7 +43,7 @@ def mismatch_bias_bound(delta: float, k: int) -> float:
     delta * sqrt((K-1)/K). Attained by a single device at a simplex vertex.
     """
     if delta < 0:
-        raise NegativeDelta(f"delta must be >= 0, got {delta}")
+        raise ValueError(f"delta must be >= 0, got {delta}")
     if k < 2:
         raise ValueError(f"need K >= 2, got {k}")
     return delta * math.sqrt((k - 1) / k)
@@ -63,9 +55,7 @@ def noise_energy_variance(noise_var: float) -> float:
     return noise_var**2
 
 
-def variance_bound(
-    pop: DevicePopulation, labels: Sequence[SoftLabel], cfg: RoundConfig
-) -> np.ndarray:
+def variance_bound(pop: DevicePopulation, labels, cfg: RoundConfig) -> np.ndarray:
     """Per-class upper bound on Var(r_c) for calibrated devices:
     (2 / (S*M)) * (sum_i omega_i^2 q_{i,c}^2 + sigma_N^4 / rho^2).
 
@@ -73,15 +63,17 @@ def variance_bound(
     it assumes the per-class noise floor is not vanishingly small relative to
     the across-class energy spread.
     """
-    q = stack_labels(labels)
+    q = check_simplex(labels)
     signal = (pop.omegas**2) @ (q**2)
+    noise_var, rho = float(cfg.noise_var), float(cfg.rho)
+    if not noise_var * noise_var / (rho * rho) * 2.0 < math.inf:  # inf past the range, ** raises
+        raise ValueError(f"noise_var {noise_var!r} at rho {rho!r}: the noise term "
+                         "noise_var^2 / rho^2 overflows")
     noise = noise_energy_variance(cfg.noise_var) / cfg.rho**2
     return (2.0 / cfg.sample_count) * (signal + noise)
 
 
-def scene_variance_diagonal(
-    pop: DevicePopulation, labels: Sequence[SoftLabel], cfg: RoundConfig
-) -> np.ndarray:
+def scene_variance_diagonal(pop: DevicePopulation, labels, cfg: RoundConfig) -> np.ndarray:
     """Exact Var(r_c) under the diagonal channel model, correlated or not.
 
     With independent class energies, Var(Y_c - Ybar) expands exactly to
@@ -90,7 +82,7 @@ def scene_variance_diagonal(
     factor f = ||C||_F^2 / (S*M) of the fading correlation C (see ``channel``)
     is sum_{s,s'} time_corr^|s-s'| * sum_{m,m'} space_corr^|m-m'| / (S*M).
     """
-    q = stack_labels(labels)
+    q = check_simplex(labels)
     k = q.shape[1]
     frobenius2 = 1.0
     for count, corr in ((cfg.reps, cfg.time_corr), (cfg.antennas, cfg.space_corr)):
@@ -122,7 +114,7 @@ def effective_samples(
         lags = min(count - 1, ACF_MAX_LAG)
         denom = 1.0 + 2.0 * float(acf[:lags].sum())
         if denom <= 0.0:
-            raise DivergentACF(f"ACF sum gives nonpositive denominator {denom}")
+            raise ValueError(f"ACF sum gives nonpositive denominator {denom}")
         return count / denom
 
     return _eff(s, time_acf), _eff(m, space_acf)
@@ -174,7 +166,7 @@ class CrossoverModel:
 
     def __post_init__(self) -> None:
         if self.budget < 1:
-            raise BadBudget(f"need B >= 1, got B={self.budget}")
+            raise ValueError(f"need B >= 1, got B={self.budget}")
         if not (0 < self.c_coh < math.inf and 0 < self.c_nc < math.inf):
             raise ValueError(
                 f"MSE constants must be positive and finite, got {self.c_coh}, {self.c_nc}"
@@ -192,7 +184,7 @@ class CrossoverModel:
 
     def _check(self, pilot_cost: int) -> None:
         if not 0 <= pilot_cost < self.budget:
-            raise BadBudget(f"need 0 <= P < B, got P={pilot_cost}, B={self.budget}")
+            raise ValueError(f"need 0 <= P < B, got P={pilot_cost}, B={self.budget}")
 
     def mse(self, pilot_cost: int) -> tuple[float, float]:
         """Round MSEs ``(c_coh / S_coh, c_nc / S_nc)`` at pilot cost P."""

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BadRange, ChannelModel, DevicePopulation, RandomSource, RoundConfig, check_range
+from .core import ChannelModel, DevicePopulation, RandomSource, RoundConfig, check_range
 from .power import EnergyFrame
 
 # Target element count of one chunk of trials, which fixes the random stream:
@@ -59,10 +59,6 @@ from .power import EnergyFrame
 _CHUNK_ELEMS = 8_000_000
 _SUPER_CHUNK_ELEMS = 500_000
 _WORK_ELEMS = 262_144
-
-
-class ShapeMismatch(ValueError):
-    """Energy frame does not match the population or round configuration."""
 
 
 @dataclass(frozen=True)
@@ -226,13 +222,9 @@ def _superpose(
 
 def _check_frame(energies: EnergyFrame, pop: DevicePopulation, cfg: RoundConfig) -> None:
     if energies.num_devices != pop.num_devices:
-        raise ShapeMismatch(
-            f"frame has {energies.num_devices} devices, population {pop.num_devices}"
-        )
+        raise ValueError(f"frame has {energies.num_devices} devices, population {pop.num_devices}")
     if energies.num_classes != cfg.num_classes:
-        raise ShapeMismatch(
-            f"frame has {energies.num_classes} classes, config {cfg.num_classes}"
-        )
+        raise ValueError(f"frame has {energies.num_classes} classes, config {cfg.num_classes}")
 
 
 def simulate_rounds(
@@ -261,7 +253,7 @@ def simulate_rounds(
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if energies.energies.ndim == 3 and len(energies.energies) != trials:
-        raise ShapeMismatch(f"frame has {len(energies.energies)} trials, call {trials}")
+        raise ValueError(f"frame has {len(energies.energies)} trials, call {trials}")
     n = pop.num_devices
     s, m = cfg.reps, cfg.antennas
     e_ext = energies.energies  # ([T,] N, K[+1]), reference slot appended when configured

@@ -186,21 +186,10 @@ def load_config(path: str | None, command: str):
     return _convert(_SECTION_TYPES[command], raw.get(command, {}), command)
 
 
-def _to_jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    return obj
-
-
 def _echo_config(spec, command: str, seed: int, out_dir: Path) -> None:
-    payload = {"command": command, "seed": seed, command: _to_jsonable(spec)}
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config_resolved.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    payload = {"command": command, "seed": seed, command: dataclasses.asdict(spec)}
+    (out_dir / "config_resolved.json").write_text(  # settings are Enums: echo their values
+        json.dumps(payload, indent=2, sort_keys=True, default=lambda e: e.value) + "\n"
     )
 
 

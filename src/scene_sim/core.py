@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -20,30 +19,6 @@ SIMPLEX_SUM_TOL = 1e-9
 NEGATIVITY_TOL = 1e-12
 
 
-class NegativeEntry(ValueError):
-    """A probability entry is materially negative."""
-
-
-class NotNormalized(ValueError):
-    """Entries do not sum to one within tolerance."""
-
-
-class NonFiniteEntry(ValueError):
-    """An entry is NaN or infinite."""
-
-
-class BadLength(ValueError):
-    """Vector has fewer than two classes."""
-
-
-class LengthMismatch(ValueError):
-    """Inputs disagree on the number of devices or classes."""
-
-
-class BadRange(ValueError):
-    """Interval is empty or nonpositive."""
-
-
 def check_simplex(v, totals=1.0) -> np.ndarray:
     """Check the rows (trailing axis) of ``v``, vectorized over leading axes:
     K >= 2 entries each, finite and not below -NEGATIVITY_TOL, each row summing
@@ -51,17 +26,17 @@ def check_simplex(v, totals=1.0) -> np.ndarray:
     a float64 copy with the negative dust clipped to exactly zero."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim < 1 or v.shape[-1] < 2:
-        raise BadLength(f"rows need K >= 2 entries, got shape {v.shape}")
+        raise ValueError(f"rows need K >= 2 entries, got shape {v.shape}")
     totals = np.asarray(totals, dtype=np.float64)
     if not (np.all(np.isfinite(v)) and np.all(np.isfinite(totals))):
-        raise NonFiniteEntry("entries and row totals must be finite")
+        raise ValueError("entries and row totals must be finite")
     if np.any(v < -NEGATIVITY_TOL):
-        raise NegativeEntry(f"negative probability {float(v.min())!r}")
+        raise ValueError(f"negative probability {float(v.min())!r}")
     sums = v.sum(axis=-1)
     bad = np.abs(sums - totals) > SIMPLEX_SUM_TOL * np.maximum(1.0, totals)
     if np.any(bad):
         expected = float(np.broadcast_to(totals, bad.shape)[bad][0])
-        raise NotNormalized(f"entries sum to {float(sums[bad][0])!r}, expected {expected!r}")
+        raise ValueError(f"entries sum to {float(sums[bad][0])!r}, expected {expected!r}")
     return np.maximum(v, 0.0)
 
 
@@ -80,7 +55,7 @@ class SoftLabel:
     def __post_init__(self) -> None:
         v = np.asarray(self.probs, dtype=np.float64)
         if v.ndim != 1:
-            raise BadLength(f"soft label must be a vector, got shape {v.shape}")
+            raise ValueError(f"soft label must be a vector, got shape {v.shape}")
         probs = check_simplex(v)
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
@@ -91,6 +66,9 @@ class SoftLabel:
 
     def __len__(self) -> int:
         return self.probs.size
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.probs, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +95,7 @@ class DevicePopulation:
             object.__setattr__(self, "power_caps", np.ones(np.shape(self.betas_true)))
         vecs = [np.array(getattr(self, f.name), dtype=np.float64) for f in fields(self)]
         if len({v.shape for v in vecs}) != 1 or vecs[0].ndim != 1:
-            raise LengthMismatch("per-device arrays must be vectors of equal length")
+            raise ValueError("per-device arrays must be vectors of equal length")
         for f, v in zip(fields(self), vecs):
             v.flags.writeable = False
             object.__setattr__(self, f.name, v)
@@ -125,7 +103,7 @@ class DevicePopulation:
         if omegas.size < 1:
             raise ValueError("population needs at least one device")
         if not np.isfinite(vecs).all():
-            raise NonFiniteEntry("per-device entries must be finite")
+            raise ValueError("per-device entries must be finite")
         if np.any(omegas < 0):
             raise ValueError(f"omega must be >= 0, got {float(omegas.min())}")
         if np.any(betas_true <= 0) or np.any(betas_assumed <= 0):
@@ -136,7 +114,7 @@ class DevicePopulation:
             raise ValueError("gamma = beta_true / beta_assumed must be finite")
         total = float(omegas.sum())
         if abs(total - 1.0) > SIMPLEX_SUM_TOL:
-            raise NotNormalized(f"device weights sum to {total!r}, expected 1")
+            raise ValueError(f"device weights sum to {total!r}, expected 1")
 
     @property
     def num_devices(self) -> int:
@@ -191,7 +169,7 @@ def check_range(**ranges: tuple[float, float] | None) -> None:
     """Reject intervals unless 0 < lo <= hi < inf; None means no interval."""
     for name, r in ranges.items():
         if r is not None and not 0.0 < r[0] <= r[1] < np.inf:
-            raise BadRange(f"{name} needs 0 < lo <= hi, got {tuple(r)}")
+            raise ValueError(f"{name} needs 0 < lo <= hi, got {tuple(r)}")
 
 
 def check_scale(**scales: float) -> None:
@@ -246,7 +224,7 @@ class RoundConfig:
 
     def __post_init__(self) -> None:
         if self.num_classes < 2:
-            raise BadLength(f"need K >= 2 classes, got {self.num_classes}")
+            raise ValueError(f"need K >= 2 classes, got {self.num_classes}")
         if self.reps < 1 or self.antennas < 1:
             raise ValueError("reps and antennas must be >= 1")
         check_scale(rho=self.rho)
@@ -292,25 +270,14 @@ class RandomSource:
         return f"RandomSource(seed={self.seed!r})"
 
 
-def stack_labels(labels: Sequence[SoftLabel]) -> np.ndarray:
-    """Stack N soft labels into an (N, K) matrix, checking consistent K."""
-    if len(labels) == 0:
-        raise LengthMismatch("no labels given")
-    k = labels[0].num_classes
-    if any(lab.num_classes != k for lab in labels):
-        raise LengthMismatch("labels disagree on the number of classes")
-    return np.stack([lab.probs for lab in labels])
-
-
-def weighted_average(labels: Sequence[SoftLabel], pop: DevicePopulation) -> SoftLabel:
-    """Weighted mean of the device soft labels, sum_i omega_i * q_i.
+def weighted_average(labels, pop: DevicePopulation) -> SoftLabel:
+    """Weighted mean of the device soft labels, sum_i omega_i * q_i, from
+    the N labels as an (N, K) array-like (rows checked by :func:`check_simplex`).
 
     This is the aggregation target; the result is a convex combination and
     therefore itself a valid soft label.
     """
-    q = stack_labels(labels)
-    if q.shape[0] != pop.num_devices:
-        raise LengthMismatch(
-            f"{q.shape[0]} labels for {pop.num_devices} devices"
-        )
+    q = check_simplex(labels)
+    if q.ndim != 2 or len(q) != pop.num_devices:
+        raise ValueError(f"{len(q)} labels for {pop.num_devices} devices")
     return SoftLabel(pop.omegas @ q)

@@ -8,22 +8,6 @@ import numpy as np
 from .core import RoundConfig, SoftLabel
 
 
-class ZeroRho(ValueError):
-    """Energy scale must be positive to undo the channel gain."""
-
-
-class ZeroReference(ValueError):
-    """Reference-slot energy is missing or zero."""
-
-
-class AllNonpositive(ValueError):
-    """Every ratio entry clipped to zero; nothing to renormalize."""
-
-
-class BadT(ValueError):
-    """Truncation size outside 1..K."""
-
-
 def clip_renormalize(v: np.ndarray) -> np.ndarray:
     """Clip negatives to zero and renormalize along the trailing (class) axis,
     vectorized over leading axes. A row with nothing positive becomes the
@@ -44,7 +28,7 @@ def scene_raw(y: np.ndarray, sample_count: int, rho: float) -> np.ndarray:
     the 1/K anchor restores the simplex sum, so sum_c r_c = 1 identically.
     """
     if rho <= 0:
-        raise ZeroRho(f"rho must be positive, got {rho}")
+        raise ValueError(f"rho must be positive, got {rho}")
     y = np.asarray(y, dtype=np.float64)
     r = y - y.mean(axis=-1, keepdims=True)
     r /= sample_count * rho
@@ -77,13 +61,13 @@ def ratio_raw(y: np.ndarray, y_ref: np.ndarray | float | None) -> np.ndarray:
     falling back to uniform.
     """
     if y_ref is None:
-        raise ZeroReference("received energies carry no reference slot")
+        raise ValueError("received energies carry no reference slot")
     y_ref = np.asarray(y_ref, dtype=np.float64)
     if np.any(y_ref <= 0.0):
-        raise ZeroReference(f"reference energy must be positive, got {float(y_ref.min())!r}")
+        raise ValueError(f"reference energy must be positive, got {float(y_ref.min())!r}")
     ratios = y / y_ref[..., None]
     if np.any(ratios.max(axis=-1) <= 0.0):
-        raise AllNonpositive("all ratio entries are nonpositive")
+        raise ValueError("all ratio entries are nonpositive")
     return ratios
 
 
@@ -107,7 +91,7 @@ def top_t_truncate(q: SoftLabel, t: int) -> tuple[SoftLabel, float]:
     """
     k = q.num_classes
     if not 1 <= t <= k:
-        raise BadT(f"need 1 <= t <= {k}, got {t}")
+        raise ValueError(f"need 1 <= t <= {k}, got {t}")
     order = np.argsort(-q.probs, kind="stable")
     keep = order[:t]
     kept_mass = float(q.probs[keep].sum())

@@ -40,10 +40,6 @@ class Divergence(RuntimeError):
     """Training loss became non-finite."""
 
 
-class EmptyBudget(ValueError):
-    """No unlabeled samples to distill on."""
-
-
 class Aggregation(Enum):
     """How client soft labels reach the server: the noise-free weighted
     average, or over the air with the self-centering or the ratio estimator."""
@@ -307,7 +303,7 @@ class FdProtocolConfig:
     def __post_init__(self) -> None:
         coerce_settings(self, aggregation=Aggregation, rho_rule=RhoRule)
         if self.unlabeled_budget < 1:
-            raise EmptyBudget("unlabeled budget must be >= 1")
+            raise ValueError("unlabeled budget must be >= 1")
         if self.unlabeled_budget > self.open_size:
             raise ValueError("unlabeled budget exceeds the open pool")
         if self.clients < 1:

@@ -48,15 +48,6 @@ CSV_HEADER = (
 )
 
 
-class InsufficientSweep(ValueError):
-    """Constant fitting needs self-centering variances at three or more
-    distinct S*M products."""
-
-
-class MixedSnr(ValueError):
-    """Constant fitting needs a single SNR: c_nc depends on it."""
-
-
 @dataclass
 class TrialStats:
     """Streaming per-class moments (Welford form).
@@ -403,13 +394,13 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[Res
         cfg = spec.round_config(
             pop, k, s, m, snr_db, time_corr=spec.time_corr, space_corr=spec.space_corr
         )
+        bound = analysis.variance_bound(pop, labels, cfg)
         try:
             stats = _point_stats(spec, pop, labels, cfg, stream, threads)
         except Exception as exc:
             raise RuntimeError(
                 f"sweep point S={s}, M={m}, snr_db={snr_db} failed: {exc}"
             ) from exc
-        bound = analysis.variance_bound(pop, labels, cfg)
         for name, st in stats.items():
             variance = st.variance
             se = st.std_error
@@ -455,16 +446,14 @@ def check_mse_fit(spec: ExperimentSpec) -> None:
     """
     snrs = sorted(set(spec.snr_db_values))
     if len(snrs) > 1:
-        raise MixedSnr(f"c_nc depends on the SNR; fit one at a time, got snr_db {snrs}")
+        raise ValueError(f"c_nc depends on the SNR; fit one at a time, got snr_db {snrs}")
     products = {s * m for (s, m) in spec.sm_pairs}
     if len(products) < 3:
-        raise InsufficientSweep(
-            f"need >= 3 distinct S*M products, got {sorted(products)}"
-        )
+        raise ValueError(f"need >= 3 distinct S*M products, got {sorted(products)}")
     if spec.estimator is Estimator.RATIO:
-        raise InsufficientSweep("c_nc is fitted to the scene estimator; the sweep runs only 'ratio'")
+        raise ValueError("c_nc is fitted to the scene estimator; the sweep runs only 'ratio'")
     if spec.trials < 2:
-        raise InsufficientSweep(f"a variance needs >= 2 trials per point, got {spec.trials}")
+        raise ValueError(f"a variance needs >= 2 trials per point, got {spec.trials}")
 
 
 def estimate_mse_constants(

@@ -5,28 +5,11 @@ reference slot."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .analysis import calibrate_noise
-from .core import (
-    DevicePopulation,
-    LengthMismatch,
-    RhoRule,
-    RoundConfig,
-    SoftLabel,
-    check_simplex,
-    stack_labels,
-)
-
-
-class NonPositiveRho(ValueError):
-    """The global energy scale must be positive."""
-
-
-class NegativeEnergy(ValueError):
-    """Transmit energies cannot be negative."""
+from .core import DevicePopulation, RhoRule, RoundConfig, check_simplex
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,13 +31,13 @@ class EnergyFrame:
         e = np.array(self.energies, dtype=np.float64)
         eta = np.array(self.eta, dtype=np.float64)
         if e.ndim not in (2, 3):
-            raise LengthMismatch(f"energies must be N x K or T x N x K, got shape {e.shape}")
+            raise ValueError(f"energies must be N x K or T x N x K, got shape {e.shape}")
         if eta.shape != (e.shape[-2],):
-            raise LengthMismatch("eta must have one entry per device")
+            raise ValueError("eta must have one entry per device")
         if np.any(e < 0):
-            raise NegativeEnergy(f"negative transmit energy {float(e.min())!r}")
+            raise ValueError(f"negative transmit energy {float(e.min())!r}")
         if np.any(eta < 0):
-            raise NegativeEnergy("eta entries must be >= 0")
+            raise ValueError("eta entries must be >= 0")
         check_simplex(e, eta)
         e.flags.writeable = False
         eta.flags.writeable = False
@@ -70,26 +53,22 @@ class EnergyFrame:
         return self.energies.shape[-1]
 
 
-def map_energies(
-    labels: Sequence[SoftLabel] | np.ndarray,
-    pop: DevicePopulation,
-    rho: float,
-) -> EnergyFrame:
+def map_energies(labels, pop: DevicePopulation, rho: float) -> EnergyFrame:
     """Map soft labels to transmit energies E[i, c] = eta_i * q[i, c] with
     eta_i = rho * omega_i / beta_assumed_i.
 
-    ``labels`` is a sequence of N :class:`SoftLabel`, or an array of shape
-    (N, K) or (T, N, K) whose rows pass the same simplex check; a (T, N, K)
+    ``labels`` is an array-like of shape (N, K), such as N :class:`SoftLabel`,
+    or (T, N, K), with rows checked by :func:`core.check_simplex`; a (T, N, K)
     array maps to a (T, N, K) frame, one round per trial, with the same eta.
     The device-side gain estimate (beta_assumed) is used for inversion; the
     true gain only enters through the channel, so miscalibration shows up as
     a gamma_i scaling on the received side.
     """
     if rho <= 0:
-        raise NonPositiveRho(f"rho must be positive, got {rho}")
-    q = check_simplex(labels) if isinstance(labels, np.ndarray) else stack_labels(labels)
+        raise ValueError(f"rho must be positive, got {rho}")
+    q = check_simplex(labels)
     if q.ndim not in (2, 3) or q.shape[-2] != pop.num_devices:
-        raise LengthMismatch(f"labels of shape {q.shape} for {pop.num_devices} devices")
+        raise ValueError(f"labels of shape {q.shape} for {pop.num_devices} devices")
     eta = rho * pop.omegas / pop.betas_assumed
     return EnergyFrame(eta[:, None] * q, eta)
 

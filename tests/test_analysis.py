@@ -24,7 +24,6 @@ from scene_sim import (
     variance_bound,
     weighted_average,
 )
-from scene_sim.analysis import BadBudget, DivergentACF, NegativeDelta
 
 from conftest import make_uniform_population
 
@@ -101,7 +100,7 @@ class TestMismatchBiasBound:
         assert mismatch_bias_bound(0.2, 10) == pytest.approx(0.18974, abs=1e-5)
 
     def test_negative_delta(self):
-        with pytest.raises(NegativeDelta):
+        with pytest.raises(ValueError, match="delta must be >= 0"):
             mismatch_bias_bound(-0.1, 2)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -116,6 +115,16 @@ class TestMismatchBiasBound:
 
 
 class TestVarianceBound:
+    def test_labels_as_array(self):
+        # a list of SoftLabels and its (N, K) array give the same bits
+        pop = DevicePopulation([0.3, 0.7], [1.0, 2.0], [1.0, 1.5])
+        labels = [SoftLabel((0.7, 0.2, 0.1)), SoftLabel((0.1, 0.1, 0.8))]
+        cfg = RoundConfig(num_classes=3, reps=2, antennas=2, time_corr=0.5, noise_var=0.1)
+        for fn in (mismatch_bias, lambda p, q: variance_bound(p, q, cfg),
+                   lambda p, q: scene_variance_diagonal(p, q, cfg),
+                   lambda p, q: map_energies(q, p, 0.5).energies):
+            assert fn(pop, labels).tobytes() == fn(pop, np.asarray(labels)).tobytes()
+
     def test_single_device_value(self):
         # N=1, omega=1, q_c=0.7, sigma=0, S=M=1, rho=1 -> 2 * 0.49
         pop = DevicePopulation([1.0], [1.0])
@@ -124,6 +133,19 @@ class TestVarianceBound:
         bound = variance_bound(pop, labels, cfg)
         assert bound[0] == pytest.approx(0.98)
         assert bound[1] == pytest.approx(2 * 0.09)
+
+    @pytest.mark.parametrize("noise_var, rho", [(1e179, 1e150), (1e89, 1e-70), (1.5e154, 1.0)])
+    def test_overflowing_noise_term_names_noise_var(self, noise_var, rho):
+        # noise_var^2 / rho^2 past the float range: noise_var**2 raised a bare
+        # OverflowError, "(34, 'Numerical result out of range')", which ended
+        # a sweep at rho 1e150 and -300 dB, or the quotient gave an inf bound
+        cfg = RoundConfig(num_classes=2, rho=rho, noise_var=noise_var)
+        with pytest.raises(ValueError, match="noise_var"):
+            variance_bound(make_uniform_population(1), [SoftLabel((0.5, 0.5))], cfg)
+
+    def test_noise_term_below_the_limit_is_finite(self):
+        cfg = RoundConfig(num_classes=2, noise_var=9e153)
+        assert np.isfinite(variance_bound(make_uniform_population(1), [[0.5, 0.5]], cfg)).all()
 
     def test_vanishes_as_sm_grows(self):
         pop = DevicePopulation([1.0], [1.0])
@@ -216,7 +238,7 @@ class TestEffectiveSamples:
         assert s_eff == pytest.approx(2 / (1 + 2 * 0.5))
 
     def test_divergent_guard(self):
-        with pytest.raises(DivergentACF):
+        with pytest.raises(ValueError, match="nonpositive denominator"):
             effective_samples(4, 1, np.array([-0.4, -0.4]), np.zeros(1))
 
 
@@ -284,12 +306,12 @@ class TestCrossover:
             CrossoverModel(budget=1, c_coh=c_coh, c_nc=c_nc, num_classes=10)
 
     def test_bad_budget(self):
-        with pytest.raises(BadBudget):
+        with pytest.raises(ValueError, match="need B >= 1"):
             CrossoverModel(budget=0, c_coh=1.0, c_nc=1.0, num_classes=10)
         model = CrossoverModel(budget=100, c_coh=1.0, c_nc=1.0, num_classes=10)
         for method in (model.mse, model.scene_wins, model.csv_row):
             for p in (100, -1):
-                with pytest.raises(BadBudget):
+                with pytest.raises(ValueError, match="need 0 <= P < B"):
                     method(p)
 
     @given(

@@ -1,6 +1,12 @@
+import contextlib
+import dataclasses
+import enum
+import io
 import json
 import math
 import tempfile
+import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -56,12 +62,22 @@ class TestRoundCommand:
 
     def test_overrides_reflected_in_echo(self, tmp_path):
         cfg = tmp_path / "round.json"
-        cfg.write_text(json.dumps({"round": {"snr_db": 10, "s": 4, "m": 4}}))
+        fixed = [[0.2, 0.8], [0.5, 0.5]]
+        cfg.write_text(json.dumps({"round": {
+            "snr_db": 10, "s": 4, "m": 4, "population": {"n_devices": 2},
+            "labels": {"kind": "fixed", "num_classes": 2, "fixed": fixed},
+        }}))
         assert run_cli(["round", "--config", cfg, "--seed", 1, "--out", tmp_path]) == 0
         echoed = json.loads((tmp_path / "config_resolved.json").read_text())
         assert echoed["round"]["snr_db"] == 10.0
         assert echoed["round"]["s"] == 4
         assert echoed["round"]["m"] == 4
+        assert echoed["round"]["labels"] == {"kind": "fixed", "num_classes": 2, "alpha": 0.3,
+                                             "fixed": fixed}
+        # the echoed section loads back as the spec that ran
+        (tmp_path / "echo.json").write_text(json.dumps({"round": echoed["round"]}))
+        assert load_config(str(tmp_path / "echo.json"), "round") == cli._seeded(
+            load_config(str(cfg), "round"), 1)[0]
 
     def test_unknown_key_is_fatal_and_named(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -173,6 +189,17 @@ class TestSweepCommand:
                                              "sm_pairs": [[4, 4]], "trials": 4000}}))
         assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 1
         assert "underflow" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_noise_power_overflow_names_noise_var(self, tmp_path, capsys):
+        # noise_var = 1e150 / 10 * 10^30 squares past the float range: the
+        # sweep used to end with "(34, 'Numerical result out of range')"
+        cfg = tmp_path / "loud.json"
+        cfg.write_text(json.dumps({"sweep": {"rho_rule": "fixed", "rho_value": 1e150,
+                                             "snr_db_values": [-300.0],
+                                             "channel_model": "diagonal"}}))
+        assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        assert "noise_var" in capsys.readouterr().err
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_estimator_override(self, tmp_path):
@@ -729,6 +756,59 @@ def test_shipped_config_loads(path, section):
     load_config(str(path), section)
 
 
+@contextlib.contextmanager
+def _load_or_run(command, section, *args):
+    """Load ``section`` as the ``command`` config, then run it with ``args``.
+    A section that load rejects must exit 1 and leave no output directory,
+    and yields None; else yields the spec, the exit code, the output
+    directory and the captured stdout and stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps({command: section}))
+        out = Path(tmp) / "out"
+        argv = [command, "--config", cfg, *args, "--out", out]
+        try:
+            spec = load_config(str(cfg), command)
+        except ConfigError:
+            assert run_cli(argv) == 1
+            assert not out.exists()
+            yield None
+            return
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run_cli(argv)
+        yield types.SimpleNamespace(spec=spec, code=code, out=out, stdout=stdout.getvalue(),
+                                    stderr=stderr.getvalue())
+
+
+def _section(tp, values, required=frozenset(), path=""):
+    """A strategy for a config section of the dataclass ``tp``, built from
+    its type hints: each field is a key, present when its dotted path is in
+    ``required`` and optional otherwise. A key draws from ``values[path]``;
+    unlisted, a nested dataclass is a section again, a setting Enum draws a
+    value or a misspelling, and a bool either value."""
+    hints = typing.get_type_hints(tp)
+    keys = {f.name: _value(hints[f.name], values, required, path + f.name)
+            for f in dataclasses.fields(tp)}
+    present = {name: keys.pop(name) for name in list(keys) if path + name in required}
+    return st.fixed_dictionaries(present, optional=keys)
+
+
+def _value(tp, values, required, path):
+    if path in values:
+        return values[path]
+    if dataclasses.is_dataclass(tp):
+        return _section(tp, values, required, path + ".")
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        return st.sampled_from([member.value for member in tp] + ["bogus"])
+    assert tp is bool, f"list the values of {path}"
+    return st.booleans()
+
+
+def _pair(values):
+    return st.tuples(st.sampled_from(values), st.sampled_from(values))
+
+
 _CONSTANT = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-300, 1.0, 1e300, 1e308]),
     st.floats(min_value=-10.0, max_value=1e308, allow_nan=False),
@@ -747,63 +827,81 @@ _CROSSOVER_SECTION = st.fixed_dictionaries({}, optional={
 @example(section={"budgets": [1], "constant_pairs": [[1e308, 1.0]]})  # used to write inf
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_crossover_section_rejected_at_load_or_runs_finite(section):
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "c.json"
-        cfg.write_text(json.dumps({"crossover": section}))
-        out = Path(tmp) / "out"
-        try:
-            spec = load_config(str(cfg), "crossover")
-        except ConfigError:
-            assert run_cli(["crossover", "--config", cfg, "--out", out]) == 1
-            assert not out.exists()
+    with _load_or_run("crossover", section) as run:
+        if run is None:
             return
-        assert run_cli(["crossover", "--config", cfg, "--out", out]) == 0
-        rows = [row.split(",") for row in (out / "crossover.csv").read_text().splitlines()[1:]]
-        assert {int(row[0]) for row in rows} == set(spec.budgets)  # every budget has rows
+        assert run.code == 0
+        rows = [row.split(",") for row in (run.out / "crossover.csv").read_text().splitlines()[1:]]
+        assert {int(row[0]) for row in rows} == set(run.spec.budgets)  # every budget has rows
         assert all(math.isfinite(float(x)) for row in rows for x in row)
 
 
-def _pair(values):
-    return st.tuples(st.sampled_from(values), st.sampled_from(values))
-
-
-# Tiny sizes, so each example runs in milliseconds (the default is 10 000
-# trials); each list holds values that load rejects beside extreme values
-# that must run. Known run-time failures that load cannot see are outside
-# the lists: rho past the float32 amplitude range of the superposition
-# kernel (about 1e+-76), and noise powers rho / K * 10^(-snr_db / 10) above
-# about 1e154 (below about -1540 dB at rho 1), whose squares overflow.
-_SWEEP_SECTION = st.fixed_dictionaries({"trials": st.integers(0, 30)}, optional={
-    "population": st.fixed_dictionaries({}, optional={
-        "n_devices": st.integers(0, 3),
-        "pathloss": st.fixed_dictionaries({}, optional={
-            "exponent": st.sampled_from([0.0, 0.5, 3.5, 8.0]),
-            "distance_range": _pair([0.0, 1e-3, 5.0, 50.0, 1e4]),
-            "shadowing_std_db": st.sampled_from([-1.0, 0.0, 8.0, 40.0]),
-            "normalize_mean": st.booleans(),
-        }),
-        "power_cap_range": _pair([0.0, 1e-6, 0.5, 1.5, 1e6]),
-        "weight_rule": st.sampled_from(["uniform", "random", "randon"]),
-        "gamma_range": st.none() | _pair([0.0, 0.1, 1.0, 10.0]),
-    }),
-    "labels": st.fixed_dictionaries({}, optional={
-        "kind": st.sampled_from(["dirichlet", "vertex", "fixed"]),
-        "num_classes": st.integers(1, 4),
-        "alpha": st.sampled_from([0.0, 1e-3, 0.3, 1e3]),
-        "fixed": st.lists(st.sampled_from([[1.0, 0.0], [0.5, 0.5], [0.5, 0.25, 0.25]]),
-                          min_size=1, max_size=3),
-    }),
-    "sm_pairs": st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=2),
-    "snr_db_values": st.lists(st.sampled_from([-4000.0, -300.0, -20.0, 5.0, 300.0, 4000.0]),
-                              min_size=1, max_size=2),
+# Values of the sections the property tests draw: tiny sizes, so each example
+# runs in milliseconds, and in each list values that load rejects beside
+# extreme values that must run. The lists stay clear of two run-time limits
+# that load cannot check, as under min_rho they depend on the drawn gains:
+# rho past the float32 amplitude range of the superposition kernel (about
+# 1e+-76), and a noise power rho / K * 10^(-snr_db / 10) whose square over
+# rho^2 overflows in the variance bound (at rho 1, below about -1540 dB),
+# which stops a round or sweep with an error naming noise_var.
+_SNR_DB = st.sampled_from([-4000.0, -300.0, -20.0, 5.0, 300.0, 4000.0])
+_RHO = st.sampled_from([0.0, 1e-300, 1e-70, 1e-6, 1.0, 1e6, 1e70, 1e300])
+_CORRELATION = st.sampled_from([0.0, 0.5, 0.99, 1.0])
+_PATHLOSS = {
+    "pathloss.exponent": st.sampled_from([0.0, 0.5, 3.5, 8.0]),
+    "pathloss.distance_range": _pair([0.0, 1e-3, 5.0, 50.0, 1e4]),
+    "pathloss.shadowing_std_db": st.sampled_from([-1.0, 0.0, 8.0, 40.0]),
+    "power_cap_range": _pair([0.0, 1e-6, 0.5, 1.5, 1e6]),
+}
+_SETUP = {  # the fields round and sweep share
+    **{"population." + key: values for key, values in _PATHLOSS.items()},
+    "population.n_devices": st.integers(0, 3),
+    "population.weight_rule": st.sampled_from(["uniform", "random", "randon"]),
+    "population.gamma_range": st.none() | _pair([0.0, 0.1, 1.0, 10.0]),
+    "labels.num_classes": st.integers(1, 4),
+    "labels.alpha": st.sampled_from([0.0, 1e-3, 0.3, 1e3]),
+    "labels.fixed": st.lists(st.sampled_from([[1.0, 0.0], [0.5, 0.5], [0.5, 0.25, 0.25]]),
+                             min_size=1, max_size=3),
     "rho_rule": st.sampled_from(["min_rho", "fixed", "minimum"]),
-    "rho_value": st.sampled_from([0.0, 1e-300, 1e-70, 1e-6, 1.0, 1e6, 1e70, 1e300]),
-    "channel_model": st.sampled_from(["superposition", "diagonal"]),
-    "estimator": st.sampled_from(["scene", "ratio", "both"]),
-    "time_corr": st.sampled_from([0.0, 0.5, 0.99, 1.0]),
-    "space_corr": st.sampled_from([0.0, 0.5, 0.99, 1.0]),
+    "rho_value": _RHO,
     "seed": st.integers(-1, 3),
+}
+_SWEEP_SECTION = _section(cli._SECTION_TYPES["sweep"], {
+    **_SETUP,
+    "sm_pairs": st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=2),
+    "snr_db_values": st.lists(_SNR_DB, min_size=1, max_size=2),
+    "trials": st.integers(0, 30),
+    "time_corr": _CORRELATION,
+    "space_corr": _CORRELATION,
+}, required={"trials"})
+_ROUND_SECTION = _section(cli._SECTION_TYPES["round"], {
+    **_SETUP, "s": st.integers(0, 3), "m": st.integers(0, 3), "snr_db": _SNR_DB,
 })
+_FD_SECTION = _section(cli._SECTION_TYPES["fd"], {
+    **_PATHLOSS,
+    "clients": st.sampled_from([1, 3]),
+    "private_size": st.sampled_from([40, 120]),
+    "open_size": st.sampled_from([40, 8]),
+    "unlabeled_budget": st.sampled_from([8, 1, 40, 0]),
+    "pretrain_epochs": st.sampled_from([1, 0, 2, -1]),
+    "distill_epochs": st.sampled_from([1, 0, 2, -1]),
+    "batch_size": st.sampled_from([4, 1, 300, 0]),
+    "learning_rate": st.sampled_from([0.5, 1e-3, 1e3, 0.0]),
+    "round.num_classes": st.sampled_from([2, 3, 1]),
+    "round.reps": st.sampled_from([1, 3, 0]),
+    "round.antennas": st.sampled_from([1, 2, 0]),
+    "round.rho": _RHO,
+    "round.noise_var": st.sampled_from([0.0, 0.1, 1e6, 1e300, -1.0]),
+    "round.time_corr": _CORRELATION,
+    "round.space_corr": _CORRELATION,
+    "snr_db": st.none() | _SNR_DB,
+    "rho_rule": _SETUP["rho_rule"],
+    "data.num_classes": st.sampled_from([2, 3, 1]),
+    "data.dim": st.sampled_from([4, 1, 0]),
+    "data.size": st.sampled_from([200, 50]),
+    "data.noise_std": st.sampled_from([0.3, 0.0, 1e3, -1.0]),
+}, required={"private_size", "open_size", "unlabeled_budget", "pretrain_epochs", "distill_epochs",
+             "round.num_classes", "data", "data.size", "data.dim"})
 
 
 @given(section=_SWEEP_SECTION)
@@ -817,20 +915,41 @@ def test_sweep_section_rejected_at_load_or_runs_finite(section, monkeypatch):
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMS", 8)
     monkeypatch.setattr(channel, "_CHUNK_ELEMS", 100)
     monkeypatch.setattr(channel, "_SUPER_CHUNK_ELEMS", 100)
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "s.json"
-        cfg.write_text(json.dumps({"sweep": section}))
-        out = Path(tmp) / "out"
-        try:
-            spec = load_config(str(cfg), "sweep")
-        except ConfigError:
-            assert run_cli(["sweep", "--config", cfg, "--threads", 2, "--out", out]) == 1
-            assert not out.exists()
+    with _load_or_run("sweep", section, "--threads", 2) as run:
+        if run is None:
             return
-        assert run_cli(["sweep", "--config", cfg, "--threads", 2, "--out", out]) == 0
-        rows = [row.split(",") for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert run.code == 0
+        spec = run.spec
+        rows = [row.split(",") for row in (run.out / "sweep.csv").read_text().splitlines()[1:]]
         variants = 4 if spec.estimator.value == "both" else 2
         points = len(spec.sm_pairs) * len(spec.snr_db_values)
         assert len(rows) == points * variants * spec.labels.num_classes
         numbers = [x for row in rows for i, x in enumerate(row) if i not in (4, 5) and x]
         assert all(math.isfinite(float(x)) for x in numbers)  # model, estimator aside
+
+
+@given(section=_ROUND_SECTION)
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_round_section_rejected_at_load_or_runs_finite(section):
+    with _load_or_run("round", section) as run:
+        if run is None:
+            return
+        assert run.code == 0, run.stderr
+        rows = [row.split() for row in run.stdout.splitlines()[2:]]
+        assert len(rows) == run.spec.labels.num_classes
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
+
+
+@given(section=_FD_SECTION)
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fd_section_rejected_at_load_or_runs_finite(section):
+    with _load_or_run("fd", section) as run:
+        if run is None:
+            return
+        if run.code == 1 and "losses became" in run.stderr:  # the SGD diverged
+            return
+        assert run.code == 0, run.stderr
+        header, row = (run.out / "fd_metrics.csv").read_text().splitlines()
+        numbers = [x for name, x in zip(header.split(","), row.split(","))
+                   if name != "aggregation" and x]  # a null snr_db is an empty cell
+        assert all(math.isfinite(float(x)) for x in numbers)

@@ -1,3 +1,7 @@
+import ast
+import builtins
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,17 +13,7 @@ from scene_sim import (
     RoundConfig,
     weighted_average,
 )
-from scene_sim.core import (
-    BadLength,
-    BadRange,
-    LengthMismatch,
-    NegativeEntry,
-    NonFiniteEntry,
-    NotNormalized,
-    SoftLabel,
-    check_range,
-    check_simplex,
-)
+from scene_sim.core import SoftLabel, check_range, check_simplex
 
 
 class TestValidateSoftLabel:
@@ -33,11 +27,11 @@ class TestValidateSoftLabel:
         assert lab.probs[2] == 0.0
 
     def test_not_normalized(self):
-        with pytest.raises(NotNormalized):
+        with pytest.raises(ValueError, match="sum to"):
             SoftLabel((0.6, 0.6))
 
     def test_negative_entry(self):
-        with pytest.raises(NegativeEntry):
+        with pytest.raises(ValueError, match="negative probability"):
             SoftLabel((1.1, -0.1))
 
     def test_negative_dust_clipped(self):
@@ -45,7 +39,7 @@ class TestValidateSoftLabel:
         assert lab.probs[1] == 0.0
 
     def test_bad_length(self):
-        with pytest.raises(BadLength):
+        with pytest.raises(ValueError, match="K >= 2"):
             SoftLabel((1.0,))
 
     def test_probs_read_only(self):
@@ -58,7 +52,7 @@ class TestValidateSoftLabel:
     )
     def test_non_finite_rejected(self, v):
         # abs(nan - 1) > tol is False: without a finiteness check these pass
-        with pytest.raises(NonFiniteEntry):
+        with pytest.raises(ValueError, match="must be finite"):
             SoftLabel(np.array(v))
 
 
@@ -73,21 +67,20 @@ class TestCheckSimplex:
             assert np.array_equal(SoftLabel(row_in).probs, row_out)
 
     @pytest.mark.parametrize(
-        "bad, exc",
-        [(np.nan, NonFiniteEntry), (-0.1, NegativeEntry), (0.3, NotNormalized)],
+        "bad, message", [(np.nan, "finite"), (-0.1, "negative"), (0.3, "sum")]
     )
-    def test_one_bad_entry_rejects_the_batch(self, bad, exc):
+    def test_one_bad_entry_rejects_the_batch(self, bad, message):
         q = np.full((4, 3, 2), 0.5)
         q[2, 1, 0] = bad
-        with pytest.raises(exc):
+        with pytest.raises(ValueError, match=message):
             check_simplex(q)
 
     def test_scaled_totals(self):
         e = np.array([[1.0, 2.0], [0.0, 0.0]])
         assert np.array_equal(check_simplex(e, [3.0, 0.0]), e)
-        with pytest.raises(NotNormalized):
+        with pytest.raises(ValueError, match="sum to"):
             check_simplex(e, [3.0, 1.0])
-        with pytest.raises(NonFiniteEntry):
+        with pytest.raises(ValueError, match="must be finite"):
             check_simplex(e, [np.inf, 0.0])
 
 
@@ -100,7 +93,7 @@ class TestCheckRange:
         "r", [(-0.2, 1.5), (0.0, 1.0), (1.5, 0.5), (np.nan, 1.0), (0.5, np.inf)]
     )
     def test_rejects(self, r):
-        with pytest.raises(BadRange, match="r needs"):
+        with pytest.raises(ValueError, match="r needs"):
             check_range(r=r)
 
 
@@ -120,6 +113,19 @@ def soft_label_vectors(draw, max_k=12, k=None):
 
 
 class TestWeightedAverage:
+    def test_labels_as_any_array_like(self):
+        # np.asarray stacks SoftLabels, so a list of them, an (N, K) array and
+        # nested sequences are the same labels
+        pop = DevicePopulation([0.25, 0.75], [1.0, 1.0])
+        labels = [SoftLabel((0.8, 0.2)), SoftLabel((0.4, 0.6))]
+        rows = [[0.8, 0.2], [0.4, 0.6]]
+        assert np.array_equal(np.asarray(labels), rows)
+        expected = weighted_average(labels, pop).probs
+        for q in (np.asarray(labels), rows, tuple(map(tuple, rows))):
+            assert weighted_average(q, pop).probs.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="1 labels for 2 devices"):
+            weighted_average(np.asarray(labels[:1]), pop)
+
     def test_symmetry(self):
         pop = DevicePopulation([0.5, 0.5], [1.0, 1.0])
         labels = [SoftLabel((1.0, 0.0)), SoftLabel((0.0, 1.0))]
@@ -140,7 +146,7 @@ class TestWeightedAverage:
 
     def test_length_mismatch(self):
         pop = DevicePopulation([0.5, 0.5], [1.0, 1.0])
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError, match="1 labels for 2 devices"):
             weighted_average([SoftLabel((0.5, 0.5))], pop)
 
     @given(
@@ -198,11 +204,11 @@ class TestDeviceTypes:
     def test_non_finite_entries(self, field, bad):
         # a NaN weight also slips past the sum check, which compares False
         values = population_kwargs()[field]
-        with pytest.raises(NonFiniteEntry):
+        with pytest.raises(ValueError, match="per-device entries must be finite"):
             DevicePopulation(**population_kwargs(**{field: [values[0], bad]}))
 
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(NotNormalized):
+        with pytest.raises(ValueError, match="weights sum to"):
             DevicePopulation([0.6, 0.6], [1.0, 1.0])
 
     def test_empty_population(self):
@@ -220,7 +226,7 @@ class TestDeviceTypes:
         ],
     )
     def test_unequal_lengths(self, changes):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError, match="equal length"):
             DevicePopulation(**population_kwargs(**changes))
 
     def test_population_arrays(self):
@@ -305,3 +311,21 @@ class TestRandomSource:
         assert not np.array_equal(
             parent.generator.standard_normal(16), child.generator.standard_normal(16)
         )
+
+
+def test_package_defines_only_two_exception_classes():
+    # bad input raises ValueError with a message that names it; only the CLI's
+    # exit-1 config error and runaway training (a RuntimeError) get a class
+    src = Path(__file__).resolve().parent.parent / "src" / "scene_sim"
+    classes = [node for path in sorted(src.glob("*.py")) for node in ast.walk(ast.parse(
+        path.read_text())) if isinstance(node, ast.ClassDef)]
+    found = {name for name, obj in vars(builtins).items()
+             if isinstance(obj, type) and issubclass(obj, BaseException)}
+    builtin = set(found)
+    while True:  # subclasses of subclasses, to a fixed point
+        more = {c.name for c in classes
+                if any(ast.unparse(b).split(".")[-1] in found for b in c.bases)}
+        if more <= found:
+            break
+        found |= more
+    assert found - builtin == {"ConfigError", "Divergence"}

@@ -18,13 +18,7 @@ from scene_sim import (
     simulate_rounds,
     top_t_truncate,
 )
-from scene_sim.estimators import (
-    AllNonpositive,
-    BadT,
-    ZeroReference,
-    ZeroRho,
-    clip_renormalize,
-)
+from scene_sim.estimators import clip_renormalize
 
 from conftest import frozen_round, make_uniform_population
 
@@ -58,7 +52,7 @@ class TestSceneEstimate:
         assert np.allclose(raw, [[0.7, 0.3]], atol=1e-12)
 
     def test_zero_rho(self):
-        with pytest.raises(ZeroRho):
+        with pytest.raises(ValueError, match="rho must be positive"):
             scene_raw(np.array([1.0, 2.0]), 1, 0.0)
 
     @given(y=energy_vectors, rho=st.floats(min_value=1e-3, max_value=1e3))
@@ -186,9 +180,9 @@ class TestBatchedForms:
 
     def test_batched_errors(self):
         for ratio in (ratio_estimate, ratio_raw):
-            with pytest.raises(ZeroReference):
+            with pytest.raises(ValueError, match="reference energy must be positive"):
                 ratio(np.ones((3, 2)), np.array([1.0, 0.0, 2.0]))
-            with pytest.raises(AllNonpositive):
+            with pytest.raises(ValueError, match="all ratio entries are nonpositive"):
                 ratio(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
 
 
@@ -211,17 +205,17 @@ class TestRatioEstimate:
 
     def test_missing_reference(self):
         for ratio in (ratio_estimate, ratio_raw):
-            with pytest.raises(ZeroReference):
+            with pytest.raises(ValueError, match="no reference slot"):
                 ratio(np.array([1.0, 2.0]), None)
 
     def test_zero_reference(self):
         for ratio in (ratio_estimate, ratio_raw):
-            with pytest.raises(ZeroReference):
+            with pytest.raises(ValueError, match="reference energy must be positive"):
                 ratio(np.array([1.0, 2.0]), 0.0)
 
     def test_all_nonpositive(self):
         for ratio in (ratio_estimate, ratio_raw):
-            with pytest.raises(AllNonpositive):
+            with pytest.raises(ValueError, match="all ratio entries are nonpositive"):
                 ratio(np.array([0.0, 0.0]), 1.0)
 
     @given(kappa=st.floats(min_value=1e-3, max_value=1e3))
@@ -283,9 +277,9 @@ class TestTopTTruncate:
 
     def test_bad_t(self):
         q = SoftLabel((0.5, 0.5))
-        with pytest.raises(BadT):
+        with pytest.raises(ValueError, match="need 1 <= t <= 2"):
             top_t_truncate(q, 0)
-        with pytest.raises(BadT):
+        with pytest.raises(ValueError, match="need 1 <= t <= 2"):
             top_t_truncate(q, 3)
 
     def test_per_device_l1_is_twice_tail_mass(self):

@@ -16,13 +16,12 @@ from scene_sim import (
     split_dataset,
 )
 from scene_sim.cli import load_config
-from scene_sim.core import BadRange, DevicePopulation, RoundConfig, SoftLabel
+from scene_sim.core import DevicePopulation, RoundConfig, SoftLabel
 from scene_sim.estimators import ratio_estimate, scene_estimate
 from scene_sim.fd import (
     Aggregation,
     DatasetSpec,
     Divergence,
-    EmptyBudget,
     aggregate_targets,
     train_lockstep,
 )
@@ -331,7 +330,7 @@ class TestSplit:
             split_dataset(generated, FdProtocolConfig())
 
     def test_config_validation(self):
-        with pytest.raises(EmptyBudget):
+        with pytest.raises(ValueError, match="unlabeled budget must be >= 1"):
             FdProtocolConfig(unlabeled_budget=0)
         with pytest.raises(ValueError):
             FdProtocolConfig(unlabeled_budget=5000, open_size=4000)
@@ -354,7 +353,7 @@ class TestSplit:
 
     @pytest.mark.parametrize("lo_hi", [(-0.2, 1.5), (0.0, 1.0), (1.5, 0.5)])
     def test_power_cap_range_checked(self, lo_hi):
-        with pytest.raises(BadRange, match="power_cap_range"):
+        with pytest.raises(ValueError, match="power_cap_range"):
             FdProtocolConfig(power_cap_range=lo_hi)
 
     @pytest.mark.parametrize("path", ["configs/fd.json", "perfbench/configs/fd_budget.json"])

@@ -114,7 +114,7 @@ def test_fd_budget_rows_equal_run_fd(tmp_path, seeds):
         ({}, ["--seeds", 0], "--seeds"),  # used to write nan rows
         ({}, ["--reps", 2, 0], "--reps"),  # used to raise ZeroDivisionError
         ({}, ["--reps", 1, -4], "--reps"),
-        ({"unlabeled_budget": 8}, ["--reps", 4, 16], "budget"),  # used to raise EmptyBudget
+        ({"unlabeled_budget": 8}, ["--reps", 4, 16], "budget"),  # used to end in a traceback
         ({"clients": 0}, [], "client"),
         ({"budget": 8}, [], "unknown config key 'fd.budget'"),
         # B = 2048 * 4 leaves U = 8192 at S = 1, past the 4000-sample open pool
