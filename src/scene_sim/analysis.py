@@ -49,10 +49,16 @@ def mismatch_bias_bound(delta: float, k: int) -> float:
     return delta * math.sqrt((k - 1) / k)
 
 
-def noise_energy_variance(noise_var: float) -> float:
-    """Variance of one complex-Gaussian noise energy sample: sigma_N^4
-    (the energy is exponential with mean sigma_N^2)."""
-    return noise_var**2
+def noise_energy_variance(cfg: RoundConfig) -> float:
+    """Variance sigma_N^4 of one complex-Gaussian noise energy sample (the
+    energy is exponential with mean sigma_N^2). The estimate variances divide
+    it by rho^2, so a noise term sigma_N^4 / rho^2 past the float64 range
+    raises a ``ValueError`` naming ``noise_var``."""
+    noise_var, rho = float(cfg.noise_var), float(cfg.rho)
+    if not noise_var * noise_var / (rho * rho) * 2.0 < math.inf:  # inf past the range, ** raises
+        raise ValueError(f"noise_var {noise_var!r} at rho {rho!r}: the noise term "
+                         "noise_var^2 / rho^2 overflows")
+    return cfg.noise_var**2
 
 
 def variance_bound(pop: DevicePopulation, labels, cfg: RoundConfig) -> np.ndarray:
@@ -65,11 +71,7 @@ def variance_bound(pop: DevicePopulation, labels, cfg: RoundConfig) -> np.ndarra
     """
     q = check_simplex(labels)
     signal = (pop.omegas**2) @ (q**2)
-    noise_var, rho = float(cfg.noise_var), float(cfg.rho)
-    if not noise_var * noise_var / (rho * rho) * 2.0 < math.inf:  # inf past the range, ** raises
-        raise ValueError(f"noise_var {noise_var!r} at rho {rho!r}: the noise term "
-                         "noise_var^2 / rho^2 overflows")
-    noise = noise_energy_variance(cfg.noise_var) / cfg.rho**2
+    noise = noise_energy_variance(cfg) / cfg.rho**2
     return (2.0 / cfg.sample_count) * (signal + noise)
 
 
@@ -90,7 +92,7 @@ def scene_variance_diagonal(pop: DevicePopulation, labels, cfg: RoundConfig) -> 
         frobenius2 *= float((corr ** np.abs(lag[:, None] - lag)).sum())
     per_sample = (
         frobenius2 / cfg.sample_count * cfg.rho**2 * ((pop.omegas * pop.gammas) ** 2) @ (q**2)
-        + noise_energy_variance(cfg.noise_var)
+        + noise_energy_variance(cfg)
     )
     centered = (1.0 - 2.0 / k) * per_sample + per_sample.sum() / k**2
     return centered / (cfg.sample_count * cfg.rho**2)

@@ -117,38 +117,31 @@ def _lattice_indices(gen: np.random.Generator, shape: tuple[int, ...]) -> np.nda
     return words.astype("<u8", copy=False).view("<u2")[:size].reshape(shape)
 
 
-def _complex_normal(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard circular complex Gaussian, complex64, unit variance."""
-    z = gen.standard_normal(shape + (2,), dtype=np.float32).view(np.complex64)[..., 0]
-    z *= _INV_SQRT2
-    return z
-
-
-def _ar1_filter_inplace(z: np.ndarray, coeff: float, axis: int) -> None:
-    """Apply a stationary AR(1) recursion along ``axis``; unit marginal
-    variance is preserved (innovations scaled by sqrt(1 - coeff^2))."""
-    if coeff == 0.0:
-        return
-    a = np.float32(coeff)
-    b = np.float32(math.sqrt(1.0 - coeff * coeff))
-    zm = np.moveaxis(z, axis, 0)
-    for t in range(1, zm.shape[0]):
-        zm[t] = a * zm[t - 1] + b * zm[t]
-
-
-def _sample_fading(
+def _fading_magnitudes(
     gen: np.random.Generator, prefix: tuple[int, ...], cfg: RoundConfig
 ) -> np.ndarray:
-    """Unit-variance complex fading block of shape prefix + (S, M).
-
-    The correlation coefficients are specified in the energy domain: the
-    squared magnitudes have autocorrelation time_corr^|ds| * space_corr^|dm|,
-    so the underlying amplitude process uses the square roots.
+    """Float32 magnitudes |g| of unit-variance Rayleigh fading, of shape
+    prefix + (S, M): drawn directly without correlation, else as |g| of
+    complex Gaussians AR(1)-filtered along S, then M, with innovations that
+    keep unit variance. The coefficients are energy-domain (|g|^2 has
+    autocorrelation time_corr^|ds| * space_corr^|dm|), so g uses their roots.
     """
-    z = _complex_normal(gen, prefix + (cfg.reps, cfg.antennas))
-    _ar1_filter_inplace(z, math.sqrt(cfg.time_corr), axis=-2)
-    _ar1_filter_inplace(z, math.sqrt(cfg.space_corr), axis=-1)
-    return z
+    shape = prefix + (cfg.reps, cfg.antennas)
+    if not (cfg.time_corr or cfg.space_corr):
+        r = gen.standard_exponential(shape, dtype=np.float32)
+        return np.sqrt(r, out=r)
+    z = gen.standard_normal(shape + (2,), dtype=np.float32).view(np.complex64)[..., 0]
+    z *= _INV_SQRT2
+    for corr, axis in ((cfg.time_corr, -2), (cfg.space_corr, -1)):
+        if corr == 0.0:
+            continue
+        coeff = math.sqrt(corr)
+        a = np.float32(coeff)
+        b = np.float32(math.sqrt(1.0 - coeff * coeff))
+        zm = np.moveaxis(z, axis, 0)
+        for t in range(1, zm.shape[0]):
+            zm[t] = a * zm[t - 1] + b * zm[t]
+    return np.abs(z)
 
 
 def _kms_groups(n: int, corr: float) -> list[tuple[float, int]]:
@@ -196,11 +189,7 @@ def _superpose(
     """
     b, n, kt = w.shape
     s, m = cfg.reps, cfg.antennas
-    if cfg.time_corr or cfg.space_corr:
-        r = np.abs(_sample_fading(gen, (b, n), cfg))
-    else:
-        r = gen.standard_exponential((b, n, s, m), dtype=np.float32)
-        np.sqrt(r, out=r)
+    r = _fading_magnitudes(gen, (b, n), cfg)
     k = _lattice_indices(gen, (b, n, kt, s, m))
     x2 = np.empty((b, kt))
     rows = len(theta)

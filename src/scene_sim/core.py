@@ -242,21 +242,16 @@ class RoundConfig:
 class RandomSource:
     """Deterministic random stream with independent child splitting.
 
-    The same seed and the same call sequence reproduce draws bit for bit.
-    ``split`` derives statistically independent child streams, so Monte Carlo
-    trials can be partitioned without overlapping randomness.
+    ``seed`` is an int or a ``numpy.random.SeedSequence``. The same seed and
+    the same call sequence reproduce draws bit for bit. ``split`` derives
+    statistically independent child streams, so Monte Carlo trials can be
+    partitioned without overlapping randomness: each sweep job draws from
+    its own child, whichever pool worker runs it.
     """
 
-    def __init__(self, seed: int):
-        self._seq = np.random.SeedSequence(seed)
+    def __init__(self, seed: int | np.random.SeedSequence):
+        self._seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self.generator = np.random.Generator(np.random.PCG64(self._seq))
-
-    @classmethod
-    def _from_sequence(cls, seq: np.random.SeedSequence) -> "RandomSource":
-        obj = cls.__new__(cls)
-        obj._seq = seq
-        obj.generator = np.random.Generator(np.random.PCG64(seq))
-        return obj
 
     @property
     def seed(self):
@@ -264,7 +259,7 @@ class RandomSource:
 
     def split(self, n: int) -> list["RandomSource"]:
         """Derive ``n`` independent child sources."""
-        return [RandomSource._from_sequence(s) for s in self._seq.spawn(n)]
+        return [RandomSource(s) for s in self._seq.spawn(n)]
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed!r})"

@@ -54,7 +54,8 @@ class TrialStats:
 
     ``m2`` holds the running sum of squared deviations, so
     variance = m2 / (n - 1). ``merge`` combines disjoint streams exactly:
-    merging equals computing the stats of the concatenated samples.
+    merging equals computing the stats of the concatenated samples. Moments
+    past the float64 range come out inf or nan unwarned, for the caller to check.
     """
 
     n: int
@@ -64,16 +65,18 @@ class TrialStats:
     @classmethod
     def from_samples(cls, x: np.ndarray) -> "TrialStats":
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        mean = x.mean(axis=0)
-        sq = x - mean
-        sq **= 2
-        return cls(x.shape[0], mean, sq.sum(axis=0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = x.mean(axis=0)
+            sq = x - mean
+            sq **= 2
+            return cls(x.shape[0], mean, sq.sum(axis=0))
 
     def merge(self, other: "TrialStats") -> "TrialStats":
         n = self.n + other.n
-        delta = other.mean - self.mean
-        mean = self.mean + delta * (other.n / n)
-        m2 = self.m2 + other.m2 + delta**2 * (self.n * other.n / n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = other.mean - self.mean
+            mean = self.mean + delta * (other.n / n)
+            m2 = self.m2 + other.m2 + delta**2 * (self.n * other.n / n)
         return TrialStats(n, mean, m2)
 
     @property
@@ -277,14 +280,8 @@ class ResultRow:
     seed: int
 
 
-def _fmt(x: float | int | None) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, int):
-        return str(x)
-    if math.isnan(x):
-        return ""
-    return f"{x:.17g}"
+def _fmt(x: float | None) -> str:
+    return "" if x is None else f"{x:.17g}"
 
 
 def write_rows_csv(rows: Sequence[ResultRow], fp: IO[str]) -> None:
@@ -327,7 +324,8 @@ def _point_stats(
     block's arrays at a time, whatever its trial count. Block stats merge in
     block order, then job stats in job order: a job of one block gives the
     bits of one call, and more blocks move only the last digits of the
-    moments.
+    moments. The jobs run on a pool of ``threads`` workers (one when None);
+    moments past the float64 range raise a ``ValueError`` naming the estimator.
     """
     frame = map_energies(labels, pop, cfg.rho)
     want_scene = spec.estimator is not Estimator.RATIO
@@ -336,7 +334,6 @@ def _point_stats(
     block = -(-_BLOCK_ELEMS // (cfg.num_classes * chunk)) * chunk
 
     jobs = [min(_JOB_TRIALS, spec.trials - lo) for lo in range(0, spec.trials, _JOB_TRIALS)]
-    streams = rng.split(len(jobs))
 
     def run_block(count: int, stream: RandomSource) -> dict[str, TrialStats]:
         y, y_ref = simulate_rounds(frame, pop, cfg, stream, trials=count)
@@ -353,17 +350,16 @@ def _point_stats(
             add("ratio", ratio_raw(y, y_ref))
         return out
 
-    def run_job(args) -> dict[str, TrialStats]:
-        count, stream = args
+    def run_job(count: int, stream: RandomSource) -> dict[str, TrialStats]:
         return _merged(run_block(min(block, count - lo), stream) for lo in range(0, count, block))
 
-    work = list(zip(jobs, streams))
-    if threads is not None and threads > 1 and len(work) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run_job, work))
-    else:
-        partials = [run_job(w) for w in work]
-    return _merged(partials)
+    with ThreadPoolExecutor(max_workers=threads or 1) as pool:
+        stats = _merged(pool.map(run_job, jobs, rng.split(len(jobs))))
+    for name, st in stats.items():
+        if not (np.isfinite(st.mean).all() and np.isfinite(st.m2).all()):
+            raise ValueError(f"the moments of estimator '{name}' overflow the float64 range: "
+                             "the SNR is too low or the energies too large")
+    return stats
 
 
 def _merged(parts: Iterable[dict[str, TrialStats]]) -> dict[str, TrialStats]:

@@ -73,23 +73,15 @@ def map_energies(labels, pop: DevicePopulation, rho: float) -> EnergyFrame:
     return EnergyFrame(eta[:, None] * q, eta)
 
 
-def _local_rho(pop: DevicePopulation) -> tuple[np.ndarray, np.ndarray]:
-    """Active-device indices and their feasible-scale estimates beta*P/omega."""
-    omegas = pop.omegas
-    active = np.flatnonzero(omegas > 0)  # nonempty: the weights sum to one
-    rho_i = pop.betas_assumed[active] * pop.power_caps[active] / omegas[active]
-    return active, rho_i
-
-
 def min_rho(pop: DevicePopulation) -> float:
-    """Largest common energy scale every active device can afford.
+    """Largest common energy scale every active device can afford: the
+    scale :func:`run_min_rho_protocol` negotiates.
 
     rho* = min_i beta_assumed_i * P_i / omega_i over devices with omega_i > 0.
     At rho*, eta_i <= P_i for all devices; any larger scale overruns the cap
     of at least one device.
     """
-    _, rho_i = _local_rho(pop)
-    return float(rho_i.min())
+    return run_min_rho_protocol(pop)[0]
 
 
 def resolve_round(
@@ -119,6 +111,7 @@ def run_min_rho_protocol(pop: DevicePopulation) -> tuple[float, list[RhoReport]]
     holds exactly one report per active device, so the control overhead is
     N uplink scalars plus one broadcast.
     """
-    active, rho_i = _local_rho(pop)
+    active = np.flatnonzero(pop.omegas > 0)  # nonempty: the weights sum to one
+    rho_i = pop.betas_assumed[active] * pop.power_caps[active] / pop.omegas[active]
     transcript = [RhoReport(int(i), float(r)) for i, r in zip(active, rho_i)]
     return float(rho_i.min()), transcript

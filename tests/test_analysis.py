@@ -138,10 +138,12 @@ class TestVarianceBound:
     def test_overflowing_noise_term_names_noise_var(self, noise_var, rho):
         # noise_var^2 / rho^2 past the float range: noise_var**2 raised a bare
         # OverflowError, "(34, 'Numerical result out of range')", which ended
-        # a sweep at rho 1e150 and -300 dB, or the quotient gave an inf bound
+        # a sweep at rho 1e150 and -300 dB, or the quotient gave an inf bound;
+        # the exact diagonal variance shares the noise term and its check
         cfg = RoundConfig(num_classes=2, rho=rho, noise_var=noise_var)
-        with pytest.raises(ValueError, match="noise_var"):
-            variance_bound(make_uniform_population(1), [SoftLabel((0.5, 0.5))], cfg)
+        for closed_form in (variance_bound, scene_variance_diagonal):
+            with pytest.raises(ValueError, match="noise_var"):
+                closed_form(make_uniform_population(1), [SoftLabel((0.5, 0.5))], cfg)
 
     def test_noise_term_below_the_limit_is_finite(self):
         cfg = RoundConfig(num_classes=2, noise_var=9e153)

@@ -202,6 +202,19 @@ class TestSweepCommand:
         assert "noise_var" in capsys.readouterr().err
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
+    def test_moment_overflow_names_estimator(self, tmp_path, capsys):
+        # the noise term passes its check at -1545 dB, but the squared
+        # deviations of the scene estimates overflow: the sweep used to exit 0
+        # with inf in 10 cells
+        cfg = tmp_path / "faint.json"
+        cfg.write_text(json.dumps({"sweep": {"snr_db_values": [-1545.0],
+                                             "channel_model": "diagonal", "trials": 20000}}))
+        assert run_cli(["sweep", "--config", cfg, "--threads", 1, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert "sweep point S=4, M=4, snr_db=-1545.0 failed" in err
+        assert "estimator 'scene' overflow" in err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
     def test_estimator_override(self, tmp_path):
         cfg = self.sweep_config(tmp_path)
         raw = json.loads(cfg.read_text())

@@ -166,10 +166,26 @@ class TestRunExperiment:
         assert rows_a == rows_b
 
     def test_thread_count_does_not_change_results(self):
-        spec = small_spec(trials=45_000)  # 3 jobs
-        serial = run_experiment(spec, threads=1)
-        threaded = run_experiment(spec, threads=4)
-        assert serial == threaded
+        # every job runs on the pool, one worker for None and 1; the
+        # correlated superposition jobs of N = 3, K = 5, S*M = 4 run two
+        # blocks of whole chunks each
+        specs = (small_spec(trials=45_000),  # 3 jobs
+                 small_spec(estimator="both", trials=45_000, time_corr=0.3, space_corr=0.2,
+                            channel_model=ChannelModel.SUPERPOSITION))
+        for spec in specs:
+            rows = run_experiment(spec, threads=1)
+            for threads in (None, 2, 4):
+                assert run_experiment(spec, threads=threads) == rows
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_job_names_its_point(self, monkeypatch, threads):
+        def fail(*args, **kwargs):
+            raise ValueError("channel failed")
+
+        monkeypatch.setattr(montecarlo, "simulate_rounds", fail)
+        with pytest.raises(RuntimeError, match=r"sweep point S=2, M=2, snr_db=5\.0 failed: "
+                                               "channel failed"):
+            run_experiment(small_spec(), threads=threads)
 
     def test_single_trial_has_empty_variance(self):
         rows = run_experiment(small_spec(trials=1))
