@@ -36,11 +36,11 @@ from .montecarlo import (
 from .power import map_energies
 
 
-# Default --threads: one worker per usable core, at most this many. Every sweep
-# job runs on the pool, on one worker at --threads 1. A worker streams its job
-# in blocks of whole channel chunks, about 2^16 estimates each, and the channel's
-# work blocks keep each chunk flat in N and S*M: a superposition job with both
-# estimators peaks near 4.3 MB at K = 10 and K = 100 (tracemalloc, N = 10,
+# Default --threads: one worker per usable core, at most this many. A run has one
+# pool, which runs every job of every sweep point, --threads at a time. A worker
+# streams its job in blocks of whole channel chunks, about 2^16 estimates each, and
+# the channel's work blocks keep each chunk flat in N and S*M: a superposition job
+# with both estimators peaks near 4.3 MB at K = 10 and K = 100 (tracemalloc, N = 10,
 # S*M = 16). A diagonal block is one chunk of up to 8 M Gamma draws, fixing the
 # stream: 6.5 MB at K = 10, 26 MB at K = 100. The pool adds about 50 MB on any host.
 _DEFAULT_MAX_THREADS = 8

@@ -1,17 +1,20 @@
 """Experiment orchestration: repeated-trial simulation over parameter sweeps,
 streaming statistics with exact merges, and CSV persistence.
 
-Trials are split into fixed-size jobs with pre-split random streams and merged
-in job order, so results are identical no matter how many workers run them.
+Trials are split into fixed-size jobs with pre-split random streams. A sweep
+runs the jobs of all its points on one thread pool per run, and each point
+merges its jobs in job order, so results are identical no matter how many
+workers run them.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .core import (
     weighted_average,
 )
 from .estimators import clip_renormalize, ratio_raw, scene_raw
-from .power import map_energies, resolve_round
+from .power import EnergyFrame, map_energies, resolve_round
 
 # Trials per scheduling job; fixed so outputs do not depend on worker count.
 _JOB_TRIALS = 20_000
@@ -280,54 +283,42 @@ class ResultRow:
     seed: int
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else f"{x:.17g}"
+def _cell(x: object) -> str:
+    """One CSV cell: empty for None, 17 significant digits for a float."""
+    if x is None:
+        return ""
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def write_rows_csv(rows: Sequence[ResultRow], fp: IO[str]) -> None:
-    """Serialize rows with 17 significant digits (newline = LF)."""
+    """Serialize rows, one cell per :class:`ResultRow` field in declaration
+    order, the order ``CSV_HEADER`` names them (newline = LF)."""
     fp.write(CSV_HEADER + "\n")
     for r in rows:
-        fields = [
-            str(r.s),
-            str(r.m),
-            _fmt(r.snr_db),
-            _fmt(r.rho),
-            r.model,
-            r.estimator,
-            str(r.cls),
-            _fmt(r.mean),
-            _fmt(r.bias),
-            _fmt(r.var),
-            _fmt(r.var_bound),
-            _fmt(r.se),
-            str(r.trials),
-            str(r.seed),
-        ]
-        fp.write(",".join(fields) + "\n")
+        fp.write(",".join(map(_cell, vars(r).values())) + "\n")
 
 
 def _point_stats(
     spec: ExperimentSpec,
     pop: DevicePopulation,
-    labels: list[SoftLabel],
+    frame: EnergyFrame,
     cfg: RoundConfig,
     rng: RandomSource,
-    threads: int | None,
-) -> dict[str, TrialStats]:
-    """Run all trials of one sweep point, returning stats keyed by estimator
-    variant ("scene", "scene_proj", "ratio", "ratio_proj").
+    pool: ThreadPoolExecutor,
+    failed: threading.Event,
+) -> Iterator[dict[str, TrialStats]]:
+    """Submit the jobs of one sweep point, sending ``frame``, to ``pool``;
+    return their stats in job order, keyed by estimator variant ("scene",
+    "scene_proj", "ratio", "ratio_proj"). A failing job sets the run's flag
+    ``failed``, and a job that starts after that raises ``CancelledError``.
 
     Each job streams its trials through the channel and the estimators in
     blocks of whole channel chunks, about ``_BLOCK_ELEMS`` estimates each, so
     it draws what one channel call of the job would draw and holds one
     block's arrays at a time, whatever its trial count. Block stats merge in
-    block order, then job stats in job order: a job of one block gives the
-    bits of one call, and more blocks move only the last digits of the
-    moments. The jobs run on a pool of ``threads`` workers (one when None);
-    moments past the float64 range raise a ``ValueError`` naming the estimator.
+    block order; merged in job order, a job of one block gives the bits of one
+    call, and more blocks move only the last digits of the moments.
     """
-    frame = map_energies(labels, pop, cfg.rho)
     want_scene = spec.estimator is not Estimator.RATIO
     want_ratio = spec.estimator is not Estimator.SCENE
     chunk = chunk_trials(pop, cfg)
@@ -351,15 +342,15 @@ def _point_stats(
         return out
 
     def run_job(count: int, stream: RandomSource) -> dict[str, TrialStats]:
-        return _merged(run_block(min(block, count - lo), stream) for lo in range(0, count, block))
+        if failed.is_set():
+            raise CancelledError
+        try:
+            return _merged(run_block(min(block, count - lo), stream) for lo in range(0, count, block))
+        except Exception:
+            failed.set()
+            raise
 
-    with ThreadPoolExecutor(max_workers=threads or 1) as pool:
-        stats = _merged(pool.map(run_job, jobs, rng.split(len(jobs))))
-    for name, st in stats.items():
-        if not (np.isfinite(st.mean).all() and np.isfinite(st.m2).all()):
-            raise ValueError(f"the moments of estimator '{name}' overflow the float64 range: "
-                             "the SNR is too low or the energies too large")
-    return stats
+    return pool.map(run_job, jobs, rng.split(len(jobs)))
 
 
 def _merged(parts: Iterable[dict[str, TrialStats]]) -> dict[str, TrialStats]:
@@ -375,51 +366,60 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[Res
     """Run the sweep and return the result table.
 
     The population and labels are drawn once per experiment (large-scale
-    gains are quasi-static); fading and noise are redrawn every trial.
-    Deterministic given the spec, independent of ``threads``.
+    gains are quasi-static); fading and noise are redrawn every trial. Every
+    point is resolved and checked before any trial runs; then the jobs of
+    every point run on one pool of ``threads`` workers (one when None), and
+    no job starts after the first failure. Moments past the float64 range
+    raise a ``ValueError`` naming the estimator. Deterministic given the
+    spec, independent of ``threads``.
     """
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     pop, labels, trial_rng = spec.draw(spec.seed)
     qbar = weighted_average(labels, pop).probs
     k = labels[0].num_classes
 
-    points = [(s, m, snr) for (s, m) in spec.sm_pairs for snr in spec.snr_db_values]
-    point_streams = trial_rng.split(len(points))
+    grid = [(s, m, snr) for (s, m) in spec.sm_pairs for snr in spec.snr_db_values]
+    corr = dict(time_corr=spec.time_corr, space_corr=spec.space_corr)
+    cfgs = [spec.round_config(pop, k, s, m, snr_db, **corr) for s, m, snr_db in grid]
+    bounds = [analysis.variance_bound(pop, labels, cfg) for cfg in cfgs]
+    frames = [map_energies(labels, pop, cfg.rho) for cfg in cfgs]
 
     rows: list[ResultRow] = []
-    for (s, m, snr_db), stream in zip(points, point_streams):
-        cfg = spec.round_config(
-            pop, k, s, m, snr_db, time_corr=spec.time_corr, space_corr=spec.space_corr
-        )
-        bound = analysis.variance_bound(pop, labels, cfg)
+    failed = threading.Event()  # set at the first failure: no job starts after it
+    with ThreadPoolExecutor(max_workers=threads or 1) as pool:
+        runs = [_point_stats(spec, pop, frame, cfg, stream, pool, failed)
+                for frame, cfg, stream in zip(frames, cfgs, trial_rng.split(len(grid)))]
         try:
-            stats = _point_stats(spec, pop, labels, cfg, stream, threads)
-        except Exception as exc:
-            raise RuntimeError(
-                f"sweep point S={s}, M={m}, snr_db={snr_db} failed: {exc}"
-            ) from exc
-        for name, st in stats.items():
-            variance = st.variance
-            se = st.std_error
-            for c in range(k):
-                has_var = st.n >= 2
-                rows.append(
-                    ResultRow(
-                        s=s,
-                        m=m,
-                        snr_db=snr_db,
-                        rho=cfg.rho,
-                        model=spec.channel_model.value,
-                        estimator=name,
-                        cls=c,
-                        mean=float(st.mean[c]),
-                        bias=float(st.mean[c] - qbar[c]),
-                        var=float(variance[c]) if has_var else None,
-                        var_bound=float(bound[c]) if name == "scene" else None,
-                        se=float(se[c]) if has_var else None,
-                        trials=st.n,
-                        seed=spec.seed,
-                    )
-                )
+            for (s, m, snr_db), cfg, bound, jobs in zip(grid, cfgs, bounds, runs):
+                for name, st in _merged(jobs).items():
+                    if not (np.isfinite(st.mean).all() and np.isfinite(st.m2).all()):
+                        raise ValueError(f"the moments of estimator '{name}' overflow the float64 "
+                                         "range: the SNR is too low or the energies too large")
+                    variance, se = st.variance, st.std_error
+                    has_var = st.n >= 2
+                    for c in range(k):
+                        rows.append(
+                            ResultRow(
+                                s=s,
+                                m=m,
+                                snr_db=snr_db,
+                                rho=cfg.rho,
+                                model=spec.channel_model.value,
+                                estimator=name,
+                                cls=c,
+                                mean=float(st.mean[c]),
+                                bias=float(st.mean[c] - qbar[c]),
+                                var=float(variance[c]) if has_var else None,
+                                var_bound=float(bound[c]) if name == "scene" else None,
+                                se=float(se[c]) if has_var else None,
+                                trials=st.n,
+                                seed=spec.seed,
+                            )
+                        )
+        except Exception as exc:  # s, m and snr_db are the failing point's
+            failed.set()
+            raise RuntimeError(f"sweep point S={s}, M={m}, snr_db={snr_db} failed: {exc}") from exc
     return rows
 
 

@@ -1,4 +1,7 @@
 import io
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -168,24 +171,95 @@ class TestRunExperiment:
     def test_thread_count_does_not_change_results(self):
         # every job runs on the pool, one worker for None and 1; the
         # correlated superposition jobs of N = 3, K = 5, S*M = 4 run two
-        # blocks of whole chunks each
+        # blocks of whole chunks each; the 2 x 2 grid of two jobs a point
+        # puts jobs of different points on the workers at once
         specs = (small_spec(trials=45_000),  # 3 jobs
                  small_spec(estimator="both", trials=45_000, time_corr=0.3, space_corr=0.2,
-                            channel_model=ChannelModel.SUPERPOSITION))
+                            channel_model=ChannelModel.SUPERPOSITION),
+                 small_spec(estimator="both", trials=25_000, sm_pairs=((2, 2), (4, 1)),
+                            snr_db_values=(5.0, 10.0)))
         for spec in specs:
             rows = run_experiment(spec, threads=1)
             for threads in (None, 2, 4):
                 assert run_experiment(spec, threads=threads) == rows
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 0, -1])
     def test_failing_job_names_its_point(self, monkeypatch, threads):
         def fail(*args, **kwargs):
             raise ValueError("channel failed")
 
         monkeypatch.setattr(montecarlo, "simulate_rounds", fail)
+        if threads < 1:  # rejected before any setup: 0 used to run on one worker
+            with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+                run_experiment(small_spec(), threads=threads)
+            return
         with pytest.raises(RuntimeError, match=r"sweep point S=2, M=2, snr_db=5\.0 failed: "
                                                "channel failed"):
             run_experiment(small_spec(), threads=threads)
+
+    @staticmethod
+    def count_channel_calls(monkeypatch, good_calls=None):
+        # calls after the first good_calls fail (None: none fail)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            if good_calls is not None and len(calls) > good_calls:
+                raise ValueError("channel failed")
+            return simulate_rounds(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "simulate_rounds", counted)
+        return calls
+
+    def test_every_point_checked_before_any_trial(self, monkeypatch):
+        # the noise term of the second point overflows: that point used to
+        # fail only after the first had run all its trials
+        calls = self.count_channel_calls(monkeypatch)
+        spec = ExperimentSpec(snr_db_values=(5.0, -3000.0), channel_model="diagonal",
+                              trials=200_000)
+        with pytest.raises(ValueError, match="noise_var .* overflows"):
+            run_experiment(spec, threads=2)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            run_experiment(spec, threads=0)
+        assert calls == []
+
+    @pytest.mark.parametrize("threads, good_calls, snr", [(1, 0, "5"), (2, 0, "5"), (4, 30, "10")])
+    def test_failing_point_cancels_queued_jobs(self, monkeypatch, threads, good_calls, snr):
+        # 6 points of 20 ten-trial jobs: the first failing job stops the run
+        # instead of the pool running the other jobs. With more workers than
+        # cores and a short switch interval, the jobs of the first point pass
+        # and a failure in the second is the one reported, not a job that
+        # never ran.
+        monkeypatch.setattr(montecarlo, "_JOB_TRIALS", 10)
+        calls = self.count_channel_calls(monkeypatch, good_calls)
+        spec = small_spec(sm_pairs=((1, 1), (2, 1), (1, 2)), snr_db_values=(5.0, 10.0),
+                          trials=200)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with pytest.raises(RuntimeError, match=rf"sweep point S=1, M=1, snr_db={snr}\.0 "
+                                                   "failed: channel failed"):
+                run_experiment(spec, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert good_calls < len(calls) < good_calls + 10
+
+    def test_one_pool_per_run(self, monkeypatch):
+        # every point's jobs, and those of the crossover fit's sweep, share
+        # one pool: counted as the benchmark tracer swaps its pool in
+        pools = []
+
+        class CountedPool(montecarlo.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(None)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountedPool)
+        run_experiment(small_spec(sm_pairs=((2, 2), (4, 1)), snr_db_values=(5.0, 10.0),
+                                  trials=25_000), threads=2)
+        assert len(pools) == 1
+        estimate_mse_constants(small_spec(sm_pairs=((1, 1), (2, 2), (4, 4))), threads=2)
+        assert len(pools) == 2
 
     def test_single_trial_has_empty_variance(self):
         rows = run_experiment(small_spec(trials=1))
@@ -299,7 +373,11 @@ class TestStreamedPointStats:
         pop, labels, _ = spec.draw(spec.seed)
         (s, m), = spec.sm_pairs
         cfg = spec.round_config(pop, labels[0].num_classes, s, m, spec.snr_db_values[0])
-        streamed = montecarlo._point_stats(spec, pop, labels, cfg, RandomSource(11), threads)
+        frame = map_energies(labels, pop, cfg.rho)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            jobs = montecarlo._point_stats(spec, pop, frame, cfg, RandomSource(11), pool,
+                                           threading.Event())
+            streamed = montecarlo._merged(jobs)
         reference = one_call_per_job(spec, pop, labels, cfg, RandomSource(11))
         assert list(streamed) == list(reference)
         return streamed, reference
