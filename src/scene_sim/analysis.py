@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DevicePopulation, RoundConfig, check_simplex
+from .core import DevicePopulation, RoundConfig, check_simplex, check_snr, csv_cell
 
 # Autocorrelation sums are truncated at this lag; the geometric tails that
 # appear in practice contribute < 1e-19 beyond it.
@@ -140,10 +140,8 @@ def calibrate_noise(rho: float, k: int, snr_db: float) -> float:
         raise ValueError(f"rho must be positive, got {rho}")
     if k < 2:
         raise ValueError(f"need K >= 2, got {k}")
-    try:
-        noise = (rho / k) / 10.0 ** (snr_db / 10.0)
-    except (OverflowError, ZeroDivisionError):  # 10^(snr_db/10) past the float range
-        noise = 0.0
+    check_snr(snr_db=snr_db)
+    noise = (rho / k) / 10.0 ** (snr_db / 10.0)
     if not 0.0 < noise < math.inf:
         raise ValueError(f"snr_db {snr_db} puts the noise power outside the float range")
     return noise
@@ -204,6 +202,6 @@ class CrossoverModel:
         """One row under ``CROSSOVER_CSV_HEADER``: the round MSEs of both
         schemes at ``pilot_cost`` (17 significant digits) and whether SCENE
         wins there."""
-        numbers = (self.c_coh, self.c_nc, *self.mse(pilot_cost))
-        return ",".join([str(self.budget), str(pilot_cost), *(f"{x:.17g}" for x in numbers),
-                         str(int(self.scene_wins(pilot_cost)))])
+        cells = (self.budget, pilot_cost, self.c_coh, self.c_nc, *self.mse(pilot_cost),
+                 int(self.scene_wins(pilot_cost)))
+        return ",".join(map(csv_cell, cells))

@@ -2,7 +2,7 @@
 
 Config files are JSON with one section per subcommand; unknown keys anywhere
 are fatal so typos cannot silently fall back to defaults. The fully resolved
-configuration of every run is echoed into the output directory.
+configuration of every successful run is echoed into the output directory.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .montecarlo import (
     run_experiment,
     write_rows_csv,
 )
-from .power import map_energies
 
 
 # Default --threads: one worker per usable core, at most this many. A run has one
@@ -193,29 +192,25 @@ def _echo_config(spec, command: str, seed: int, out_dir: Path) -> None:
     )
 
 
-def cmd_round(spec: RoundSpec) -> int:
+def cmd_round(spec: RoundSpec) -> None:
     """Run one aggregation round end to end and print the per-class table."""
     pop, labels, chan_rng = spec.draw(spec.seed)
     qbar = weighted_average(labels, pop).probs
-    k = labels[0].num_classes
-    cfg = spec.round_config(pop, k, spec.s, spec.m, spec.snr_db)
-    frame = map_energies(labels, pop, cfg.rho)
+    cfg, frame, bound = spec.point(pop, labels, spec.s, spec.m, spec.snr_db)
     y, y_ref = simulate_round(frame, pop, cfg, chan_rng)
     if spec.estimator is Estimator.RATIO:
         raw, projected = ratio_estimate(y, y_ref)
     else:
         raw, projected = scene_estimate(y, cfg)
     bias = analysis.mismatch_bias(pop, labels)
-    bound = analysis.variance_bound(pop, labels, cfg)
 
     print(f"# S={spec.s} M={spec.m} snr_db={spec.snr_db} rho={cfg.rho:.6g} "
           f"model={spec.channel_model.value} estimator={spec.estimator.value}")
     print(f"{'class':>5} {'q_bar':>12} {'raw':>12} {'projected':>12} "
           f"{'bias':>12} {'var_bound':>12}")
-    for c in range(k):
+    for c in range(cfg.num_classes):
         cells = (_cell(col[c]) for col in (qbar, raw, projected, bias, bound))
         print(f"{c:>5} " + " ".join(cells))
-    return 0
 
 
 def _cell(x: float) -> str:
@@ -225,16 +220,15 @@ def _cell(x: float) -> str:
     return fixed if len(fixed) <= 12 else f"{x:>12.6g}"
 
 
-def cmd_sweep(spec: ExperimentSpec, out_dir: Path, threads: int | None) -> int:
+def cmd_sweep(spec: ExperimentSpec, out_dir: Path, threads: int) -> None:
     """Run the Monte Carlo sweep and write sweep.csv."""
     rows = run_experiment(spec, threads=threads)
     with open(out_dir / "sweep.csv", "w", newline="") as fp:
         write_rows_csv(rows, fp)
     print(f"wrote {len(rows)} rows to {out_dir / 'sweep.csv'}")
-    return 0
 
 
-def cmd_crossover(spec: CrossoverSpec, out_dir: Path, threads: int | None) -> int:
+def cmd_crossover(spec: CrossoverSpec, out_dir: Path, threads: int) -> None:
     """Evaluate the crossover model over the (B, P) grid, with c_nc fitted
     from the ``sweep`` section when there is one."""
     fitted = None
@@ -247,19 +241,17 @@ def cmd_crossover(spec: CrossoverSpec, out_dir: Path, threads: int | None) -> in
         lines += [model.csv_row(p) for p in spec.pilot_costs if p < model.budget]
     (out_dir / "crossover.csv").write_text("\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} rows to {out_dir / 'crossover.csv'}")
-    return 0
 
 
-def cmd_fd(spec: FdProtocolConfig, seed: int, out_dir: Path) -> int:
+def cmd_fd(spec: FdProtocolConfig, seed: int, out_dir: Path) -> None:
     """Run the distillation pipeline and write fd_metrics.csv."""
     metrics = run_fd(spec, seed)
     content = FD_CSV_HEADER + "\n" + fd_csv_row(metrics, seed) + "\n"
     (out_dir / "fd_metrics.csv").write_text(content)
     print(
-        f"aggregation={metrics.aggregation.value} U={metrics.unlabeled_budget} "
+        f"aggregation={spec.aggregation.value} U={spec.unlabeled_budget} "
         f"server_acc={metrics.server_accuracy:.4f} agg_l2_err={metrics.agg_l2_error:.4f}"
     )
-    return 0
 
 
 def _seeded(spec, flag: int | None):
@@ -290,9 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="root random seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for trial parallelism "
-                            f"(default: one per usable core, at most {_DEFAULT_MAX_THREADS})")
+        if name in ("sweep", "crossover"):
+            p.add_argument("--threads", type=int, default=None,
+                           help="worker threads for trial parallelism "
+                                f"(default: one per usable core, at most {_DEFAULT_MAX_THREADS})")
         p.add_argument("--out", default="out", help="output directory")
     return parser
 
@@ -300,27 +293,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
+    threads = getattr(args, "threads", None)  # a flag of sweep and crossover only
     try:
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        if threads is not None and threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {threads}")
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         spec, seed = _seeded(load_config(args.config, command), args.seed)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _echo_config(spec, command, seed, out_dir)
-        threads = args.threads
-        if threads is None:  # the CPUs this process may run on, where the OS tells
-            usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                      else os.cpu_count() or 1)
-            threads = min(usable, _DEFAULT_MAX_THREADS)
         if command == "round":
-            return cmd_round(spec)
-        if command == "sweep":
-            return cmd_sweep(spec, out_dir, threads)
-        if command == "crossover":
-            return cmd_crossover(spec, out_dir, threads)
-        return cmd_fd(spec, seed, out_dir)
+            cmd_round(spec)
+        elif command == "fd":
+            cmd_fd(spec, seed, out_dir)
+        else:
+            if threads is None:  # the CPUs this process may run on, where the OS tells
+                usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                          else os.cpu_count() or 1)
+                threads = min(usable, _DEFAULT_MAX_THREADS)
+            (cmd_sweep if command == "sweep" else cmd_crossover)(spec, out_dir, threads)
+        _echo_config(spec, command, seed, out_dir)  # only a run that succeeded is echoed
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

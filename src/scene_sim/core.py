@@ -195,6 +195,13 @@ def check_snr(**snrs: float) -> None:
             raise ValueError(f"{name} {snr_db} puts the noise power outside the float range")
 
 
+def csv_cell(x: object) -> str:
+    """One CSV cell: empty for None, 17 significant digits for a float."""
+    if x is None:
+        return ""
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+
 def check_correlation(**coeffs: float) -> None:
     """Reject AR(1) correlation coefficients outside [0, 1)."""
     for name, c in coeffs.items():

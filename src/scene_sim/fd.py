@@ -28,6 +28,7 @@ from .core import (
     check_range,
     check_snr,
     coerce_settings,
+    csv_cell,
 )
 from .estimators import ratio_estimate, scene_estimate
 from .montecarlo import PopulationSpec
@@ -390,16 +391,12 @@ def pretrain_clients(
 
 @dataclass(frozen=True)
 class FdMetrics:
-    """Outcome of one distillation round."""
+    """Outcome of one distillation round under ``cfg``."""
 
     server_accuracy: float
     agg_l2_error: float
     kl_per_epoch: tuple[float, ...]
-    aggregation: Aggregation
-    unlabeled_budget: int
-    reps: int
-    antennas: int
-    snr_db: float | None
+    cfg: FdProtocolConfig
 
 
 def aggregate_targets(
@@ -435,8 +432,8 @@ def one_shot_distill(
     clients: list[SoftmaxClassifier],
     server: SoftmaxClassifier,
     rng: RandomSource,
-) -> tuple[SoftmaxClassifier, FdMetrics]:
-    """Run the one-shot distillation stage.
+) -> FdMetrics:
+    """Run the one-shot distillation stage on a copy of ``server``.
 
     Clients predict soft labels on a random unlabeled subset, the labels are
     aggregated (noise-free average or over the air), and the server minimizes
@@ -461,17 +458,8 @@ def one_shot_distill(
     kl = trained.train_soft(
         x_u, targets, cfg.distill_epochs, cfg.batch_size, cfg.learning_rate, train_rng
     )
-    metrics = FdMetrics(
-        server_accuracy=trained.accuracy(split.test_features, split.test_labels),
-        agg_l2_error=agg_err,
-        kl_per_epoch=tuple(kl),
-        aggregation=cfg.aggregation,
-        unlabeled_budget=u,
-        reps=cfg.round.reps,
-        antennas=cfg.round.antennas,
-        snr_db=cfg.snr_db,
-    )
-    return trained, metrics
+    accuracy = trained.accuracy(split.test_features, split.test_labels)
+    return FdMetrics(accuracy, agg_err, tuple(kl), cfg)
 
 
 # The config fields that the data, the split, pretraining or the server's
@@ -516,9 +504,7 @@ class FdSetup:
         if differ:
             raise ValueError(f"config differs from the setup's in {', '.join(differ)}")
         distill_rng = RandomSource(self.seed).split(4)[3]
-        _, metrics = one_shot_distill(cfg, self.split, list(self.clients), self.server,
-                                      distill_rng)
-        return metrics
+        return one_shot_distill(cfg, self.split, list(self.clients), self.server, distill_rng)
 
 
 def run_fd(cfg: FdProtocolConfig, seed: int) -> FdMetrics:
@@ -527,17 +513,8 @@ def run_fd(cfg: FdProtocolConfig, seed: int) -> FdMetrics:
 
 
 def fd_csv_row(metrics: FdMetrics, seed: int) -> str:
-    snr = "" if metrics.snr_db is None else f"{metrics.snr_db:.17g}"
-    return ",".join(
-        [
-            "1",  # one-shot distillation: every run is round 1
-            str(metrics.unlabeled_budget),
-            str(metrics.reps),
-            str(metrics.antennas),
-            snr,
-            metrics.aggregation.value,
-            f"{metrics.server_accuracy:.17g}",
-            f"{metrics.agg_l2_error:.17g}",
-            str(seed),
-        ]
-    )
+    """One row under ``FD_CSV_HEADER``; one-shot distillation is always round 1."""
+    cfg = metrics.cfg
+    cells = (1, cfg.unlabeled_budget, cfg.round.reps, cfg.round.antennas, cfg.snr_db,
+             cfg.aggregation.value, metrics.server_accuracy, metrics.agg_l2_error, seed)
+    return ",".join(map(csv_cell, cells))

@@ -34,6 +34,7 @@ from .core import (
     check_simplex,
     check_snr,
     coerce_settings,
+    csv_cell,
     weighted_average,
 )
 from .estimators import clip_renormalize, ratio_raw, scene_raw
@@ -227,14 +228,20 @@ class SetupSpec:
         labels = self.labels.draw(pop.num_devices, label_rng)
         return pop, labels, channel_rng
 
-    def round_config(
-        self, pop: DevicePopulation, k: int, s: int, m: int, snr_db: float, **corr: float
-    ) -> RoundConfig:
-        """Parameters of the (S, M, SNR) point with the AR(1) coefficients
-        ``corr``, resolved by :func:`power.resolve_round`."""
+    def point(
+        self, pop: DevicePopulation, labels: Sequence[SoftLabel], s: int, m: int,
+        snr_db: float, **corr: float,
+    ) -> tuple[RoundConfig, EnergyFrame, np.ndarray]:
+        """The (S, M, SNR) point with the AR(1) coefficients ``corr``: its
+        parameters resolved by :func:`power.resolve_round`, the labels' energy
+        frame, and :func:`analysis.variance_bound`, which checks the noise
+        term before any channel call."""
+        k = labels[0].num_classes
         base = RoundConfig(k, s, m, self.rho_value, channel_model=self.channel_model, **corr)
         reference = self.estimator is not Estimator.SCENE
-        return resolve_round(base, self.rho_rule, pop, snr_db, reference)
+        cfg = resolve_round(base, self.rho_rule, pop, snr_db, reference)
+        bound = analysis.variance_bound(pop, labels, cfg)
+        return cfg, map_energies(labels, pop, cfg.rho), bound
 
 
 @dataclass(frozen=True)
@@ -283,19 +290,12 @@ class ResultRow:
     seed: int
 
 
-def _cell(x: object) -> str:
-    """One CSV cell: empty for None, 17 significant digits for a float."""
-    if x is None:
-        return ""
-    return f"{x:.17g}" if isinstance(x, float) else str(x)
-
-
 def write_rows_csv(rows: Sequence[ResultRow], fp: IO[str]) -> None:
     """Serialize rows, one cell per :class:`ResultRow` field in declaration
     order, the order ``CSV_HEADER`` names them (newline = LF)."""
     fp.write(CSV_HEADER + "\n")
     for r in rows:
-        fp.write(",".join(map(_cell, vars(r).values())) + "\n")
+        fp.write(",".join(map(csv_cell, vars(r).values())) + "\n")
 
 
 def _point_stats(
@@ -369,9 +369,9 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[Res
     gains are quasi-static); fading and noise are redrawn every trial. Every
     point is resolved and checked before any trial runs; then the jobs of
     every point run on one pool of ``threads`` workers (one when None), and
-    no job starts after the first failure. Moments past the float64 range
-    raise a ``ValueError`` naming the estimator. Deterministic given the
-    spec, independent of ``threads``.
+    no job starts after the first failure. A failure in a point's setup or
+    jobs, such as moments past the float64 range, raises a ``RuntimeError``
+    naming the point. Deterministic given the spec, independent of ``threads``.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -381,17 +381,16 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[Res
 
     grid = [(s, m, snr) for (s, m) in spec.sm_pairs for snr in spec.snr_db_values]
     corr = dict(time_corr=spec.time_corr, space_corr=spec.space_corr)
-    cfgs = [spec.round_config(pop, k, s, m, snr_db, **corr) for s, m, snr_db in grid]
-    bounds = [analysis.variance_bound(pop, labels, cfg) for cfg in cfgs]
-    frames = [map_energies(labels, pop, cfg.rho) for cfg in cfgs]
-
     rows: list[ResultRow] = []
     failed = threading.Event()  # set at the first failure: no job starts after it
-    with ThreadPoolExecutor(max_workers=threads or 1) as pool:
-        runs = [_point_stats(spec, pop, frame, cfg, stream, pool, failed)
-                for frame, cfg, stream in zip(frames, cfgs, trial_rng.split(len(grid)))]
+    with ThreadPoolExecutor(max_workers=threads or 1) as pool:  # threads start at the first job
         try:
-            for (s, m, snr_db), cfg, bound, jobs in zip(grid, cfgs, bounds, runs):
+            points = []
+            for s, m, snr_db in grid:
+                points.append(spec.point(pop, labels, s, m, snr_db, **corr))
+            runs = [_point_stats(spec, pop, frame, cfg, stream, pool, failed)
+                    for (cfg, frame, _), stream in zip(points, trial_rng.split(len(grid)))]
+            for (s, m, snr_db), (cfg, _, bound), jobs in zip(grid, points, runs):
                 for name, st in _merged(jobs).items():
                     if not (np.isfinite(st.mean).all() and np.isfinite(st.m2).all()):
                         raise ValueError(f"the moments of estimator '{name}' overflow the float64 "

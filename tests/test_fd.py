@@ -22,7 +22,9 @@ from scene_sim.fd import (
     Aggregation,
     DatasetSpec,
     Divergence,
+    FdMetrics,
     aggregate_targets,
+    fd_csv_row,
     train_lockstep,
 )
 from scene_sim.power import map_energies
@@ -475,3 +477,16 @@ class TestOneShotDistill:
             )
             errs.append(run_fd(cfg, seed=3).agg_l2_error)
         assert errs[0] > errs[1] > errs[2]
+
+
+@pytest.mark.parametrize("snr_db, noise_var, row", [
+    (None, 0.01, "1,64,3,2,,ratio,0.10000000000000001,0.33333333333333331,7"),
+    (-2.5, 0.0, "1,64,3,2,-2.5,ratio,0.10000000000000001,0.33333333333333331,7"),
+])
+def test_fd_csv_row_bytes(snr_db, noise_var, row):
+    # U, S and M come from the config; a null snr_db is an empty cell, and
+    # floats take 17 significant digits
+    cfg = FdProtocolConfig(unlabeled_budget=64, aggregation="ratio", snr_db=snr_db,
+                           round=RoundConfig(num_classes=10, reps=3, antennas=2,
+                                             noise_var=noise_var))
+    assert fd_csv_row(FdMetrics(0.1, 1 / 3, (0.5,), cfg), seed=7) == row

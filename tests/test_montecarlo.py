@@ -16,6 +16,7 @@ from scene_sim import (
     LabelSpec,
     PopulationSpec,
     RandomSource,
+    ResultRow,
     RhoRule,
     TrialStats,
     WeightRule,
@@ -217,7 +218,8 @@ class TestRunExperiment:
         calls = self.count_channel_calls(monkeypatch)
         spec = ExperimentSpec(snr_db_values=(5.0, -3000.0), channel_model="diagonal",
                               trials=200_000)
-        with pytest.raises(ValueError, match="noise_var .* overflows"):
+        with pytest.raises(RuntimeError, match=r"sweep point S=4, M=4, snr_db=-3000\.0 failed: "
+                                               "noise_var .* overflows"):
             run_experiment(spec, threads=2)
         with pytest.raises(ValueError, match="threads must be >= 1"):
             run_experiment(spec, threads=0)
@@ -270,6 +272,22 @@ class TestRunExperiment:
         # var, var_bound(raw only), se serialized as empty fields
         assert ",,," not in CSV_HEADER  # sanity on header shape
         assert line.count(",") == CSV_HEADER.count(",")
+
+    def test_csv_row_bytes(self):
+        # None cells are empty, floats take 17 significant digits, the rest str()
+        rows = [ResultRow(4, 2, 7.5, 0.1, "superposition", "scene_proj", 3, 1 / 3, -1e-18,
+                          None, None, None, 1, 0),
+                ResultRow(1, 1, -20.0, 2.0, "diagonal", "scene", 0, 0.25, 0.0, 1.5e300, 2.0,
+                          0.1, 20000, 5)]
+        buf = io.StringIO()
+        write_rows_csv(rows, buf)
+        assert buf.getvalue() == (
+            CSV_HEADER + "\n"
+            "4,2,7.5,0.10000000000000001,superposition,scene_proj,3,0.33333333333333331,"
+            "-1.0000000000000001e-18,,,,1,0\n"
+            "1,1,-20,2,diagonal,scene,0,0.25,0,1.5000000000000001e+300,2,0.10000000000000001,"
+            "20000,5\n"
+        )
 
     def test_row_structure(self):
         rows = run_experiment(small_spec(estimator="both"))
@@ -372,8 +390,7 @@ class TestStreamedPointStats:
     def both(spec, threads):
         pop, labels, _ = spec.draw(spec.seed)
         (s, m), = spec.sm_pairs
-        cfg = spec.round_config(pop, labels[0].num_classes, s, m, spec.snr_db_values[0])
-        frame = map_energies(labels, pop, cfg.rho)
+        cfg, frame, _ = spec.point(pop, labels, s, m, spec.snr_db_values[0])
         with ThreadPoolExecutor(max_workers=threads) as pool:
             jobs = montecarlo._point_stats(spec, pop, frame, cfg, RandomSource(11), pool,
                                            threading.Event())
