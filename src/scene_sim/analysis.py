@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DevicePopulation, RoundConfig, check_simplex, check_snr, csv_cell
+from .core import DevicePopulation, RoundConfig, check_scale, check_simplex, check_snr, csv_cell
 
 # Autocorrelation sums are truncated at this lag; the geometric tails that
 # appear in practice contribute < 1e-19 beyond it.
@@ -136,8 +136,7 @@ def calibrate_noise(rho: float, k: int, snr_db: float) -> float:
     energy across the K slots is rho, independent of the unknown label mix):
     sigma_N^2 = (rho / K) / 10^(snr_db / 10).
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    check_scale(rho=rho)
     if k < 2:
         raise ValueError(f"need K >= 2, got {k}")
     check_snr(snr_db=snr_db)

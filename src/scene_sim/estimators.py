@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import RoundConfig, SoftLabel
+from .core import RoundConfig, SoftLabel, check_scale
 
 
 def clip_renormalize(v: np.ndarray) -> np.ndarray:
@@ -27,8 +27,7 @@ def scene_raw(y: np.ndarray, sample_count: int, rho: float) -> np.ndarray:
     across-class mean subtraction cancels the unknown noise-energy offset and
     the 1/K anchor restores the simplex sum, so sum_c r_c = 1 identically.
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    check_scale(rho=rho)
     y = np.asarray(y, dtype=np.float64)
     r = y - y.mean(axis=-1, keepdims=True)
     r /= sample_count * rho

@@ -322,8 +322,8 @@ class FdProtocolConfig:
                              f"{self.pretrain_epochs}, {self.distill_epochs}")
         check_range(power_cap_range=self.power_cap_range)
         # The run sets the round's class count, reference slot and noise power
-        # from data, aggregation and snr_db; a round value that disagrees is
-        # an error, not something to drop.
+        # from data, aggregation and snr_db, and its rho under min_rho; a round
+        # value that disagrees is an error, not something to drop.
         if self.round.num_classes != self.data.num_classes:
             raise ValueError(
                 f"round.num_classes {self.round.num_classes} differs from "
@@ -334,6 +334,9 @@ class FdProtocolConfig:
                 "round.use_reference_re needs aggregation 'ratio', "
                 f"got {self.aggregation.value!r}"
             )
+        if self.rho_rule is RhoRule.MIN_RHO and self.round.rho != RoundConfig.rho:
+            raise ValueError(f"round.rho {self.round.rho} is read only under rho_rule "
+                             "'fixed'; min_rho negotiates rho")
         if self.round.noise_var != 0.0 and self.snr_db is not None:
             raise ValueError("give round.noise_var or snr_db, not both")
         if self.snr_db is not None:

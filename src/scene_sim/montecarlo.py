@@ -169,6 +169,9 @@ class LabelSpec:
             raise ValueError("need K >= 2")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if self.kind is not LabelKind.DIRICHLET and self.alpha != LabelSpec.alpha:
+            raise ValueError(f"alpha {self.alpha} is read only under kind 'dirichlet', "
+                             f"not under '{self.kind.value}'")
         if self.kind is LabelKind.FIXED:
             if not self.fixed:
                 raise ValueError("fixed label spec needs labels")
@@ -214,6 +217,9 @@ class SetupSpec:
             self, rho_rule=RhoRule, channel_model=ChannelModel, estimator=Estimator
         )
         check_scale(rho_value=self.rho_value)
+        if self.rho_rule is RhoRule.MIN_RHO and self.rho_value != SetupSpec.rho_value:
+            raise ValueError(f"rho_value {self.rho_value} is read only under rho_rule "
+                             "'fixed'; min_rho negotiates rho")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         n_fixed = len(self.labels.fixed) if self.labels.kind is LabelKind.FIXED else None

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import calibrate_noise
-from .core import DevicePopulation, RhoRule, RoundConfig, check_simplex
+from .core import DevicePopulation, RhoRule, RoundConfig, check_scale, check_simplex
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +64,7 @@ def map_energies(labels, pop: DevicePopulation, rho: float) -> EnergyFrame:
     true gain only enters through the channel, so miscalibration shows up as
     a gamma_i scaling on the received side.
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    check_scale(rho=rho)
     q = check_simplex(labels)
     if q.ndim not in (2, 3) or q.shape[-2] != pop.num_devices:
         raise ValueError(f"labels of shape {q.shape} for {pop.num_devices} devices")

@@ -674,6 +674,45 @@ class TestErrorPaths:
             assert capsys.readouterr().err.startswith("config error")
             assert not out.exists()
 
+    @pytest.mark.parametrize("command, section, key, rule", [
+        ("round", {"rho_value": 7.0}, "rho_value", "rho_rule 'fixed'"),
+        ("sweep", {"rho_rule": "min_rho", "rho_value": 7.0}, "rho_value", "rho_rule 'fixed'"),
+        ("crossover", {"sweep": {**FIT_SWEEP, "rho_value": 7.0}}, "rho_value",
+         "rho_rule 'fixed'"),
+        ("fd", {"round": {"num_classes": 10, "rho": 123.0}}, "round.rho", "rho_rule 'fixed'"),
+        ("sweep", {"labels": {"kind": "vertex", "alpha": 99.0}}, "alpha", "kind 'dirichlet'"),
+        ("round", {"population": {"n_devices": 1},
+                   "labels": {"kind": "fixed", "num_classes": 2, "fixed": [[0.5, 0.5]],
+                              "alpha": 99.0}}, "alpha", "kind 'dirichlet'"),
+    ], ids=["round-rho_value", "sweep-rho_value", "crossover-rho_value", "fd-round.rho",
+            "alpha-vertex", "alpha-fixed"])
+    def test_value_unread_by_its_rule_rejected(self, tmp_path, capsys, command, section, key,
+                                               rule):
+        # min_rho negotiates rho and only dirichlet labels read alpha: these
+        # runs used to exit 0 and echo the value that no code had read
+        cfg = tmp_path / "unread.json"
+        cfg.write_text(json.dumps({command: section}))
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"{key} " in err and f"read only under {rule}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, section", [
+        ("sweep", {"rho_rule": "fixed", "rho_value": 7.0}),
+        ("sweep", {"rho_value": 1.0}),  # the default, written out
+        ("fd", {"rho_rule": "fixed", "round": {"num_classes": 10, "rho": 123.0}}),
+        ("fd", {"round": {"num_classes": 10, "rho": 1.0}}),
+        ("sweep", {"labels": {"kind": "dirichlet", "alpha": 1e3}}),
+        ("sweep", {"labels": {"kind": "vertex", "alpha": 0.3}}),
+    ], ids=["sweep-rho_value-fixed", "sweep-rho_value-default", "fd-round.rho-fixed",
+            "fd-round.rho-default", "alpha-dirichlet", "alpha-default-vertex"])
+    def test_value_loads_under_its_rule_or_at_default(self, tmp_path, command, section):
+        cfg = tmp_path / "read.json"
+        cfg.write_text(json.dumps({command: section}))
+        load_config(str(cfg), command)
+
     def test_wrong_type(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"sweep": {"trials": "many"}}))
@@ -780,7 +819,7 @@ def test_deleted_flag_is_usage_error(tmp_path, capsys, command, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
+_EACH_SHIPPED_SECTION = pytest.mark.parametrize(
     "path, section",
     [(p, s) for p in SHIPPED_CONFIGS for s in json.loads(p.read_text())],
     # by file name, or by path where the benchmark's copy shares the name
@@ -788,9 +827,23 @@ def test_deleted_flag_is_usage_error(tmp_path, capsys, command, flag):
         str(v.relative_to(ROOT)) if v.parent == ROOT / "configs"
         and (ROOT / "perfbench" / "configs" / v.name).exists() else v.name),
 )
+
+
+@_EACH_SHIPPED_SECTION
 def test_shipped_config_loads(path, section):
     # a key deleted from a section type must not leave a shipped config broken
     load_config(str(path), section)
+
+
+@_EACH_SHIPPED_SECTION
+def test_shipped_config_echo_loads_back(path, section, tmp_path):
+    # the section of config_resolved.json, written as main writes it, is a
+    # config that loads to the spec that ran
+    spec, seed = cli._seeded(load_config(str(path), section), None)
+    cli._echo_config(spec, section, seed, tmp_path)
+    echoed = json.loads((tmp_path / "config_resolved.json").read_text())
+    (tmp_path / "echo.json").write_text(json.dumps({section: echoed[section]}))
+    assert load_config(str(tmp_path / "echo.json"), section) == spec
 
 
 def _ran(run, result=None):
@@ -893,7 +946,10 @@ def test_crossover_section_rejected_at_load_or_runs_finite(section):
 # the variance bound (at rho 1, below about -1540 dB), and sweep moments past
 # the float64 range (at -1545 dB). A run may fail only at one of these limits,
 # named in its error (_LIMITS), and must then leave no result file and no
-# echoed config; every other run exits 0 with finite outputs.
+# echoed config; every other run exits 0 with finite outputs. rho_value,
+# round.rho and labels.alpha are drawn apart from the rule that reads them,
+# so load rejects most of their values under min_rho or a non-dirichlet kind;
+# the @examples keep the fixed-rho extremes running.
 _SNR_DB = st.sampled_from([-4000.0, -3000.0, -1545.0, -300.0, -20.0, 5.0, 300.0, 4000.0])
 _RHO = st.sampled_from([0.0, 1e-300, 1e-100, 1e-70, 1e-6, 1.0, 1e6, 1e70, 1e100, 1e300])
 _LIMITS = ("underflow float32", "received energies overflow", "noise_var",
@@ -960,6 +1016,9 @@ _FD_SECTION = _section(cli._SECTION_TYPES["fd"], {
 @example(section={"trials": 4, "snr_db_values": [-4000.0]})  # failed after loading
 @example(section={"trials": 4, "rho_rule": "fixed", "rho_value": 1e-100})  # amplitudes
 @example(section={"trials": 4, "snr_db_values": [5.0, -3000.0]})  # noise term
+@example(section={"trials": 4, "rho_rule": "fixed", "rho_value": 1e100})  # energies
+@example(section={"trials": 4, "rho_value": 7.0})  # rejected: min_rho negotiates rho
+@example(section={"trials": 4, "labels": {"kind": "vertex", "alpha": 1e3}})  # rejected
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 def test_sweep_section_rejected_at_load_or_runs_finite(section, monkeypatch):
@@ -982,6 +1041,9 @@ def test_sweep_section_rejected_at_load_or_runs_finite(section, monkeypatch):
 
 
 @given(section=_ROUND_SECTION)
+@example(section={"rho_rule": "fixed", "rho_value": 1e-100})  # amplitudes
+@example(section={"rho_rule": "fixed", "rho_value": 1e70})  # runs
+@example(section={"rho_value": 1e-70})  # rejected: min_rho negotiates rho
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_round_section_rejected_at_load_or_runs_finite(section):
     with _load_or_run("round", section) as run:
@@ -992,7 +1054,16 @@ def test_round_section_rejected_at_load_or_runs_finite(section):
         assert all(math.isfinite(float(x)) for row in rows for x in row)
 
 
+_TINY_FD = {"private_size": 40, "open_size": 40, "unlabeled_budget": 8, "pretrain_epochs": 1,
+            "distill_epochs": 1, "data": {"size": 200, "dim": 4, "num_classes": 2}}
+
+
 @given(section=_FD_SECTION)
+@example(section={**_TINY_FD, "rho_rule": "fixed",
+                  "round": {"num_classes": 2, "rho": 1e-100}})  # amplitudes
+@example(section={**_TINY_FD, "rho_rule": "fixed",
+                  "round": {"num_classes": 2, "rho": 1e100}})  # energies
+@example(section={**_TINY_FD, "round": {"num_classes": 2, "rho": 1e-6}})  # rejected
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_fd_section_rejected_at_load_or_runs_finite(section):
     with _load_or_run("fd", section) as run:

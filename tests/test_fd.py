@@ -163,7 +163,7 @@ class TestLockstepSgd:
         targets[:, ::2] = np.eye(self.K)[targets[:, ::2].argmax(axis=-1)]
         return weights, bias, x, targets
 
-    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("c", [1, 3, 10])
     @pytest.mark.parametrize(
         "n, batch_size, epochs",
         [(64, 8, 3), (1333, 4, 2), (20, 32, 3), (20, 10**12, 2), (64, 8, 0)],
