@@ -166,14 +166,14 @@ class CrossoverModel:
     def __post_init__(self) -> None:
         if self.budget < 1:
             raise ValueError(f"need B >= 1, got B={self.budget}")
-        if not (0 < self.c_coh < math.inf and 0 < self.c_nc < math.inf):
-            raise ValueError(
-                f"MSE constants must be positive and finite, got {self.c_coh}, {self.c_nc}"
-            )
         if self.num_classes < 2:
             raise ValueError("need K >= 2 classes")
-        if not all(map(math.isfinite, self.mse(self.budget - 1))):  # the MSEs peak at P = B - 1
-            raise ValueError(f"MSE constants {self.c_coh}, {self.c_nc} overflow the round MSE")
+        constants = {"c_coh": self.c_coh, "c_nc": self.c_nc}  # the MSEs peak at P = B - 1
+        for (name, c), mse in zip(constants.items(), self.mse(self.budget - 1)):
+            if not 0 < c < math.inf:
+                raise ValueError(f"MSE constant {name} must be positive and finite, got {c}")
+            if not math.isfinite(mse):
+                raise ValueError(f"MSE constant {name} = {c} overflows the round MSE")
 
     @property
     def p_threshold(self) -> float:

@@ -68,12 +68,13 @@ class RoundSpec(SetupSpec):
 
 @dataclass(frozen=True)
 class CrossoverSpec:
-    """Grid evaluation of the pilot-cost crossover model. A ``sweep`` section
-    replaces the c_nc of every pair by one fitted from that sweep."""
+    """Grid evaluation of the pilot-cost crossover model. Each pair is
+    (c_coh, c_nc); with a ``sweep`` section every c_nc is null, and the c_nc
+    fitted from that sweep fills it."""
 
     budgets: tuple[int, ...] = (100,)
     pilot_costs: tuple[int, ...] = tuple(range(0, 100, 2))
-    constant_pairs: tuple[tuple[float, float], ...] = ((1.0, 2.0),)
+    constant_pairs: tuple[tuple[float, float | None], ...] = ((1.0, 2.0),)
     num_classes: int = 10
     sweep: ExperimentSpec | None = None
 
@@ -88,12 +89,20 @@ class CrossoverSpec:
         if not 0 <= min(self.pilot_costs) < min(self.budgets):
             raise ValueError(f"every budget needs a row: need 0 <= min(pilot_costs) < "
                              f"min(budgets), got {self.pilot_costs} and {self.budgets}")
-        self.models()  # each model checks its budget, constants and K
+        for i, (c_coh, c_nc) in enumerate(self.constant_pairs):
+            if self.sweep is not None and c_nc is not None:
+                raise ValueError(f"constant_pairs[{i}] = [{c_coh}, {c_nc}]: the sweep fits "
+                                 "c_nc, so write the pair as [c_coh, null]")
+            if self.sweep is None and c_nc is None:
+                raise ValueError(f"constant_pairs[{i}]: a null c_nc needs a sweep to fit it")
+        # each model checks its budget, constants and K; the fit's c_nc is not
+        # known yet, and 1.0 is valid at every budget, so only each c_coh is checked
+        self.models(None if self.sweep is None else 1.0)
 
     def models(self, fitted_c_nc: float | None = None) -> list[CrossoverModel]:
         """One model per (constant pair, budget) in CSV order; ``fitted_c_nc``
-        replaces the configured c_nc of every pair."""
-        return [CrossoverModel(b, c_coh, c_nc if fitted_c_nc is None else fitted_c_nc,
+        fills each null c_nc."""
+        return [CrossoverModel(b, c_coh, fitted_c_nc if c_nc is None else c_nc,
                                self.num_classes)
                 for c_coh, c_nc in self.constant_pairs for b in self.budgets]
 
@@ -198,19 +207,20 @@ def cmd_round(spec: RoundSpec) -> None:
     qbar = weighted_average(labels, pop).probs
     cfg, frame, bound = spec.point(pop, labels, spec.s, spec.m, spec.snr_db)
     y, y_ref = simulate_round(frame, pop, cfg, chan_rng)
-    if spec.estimator is Estimator.RATIO:
+    if spec.estimator is Estimator.RATIO:  # bias and var_bound are closed forms of scene
         raw, projected = ratio_estimate(y, y_ref)
+        scene_columns = ()
     else:
         raw, projected = scene_estimate(y, cfg)
-    bias = analysis.mismatch_bias(pop, labels)
+        scene_columns = (analysis.mismatch_bias(pop, labels), bound)
 
     print(f"# S={spec.s} M={spec.m} snr_db={spec.snr_db} rho={cfg.rho:.6g} "
           f"model={spec.channel_model.value} estimator={spec.estimator.value}")
     print(f"{'class':>5} {'q_bar':>12} {'raw':>12} {'projected':>12} "
           f"{'bias':>12} {'var_bound':>12}")
     for c in range(cfg.num_classes):
-        cells = (_cell(col[c]) for col in (qbar, raw, projected, bias, bound))
-        print(f"{c:>5} " + " ".join(cells))
+        cells = [_cell(col[c]) for col in (qbar, raw, projected, *scene_columns)]
+        print(f"{c:>5} " + " ".join(cells + [" " * 12] * (2 - len(scene_columns))))
 
 
 def _cell(x: float) -> str:
@@ -229,8 +239,8 @@ def cmd_sweep(spec: ExperimentSpec, out_dir: Path, threads: int) -> None:
 
 
 def cmd_crossover(spec: CrossoverSpec, out_dir: Path, threads: int) -> None:
-    """Evaluate the crossover model over the (B, P) grid, with c_nc fitted
-    from the ``sweep`` section when there is one."""
+    """Evaluate the crossover model over the (B, P) grid, with each null c_nc
+    fitted from the ``sweep`` section."""
     fitted = None
     if spec.sweep is not None:
         fit = estimate_mse_constants(spec.sweep, threads=threads)

@@ -50,6 +50,20 @@ class Aggregation(Enum):
     RATIO = "ratio"
 
 
+@dataclass(frozen=True)
+class DatasetSpec:
+    """Synthetic data generator parameters."""
+
+    num_classes: int = 10
+    dim: int = 16
+    size: int = 10_000
+    noise_std: float = 0.3
+
+    def __post_init__(self) -> None:
+        if self.dim < 1 or self.noise_std < 0:
+            raise ValueError(f"need dim >= 1, noise_std >= 0, got {self.dim}, {self.noise_std}")
+
+
 @dataclass(frozen=True, eq=False)
 class SyntheticDataset:
     """Balanced Gaussian clusters with unit-norm means.
@@ -80,10 +94,10 @@ class SyntheticDataset:
     def generate(
         cls,
         rng: RandomSource,
-        num_classes: int = 10,
-        dim: int = 16,
-        size: int = 10_000,
-        noise_std: float = 0.3,
+        num_classes: int = DatasetSpec.num_classes,
+        dim: int = DatasetSpec.dim,
+        size: int = DatasetSpec.size,
+        noise_std: float = DatasetSpec.noise_std,
     ) -> "SyntheticDataset":
         gen = rng.generator
         if num_classes <= dim:
@@ -256,20 +270,6 @@ class SoftmaxClassifier:
             epochs, batch_size, learning_rate, [rng],
         )
         return losses[:, 0].tolist()
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Synthetic data generator parameters."""
-
-    num_classes: int = 10
-    dim: int = 16
-    size: int = 10_000
-    noise_std: float = 0.3
-
-    def __post_init__(self) -> None:
-        if self.dim < 1 or self.noise_std < 0:
-            raise ValueError(f"need dim >= 1, noise_std >= 0, got {self.dim}, {self.noise_std}")
 
 
 @dataclass(frozen=True)

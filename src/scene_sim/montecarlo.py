@@ -443,7 +443,7 @@ def check_mse_fit(spec: ExperimentSpec) -> None:
     The fit needs at least three distinct S*M products, so flatness of the
     fit is informative about the scaling law rather than a single budget; a
     single SNR, since c grows with the sigma_N^4 / rho^2 noise term; and
-    self-centering variances, so the scene estimator and two or more trials.
+    self-centering variances: the scene estimator alone, two or more trials.
     """
     snrs = sorted(set(spec.snr_db_values))
     if len(snrs) > 1:
@@ -451,8 +451,9 @@ def check_mse_fit(spec: ExperimentSpec) -> None:
     products = {s * m for (s, m) in spec.sm_pairs}
     if len(products) < 3:
         raise ValueError(f"need >= 3 distinct S*M products, got {sorted(products)}")
-    if spec.estimator is Estimator.RATIO:
-        raise ValueError("c_nc is fitted to the scene estimator; the sweep runs only 'ratio'")
+    if spec.estimator is not Estimator.SCENE:
+        raise ValueError(f"c_nc is fitted to the scene estimator alone: set estimator "
+                         f"'scene', not '{spec.estimator.value}'")
     if spec.trials < 2:
         raise ValueError(f"a variance needs >= 2 trials per point, got {spec.trials}")
 
@@ -465,7 +466,7 @@ def estimate_mse_constants(
     check_mse_fit(spec)
     by_point: dict[tuple[int, int, float], list[float]] = {}
     for r in run_experiment(spec, threads):
-        if r.estimator == "scene":
+        if r.estimator == "scene":  # not its projection "scene_proj"
             by_point.setdefault((r.s, r.m, r.snr_db), []).append(r.var * r.s * r.m)
     per_point = tuple(float(np.mean(v)) for v in by_point.values())
     c_hat = float(np.mean(per_point))

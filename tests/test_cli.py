@@ -4,6 +4,7 @@ import enum
 import io
 import json
 import math
+import re
 import tempfile
 import types
 import typing
@@ -59,6 +60,20 @@ class TestRoundCommand:
         assert len(rows) == 11 and all(len(row) == 5 + 5 * 13 for row in rows)
         assert all(len(row.split()) == 6 for row in rows)
         assert "e+" in rows[1]
+
+    def test_ratio_table_leaves_scene_closed_forms_blank(self, tmp_path, capsys):
+        # bias and var_bound are closed forms of the scene estimator; under
+        # ratio they used to print the scene values beside the ratios Y_c/R
+        section = {"labels": {"kind": "vertex", "num_classes": 2},
+                   "population": {"n_devices": 1}}
+        for estimator, cells in (("scene", 6), ("ratio", 4)):
+            cfg = tmp_path / f"{estimator}.json"
+            cfg.write_text(json.dumps({"round": {**section, "estimator": estimator}}))
+            assert run_cli(["round", "--config", cfg, "--out", tmp_path / estimator]) == 0
+            rows = capsys.readouterr().out.splitlines()[2:]
+            assert len(rows) == 2 and all(len(row) == 5 + 5 * 13 for row in rows)
+            assert all(len(row.split()) == cells for row in rows)
+        assert all(row.endswith(" " * 26) for row in rows)
 
     def test_overrides_reflected_in_echo(self, tmp_path):
         cfg = tmp_path / "round.json"
@@ -274,12 +289,16 @@ class TestCrossoverCommand:
         {"constant_pairs": []},
         {"budgets": [100], "pilot_costs": [150, 200]},
         {"budgets": [1], "constant_pairs": [[1e308, 1.0]]},
+        {"constant_pairs": [[0.0, None]], "sweep": FIT_SWEEP},
+        {"constant_pairs": [[1.0, None], [-1.0, None]], "sweep": FIT_SWEEP},
+        {"budgets": [1], "constant_pairs": [[1e308, None]], "sweep": FIT_SWEEP},
     ])
     def test_bad_grid_rejected_at_load(self, tmp_path, capsys, section):
         # these used to write config_resolved.json and then fail in the run,
         # or, for a negative pilot cost, an empty list or pilot costs no
         # budget admits, exit 0 with a header-only crossover.csv; a constant
-        # whose round MSE overflows wrote inf rows
+        # whose round MSE overflows wrote inf rows; a fit supplies only c_nc,
+        # so each c_coh is checked at load under a fit too
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"crossover": section}))
         with pytest.raises(ConfigError):
@@ -289,27 +308,48 @@ class TestCrossoverCommand:
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()
 
-    @pytest.mark.parametrize("sweep", [
-        {"estimator": "ratio"},
-        {"trials": 1},
-        {"sm_pairs": [[1, 1], [2, 2], [4, 1]]},
-        {"snr_db_values": [5.0, 10.0]},
+    @pytest.mark.parametrize("sweep, reason", [
+        ({"estimator": "ratio"}, "scene estimator"),
+        ({"trials": 1}, ">= 2 trials"),
+        ({"sm_pairs": [[1, 1], [2, 2], [4, 1]]}, "S*M products"),
+        ({"snr_db_values": [5.0, 10.0]}, "snr_db"),
         # a K = 10 crossover used to take the c_nc fitted at K = 3
-        {"labels": {"kind": "dirichlet", "num_classes": 3}},
+        ({"labels": {"kind": "dirichlet", "num_classes": 3}}, "K = 3"),
     ], ids=["ratio_only", "one_trial", "two_products", "several_snrs", "other_k"])
-    def test_unfittable_sweep_rejected_at_load(self, tmp_path, capsys, sweep):
+    def test_unfittable_sweep_rejected_at_load(self, tmp_path, capsys, sweep, reason):
         # a sweep section used to be ignored without "estimate_c_nc", so
         # each of these exited 0 on the configured constants; with it, the
         # first two printed "using fitted c_nc = nan", wrote nan rows and
         # exited 0, and the last two wrote config_resolved.json first
-        section = {"sweep": {"sm_pairs": [[1, 1], [2, 2], [4, 4]], "trials": 50, **sweep}}
+        section = {"constant_pairs": [[1.0, None]],
+                   "sweep": {"sm_pairs": [[1, 1], [2, 2], [4, 4]], "trials": 50, **sweep}}
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"crossover": section}))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(reason)):
             load_config(str(cfg), "crossover")
         out = tmp_path / "out"
         assert run_cli(["crossover", "--config", cfg, "--out", out]) == 1
         assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, rule", [
+        ({"constant_pairs": [[1.0, 2.0]], "sweep": FIT_SWEEP}, "constant_pairs[0]",
+         "the sweep fits c_nc"),
+        ({"sweep": FIT_SWEEP}, "constant_pairs[0]", "the sweep fits c_nc"),
+        ({"constant_pairs": [[1.0, 2.0], [1.0, None]]}, "constant_pairs[1]",
+         "needs a sweep to fit it"),
+        ({"constant_pairs": [[1.0, None]], "sweep": {**FIT_SWEEP, "estimator": "both"}},
+         "estimator", "scene estimator alone"),
+    ], ids=["fit_with_c_nc", "fit_with_default_pairs", "null_without_fit", "fit_with_both"])
+    def test_c_nc_has_one_source(self, tmp_path, capsys, section, key, rule):
+        # under a fit the configured c_nc used to be echoed and never read, and
+        # a fit with both estimators ran the ratio estimator only to drop it
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"crossover": section}))
+        out = tmp_path / "out"
+        assert run_cli(["crossover", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err and rule in err
         assert not out.exists()
 
     def test_estimate_c_nc_key_removed(self, tmp_path):
@@ -318,22 +358,25 @@ class TestCrossoverCommand:
         with pytest.raises(ConfigError, match="estimate_c_nc"):
             load_config(str(cfg), "crossover")
 
-    def test_fitted_constant_replaces_configured(self, tmp_path, capsys):
+    def test_fitted_constant_fills_null_c_nc(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
             "crossover": {
-                "budgets": [100],
+                "budgets": [100, 200],
                 "pilot_costs": [0, 50],
-                "constant_pairs": [[1.0, 99.0]],
+                "constant_pairs": [[1.0, None], [3.0, None]],
                 "num_classes": 10,
                 "sweep": {**FIT_SWEEP, "trials": 2000},
             }
         }))
         assert run_cli(["crossover", "--config", cfg, "--seed", 4, "--out", tmp_path]) == 0
-        assert "fitted c_nc" in capsys.readouterr().out
-        rows = (tmp_path / "crossover.csv").read_text().splitlines()[1:]
-        # the placeholder constant 99.0 must have been replaced by the fit
-        assert all(float(r.split(",")[3]) < 1.0 for r in rows)
+        fitted = re.search(r"fitted c_nc = (\S+) ", capsys.readouterr().out).group(1)
+        rows = [r.split(",") for r in (tmp_path / "crossover.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 8
+        assert all(f"{float(r[3]):.6g}" == fitted for r in rows)
+        assert {r[2] for r in rows} == {"1", "3"}
+        echo = json.loads((tmp_path / "config_resolved.json").read_text())
+        assert echo["crossover"]["constant_pairs"] == [[1.0, None], [3.0, None]]
 
 
 class TestFdCommand:
@@ -677,8 +720,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command, section, key, rule", [
         ("round", {"rho_value": 7.0}, "rho_value", "rho_rule 'fixed'"),
         ("sweep", {"rho_rule": "min_rho", "rho_value": 7.0}, "rho_value", "rho_rule 'fixed'"),
-        ("crossover", {"sweep": {**FIT_SWEEP, "rho_value": 7.0}}, "rho_value",
-         "rho_rule 'fixed'"),
+        ("crossover", {"constant_pairs": [[1.0, None]],
+                       "sweep": {**FIT_SWEEP, "rho_value": 7.0}}, "rho_value", "rho_rule 'fixed'"),
         ("fd", {"round": {"num_classes": 10, "rho": 123.0}}, "round.rho", "rho_rule 'fixed'"),
         ("sweep", {"labels": {"kind": "vertex", "alpha": 99.0}}, "alpha", "kind 'dirichlet'"),
         ("round", {"population": {"n_devices": 1},
@@ -733,7 +776,7 @@ class TestRunSeed:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
             "crossover": {"budgets": [100], "pilot_costs": [0, 50],
-                          "sweep": {**FIT_SWEEP, **sweep}}
+                          "constant_pairs": [[1.0, None]], "sweep": {**FIT_SWEEP, **sweep}}
         }))
         return cfg
 
@@ -917,7 +960,8 @@ _CONSTANT = st.one_of(
 _CROSSOVER_SECTION = st.fixed_dictionaries({}, optional={
     "budgets": st.lists(st.integers(0, 5), min_size=1, max_size=3),
     "pilot_costs": st.lists(st.integers(-1, 6), min_size=1, max_size=4),
-    "constant_pairs": st.lists(st.tuples(_CONSTANT, _CONSTANT), min_size=1, max_size=3),
+    "constant_pairs": st.lists(st.tuples(_CONSTANT, st.none() | _CONSTANT), min_size=1,
+                               max_size=3),
     "num_classes": st.integers(0, 4),
     "sweep": st.just(FIT_SWEEP),
 })
@@ -926,6 +970,7 @@ _CROSSOVER_SECTION = st.fixed_dictionaries({}, optional={
 @given(section=_CROSSOVER_SECTION)
 @example(section={"budgets": [1], "pilot_costs": [1]})  # used to write a header-only CSV
 @example(section={"budgets": [1], "constant_pairs": [[1e308, 1.0]]})  # used to write inf
+@example(section={"pilot_costs": [0, 1], "constant_pairs": [[1.0, None]], "sweep": FIT_SWEEP})
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_crossover_section_rejected_at_load_or_runs_finite(section):
     with _load_or_run("crossover", section) as run:

@@ -473,7 +473,9 @@ class TestEstimateMseConstants:
 
     @pytest.mark.parametrize("overrides, message", [
         (dict(estimator=Estimator.RATIO), "scene estimator"), (dict(trials=1), ">= 2 trials"),
-    ], ids=["ratio_only", "one_trial"])
+        # the fit reads only the scene rows: both used to run a ratio slot it dropped
+        (dict(estimator=Estimator.BOTH), "scene estimator"),
+    ], ids=["ratio_only", "one_trial", "both"])
     def test_rejects_sweeps_without_scene_variances(self, overrides, message):
         # there are no scene variances to fit: this used to return c_nc = nan
         spec = small_spec(sm_pairs=((1, 1), (2, 2), (4, 4)), **overrides)
