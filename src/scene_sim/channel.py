@@ -34,10 +34,10 @@ call of fewer trials is one short chunk. So a call split at a multiple of the
 chunk makes exactly the same draws as one call, and returns the same bits: a
 caller may stream a long run through several calls. A split anywhere else
 moves draws, because the DIAGONAL branch draws each eigenvalue group for the
-whole chunk before the next, and then the noise. The float work of a chunk
-then runs in work blocks of trials, which fix the memory: numpy fills a block
-of draws in sequence, so consecutive blocks draw what one fill of the chunk
-draws, and every output bit is independent of the block size.
+whole chunk before the next, and then the noise. A DIAGONAL chunk is one work
+block of Gamma draws, which bounds the memory; a SUPERPOSITION chunk runs its
+float work in work blocks of trials, which bound the memory and change no
+output bit.
 """
 
 from __future__ import annotations
@@ -50,13 +50,13 @@ import numpy as np
 from .core import ChannelModel, DevicePopulation, RandomSource, RoundConfig, check_range
 from .power import EnergyFrame
 
-# Target element count of one chunk of trials, which fixes the random stream:
-# the Gamma draws of the diagonal branch, and the (trials, N, K[+1], S, M)
-# phases of the superposition branch. Each chunk's float work then runs in
-# blocks of trials holding at most _WORK_ELEMS phases, or Gamma draws of one
-# eigenvalue group (one trial when a trial has more). The blocks bound a
-# worker's memory; results do not depend on their size.
-_CHUNK_ELEMS = 8_000_000
+# Element budgets of a chunk of trials, which fixes the random stream, and of
+# a work block, which bounds a worker's memory. A superposition chunk holds
+# about _SUPER_CHUNK_ELEMS (trials, N, K[+1], S, M) phases, and its float work
+# runs in blocks of trials holding at most _WORK_ELEMS of them; results do not
+# depend on the block size. A diagonal chunk is one work block: at most
+# _WORK_ELEMS Gamma draws over its eigenvalue groups (one trial when a trial
+# has more).
 _SUPER_CHUNK_ELEMS = 500_000
 _WORK_ELEMS = 262_144
 
@@ -169,7 +169,7 @@ def chunk_trials(pop: DevicePopulation, cfg: RoundConfig) -> int:
         return max(1, _SUPER_CHUNK_ELEMS // (n * kt * cfg.reps * cfg.antennas))
     # one Gamma draw per eigenvalue group of the correlation (_kms_groups)
     groups = (cfg.reps if cfg.time_corr else 1) * (cfg.antennas if cfg.space_corr else 1)
-    return max(1, _CHUNK_ELEMS // (n * kt * groups))
+    return max(1, _WORK_ELEMS // (n * kt * groups))
 
 
 def _superpose(
@@ -276,8 +276,8 @@ def simulate_rounds(
             w = beta[:, None] * e_ext
         w = np.broadcast_to(w, (trials, n, kt))  # row t is sent in trial t
         chunk = min(trials, chunk_trials(pop, cfg))
-        rows = max(1, min(chunk, _WORK_ELEMS // (n * kt * (s * m if superposition else 1))))
         if superposition:  # phase and cos/sin blocks, reused by every chunk
+            rows = max(1, min(chunk, _WORK_ELEMS // (n * kt * s * m)))
             theta = np.empty((rows, n, kt, s, m), dtype=np.float32)
             trig = np.empty_like(theta)
 
@@ -286,20 +286,13 @@ def simulate_rounds(
             if superposition:
                 out[lo : lo + b] = _superpose(gen, w[lo : lo + b], cfg, theta, trig)
                 continue
-            # Consecutive fills of a block draw what one fill of the chunk
-            # draws, so each group's Gammas, then the noise, go block by block.
-            y, blocks = out[lo : lo + b], range(0, b, rows)
+            # each eigenvalue group's Gammas for the whole chunk, then the noise
+            wb, y = w[lo : lo + b], out[lo : lo + b]
             y[...] = 0.0
             for lam, mult in groups:
-                for r0 in blocks:
-                    wb = w[lo + r0 : lo + min(r0 + rows, b)]
-                    fading = np.einsum("bik,bik->bk", gen.standard_gamma(mult, wb.shape), wb)
-                    fading *= lam
-                    y[r0 : r0 + len(wb)] += fading
+                y += lam * np.einsum("bik,bik->bk", gen.standard_gamma(mult, wb.shape), wb)
             if cfg.noise_var > 0:
-                for r0 in blocks:
-                    yb = y[r0 : r0 + rows]
-                    yb += gen.standard_gamma(s * m, yb.shape) * cfg.noise_var
+                y += gen.standard_gamma(s * m, y.shape) * cfg.noise_var
     if not np.isfinite(out).all():
         raise ValueError(f"received energies overflow at noise_var {cfg.noise_var:.3g}: "
                          "the SNR is too low or the energies too large")

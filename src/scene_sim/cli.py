@@ -22,7 +22,7 @@ from pathlib import Path
 from . import analysis
 from .analysis import CROSSOVER_CSV_HEADER, CrossoverModel
 from .channel import simulate_round
-from .core import Estimator, check_snr, weighted_average
+from .core import Estimator, weighted_average
 from .estimators import ratio_estimate, scene_estimate
 from .fd import FD_CSV_HEADER, FdProtocolConfig, fd_csv_row, run_fd
 from .montecarlo import (
@@ -40,8 +40,8 @@ from .montecarlo import (
 # streams its job in blocks of whole channel chunks, about 2^16 estimates each, and
 # the channel's work blocks keep each chunk flat in N and S*M: a superposition job
 # with both estimators peaks near 4.3 MB at K = 10 and K = 100 (tracemalloc, N = 10,
-# S*M = 16). A diagonal block is one chunk of up to 8 M Gamma draws, fixing the
-# stream: 6.5 MB at K = 10, 26 MB at K = 100. The pool adds about 50 MB on any host.
+# S*M = 16). A diagonal chunk is one work block of Gamma draws: 3.2 MB at N = 10,
+# K = 10 or 100, 8.4 MB at N = 1, K = 100. The pool adds about 50 MB on any host.
 _DEFAULT_MAX_THREADS = 8
 
 
@@ -63,7 +63,7 @@ class RoundSpec(SetupSpec):
             raise ValueError("a round runs one estimator: 'scene' or 'ratio', not 'both'")
         if self.s < 1 or self.m < 1:
             raise ValueError(f"need s, m >= 1, got s={self.s}, m={self.m}")
-        check_snr(snr_db=self.snr_db)
+        self.check_noise(snr_db=self.snr_db)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from enum import Enum
 
 import numpy as np
 
+from .analysis import calibrate_noise
 from .channel import PathlossModel, simulate_rounds
 from .core import (
     DevicePopulation,
@@ -60,8 +61,8 @@ class DatasetSpec:
     noise_std: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.dim < 1 or self.noise_std < 0:
-            raise ValueError(f"need dim >= 1, noise_std >= 0, got {self.dim}, {self.noise_std}")
+        if self.num_classes < 2 or self.dim < 1 or self.size < 1 or self.noise_std < 0:
+            raise ValueError(f"need num_classes >= 2, dim, size >= 1, noise_std >= 0, got {self}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +100,7 @@ class SyntheticDataset:
         size: int = DatasetSpec.size,
         noise_std: float = DatasetSpec.noise_std,
     ) -> "SyntheticDataset":
+        DatasetSpec(num_classes, dim, size, noise_std)  # checks the arguments
         gen = rng.generator
         if num_classes <= dim:
             means = np.eye(dim)[:num_classes]
@@ -162,6 +164,8 @@ def train_lockstep(
     the block at the end of every epoch, so after Divergence they hold the
     epoch that diverged.
     """
+    if batch_size < 1:
+        raise ValueError(f"need batch_size >= 1, got {batch_size}")
     gens = [r.generator for r in rngs]
     c, n, d = x.shape
     k = targets.shape[-1]
@@ -339,7 +343,9 @@ class FdProtocolConfig:
                              "'fixed'; min_rho negotiates rho")
         if self.round.noise_var != 0.0 and self.snr_db is not None:
             raise ValueError("give round.noise_var or snr_db, not both")
-        if self.snr_db is not None:
+        if self.snr_db is not None and self.rho_rule is RhoRule.FIXED:
+            calibrate_noise(self.round.rho, self.round.num_classes, self.snr_db)
+        elif self.snr_db is not None:
             check_snr(snr_db=self.snr_db)
 
 

@@ -234,6 +234,12 @@ class SetupSpec:
         labels = self.labels.draw(pop.num_devices, label_rng)
         return pop, labels, channel_rng
 
+    def check_noise(self, **snrs: float) -> None:
+        """check_snr, and under rho_rule 'fixed' the noise power each SNR sets at rho_value."""
+        check_snr(**snrs)
+        for snr_db in snrs.values() if self.rho_rule is RhoRule.FIXED else ():
+            analysis.calibrate_noise(self.rho_value, self.labels.num_classes, snr_db)
+
     def point(
         self, pop: DevicePopulation, labels: Sequence[SoftLabel], s: int, m: int,
         snr_db: float, **corr: float,
@@ -268,7 +274,7 @@ class ExperimentSpec(SetupSpec):
             raise ValueError(f"every sm_pairs entry needs S, M >= 1, got {self.sm_pairs}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        check_snr(**{f"snr_db_values[{i}]": v for i, v in enumerate(self.snr_db_values)})
+        self.check_noise(**{f"snr_db_values[{i}]": v for i, v in enumerate(self.snr_db_values)})
         check_correlation(time_corr=self.time_corr, space_corr=self.space_corr)
 
 

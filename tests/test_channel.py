@@ -369,7 +369,8 @@ class TestSimulateRound:
 # the diagonal one with a single group (uncorrelated) and with many groups
 # (correlated), which chunks by groups under the 50-element override; the
 # superposition one also correlated, which draws |g| from complex AR(1) fading.
-# Under the overrides, 7-element work blocks put block borders inside chunks.
+# Under the overrides, a diagonal chunk, which is one work block, holds a few
+# trials, and a superposition chunk one trial.
 KERNEL_BRANCHES = [
     dict(channel_model=ChannelModel.SUPERPOSITION),
     dict(channel_model=ChannelModel.DIAGONAL),
@@ -385,10 +386,9 @@ class TestPerTrialFrames:
     @pytest.mark.parametrize("reference", [False, True])
     @pytest.mark.parametrize("chunk_elems", [None, 50])
     def test_equal_rows_bit_identical(self, branch, reference, chunk_elems, monkeypatch):
-        if chunk_elems is not None:  # many small chunks of one-trial blocks
-            monkeypatch.setattr(channel, "_CHUNK_ELEMS", chunk_elems)
+        if chunk_elems is not None:  # many small chunks
             monkeypatch.setattr(channel, "_SUPER_CHUNK_ELEMS", chunk_elems)
-            monkeypatch.setattr(channel, "_WORK_ELEMS", 7)
+            monkeypatch.setattr(channel, "_WORK_ELEMS", chunk_elems)
         pop = DevicePopulation([0.2, 0.3, 0.5], [0.6, 1.0, 1.7])
         q = np.random.default_rng(4).dirichlet(np.full(4, 0.5), size=3)
         cfg = RoundConfig(num_classes=4, reps=2, antennas=3, rho=0.8, noise_var=0.4,
@@ -403,11 +403,9 @@ class TestPerTrialFrames:
     @pytest.mark.parametrize("branch", KERNEL_BRANCHES)
     def test_row_t_reaches_trial_t(self, branch, monkeypatch):
         # trial t puts all energy on class hot[t] and no noise is added, so
-        # every other class slot receives exactly zero, across chunk and
-        # work-block borders
-        monkeypatch.setattr(channel, "_CHUNK_ELEMS", 50)
+        # every other class slot receives exactly zero, across chunk borders
         monkeypatch.setattr(channel, "_SUPER_CHUNK_ELEMS", 50)
-        monkeypatch.setattr(channel, "_WORK_ELEMS", 7)
+        monkeypatch.setattr(channel, "_WORK_ELEMS", 50)
         pop = DevicePopulation([0.5, 0.5], [1.0, 0.4])
         k, trials = 3, 30
         hot = np.random.default_rng(5).integers(0, k, trials)
@@ -424,8 +422,10 @@ class TestPerTrialFrames:
     @pytest.mark.parametrize("work_elems", [7, 200])
     def test_work_block_changes_no_bit(self, branch, reference, per_trial, work_elems,
                                        monkeypatch):
-        # 7 elements make one-trial blocks; 200 make blocks of 2 (superposition)
-        # and 13-16 (diagonal) trials, so the last of the 43 trials is ragged
+        # 7 elements make one-trial blocks; 200 make superposition blocks of 2
+        # trials, so the last of the 43 trials is ragged. A diagonal work block
+        # is its chunk, which fixes the draws: there the blocked call gives the
+        # bits of one call per chunk, each sending its rows of the frame.
         pop = DevicePopulation([0.2, 0.3, 0.5], [0.6, 1.0, 1.7])
         shape = (43, 3) if per_trial else 3
         q = np.random.default_rng(6).dirichlet(np.full(4, 0.5), size=shape)
@@ -435,6 +435,14 @@ class TestPerTrialFrames:
         default = simulate_rounds(frame, pop, cfg, RandomSource(24), trials=43)
         monkeypatch.setattr(channel, "_WORK_ELEMS", work_elems)
         blocked = simulate_rounds(frame, pop, cfg, RandomSource(24), trials=43)
+        if cfg.channel_model is ChannelModel.DIAGONAL:
+            rng, chunk = RandomSource(24), channel.chunk_trials(pop, cfg)
+            parts = [simulate_rounds(map_energies(q[lo : lo + chunk] if per_trial else q,
+                                                  pop, cfg.rho),
+                                     pop, cfg, rng, min(chunk, 43 - lo))
+                     for lo in range(0, 43, chunk)]
+            ys, refs = zip(*parts)
+            default = np.concatenate(ys), np.concatenate(refs) if reference else None
         for a, b in zip(default, blocked):
             assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
@@ -448,8 +456,7 @@ class TestPerTrialFrames:
 
 class GammaSpy:
     """Generator stand-in recording the trial count of each (trials, slots)
-    Gamma draw: the noise energies, drawn once per chunk in either branch
-    while a work block holds the whole chunk."""
+    Gamma draw: the noise energies, drawn once per chunk in either branch."""
 
     def __init__(self, gen):
         self._gen, self.chunks = gen, []
@@ -472,8 +479,8 @@ class TestChunkSplit:
     # several-trial chunks; a trial larger than the budget (one-trial chunks)
     @pytest.mark.parametrize("budget", [300, 5])
     def test_split_at_chunk_is_one_call(self, branch, reference, budget, monkeypatch):
-        monkeypatch.setattr(channel, "_CHUNK_ELEMS", budget)
         monkeypatch.setattr(channel, "_SUPER_CHUNK_ELEMS", budget)
+        monkeypatch.setattr(channel, "_WORK_ELEMS", budget)
         pop = DevicePopulation([0.2, 0.3, 0.5], [0.6, 1.0, 1.7])
         q = np.random.default_rng(7).dirichlet(np.full(4, 0.5), size=3)
         cfg = RoundConfig(num_classes=4, reps=2, antennas=3, rho=0.8, noise_var=0.4,

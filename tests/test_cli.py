@@ -1063,6 +1063,8 @@ _FD_SECTION = _section(cli._SECTION_TYPES["fd"], {
 @example(section={"trials": 4, "snr_db_values": [5.0, -3000.0]})  # noise term
 @example(section={"trials": 4, "rho_rule": "fixed", "rho_value": 1e100})  # energies
 @example(section={"trials": 4, "rho_value": 7.0})  # rejected: min_rho negotiates rho
+@example(section={"trials": 4, "rho_rule": "fixed", "rho_value": 1e70,
+                  "snr_db_values": [-3000.0]})  # rejected: noise power past the float range
 @example(section={"trials": 4, "labels": {"kind": "vertex", "alpha": 1e3}})  # rejected
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
@@ -1071,8 +1073,8 @@ def test_sweep_section_rejected_at_load_or_runs_finite(section, monkeypatch):
     # chunk borders on two threads
     monkeypatch.setattr(montecarlo, "_JOB_TRIALS", 7)
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMS", 8)
-    monkeypatch.setattr(channel, "_CHUNK_ELEMS", 100)
     monkeypatch.setattr(channel, "_SUPER_CHUNK_ELEMS", 100)
+    monkeypatch.setattr(channel, "_WORK_ELEMS", 100)
     with _load_or_run("sweep", section, "--threads", 2) as run:
         if run is None or not _ran(run, "sweep.csv"):
             return
@@ -1089,6 +1091,8 @@ def test_sweep_section_rejected_at_load_or_runs_finite(section, monkeypatch):
 @example(section={"rho_rule": "fixed", "rho_value": 1e-100})  # amplitudes
 @example(section={"rho_rule": "fixed", "rho_value": 1e70})  # runs
 @example(section={"rho_value": 1e-70})  # rejected: min_rho negotiates rho
+@example(section={"rho_rule": "fixed", "rho_value": 1e70,
+                  "snr_db": -3000.0})  # rejected: noise power past the float range
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_round_section_rejected_at_load_or_runs_finite(section):
     with _load_or_run("round", section) as run:
@@ -1109,6 +1113,8 @@ _TINY_FD = {"private_size": 40, "open_size": 40, "unlabeled_budget": 8, "pretrai
 @example(section={**_TINY_FD, "rho_rule": "fixed",
                   "round": {"num_classes": 2, "rho": 1e100}})  # energies
 @example(section={**_TINY_FD, "round": {"num_classes": 2, "rho": 1e-6}})  # rejected
+@example(section={**_TINY_FD, "rho_rule": "fixed", "snr_db": -3000.0,
+                  "round": {"num_classes": 2, "rho": 1e70}})  # rejected: noise power
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_fd_section_rejected_at_load_or_runs_finite(section):
     with _load_or_run("fd", section) as run:

@@ -63,6 +63,14 @@ class TestSyntheticDataset:
         assert data.labels.shape == (333,)
         assert data.num_classes == 5 and data.dim == 12 and data.size == 333
 
+    @pytest.mark.parametrize("field, value", [("num_classes", 0), ("num_classes", 1),
+                                              ("size", 0), ("dim", 0), ("noise_std", -0.3)])
+    def test_bad_argument_is_named(self, field, value, rng):
+        message = rf"{field}[ ,].* got DatasetSpec\(.*{field}={value}"
+        for make in (DatasetSpec, lambda **kw: SyntheticDataset.generate(rng, **kw)):
+            with pytest.raises(ValueError, match=message):
+                make(**{field: value})
+
 
 class TestSoftmaxClassifier:
     def test_predictions_are_soft_labels(self, rng):
@@ -192,6 +200,13 @@ class TestLockstepSgd:
         assert losses == ref
         assert np.array_equal(model.weights, ref_model.weights)
         assert np.array_equal(model.bias, ref_model.bias)
+
+    def test_batch_size_below_one_is_rejected(self):
+        weights, bias, x, targets = self.problem(1, 20)
+        model = SoftmaxClassifier(weights[0], bias[0])
+        with pytest.raises(ValueError, match="batch_size >= 1, got 0"):
+            model.train_soft(x[0], targets[0], 2, 0, 0.7, RandomSource(6))
+        assert np.array_equal(model.weights, weights[0])
 
     def test_one_diverging_model_raises(self):
         weights, bias, x, targets = self.problem(3, 32)

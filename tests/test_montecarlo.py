@@ -401,18 +401,22 @@ class TestStreamedPointStats:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_job_of_one_chunk_is_exact(self, threads):
-        # N = 3, K = 5 diagonal: a 20 000-trial job is one chunk, so one block
-        spec = small_spec(estimator="both", trials=45_000)
+        # N = 1, K = 5 diagonal: a 20 000-trial job fits one 43 690-trial
+        # chunk, so one block
+        spec = small_spec(population=PopulationSpec(n_devices=1), estimator="both",
+                          trials=45_000)
         for a, b in zip(*(d.values() for d in self.both(spec, threads))):
             assert a.n == b.n
             assert a.mean.tobytes() == b.mean.tobytes() and a.m2.tobytes() == b.m2.tobytes()
 
+    @pytest.mark.parametrize("model", [ChannelModel.SUPERPOSITION, ChannelModel.DIAGONAL])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_superposition_blocks_match_within_rounding(self, threads):
-        # N = 3, K = 5, S*M = 4: 6 944-trial chunks, blocks of two chunks, so
-        # the 20 000-trial job runs 13 888 + 6 112 trials and the last job 5 000
-        spec = small_spec(estimator="both", trials=25_000,
-                          channel_model=ChannelModel.SUPERPOSITION)
+    def test_blocks_match_within_rounding(self, threads, model):
+        # N = 3, K = 5, S*M = 4 superposition: 6 944-trial chunks, blocks of two
+        # chunks, so the 20 000-trial job runs 13 888 + 6 112 trials; diagonal:
+        # 14 563-trial chunks, one a block, so it runs 14 563 + 5 437. The last
+        # job runs 5 000 trials.
+        spec = small_spec(estimator="both", trials=25_000, channel_model=model)
         for a, b in zip(*(d.values() for d in self.both(spec, threads))):
             assert a.n == b.n == 25_000
             np.testing.assert_allclose(a.mean, b.mean, rtol=1e-12)

@@ -217,9 +217,9 @@ def test_superposition_sweep_memory_is_bounded(tmp_path):
 
 
 def test_diagonal_sweep_memory_is_bounded(tmp_path):
-    # two workers at N = 40, K = 10, S*M = 16: a worker used to hold its
-    # chunk's 8 M Gamma draws at once (peak near 160 MB); work blocks of
-    # channel._WORK_ELEMS keep the whole process near 50 MB (peak RSS, in MB)
+    # two workers at N = 40, K = 10, S*M = 16: a worker used to hold a chunk
+    # of up to 8 M Gamma draws at once (peak near 160 MB); chunks of at most
+    # channel._WORK_ELEMS draws keep the process near 45 MB (peak RSS, in MB)
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"sweep": {
         "population": {"n_devices": 40, "weight_rule": "random"},
@@ -233,16 +233,20 @@ def test_diagonal_sweep_memory_is_bounded(tmp_path):
     assert int(proc.stdout.splitlines()[-1]) < 100
 
 
-def test_wide_sweep_memory_is_bounded(tmp_path):
+@pytest.mark.parametrize("n_devices, model", [(10, "superposition"), (1, "diagonal")],
+                         ids=["superposition", "diagonal"])
+def test_wide_sweep_memory_is_bounded(tmp_path, n_devices, model):
     # two workers at K = 100 with both estimators: a worker used to hold its
     # 20 000-trial job's energies and estimates at once, (20 000, K) float64
-    # arrays (peak 115-160 MB); blocks of about 2^16 estimates keep the whole
-    # process near 45 MB (peak RSS, in MB)
+    # arrays (peak 115-160 MB), and a diagonal one at N = 1 its whole job as
+    # one chunk of Gamma draws (peak near 160 MB); blocks of about 2^16
+    # estimates and work-block-sized diagonal chunks keep the whole process
+    # near 45-55 MB (peak RSS, in MB)
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"sweep": {
-        "population": {"n_devices": 10, "weight_rule": "random"},
+        "population": {"n_devices": n_devices, "weight_rule": "random"},
         "labels": {"kind": "dirichlet", "num_classes": 100, "alpha": 0.3},
-        "sm_pairs": [[4, 4]], "snr_db_values": [5.0], "channel_model": "superposition",
+        "sm_pairs": [[4, 4]], "snr_db_values": [5.0], "channel_model": model,
         "estimator": "both", "trials": 40000,
     }}))
     proc = run_python("-c", _PEAK_RSS, "sweep", "--config", cfg, "--threads", 2,
