@@ -53,8 +53,7 @@ def main() -> None:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = [FD_CSV_HEADER]
-    level = (f"{base.snr_db} dB" if base.snr_db is not None
-             else f"noise_var {base.round.noise_var:g}")
+    level = "no noise" if base.snr_db is None else f"{base.snr_db} dB"
     print(f"budget B = {budget} at {level}, {args.seeds} seeds")
     # S changes only distillation, so each seed pretrains once for every S
     per_seed = []

@@ -3,9 +3,7 @@ aggregation of soft labels in federated distillation."""
 
 from .analysis import (
     CrossoverModel,
-    ar1_acf,
     calibrate_noise,
-    effective_samples,
     mismatch_bias,
     mismatch_bias_bound,
     scene_variance_diagonal,

@@ -1,6 +1,5 @@
-"""Closed-form evaluators: bias under gain mismatch, variance bounds,
-effective sample sizes under correlation, noise calibration, and the
-coherent-vs-noncoherent crossover model.
+"""Closed-form evaluators: bias under gain mismatch, variance bounds, noise
+calibration, and the coherent-vs-noncoherent crossover model.
 
 ``labels`` arguments take the N device labels as any (N, K) array-like, such
 as a list of :class:`core.SoftLabel`, with rows checked by
@@ -10,15 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .core import DevicePopulation, RoundConfig, check_scale, check_simplex, check_snr, csv_cell
-
-# Autocorrelation sums are truncated at this lag; the geometric tails that
-# appear in practice contribute < 1e-19 beyond it.
-ACF_MAX_LAG = 64
 
 CROSSOVER_CSV_HEADER = "B,P,c_coh,c_nc,mse_coh,mse_nc,scene_wins"
 
@@ -96,37 +90,6 @@ def scene_variance_diagonal(pop: DevicePopulation, labels, cfg: RoundConfig) -> 
     )
     centered = (1.0 - 2.0 / k) * per_sample + per_sample.sum() / k**2
     return centered / (cfg.sample_count * cfg.rho**2)
-
-
-def effective_samples(
-    s: int,
-    m: int,
-    time_acf: Sequence[float] | np.ndarray,
-    space_acf: Sequence[float] | np.ndarray,
-) -> tuple[float, float]:
-    """Effective sample counts under weakly dependent averaging:
-    S_eff = S / (1 + 2 sum_{tau>=1} acf_t(tau)) and likewise for M.
-
-    ACF sequences start at lag 1 and are truncated at lag min(count-1, 64).
-    Nonnegative ACFs cannot drive the denominator nonpositive; guarded anyway.
-    """
-
-    def _eff(count: int, acf) -> float:
-        acf = np.asarray(acf, dtype=np.float64)
-        lags = min(count - 1, ACF_MAX_LAG)
-        denom = 1.0 + 2.0 * float(acf[:lags].sum())
-        if denom <= 0.0:
-            raise ValueError(f"ACF sum gives nonpositive denominator {denom}")
-        return count / denom
-
-    return _eff(s, time_acf), _eff(m, space_acf)
-
-
-def ar1_acf(phi: float, lags: int = ACF_MAX_LAG) -> np.ndarray:
-    """Geometric autocorrelation sequence phi^tau for tau = 1..lags."""
-    if not (0.0 <= phi < 1.0):
-        raise ValueError(f"phi must lie in [0, 1), got {phi}")
-    return phi ** np.arange(1, lags + 1)
 
 
 def calibrate_noise(rho: float, k: int, snr_db: float) -> float:

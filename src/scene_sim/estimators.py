@@ -28,6 +28,8 @@ def scene_raw(y: np.ndarray, sample_count: int, rho: float) -> np.ndarray:
     the 1/K anchor restores the simplex sum, so sum_c r_c = 1 identically.
     """
     check_scale(rho=rho)
+    if not sample_count >= 1:
+        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     y = np.asarray(y, dtype=np.float64)
     r = y - y.mean(axis=-1, keepdims=True)
     r /= sample_count * rho
@@ -62,6 +64,8 @@ def ratio_raw(y: np.ndarray, y_ref: np.ndarray | float | None) -> np.ndarray:
     if y_ref is None:
         raise ValueError("received energies carry no reference slot")
     y_ref = np.asarray(y_ref, dtype=np.float64)
+    if y_ref.shape != np.shape(y)[:-1]:
+        raise ValueError(f"y_ref shape {y_ref.shape} is not the leading shape of y {np.shape(y)}")
     if np.any(y_ref <= 0.0):
         raise ValueError(f"reference energy must be positive, got {float(y_ref.min())!r}")
     ratios = y / y_ref[..., None]

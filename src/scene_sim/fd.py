@@ -168,7 +168,9 @@ def train_lockstep(
         raise ValueError(f"need batch_size >= 1, got {batch_size}")
     gens = [r.generator for r in rngs]
     c, n, d = x.shape
-    k = targets.shape[-1]
+    k = weights.shape[-1]
+    if targets.shape != (c, n, k):
+        raise ValueError(f"targets shape {targets.shape} is not (C, n, K) = {(c, n, k)} of x")
     params = np.concatenate([weights, bias[:, None]], axis=1)
     w, b = params[:, :d], params[:, d:]
     flat_x = np.concatenate([x, np.ones((c, n, 1))], axis=2).reshape(c * n, d + 1)
@@ -285,6 +287,8 @@ class FdProtocolConfig:
     remains is the test set. ``unlabeled_budget`` samples are drawn from the
     open pool each round; each is aggregated over one OTA round (K slots x S
     repetitions), so the airtime budget scales with U * S at M = 1.
+    ``snr_db`` None is noise-free, and ``aggregation`` alone sets the
+    reference slot.
     """
 
     clients: int = 5
@@ -325,24 +329,20 @@ class FdProtocolConfig:
             raise ValueError(f"need pretrain_epochs, distill_epochs >= 0, got "
                              f"{self.pretrain_epochs}, {self.distill_epochs}")
         check_range(power_cap_range=self.power_cap_range)
-        # The run sets the round's class count, reference slot and noise power
-        # from data, aggregation and snr_db, and its rho under min_rho; a round
-        # value that disagrees is an error, not something to drop.
+        # The run sets the round's class count from data and its rho under
+        # min_rho, and its noise power and reference slot from snr_db and
+        # aggregation alone; a round value it would drop is an error.
         if self.round.num_classes != self.data.num_classes:
             raise ValueError(
                 f"round.num_classes {self.round.num_classes} differs from "
                 f"data.num_classes {self.data.num_classes}"
             )
-        if self.round.use_reference_re and self.aggregation is not Aggregation.RATIO:
-            raise ValueError(
-                "round.use_reference_re needs aggregation 'ratio', "
-                f"got {self.aggregation.value!r}"
-            )
+        if self.round.noise_var != 0.0 or self.round.use_reference_re:
+            raise ValueError(f"round.noise_var {self.round.noise_var} and round.use_reference_re "
+                             f"{self.round.use_reference_re}: snr_db and aggregation set them")
         if self.rho_rule is RhoRule.MIN_RHO and self.round.rho != RoundConfig.rho:
             raise ValueError(f"round.rho {self.round.rho} is read only under rho_rule "
                              "'fixed'; min_rho negotiates rho")
-        if self.round.noise_var != 0.0 and self.snr_db is not None:
-            raise ValueError("give round.noise_var or snr_db, not both")
         if self.snr_db is not None and self.rho_rule is RhoRule.FIXED:
             calibrate_noise(self.round.rho, self.round.num_classes, self.snr_db)
         elif self.snr_db is not None:

@@ -69,6 +69,8 @@ class TrialStats:
     @classmethod
     def from_samples(cls, x: np.ndarray) -> "TrialStats":
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if x.shape[0] == 0:
+            raise ValueError("x holds no samples: need at least one row")
         with np.errstate(over="ignore", invalid="ignore"):
             mean = x.mean(axis=0)
             sq = x - mean

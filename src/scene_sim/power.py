@@ -87,10 +87,10 @@ def resolve_round(
     base: RoundConfig, rule: RhoRule, pop: DevicePopulation, snr_db: float | None, reference: bool
 ) -> RoundConfig:
     """``base`` with rho set by ``rule`` (``base.rho`` itself, or
-    :func:`min_rho`), the noise power calibrated to ``snr_db`` (None keeps
-    ``base.noise_var``), and the reference slot on or off."""
+    :func:`min_rho`), the noise power calibrated to ``snr_db`` (None is
+    noise-free), and the reference slot on or off."""
     rho = base.rho if rule is RhoRule.FIXED else min_rho(pop)
-    noise = base.noise_var if snr_db is None else calibrate_noise(rho, base.num_classes, snr_db)
+    noise = 0.0 if snr_db is None else calibrate_noise(rho, base.num_classes, snr_db)
     return replace(base, rho=rho, noise_var=noise, use_reference_re=reference)
 
 

@@ -12,9 +12,7 @@ from scene_sim import (
     RandomSource,
     RoundConfig,
     SoftLabel,
-    ar1_acf,
     calibrate_noise,
-    effective_samples,
     map_energies,
     mismatch_bias,
     mismatch_bias_bound,
@@ -218,30 +216,6 @@ class TestVarianceBound:
             assert scene_variance_diagonal(pop, labels, corr) == pytest.approx(
                 closed_form((lam**2).sum() / 8), rel=1e-12
             )
-
-
-class TestEffectiveSamples:
-    def test_zero_acf_identity(self):
-        s_eff, m_eff = effective_samples(8, 4, np.zeros(10), np.zeros(10))
-        assert (s_eff, m_eff) == (8.0, 4.0)
-
-    def test_ar1_geometric_sum(self):
-        # sum of 0.5^tau = 1, so S_eff = S / 3 (long S)
-        s_eff, _ = effective_samples(128, 1, ar1_acf(0.5), np.zeros(1))
-        assert s_eff == pytest.approx(128 / 3, rel=1e-6)
-
-    def test_space_symmetric(self):
-        _, m_eff = effective_samples(1, 128, np.zeros(1), ar1_acf(0.5))
-        assert m_eff == pytest.approx(128 / 3, rel=1e-6)
-
-    def test_truncation_at_count_minus_one(self):
-        # with S = 2 only lag 1 contributes
-        s_eff, _ = effective_samples(2, 1, np.array([0.5, 0.5, 0.5]), np.zeros(1))
-        assert s_eff == pytest.approx(2 / (1 + 2 * 0.5))
-
-    def test_divergent_guard(self):
-        with pytest.raises(ValueError, match="nonpositive denominator"):
-            effective_samples(4, 1, np.array([-0.4, -0.4]), np.zeros(1))
 
 
 class TestCalibrateNoise:

@@ -435,19 +435,27 @@ class TestFdCommand:
         assert echoed["fd"]["rho_rule"] == "fixed"
         assert echoed["fd"]["round"]["rho"] == 0.25
 
-    @pytest.mark.parametrize("key, value", [
-        ("num_classes", 3), ("use_reference_re", True), ("noise_var", 7.0),
+    @pytest.mark.parametrize("setting, key, value", [
+        pytest.param({}, "num_classes", 3, id="num_classes-3"),
+        pytest.param({}, "use_reference_re", True, id="use_reference_re-True"),
+        pytest.param({}, "noise_var", 7.0, id="noise_var-7.0"),
+        pytest.param({"snr_db": None}, "noise_var", 7.0, id="snr_db-null-noise_var-7.0"),
+        pytest.param({"aggregation": "ratio"}, "use_reference_re", True,
+                     id="ratio-use_reference_re-True"),
     ])
-    def test_round_conflict_rejected(self, tmp_path, capsys, key, value):
-        # fd sets these from data, aggregation and snr_db; a conflicting value
-        # used to be overwritten silently
+    def test_round_conflict_rejected(self, tmp_path, capsys, setting, key, value):
+        # fd sets these from data, aggregation and snr_db, whatever the
+        # section-level ``setting``; a conflicting value used to be overwritten
+        # silently, and a null snr_db used to read round.noise_var
         cfg = self.fd_config(tmp_path)
         raw = json.loads(cfg.read_text())
+        raw["fd"].update(setting)
         raw["fd"]["round"][key] = value
         cfg.write_text(json.dumps(raw))
         code = run_cli(["fd", "--config", cfg, "--seed", 2, "--out", tmp_path / "out"])
         assert code == 1
-        assert f"round.{key}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error:" in err and f"round.{key}" in err
         assert not (tmp_path / "out").exists()
 
     def test_snr_override(self, tmp_path):

@@ -55,6 +55,13 @@ class TestSceneEstimate:
         with pytest.raises(ValueError, match="rho must be positive"):
             scene_raw(np.array([1.0, 2.0]), 1, 0.0)
 
+    @pytest.mark.parametrize("sample_count", [0, -1, 0.5])
+    def test_sample_count_below_one(self, sample_count):
+        # 0 divided by zero, and -1 returned the sign-flipped [[1, 0]]
+        with pytest.raises(ValueError, match="sample_count must be >= 1, got"):
+            scene_raw([[1.0, 2.0]], sample_count, 1.0)
+        assert np.array_equal(scene_raw([[1.0, 2.0]], 1, 1.0), [[0.0, 1.0]])
+
     @given(y=energy_vectors, rho=st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=100)
     def test_self_centering_sum_identity(self, y, rho):
@@ -212,6 +219,14 @@ class TestRatioEstimate:
         for ratio in (ratio_estimate, ratio_raw):
             with pytest.raises(ValueError, match="reference energy must be positive"):
                 ratio(np.array([1.0, 2.0]), 0.0)
+
+    @pytest.mark.parametrize("y_ref", [np.ones(5), np.ones((2, 1)), 1.0])
+    def test_reference_shape_is_the_leading_shape(self, y_ref):
+        # a (5,) reference raised numpy's broadcast error, and a (2, 1) one
+        # broadcast silently to (2, 2, 3) ratios
+        for ratio in (ratio_estimate, ratio_raw):
+            with pytest.raises(ValueError, match=r"y_ref shape .* leading shape of y \(2, 3\)"):
+                ratio(np.ones((2, 3)), y_ref)
 
     def test_all_nonpositive(self):
         for ratio in (ratio_estimate, ratio_raw):

@@ -208,6 +208,17 @@ class TestLockstepSgd:
             model.train_soft(x[0], targets[0], 2, 0, 0.7, RandomSource(6))
         assert np.array_equal(model.weights, weights[0])
 
+    def test_targets_not_matching_x_are_rejected(self):
+        # (3, K) targets for 4 samples raised numpy's reshape error
+        weights, bias, x, targets = self.problem(2, 4)
+        model = SoftmaxClassifier(weights[0], bias[0])
+        with pytest.raises(ValueError, match=r"targets shape \(1, 3, 4\) is not .* \(1, 4, 4\)"):
+            model.train_soft(x[0], targets[0, :3], 2, 2, 0.7, RandomSource(6))
+        for bad in (targets[:1], targets[..., :3]):
+            with pytest.raises(ValueError, match="targets shape"):
+                train_lockstep(weights, bias, x, bad, 2, 2, 0.7, [RandomSource(6)] * 2)
+        assert np.array_equal(model.weights, weights[0])
+
     def test_one_diverging_model_raises(self):
         weights, bias, x, targets = self.problem(3, 32)
         x[2] *= 10  # only this shard runs away at lr 30
@@ -355,18 +366,21 @@ class TestSplit:
             FdProtocolConfig(private_size=9000, open_size=4000)
 
     def test_round_settings_must_agree(self):
-        # fd sets the round's class count, reference slot and noise power from
-        # data, aggregation and snr_db; a disagreeing value used to be dropped
+        # fd takes the class count from data (a disagreeing round value used to
+        # be dropped), and the reference slot and noise power from aggregation
+        # and snr_db alone, so a round value of those is rejected
         with pytest.raises(ValueError, match="num_classes"):
             FdProtocolConfig(round=RoundConfig(num_classes=3))
         with pytest.raises(ValueError, match="use_reference_re"):
             FdProtocolConfig(round=RoundConfig(num_classes=10, use_reference_re=True))
         with pytest.raises(ValueError, match="noise_var"):
             FdProtocolConfig(round=RoundConfig(num_classes=10, noise_var=7.0))
-        FdProtocolConfig(
-            aggregation="ratio", round=RoundConfig(num_classes=10, use_reference_re=True)
-        )
-        FdProtocolConfig(snr_db=None, round=RoundConfig(num_classes=10, noise_var=7.0))
+        with pytest.raises(ValueError, match="use_reference_re"):
+            FdProtocolConfig(
+                aggregation="ratio", round=RoundConfig(num_classes=10, use_reference_re=True)
+            )
+        with pytest.raises(ValueError, match="noise_var"):
+            FdProtocolConfig(snr_db=None, round=RoundConfig(num_classes=10, noise_var=7.0))
 
     @pytest.mark.parametrize("lo_hi", [(-0.2, 1.5), (0.0, 1.0), (1.5, 0.5)])
     def test_power_cap_range_checked(self, lo_hi):
@@ -394,8 +408,7 @@ class TestAggregateTargets:
         probs = np.random.default_rng(8).dirichlet(np.full(5, 0.2), size=(3, u))
         ratio = aggregation is Aggregation.RATIO
         cfg = FdProtocolConfig(aggregation=aggregation, snr_db=None,
-                               round=RoundConfig(num_classes=5, use_reference_re=ratio),
-                               data=DatasetSpec(num_classes=5))
+                               round=RoundConfig(num_classes=5), data=DatasetSpec(num_classes=5))
         round_cfg = RoundConfig(num_classes=5, reps=2, antennas=3, rho=0.9,
                                 use_reference_re=ratio)
         return cfg, probs, pop, round_cfg
@@ -495,7 +508,7 @@ class TestOneShotDistill:
 
 
 @pytest.mark.parametrize("snr_db, noise_var, row", [
-    (None, 0.01, "1,64,3,2,,ratio,0.10000000000000001,0.33333333333333331,7"),
+    (None, 0.0, "1,64,3,2,,ratio,0.10000000000000001,0.33333333333333331,7"),
     (-2.5, 0.0, "1,64,3,2,-2.5,ratio,0.10000000000000001,0.33333333333333331,7"),
 ])
 def test_fd_csv_row_bytes(snr_db, noise_var, row):

@@ -54,6 +54,11 @@ class TestTrialStats:
         assert np.allclose(st_.variance, x.var(axis=0, ddof=1))
         assert np.allclose(st_.std_error, x.std(axis=0, ddof=1) / np.sqrt(500))
 
+    def test_no_samples_rejected(self):
+        # zero rows gave n = 0 and a nan mean, with "Mean of empty slice"
+        with pytest.raises(ValueError, match="x holds no samples"):
+            TrialStats.from_samples(np.empty((0, 3)))
+
     def test_single_observation_variance_undefined(self):
         st_ = TrialStats.from_samples(np.array([[1.0, 2.0]]))
         assert st_.n == 1

@@ -6,11 +6,15 @@ from hypothesis import strategies as st
 from scene_sim import (
     DevicePopulation,
     EnergyFrame,
+    RhoRule,
+    RoundConfig,
     SoftLabel,
+    calibrate_noise,
     map_energies,
     min_rho,
     run_min_rho_protocol,
 )
+from scene_sim.power import resolve_round
 
 
 def feasible(pop, rho):
@@ -219,3 +223,15 @@ class TestMinRhoProtocol:
             ]
             frame = map_energies(labels, pop, rho_min)
             assert np.all(frame.eta <= pop.power_caps * (1 + 1e-9))
+
+
+class TestResolveRound:
+    def test_null_snr_is_noise_free(self):
+        # a null snr_db used to keep the base config's noise power
+        pop = random_population(np.random.default_rng(5), 4)
+        base = RoundConfig(num_classes=3, rho=0.5, noise_var=7.0)
+        cfg = resolve_round(base, RhoRule.FIXED, pop, None, False)
+        assert (cfg.rho, cfg.noise_var, cfg.use_reference_re) == (0.5, 0.0, False)
+        cfg = resolve_round(base, RhoRule.MIN_RHO, pop, 3.0, True)
+        assert cfg.rho == min_rho(pop) and cfg.use_reference_re
+        assert cfg.noise_var == calibrate_noise(min_rho(pop), 3, 3.0)

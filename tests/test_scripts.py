@@ -108,6 +108,17 @@ def test_fd_budget_rows_equal_run_fd(tmp_path, seeds):
     assert proc.stderr == ""
 
 
+def test_fd_budget_runs_noise_free(tmp_path):
+    # a null snr_db is noise-free: the banner says so and every snr_db cell is empty
+    cfg = fd_budget_config(tmp_path, snr_db=None, **SMALL)
+    proc = run_python(ROOT / "scripts" / "fd_budget.py", "--out", tmp_path / "out.csv",
+                      "--config", cfg, "--reps", 1, 4, "--seeds", 1)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("budget B = 16 at no noise, 1 seeds")
+    rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["", ""]
+
+
 @pytest.mark.parametrize(
     "fields, args, message",
     [
