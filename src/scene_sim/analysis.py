@@ -36,8 +36,8 @@ def mismatch_bias_bound(delta: float, k: int) -> float:
     """Worst-case L2 bias when every |gamma_i - 1| <= delta:
     delta * sqrt((K-1)/K). Attained by a single device at a simplex vertex.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be >= 0 and finite, got {delta}")
     if k < 2:
         raise ValueError(f"need K >= 2, got {k}")
     return delta * math.sqrt((k - 1) / k)

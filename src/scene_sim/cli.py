@@ -212,7 +212,9 @@ def cmd_round(spec: RoundSpec) -> None:
         scene_columns = ()
     else:
         raw, projected = scene_estimate(y, cfg)
-        scene_columns = (analysis.mismatch_bias(pop, labels), bound)
+        scene_columns = (analysis.mismatch_bias(pop, labels),)
+        if bound is not None:  # var_bound holds only under the diagonal model
+            scene_columns += (bound,)
 
     print(f"# S={spec.s} M={spec.m} snr_db={spec.snr_db} rho={cfg.rho:.6g} "
           f"model={spec.channel_model.value} estimator={spec.estimator.value}")

@@ -93,8 +93,8 @@ def top_t_truncate(q: SoftLabel, t: int) -> tuple[SoftLabel, float]:
     twice the weighted tail mass in L1.
     """
     k = q.num_classes
-    if not 1 <= t <= k:
-        raise ValueError(f"need 1 <= t <= {k}, got {t}")
+    if not (isinstance(t, (int, np.integer)) and 1 <= t <= k):
+        raise ValueError(f"need 1 <= t <= {k}, an integer, got {t}")
     order = np.argsort(-q.probs, kind="stable")
     keep = order[:t]
     kept_mass = float(q.probs[keep].sum())

@@ -4,9 +4,11 @@ aggregation primitive as its transport.
 A synthetic Gaussian-cluster dataset and linear softmax classifiers stand in
 for an image benchmark; the point is the aggregation behavior (repetition
 sweet spot, S*M invariance, gap to noise-free averaging), not absolute
-accuracy numbers. Clients pretrain in lockstep, one SGD over a leading model
-axis, with outputs bit-identical to training each alone; the server's
-distillation is the one-model case of the same function. An :class:`FdSetup`
+accuracy numbers. :func:`split_dataset` generates the data of a config's
+``DatasetSpec`` and carves it in one call, so data and config always agree.
+Clients pretrain in lockstep, one SGD over a leading model axis, with
+outputs bit-identical to training each alone; the server's distillation is
+the one-model case of the same function. An :class:`FdSetup`
 holds everything built before distillation, so a study over distillation
 settings pretrains once per seed.
 """
@@ -14,7 +16,7 @@ settings pretrains once per seed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -77,43 +79,23 @@ class SyntheticDataset:
     features: np.ndarray
     labels: np.ndarray
     means: np.ndarray
-    noise_std: float
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return self.means.shape[0]
 
     @classmethod
-    def generate(
-        cls,
-        rng: RandomSource,
-        num_classes: int = DatasetSpec.num_classes,
-        dim: int = DatasetSpec.dim,
-        size: int = DatasetSpec.size,
-        noise_std: float = DatasetSpec.noise_std,
-    ) -> "SyntheticDataset":
-        DatasetSpec(num_classes, dim, size, noise_std)  # checks the arguments
+    def generate(cls, rng: RandomSource, spec: DatasetSpec = DatasetSpec()) -> "SyntheticDataset":
+        k, dim, size = spec.num_classes, spec.dim, spec.size
         gen = rng.generator
-        if num_classes <= dim:
-            means = np.eye(dim)[:num_classes]
+        if k <= dim:
+            means = np.eye(dim)[:k]
         else:
-            means = gen.standard_normal((num_classes, dim))
+            means = gen.standard_normal((k, dim))
             means /= np.linalg.norm(means, axis=1, keepdims=True)
-        base = size // num_classes
-        extra = size % num_classes
-        counts = [base + (1 if c < extra else 0) for c in range(num_classes)]
-        labels = np.repeat(np.arange(num_classes), counts)
+        base = size // k
+        extra = size % k
+        counts = [base + (1 if c < extra else 0) for c in range(k)]
+        labels = np.repeat(np.arange(k), counts)
         labels = labels[gen.permutation(size)]
-        features = means[labels] + noise_std * gen.standard_normal((size, dim))
-        return cls(features, labels, means, noise_std)
+        features = means[labels] + spec.noise_std * gen.standard_normal((size, dim))
+        return cls(features, labels, means)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -166,6 +148,8 @@ def train_lockstep(
     """
     if batch_size < 1:
         raise ValueError(f"need batch_size >= 1, got {batch_size}")
+    if epochs < 0:
+        raise ValueError(f"need epochs >= 0, got {epochs}")
     gens = [r.generator for r in rngs]
     c, n, d = x.shape
     k = weights.shape[-1]
@@ -361,14 +345,11 @@ class DatasetSplit:
     test_labels: np.ndarray
 
 
-def split_dataset(data: SyntheticDataset, cfg: FdProtocolConfig) -> DatasetSplit:
-    """Carve the dataset into per-client private shards, the open pool, and
-    the held-out test set (generation already shuffled the samples). ``data``
-    must have the size, dimension and class count of ``cfg.data``."""
-    got = (data.size, data.dim, data.num_classes)
-    want = (cfg.data.size, cfg.data.dim, cfg.data.num_classes)
-    if got != want:
-        raise ValueError(f"data has (size, dim, num_classes) {got}, config {want}")
+def split_dataset(cfg: FdProtocolConfig, rng: RandomSource) -> DatasetSplit:
+    """Generate ``cfg.data`` on ``rng`` and carve it into per-client private
+    shards, the open pool, and the held-out test set (generation already
+    shuffled the samples)."""
+    data = SyntheticDataset.generate(rng, cfg.data)
     i_p, i_o = cfg.private_size, cfg.open_size
     per_client = i_p // cfg.clients
     shards = slice(0, cfg.clients * per_client)
@@ -494,8 +475,7 @@ class FdSetup:
     @classmethod
     def build(cls, cfg: FdProtocolConfig, seed: int) -> "FdSetup":
         data_rng, pretrain_rng, server_rng, _ = RandomSource(seed).split(4)
-        data = SyntheticDataset.generate(data_rng, **asdict(cfg.data))
-        split = split_dataset(data, cfg)
+        split = split_dataset(cfg, data_rng)
         clients = tuple(pretrain_clients(cfg, split, pretrain_rng))
         server = SoftmaxClassifier.initialize(cfg.data.dim, cfg.data.num_classes, server_rng)
         for model in (*clients, server):

@@ -245,17 +245,19 @@ class SetupSpec:
     def point(
         self, pop: DevicePopulation, labels: Sequence[SoftLabel], s: int, m: int,
         snr_db: float, **corr: float,
-    ) -> tuple[RoundConfig, EnergyFrame, np.ndarray]:
+    ) -> tuple[RoundConfig, EnergyFrame, np.ndarray | None]:
         """The (S, M, SNR) point with the AR(1) coefficients ``corr``: its
         parameters resolved by :func:`power.resolve_round`, the labels' energy
         frame, and :func:`analysis.variance_bound`, which checks the noise
-        term before any channel call."""
+        term before any channel call. The bound holds for the diagonal model
+        with independent samples only; under any other point it is None."""
         k = labels[0].num_classes
         base = RoundConfig(k, s, m, self.rho_value, channel_model=self.channel_model, **corr)
         reference = self.estimator is not Estimator.SCENE
         cfg = resolve_round(base, self.rho_rule, pop, snr_db, reference)
         bound = analysis.variance_bound(pop, labels, cfg)
-        return cfg, map_energies(labels, pop, cfg.rho), bound
+        holds = cfg.channel_model is ChannelModel.DIAGONAL and cfg.time_corr == cfg.space_corr == 0
+        return cfg, map_energies(labels, pop, cfg.rho), bound if holds else None
 
 
 @dataclass(frozen=True)
@@ -285,7 +287,8 @@ class ResultRow:
     """One (sweep point, estimator, class) row of the result table.
 
     ``var``/``se`` are None when undefined (single trial); ``var_bound`` is
-    only populated for the raw self-centering estimator.
+    only populated for the raw self-centering estimator at a point where the
+    bound holds (see :meth:`SetupSpec.point`).
     """
 
     s: int
@@ -424,7 +427,8 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[Res
                                 mean=float(st.mean[c]),
                                 bias=float(st.mean[c] - qbar[c]),
                                 var=float(variance[c]) if has_var else None,
-                                var_bound=float(bound[c]) if name == "scene" else None,
+                                var_bound=(float(bound[c]) if name == "scene"
+                                           and bound is not None else None),
                                 se=float(se[c]) if has_var else None,
                                 trials=st.n,
                                 seed=spec.seed,

@@ -57,7 +57,6 @@ from scene_sim import (
     RoundConfig,
     SoftLabel,
     SoftmaxClassifier,
-    SyntheticDataset,
     calibrate_noise,
     map_energies,
     min_rho,
@@ -395,10 +394,9 @@ def _fd_shared_setup(seed=424242, unlabeled=128):
     base = FdProtocolConfig(unlabeled_budget=unlabeled, snr_db=5.0)
     root = RandomSource(seed)
     data_rng, pre_rng, server_rng, pop_rng, sel_rng = root.split(5)
-    data = SyntheticDataset.generate(data_rng)
-    split = split_dataset(data, base)
+    split = split_dataset(base, data_rng)
     clients = pretrain_clients(base, split, pre_rng)
-    server = SoftmaxClassifier.initialize(data.dim, data.num_classes, server_rng)
+    server = SoftmaxClassifier.initialize(base.data.dim, base.data.num_classes, server_rng)
     n = base.clients
     betas = sample_pathloss(base.pathloss, n, pop_rng)
     caps = pop_rng.generator.uniform(0.5, 1.5, n)

@@ -98,8 +98,10 @@ class TestMismatchBiasBound:
         assert mismatch_bias_bound(0.2, 10) == pytest.approx(0.18974, abs=1e-5)
 
     def test_negative_delta(self):
-        with pytest.raises(ValueError, match="delta must be >= 0"):
-            mismatch_bias_bound(-0.1, 2)
+        # nan and inf used to come back as the bound
+        for delta in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="delta must be >= 0 and finite"):
+                mismatch_bias_bound(delta, 2)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=100, deadline=None)

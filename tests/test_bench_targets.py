@@ -64,5 +64,8 @@ def test_traced_runs_record_every_layer(tmp_path, capsys):
     assert ix.calls(tracing.JOB) == 2
     for name in ("channel.simulate_rounds", "fd.aggregate_targets", "fd.sgd", "cli.write_rows_csv"):
         assert ix.work(name) > 0, name
-    for name in ("channel.simulate_round", "estimators.scene_estimate"):
+    # the FD setup layers too: a call moved out of the patched name would
+    # leave its benchmark layer empty
+    for name in ("channel.simulate_round", "estimators.scene_estimate",
+                 "fd.SyntheticDataset.generate", "fd.pretrain_clients"):
         assert ix.calls(name) > 0, name

@@ -52,9 +52,10 @@ class TestRoundCommand:
 
     def test_extreme_values_keep_the_columns(self, tmp_path, capsys):
         # at -700 dB raw and var_bound reach about 1e68 and 1e137: fixed-point
-        # cells of 70 and 140 digits used to break the table
+        # cells of 70 and 140 digits used to break the table (diagonal, the
+        # model under which the table prints var_bound)
         cfg = tmp_path / "round.json"
-        cfg.write_text(json.dumps({"round": {"snr_db": -700}}))
+        cfg.write_text(json.dumps({"round": {"snr_db": -700, "channel_model": "diagonal"}}))
         assert run_cli(["round", "--config", cfg, "--out", tmp_path]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 11 and all(len(row) == 5 + 5 * 13 for row in rows)
@@ -63,13 +64,17 @@ class TestRoundCommand:
 
     def test_ratio_table_leaves_scene_closed_forms_blank(self, tmp_path, capsys):
         # bias and var_bound are closed forms of the scene estimator; under
-        # ratio they used to print the scene values beside the ratios Y_c/R
+        # ratio they used to print the scene values beside the ratios Y_c/R.
+        # var_bound holds only under the diagonal model; superposition
+        # exceeds it, so its cell is blank there too.
         section = {"labels": {"kind": "vertex", "num_classes": 2},
                    "population": {"n_devices": 1}}
-        for estimator, cells in (("scene", 6), ("ratio", 4)):
-            cfg = tmp_path / f"{estimator}.json"
-            cfg.write_text(json.dumps({"round": {**section, "estimator": estimator}}))
-            assert run_cli(["round", "--config", cfg, "--out", tmp_path / estimator]) == 0
+        for model, estimator, cells in (("diagonal", "scene", 6), ("superposition", "scene", 5),
+                                        ("diagonal", "ratio", 4)):
+            cfg = tmp_path / f"{model}-{estimator}.json"
+            cfg.write_text(json.dumps({"round": {**section, "estimator": estimator,
+                                                 "channel_model": model}}))
+            assert run_cli(["round", "--config", cfg, "--out", tmp_path / cfg.stem]) == 0
             rows = capsys.readouterr().out.splitlines()[2:]
             assert len(rows) == 2 and all(len(row) == 5 + 5 * 13 for row in rows)
             assert all(len(row.split()) == cells for row in rows)

@@ -296,6 +296,10 @@ class TestTopTTruncate:
             top_t_truncate(q, 0)
         with pytest.raises(ValueError, match="need 1 <= t <= 2"):
             top_t_truncate(q, 3)
+        for t in (1.5, 2.0):  # 1.5 raised a bare TypeError from slicing
+            with pytest.raises(ValueError, match="need 1 <= t <= 2, an integer"):
+                top_t_truncate(q, t)
+        assert top_t_truncate(q, np.int64(2))[1] == 0.0
 
     def test_per_device_l1_is_twice_tail_mass(self):
         gen = np.random.default_rng(5)

@@ -306,6 +306,18 @@ class TestRunExperiment:
             r.var_bound is None for r in rows if r.estimator != "scene"
         )
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"channel_model": ChannelModel.SUPERPOSITION}, {"time_corr": 0.5}, {"space_corr": 0.5}],
+        ids=["superposition", "time_corr", "space_corr"],
+    )
+    def test_var_bound_empty_where_it_does_not_hold(self, setting):
+        # variance_bound assumes the diagonal model with independent samples
+        # (test_row_structure's points); a superposition sweep read var up to
+        # 2.25x past it, a time_corr 0.9 one about 3.8x
+        rows = run_experiment(small_spec(sm_pairs=((4, 2),), trials=200, **setting))
+        assert [r.var_bound for r in rows if r.estimator == "scene"] == [None] * 5
+
     def test_settings_by_value_or_member(self):
         spec = small_spec(estimator="both", rho_rule="fixed")
         assert spec.estimator is Estimator.BOTH and spec.rho_rule is RhoRule.FIXED
