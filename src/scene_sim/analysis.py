@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DevicePopulation, RoundConfig, check_scale, check_simplex, check_snr, csv_cell
+from .core import (DevicePopulation, RoundConfig, check_count, check_scale, check_simplex,
+                   check_snr, csv_cell)
 
 CROSSOVER_CSV_HEADER = "B,P,c_coh,c_nc,mse_coh,mse_nc,scene_wins"
 
@@ -38,8 +39,7 @@ def mismatch_bias_bound(delta: float, k: int) -> float:
     """
     if not 0 <= delta < math.inf:
         raise ValueError(f"delta must be >= 0 and finite, got {delta}")
-    if k < 2:
-        raise ValueError(f"need K >= 2, got {k}")
+    check_count(2, k=k)
     return delta * math.sqrt((k - 1) / k)
 
 
@@ -100,8 +100,7 @@ def calibrate_noise(rho: float, k: int, snr_db: float) -> float:
     sigma_N^2 = (rho / K) / 10^(snr_db / 10).
     """
     check_scale(rho=rho)
-    if k < 2:
-        raise ValueError(f"need K >= 2, got {k}")
+    check_count(2, k=k)
     check_snr(snr_db=snr_db)
     noise = (rho / k) / 10.0 ** (snr_db / 10.0)
     if not 0.0 < noise < math.inf:
@@ -127,10 +126,8 @@ class CrossoverModel:
     num_classes: int
 
     def __post_init__(self) -> None:
-        if self.budget < 1:
-            raise ValueError(f"need B >= 1, got B={self.budget}")
-        if self.num_classes < 2:
-            raise ValueError("need K >= 2 classes")
+        check_count(1, budget=self.budget)
+        check_count(2, num_classes=self.num_classes)
         constants = {"c_coh": self.c_coh, "c_nc": self.c_nc}  # the MSEs peak at P = B - 1
         for (name, c), mse in zip(constants.items(), self.mse(self.budget - 1)):
             if not 0 < c < math.inf:
@@ -145,7 +142,8 @@ class CrossoverModel:
         return max(0.0, (1.0 - self.c_coh / self.c_nc) * self.budget)
 
     def _check(self, pilot_cost: int) -> None:
-        if not 0 <= pilot_cost < self.budget:
+        check_count(0, pilot_cost=pilot_cost)
+        if pilot_cost >= self.budget:
             raise ValueError(f"need 0 <= P < B, got P={pilot_cost}, B={self.budget}")
 
     def mse(self, pilot_cost: int) -> tuple[float, float]:

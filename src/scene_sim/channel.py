@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelModel, DevicePopulation, RandomSource, RoundConfig, check_range
+from .core import ChannelModel, DevicePopulation, RandomSource, RoundConfig, check_count, check_range
 from .power import EnergyFrame
 
 # Element budgets of a chunk of trials, which fixes the random stream, and of
@@ -78,16 +78,16 @@ class PathlossModel:
 
     def __post_init__(self) -> None:
         check_range(distance_range=self.distance_range)
-        if self.exponent <= 0:
-            raise ValueError("pathloss exponent must be positive")
-        if self.shadowing_std_db < 0:
-            raise ValueError("shadowing std must be >= 0")
+        if not 0 < self.exponent < math.inf:
+            raise ValueError(f"exponent must be positive and finite, got {self.exponent}")
+        std = self.shadowing_std_db
+        if not 0 <= std < math.inf:
+            raise ValueError(f"shadowing_std_db must be >= 0 and finite, got {std}")
 
 
 def sample_pathloss(model: PathlossModel, n: int, rng: RandomSource) -> np.ndarray:
     """Draw n large-scale gains from the pathloss model (all positive)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    check_count(1, n=n)
     gen = rng.generator
     d_min, d_max = model.distance_range
     d = gen.uniform(d_min, d_max, n)
@@ -239,8 +239,7 @@ def simulate_rounds(
     results depend only on the arguments and the stream state.
     """
     _check_frame(energies, pop, cfg)
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+    check_count(1, trials=trials)
     if energies.energies.ndim == 3 and len(energies.energies) != trials:
         raise ValueError(f"frame has {len(energies.energies)} trials, call {trials}")
     n = pop.num_devices

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import analysis
 from .analysis import CROSSOVER_CSV_HEADER, CrossoverModel
 from .channel import simulate_round
-from .core import Estimator, weighted_average
+from .core import Estimator, check_count, weighted_average
 from .estimators import ratio_estimate, scene_estimate
 from .fd import FD_CSV_HEADER, FdProtocolConfig, fd_csv_row, run_fd
 from .montecarlo import (
@@ -33,6 +33,7 @@ from .montecarlo import (
     run_experiment,
     write_rows_csv,
 )
+from .power import check_noise
 
 
 # Default --threads: one worker per usable core, at most this many. A run has one
@@ -61,9 +62,8 @@ class RoundSpec(SetupSpec):
         super().__post_init__()
         if self.estimator is Estimator.BOTH:
             raise ValueError("a round runs one estimator: 'scene' or 'ratio', not 'both'")
-        if self.s < 1 or self.m < 1:
-            raise ValueError(f"need s, m >= 1, got s={self.s}, m={self.m}")
-        self.check_noise(snr_db=self.snr_db)
+        check_count(1, s=self.s, m=self.m)
+        check_noise(self.rho_rule, self.rho_value, self.labels.num_classes, snr_db=self.snr_db)
 
 
 @dataclass(frozen=True)

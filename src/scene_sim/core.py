@@ -165,6 +165,14 @@ def coerce_settings(obj, **kinds: type[Enum]) -> None:
         object.__setattr__(obj, name, kind(getattr(obj, name)))
 
 
+def check_count(minimum: int, **counts: int) -> None:
+    """Reject counts that are a bool, are not an int or numpy integer, or are
+    below ``minimum``."""
+    for name, n in counts.items():
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum:
+            raise ValueError(f"{name} must be an integer >= {minimum}, got {n}")
+
+
 def check_range(**ranges: tuple[float, float] | None) -> None:
     """Reject intervals unless 0 < lo <= hi < inf; None means no interval."""
     for name, r in ranges.items():
@@ -230,10 +238,8 @@ class RoundConfig:
     use_reference_re: bool = False
 
     def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise ValueError(f"need K >= 2 classes, got {self.num_classes}")
-        if self.reps < 1 or self.antennas < 1:
-            raise ValueError("reps and antennas must be >= 1")
+        check_count(2, num_classes=self.num_classes)
+        check_count(1, reps=self.reps, antennas=self.antennas)
         check_scale(rho=self.rho)
         if not 0 <= self.noise_var < np.inf:
             raise ValueError(f"noise_var must be >= 0 and finite, got {self.noise_var}")

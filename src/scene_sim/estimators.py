@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import RoundConfig, SoftLabel, check_scale
+from .core import RoundConfig, SoftLabel, check_count, check_scale
 
 
 def clip_renormalize(v: np.ndarray) -> np.ndarray:
@@ -28,8 +28,7 @@ def scene_raw(y: np.ndarray, sample_count: int, rho: float) -> np.ndarray:
     the 1/K anchor restores the simplex sum, so sum_c r_c = 1 identically.
     """
     check_scale(rho=rho)
-    if not sample_count >= 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
+    check_count(1, sample_count=sample_count)
     y = np.asarray(y, dtype=np.float64)
     r = y - y.mean(axis=-1, keepdims=True)
     r /= sample_count * rho
@@ -93,8 +92,9 @@ def top_t_truncate(q: SoftLabel, t: int) -> tuple[SoftLabel, float]:
     twice the weighted tail mass in L1.
     """
     k = q.num_classes
-    if not (isinstance(t, (int, np.integer)) and 1 <= t <= k):
-        raise ValueError(f"need 1 <= t <= {k}, an integer, got {t}")
+    check_count(1, t=t)
+    if t > k:
+        raise ValueError(f"need 1 <= t <= {k}, got {t}")
     order = np.argsort(-q.probs, kind="stable")
     keep = order[:t]
     kept_mass = float(q.probs[keep].sum())

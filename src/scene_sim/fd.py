@@ -21,21 +21,20 @@ from enum import Enum
 
 import numpy as np
 
-from .analysis import calibrate_noise
 from .channel import PathlossModel, simulate_rounds
 from .core import (
     DevicePopulation,
     RandomSource,
     RhoRule,
     RoundConfig,
+    check_count,
     check_range,
-    check_snr,
     coerce_settings,
     csv_cell,
 )
 from .estimators import ratio_estimate, scene_estimate
 from .montecarlo import PopulationSpec
-from .power import map_energies, resolve_round
+from .power import check_noise, map_energies, resolve_round
 
 FD_CSV_HEADER = "round,U,S,M,snr_db,aggregation,server_acc,agg_l2_err,seed"
 
@@ -63,8 +62,10 @@ class DatasetSpec:
     noise_std: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.num_classes < 2 or self.dim < 1 or self.size < 1 or self.noise_std < 0:
-            raise ValueError(f"need num_classes >= 2, dim, size >= 1, noise_std >= 0, got {self}")
+        check_count(2, num_classes=self.num_classes)
+        check_count(1, dim=self.dim, size=self.size)
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be >= 0 and finite, got {self.noise_std}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,10 +147,8 @@ def train_lockstep(
     the block at the end of every epoch, so after Divergence they hold the
     epoch that diverged.
     """
-    if batch_size < 1:
-        raise ValueError(f"need batch_size >= 1, got {batch_size}")
-    if epochs < 0:
-        raise ValueError(f"need epochs >= 0, got {epochs}")
+    check_count(1, batch_size=batch_size)
+    check_count(0, epochs=epochs)
     gens = [r.generator for r in rngs]
     c, n, d = x.shape
     k = weights.shape[-1]
@@ -295,23 +294,19 @@ class FdProtocolConfig:
 
     def __post_init__(self) -> None:
         coerce_settings(self, aggregation=Aggregation, rho_rule=RhoRule)
-        if self.unlabeled_budget < 1:
-            raise ValueError("unlabeled budget must be >= 1")
+        check_count(1, clients=self.clients, unlabeled_budget=self.unlabeled_budget,
+                    batch_size=self.batch_size, private_size=self.private_size,
+                    open_size=self.open_size)
+        check_count(0, pretrain_epochs=self.pretrain_epochs, distill_epochs=self.distill_epochs)
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.unlabeled_budget > self.open_size:
             raise ValueError("unlabeled budget exceeds the open pool")
-        if self.clients < 1:
-            raise ValueError("need at least one client")
         if self.private_size < self.clients:
             raise ValueError(f"need private_size >= clients, got {self.private_size}, "
                              f"{self.clients}")
         if self.private_size + self.open_size >= self.data.size:
             raise ValueError("private_size + open_size leaves no test sample in data.size")
-        if self.batch_size < 1 or not self.learning_rate > 0:
-            raise ValueError(f"need batch_size >= 1, learning_rate > 0, got "
-                             f"{self.batch_size}, {self.learning_rate}")
-        if min(self.pretrain_epochs, self.distill_epochs) < 0:
-            raise ValueError(f"need pretrain_epochs, distill_epochs >= 0, got "
-                             f"{self.pretrain_epochs}, {self.distill_epochs}")
         check_range(power_cap_range=self.power_cap_range)
         # The run sets the round's class count from data and its rho under
         # min_rho, and its noise power and reference slot from snr_db and
@@ -327,10 +322,8 @@ class FdProtocolConfig:
         if self.rho_rule is RhoRule.MIN_RHO and self.round.rho != RoundConfig.rho:
             raise ValueError(f"round.rho {self.round.rho} is read only under rho_rule "
                              "'fixed'; min_rho negotiates rho")
-        if self.snr_db is not None and self.rho_rule is RhoRule.FIXED:
-            calibrate_noise(self.round.rho, self.round.num_classes, self.snr_db)
-        elif self.snr_db is not None:
-            check_snr(snr_db=self.snr_db)
+        if self.snr_db is not None:
+            check_noise(self.rho_rule, self.round.rho, self.round.num_classes, snr_db=self.snr_db)
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,6 +467,7 @@ class FdSetup:
 
     @classmethod
     def build(cls, cfg: FdProtocolConfig, seed: int) -> "FdSetup":
+        check_count(0, seed=seed)
         data_rng, pretrain_rng, server_rng, _ = RandomSource(seed).split(4)
         split = split_dataset(cfg, data_rng)
         clients = tuple(pretrain_clients(cfg, split, pretrain_rng))

@@ -29,16 +29,16 @@ from .core import (
     RoundConfig,
     SoftLabel,
     check_correlation,
+    check_count,
     check_range,
     check_scale,
     check_simplex,
-    check_snr,
     coerce_settings,
     csv_cell,
     weighted_average,
 )
 from .estimators import clip_renormalize, ratio_raw, scene_raw
-from .power import EnergyFrame, map_energies, resolve_round
+from .power import EnergyFrame, check_noise, map_energies, resolve_round
 
 # Trials per scheduling job; fixed so outputs do not depend on worker count.
 _JOB_TRIALS = 20_000
@@ -128,8 +128,7 @@ class PopulationSpec:
     gamma_range: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.n_devices < 1:
-            raise ValueError("need at least one device")
+        check_count(1, n_devices=self.n_devices)
         coerce_settings(self, weight_rule=WeightRule)
         check_range(power_cap_range=self.power_cap_range, gamma_range=self.gamma_range)
 
@@ -167,10 +166,9 @@ class LabelSpec:
 
     def __post_init__(self) -> None:
         coerce_settings(self, kind=LabelKind)
-        if self.num_classes < 2:
-            raise ValueError("need K >= 2")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        check_count(2, num_classes=self.num_classes)
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.kind is not LabelKind.DIRICHLET and self.alpha != LabelSpec.alpha:
             raise ValueError(f"alpha {self.alpha} is read only under kind 'dirichlet', "
                              f"not under '{self.kind.value}'")
@@ -222,8 +220,7 @@ class SetupSpec:
         if self.rho_rule is RhoRule.MIN_RHO and self.rho_value != SetupSpec.rho_value:
             raise ValueError(f"rho_value {self.rho_value} is read only under rho_rule "
                              "'fixed'; min_rho negotiates rho")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_count(0, seed=self.seed)
         n_fixed = len(self.labels.fixed) if self.labels.kind is LabelKind.FIXED else None
         if n_fixed not in (None, self.population.n_devices):
             raise ValueError(f"{n_fixed} fixed labels for {self.population.n_devices} devices")
@@ -235,12 +232,6 @@ class SetupSpec:
         pop = self.population.draw(pop_rng)
         labels = self.labels.draw(pop.num_devices, label_rng)
         return pop, labels, channel_rng
-
-    def check_noise(self, **snrs: float) -> None:
-        """check_snr, and under rho_rule 'fixed' the noise power each SNR sets at rho_value."""
-        check_snr(**snrs)
-        for snr_db in snrs.values() if self.rho_rule is RhoRule.FIXED else ():
-            analysis.calibrate_noise(self.rho_value, self.labels.num_classes, snr_db)
 
     def point(
         self, pop: DevicePopulation, labels: Sequence[SoftLabel], s: int, m: int,
@@ -274,11 +265,11 @@ class ExperimentSpec(SetupSpec):
         super().__post_init__()
         if not self.sm_pairs or not self.snr_db_values:
             raise ValueError("sweep lists must be nonempty")
-        if any(s < 1 or m < 1 for s, m in self.sm_pairs):
-            raise ValueError(f"every sm_pairs entry needs S, M >= 1, got {self.sm_pairs}")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        self.check_noise(**{f"snr_db_values[{i}]": v for i, v in enumerate(self.snr_db_values)})
+        check_count(1, **{f"sm_pairs[{i}][{j}]": n
+                          for i, pair in enumerate(self.sm_pairs) for j, n in enumerate(pair)})
+        check_count(1, trials=self.trials)
+        check_noise(self.rho_rule, self.rho_value, self.labels.num_classes,
+                    **{f"snr_db_values[{i}]": v for i, v in enumerate(self.snr_db_values)})
         check_correlation(time_corr=self.time_corr, space_corr=self.space_corr)
 
 
@@ -390,8 +381,8 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[Res
     jobs, such as moments past the float64 range, raises a ``RuntimeError``
     naming the point. Deterministic given the spec, independent of ``threads``.
     """
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads is not None:
+        check_count(1, threads=threads)
     pop, labels, trial_rng = spec.draw(spec.seed)
     qbar = weighted_average(labels, pop).probs
     k = labels[0].num_classes

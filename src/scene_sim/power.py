@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import calibrate_noise
-from .core import DevicePopulation, RhoRule, RoundConfig, check_scale, check_simplex
+from .core import DevicePopulation, RhoRule, RoundConfig, check_scale, check_simplex, check_snr
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +92,15 @@ def resolve_round(
     rho = base.rho if rule is RhoRule.FIXED else min_rho(pop)
     noise = 0.0 if snr_db is None else calibrate_noise(rho, base.num_classes, snr_db)
     return replace(base, rho=rho, noise_var=noise, use_reference_re=reference)
+
+
+def check_noise(rule: RhoRule, rho: float, k: int, **snrs: float) -> None:
+    """:func:`core.check_snr`, and under ``rule`` 'fixed' the noise power each
+    SNR sets at ``rho`` with ``k`` classes, the one :func:`resolve_round` will
+    calibrate (under min_rho it depends on the drawn gains)."""
+    check_snr(**snrs)
+    for snr_db in snrs.values() if rule is RhoRule.FIXED else ():
+        calibrate_noise(rho, k, snr_db)
 
 
 @dataclass(frozen=True)

@@ -284,12 +284,13 @@ class TestCrossover:
             CrossoverModel(budget=1, c_coh=c_coh, c_nc=c_nc, num_classes=10)
 
     def test_bad_budget(self):
-        with pytest.raises(ValueError, match="need B >= 1"):
+        with pytest.raises(ValueError, match="budget must be an integer >= 1, got 0"):
             CrossoverModel(budget=0, c_coh=1.0, c_nc=1.0, num_classes=10)
         model = CrossoverModel(budget=100, c_coh=1.0, c_nc=1.0, num_classes=10)
         for method in (model.mse, model.scene_wins, model.csv_row):
-            for p in (100, -1):
-                with pytest.raises(ValueError, match="need 0 <= P < B"):
+            for p, message in ((100, "need 0 <= P < B"),
+                               (-1, "pilot_cost must be an integer >= 0, got -1")):
+                with pytest.raises(ValueError, match=message):
                     method(p)
 
     @given(

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +9,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scene_sim import (
+    CrossoverModel,
+    DatasetSpec,
     DevicePopulation,
+    ExperimentSpec,
+    FdProtocolConfig,
+    FdSetup,
+    LabelSpec,
+    PathlossModel,
+    PopulationSpec,
     RandomSource,
     RoundConfig,
+    calibrate_noise,
+    map_energies,
+    mismatch_bias_bound,
+    run_experiment,
+    sample_pathloss,
+    scene_raw,
+    simulate_rounds,
+    top_t_truncate,
     weighted_average,
 )
+from scene_sim.cli import RoundSpec
 from scene_sim.core import SoftLabel, check_range, check_simplex
+from scene_sim.fd import train_lockstep
 
 
 class TestValidateSoftLabel:
@@ -329,3 +348,82 @@ def test_package_defines_only_two_exception_classes():
             break
         found |= more
     assert found - builtin == {"ConfigError", "Divergence"}
+
+
+def _count_calls():
+    """(argument name, minimum, valid value, call taking the value) for every
+    count argument checked by ``core.check_count``."""
+    pop = DevicePopulation(np.full(2, 0.5), np.ones(2))
+    frame = map_energies([[0.5, 0.5], [1.0, 0.0]], pop, 1.0)
+    sweep = dict(sm_pairs=((1, 1),), trials=2, channel_model="diagonal")
+    crossover = dict(budget=10, c_coh=1.0, c_nc=2.0, num_classes=4)
+    fd = dict(data=DatasetSpec(size=30), clients=2, private_size=10, open_size=10,
+              unlabeled_budget=4, pretrain_epochs=1)
+
+    def lockstep(batch_size=2, epochs=1):
+        return train_lockstep(np.zeros((1, 3, 2)), np.zeros((1, 2)), np.ones((1, 4, 3)),
+                              np.full((1, 4, 2), 0.5), epochs, batch_size, 0.1,
+                              [RandomSource(0)])
+
+    return [
+        ("num_classes", 2, 3, lambda v: RoundConfig(num_classes=v)),
+        ("reps", 1, 2, lambda v: RoundConfig(num_classes=3, reps=v)),
+        ("antennas", 1, 2, lambda v: RoundConfig(num_classes=3, antennas=v)),
+        ("n_devices", 1, 2, lambda v: PopulationSpec(n_devices=v)),
+        ("num_classes", 2, 3, lambda v: LabelSpec(num_classes=v)),
+        ("seed", 0, 1, lambda v: ExperimentSpec(seed=v)),
+        ("trials", 1, 2, lambda v: ExperimentSpec(trials=v)),
+        ("sm_pairs[1][0]", 1, 2, lambda v: ExperimentSpec(sm_pairs=((2, 2), (v, 4)))),
+        ("sm_pairs[0][1]", 1, 2, lambda v: ExperimentSpec(sm_pairs=((2, v),))),
+        ("threads", 1, 2, lambda v: run_experiment(ExperimentSpec(**sweep), threads=v)),
+        ("s", 1, 2, lambda v: RoundSpec(s=v)),
+        ("m", 1, 2, lambda v: RoundSpec(m=v)),
+        ("k", 2, 3, lambda v: mismatch_bias_bound(0.1, v)),
+        ("k", 2, 3, lambda v: calibrate_noise(1.0, v, 5.0)),
+        ("budget", 1, 10, lambda v: CrossoverModel(**{**crossover, "budget": v})),
+        ("num_classes", 2, 3, lambda v: CrossoverModel(**{**crossover, "num_classes": v})),
+        ("pilot_cost", 0, 2, lambda v: CrossoverModel(**crossover).mse(v)),
+        ("n", 1, 2, lambda v: sample_pathloss(PathlossModel(), v, RandomSource(0))),
+        ("trials", 1, 2, lambda v: simulate_rounds(frame, pop, RoundConfig(2), RandomSource(0),
+                                                   trials=v)),
+        ("sample_count", 1, 2, lambda v: scene_raw([[1.0, 2.0]], v, 1.0)),
+        ("t", 1, 2, lambda v: top_t_truncate(SoftLabel((0.5, 0.5)), v)),
+        ("num_classes", 2, 3, lambda v: DatasetSpec(num_classes=v)),
+        ("dim", 1, 2, lambda v: DatasetSpec(dim=v)),
+        ("size", 1, 2, lambda v: DatasetSpec(size=v)),
+        ("batch_size", 1, 2, lambda v: lockstep(batch_size=v)),
+        ("epochs", 0, 1, lambda v: lockstep(epochs=v)),
+        ("seed", 0, 1, lambda v: FdSetup.build(FdProtocolConfig(**fd), v)),
+        *[(name, 1, valid, lambda v, name=name: FdProtocolConfig(**{name: v}))
+          for name, valid in (("clients", 5), ("unlabeled_budget", 5), ("batch_size", 5),
+                              ("private_size", 5), ("open_size", 256))],
+        *[(name, 0, 1, lambda v, name=name: FdProtocolConfig(**{name: v}))
+          for name in ("pretrain_epochs", "distill_epochs")],
+    ]
+
+
+@pytest.mark.parametrize("name, minimum, valid, call",
+                         [pytest.param(*case, id=f"{i}-{case[0]}")
+                          for i, case in enumerate(_count_calls())])
+def test_counts_are_checked(name, minimum, valid, call):
+    # 2.5 and True used to pass most of these, or to raise a bare TypeError
+    for bad in (minimum - 1, 2.5, True):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer "
+                                             rf">= {minimum}, got {bad}$"):
+            call(bad)
+    call(np.int64(valid))
+
+
+@pytest.mark.parametrize("cls, name, extra", [
+    (DatasetSpec, "noise_std", {}),
+    (PathlossModel, "shadowing_std_db", {}),
+    (PathlossModel, "exponent", {"normalize_mean": False}),
+    (FdProtocolConfig, "learning_rate", {}),
+    (LabelSpec, "alpha", {}),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_reals_must_be_finite(cls, name, extra, bad):
+    # inf and nan used to construct: inf shadowing drew nan gains with a
+    # RuntimeWarning, an inf exponent gains of 0.0, an inf noise_std inf features
+    with pytest.raises(ValueError, match=rf"^{name} must be .*finite, got {bad}$"):
+        cls(**{name: bad}, **extra)

@@ -58,7 +58,7 @@ class TestSceneEstimate:
     @pytest.mark.parametrize("sample_count", [0, -1, 0.5])
     def test_sample_count_below_one(self, sample_count):
         # 0 divided by zero, and -1 returned the sign-flipped [[1, 0]]
-        with pytest.raises(ValueError, match="sample_count must be >= 1, got"):
+        with pytest.raises(ValueError, match="sample_count must be an integer >= 1, got"):
             scene_raw([[1.0, 2.0]], sample_count, 1.0)
         assert np.array_equal(scene_raw([[1.0, 2.0]], 1, 1.0), [[0.0, 1.0]])
 
@@ -292,12 +292,12 @@ class TestTopTTruncate:
 
     def test_bad_t(self):
         q = SoftLabel((0.5, 0.5))
-        with pytest.raises(ValueError, match="need 1 <= t <= 2"):
+        with pytest.raises(ValueError, match="t must be an integer >= 1, got 0"):
             top_t_truncate(q, 0)
         with pytest.raises(ValueError, match="need 1 <= t <= 2"):
             top_t_truncate(q, 3)
         for t in (1.5, 2.0):  # 1.5 raised a bare TypeError from slicing
-            with pytest.raises(ValueError, match="need 1 <= t <= 2, an integer"):
+            with pytest.raises(ValueError, match="t must be an integer >= 1"):
                 top_t_truncate(q, t)
         assert top_t_truncate(q, np.int64(2))[1] == 0.0
 

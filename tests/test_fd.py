@@ -66,7 +66,7 @@ class TestSyntheticDataset:
     @pytest.mark.parametrize("field, value", [("num_classes", 0), ("num_classes", 1),
                                               ("size", 0), ("dim", 0), ("noise_std", -0.3)])
     def test_bad_argument_is_named(self, field, value):
-        message = rf"{field}[ ,].* got DatasetSpec\(.*{field}={value}"
+        message = rf"^{field} must be .*, got {value}$"
         with pytest.raises(ValueError, match=message):
             DatasetSpec(**{field: value})
 
@@ -203,11 +203,11 @@ class TestLockstepSgd:
     def test_batch_size_below_one_is_rejected(self):
         weights, bias, x, targets = self.problem(1, 20)
         model = SoftmaxClassifier(weights[0], bias[0])
-        with pytest.raises(ValueError, match="batch_size >= 1, got 0"):
+        with pytest.raises(ValueError, match="batch_size must be an integer >= 1, got 0"):
             model.train_soft(x[0], targets[0], 2, 0, 0.7, RandomSource(6))
         # and epochs -1, which raised numpy's "negative dimensions are not
         # allowed" (0 stays valid: the zero-epochs reference cases)
-        with pytest.raises(ValueError, match="epochs >= 0, got -1"):
+        with pytest.raises(ValueError, match="epochs must be an integer >= 0, got -1"):
             model.train_soft(x[0], targets[0], -1, 4, 0.7, RandomSource(6))
         assert np.array_equal(model.weights, weights[0])
 
@@ -347,7 +347,7 @@ class TestSplit:
         assert split.test_features.shape[0] == 2000
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="unlabeled budget must be >= 1"):
+        with pytest.raises(ValueError, match="unlabeled_budget must be an integer >= 1, got 0"):
             FdProtocolConfig(unlabeled_budget=0)
         with pytest.raises(ValueError):
             FdProtocolConfig(unlabeled_budget=5000, open_size=4000)

@@ -196,7 +196,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(montecarlo, "simulate_rounds", fail)
         if threads < 1:  # rejected before any setup: 0 used to run on one worker
-            with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            with pytest.raises(ValueError, match=f"threads must be an integer >= 1, got {threads}"):
                 run_experiment(small_spec(), threads=threads)
             return
         with pytest.raises(RuntimeError, match=r"sweep point S=2, M=2, snr_db=5\.0 failed: "
@@ -226,7 +226,7 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match=r"sweep point S=4, M=4, snr_db=-3000\.0 failed: "
                                                "noise_var .* overflows"):
             run_experiment(spec, threads=2)
-        with pytest.raises(ValueError, match="threads must be >= 1"):
+        with pytest.raises(ValueError, match="threads must be an integer >= 1, got 0"):
             run_experiment(spec, threads=0)
         assert calls == []
 
