@@ -104,7 +104,7 @@ def calibrate_noise(rho: float, k: int, snr_db: float) -> float:
     check_snr(snr_db=snr_db)
     noise = (rho / k) / 10.0 ** (snr_db / 10.0)
     if not 0.0 < noise < math.inf:
-        raise ValueError(f"snr_db {snr_db} puts the noise power outside the float range")
+        raise ValueError(f"snr_db {snr_db} at rho {rho!r} puts noise_var outside the float range")
     return noise
 
 

@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import enum
 import json
-import math
 import os
 import sys
 import types
@@ -79,14 +78,11 @@ class CrossoverSpec:
     sweep: ExperimentSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.sweep is not None:
-            check_mse_fit(self.sweep)
-            if self.sweep.labels.num_classes != self.num_classes:
-                raise ValueError(f"the fit sweep has K = {self.sweep.labels.num_classes} "
-                                 f"classes, the crossover num_classes = {self.num_classes}")
         if not (self.budgets and self.pilot_costs and self.constant_pairs):
             raise ValueError("crossover lists must be nonempty")
-        if not 0 <= min(self.pilot_costs) < min(self.budgets):
+        check_count(1, **{f"budgets[{i}]": b for i, b in enumerate(self.budgets)})
+        check_count(0, **{f"pilot_costs[{i}]": p for i, p in enumerate(self.pilot_costs)})
+        if not min(self.pilot_costs) < min(self.budgets):
             raise ValueError(f"every budget needs a row: need 0 <= min(pilot_costs) < "
                              f"min(budgets), got {self.pilot_costs} and {self.budgets}")
         for i, (c_coh, c_nc) in enumerate(self.constant_pairs):
@@ -98,6 +94,11 @@ class CrossoverSpec:
         # each model checks its budget, constants and K; the fit's c_nc is not
         # known yet, and 1.0 is valid at every budget, so only each c_coh is checked
         self.models(None if self.sweep is None else 1.0)
+        if self.sweep is not None:
+            check_mse_fit(self.sweep)
+            if self.sweep.labels.num_classes != self.num_classes:
+                raise ValueError(f"the fit sweep has K = {self.sweep.labels.num_classes} "
+                                 f"classes, the crossover num_classes = {self.num_classes}")
 
     def models(self, fitted_c_nc: float | None = None) -> list[CrossoverModel]:
         """One model per (constant pair, budget) in CSV order; ``fitted_c_nc``
@@ -125,7 +126,9 @@ def _strip_optional(tp):
 
 
 def _convert(tp, value, path: str):
-    """Coerce a JSON value to the annotated field type, strictly."""
+    """Coerce a JSON value to the shape of the annotated field type: objects,
+    arrays, nulls, numbers and booleans. Counts and settings pass through as
+    they are, and every value is checked by the class that holds it."""
     tp, optional = _strip_optional(tp)
     if value is None:
         if optional:
@@ -135,11 +138,8 @@ def _convert(tp, value, path: str):
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected an object")
         return _from_dict(tp, value, path)
-    if isinstance(tp, type) and issubclass(tp, enum.Enum):
-        try:
-            return tp(value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+    if tp is int or (isinstance(tp, type) and issubclass(tp, enum.Enum)):
+        return value  # a count or a setting: the class that holds it checks it
     if typing.get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected an array")
@@ -152,13 +152,7 @@ def _convert(tp, value, path: str):
     if tp is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{path}: expected a number")
-        if not math.isfinite(value):
-            raise ConfigError(f"{path}: expected a finite number, got {value}")
         return float(value)
-    if tp is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{path}: expected an integer")
-        return value
     if tp is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected a boolean")

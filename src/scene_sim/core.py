@@ -160,9 +160,16 @@ class RhoRule(Enum):
 
 def coerce_settings(obj, **kinds: type[Enum]) -> None:
     """Store each named field of a frozen dataclass as a member of its
-    setting Enum; a string must be one of the setting's values."""
+    setting Enum, given the member or its value; anything else is a
+    ValueError naming the field and the setting's values."""
     for name, kind in kinds.items():
-        object.__setattr__(obj, name, kind(getattr(obj, name)))
+        value = getattr(obj, name)
+        try:
+            member = kind(value)
+        except (TypeError, ValueError):
+            values = ", ".join(repr(m.value) for m in kind)
+            raise ValueError(f"{name} must be one of {values}, got {value!r}") from None
+        object.__setattr__(obj, name, member)
 
 
 def check_count(minimum: int, **counts: int) -> None:
@@ -191,16 +198,17 @@ def check_scale(**scales: float) -> None:
 
 
 def check_snr(**snrs: float) -> None:
-    """Reject SNRs in dB whose linear factor 10^(snr_db/10) is zero or past
-    the float64 range, snr_db about outside [-3230, 3080]: no noise power
-    realizes them."""
+    """Reject SNRs in dB that are nan or whose linear factor 10^(snr_db/10)
+    is zero or past the float64 range, snr_db about outside [-3230, 3080]: no
+    noise power realizes them."""
     for name, snr_db in snrs.items():
         try:
             factor = 10.0 ** (snr_db / 10.0)
         except OverflowError:
             factor = math.inf
         if not 0.0 < factor < math.inf:
-            raise ValueError(f"{name} {snr_db} puts the noise power outside the float range")
+            raise ValueError(f"{name} must be finite, with a noise power in the float range, "
+                             f"got {snr_db}")
 
 
 def csv_cell(x: object) -> str:
@@ -255,15 +263,18 @@ class RoundConfig:
 class RandomSource:
     """Deterministic random stream with independent child splitting.
 
-    ``seed`` is an int or a ``numpy.random.SeedSequence``. The same seed and
-    the same call sequence reproduce draws bit for bit. ``split`` derives
+    ``seed`` is an int >= 0 or a ``numpy.random.SeedSequence``. The same
+    seed and the same call sequence reproduce draws bit for bit. ``split`` derives
     statistically independent child streams, so Monte Carlo trials can be
     partitioned without overlapping randomness: each sweep job draws from
     its own child, whichever pool worker runs it.
     """
 
     def __init__(self, seed: int | np.random.SeedSequence):
-        self._seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        if not isinstance(seed, np.random.SeedSequence):
+            check_count(0, seed=seed)
+            seed = np.random.SeedSequence(seed)
+        self._seq = seed
         self.generator = np.random.Generator(np.random.PCG64(self._seq))
 
     @property
@@ -272,6 +283,7 @@ class RandomSource:
 
     def split(self, n: int) -> list["RandomSource"]:
         """Derive ``n`` independent child sources."""
+        check_count(1, n=n)
         return [RandomSource(s) for s in self._seq.spawn(n)]
 
     def __repr__(self) -> str:

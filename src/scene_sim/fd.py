@@ -230,6 +230,8 @@ class SoftmaxClassifier:
 
     @classmethod
     def initialize(cls, dim: int, num_classes: int, rng: RandomSource, scale: float = 0.01):
+        check_count(1, dim=dim)
+        check_count(2, num_classes=num_classes)
         gen = rng.generator
         return cls(scale * gen.standard_normal((dim, num_classes)), np.zeros(num_classes))
 

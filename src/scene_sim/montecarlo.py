@@ -177,7 +177,10 @@ class LabelSpec:
                 raise ValueError("fixed label spec needs labels")
             if any(len(row) != self.num_classes for row in self.fixed):
                 raise ValueError(f"every fixed label needs num_classes = {self.num_classes} entries")
-            check_simplex(self.fixed)
+            try:
+                check_simplex(self.fixed)
+            except ValueError as exc:
+                raise ValueError(f"fixed labels: {exc}") from None
         elif self.fixed is not None:
             raise ValueError(f"fixed labels need kind 'fixed', got kind '{self.kind.value}'")
 

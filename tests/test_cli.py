@@ -118,7 +118,7 @@ class TestRoundCommand:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"round": {key: value}}))
         assert run_cli(["round", "--config", cfg, "--out", tmp_path]) == 1
-        assert f"round.{key}" in capsys.readouterr().err
+        assert f"config error: round: {key} must be one of" in capsys.readouterr().err
         assert not (tmp_path / "config_resolved.json").exists()
 
     def test_estimator_both_rejected(self, tmp_path, capsys):
@@ -770,10 +770,21 @@ class TestErrorPaths:
         load_config(str(cfg), command)
 
     def test_wrong_type(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"sweep": {"trials": "many"}}))
-        assert run_cli(["sweep", "--config", cfg, "--out", tmp_path]) == 1
-        assert "trials" in capsys.readouterr().err
+        # the class that holds each value rejects it, at load
+        for command, section, key in [
+            ("sweep", {"trials": "many"}, "trials"),
+            ("sweep", {"trials": 2.0}, "trials"),
+            ("sweep", {"trials": True}, "trials"),
+            ("sweep", {"estimator": True}, "estimator"),
+            ("crossover", {"pilot_costs": [0, 2.5]}, "pilot_costs[1]"),
+            ("crossover", {"budgets": [100.0]}, "budgets[0]"),
+        ]:
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps({command: section}))
+            assert run_cli([command, "--config", cfg, "--out", tmp_path]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and key in err, err
+            assert not (tmp_path / "config_resolved.json").exists()
 
     @pytest.mark.parametrize("tp", [list[int], str, dict[str, int]])
     def test_unsupported_field_type_is_loud(self, tp):
@@ -1000,8 +1011,9 @@ def test_crossover_section_rejected_at_load_or_runs_finite(section):
 # extreme values. The rho and SNR lists reach past the run-time limits that
 # load cannot check, as under min_rho they depend on the drawn gains: rho past
 # the float32 amplitude range of the superposition kernel (about 1e+-76), a
-# noise power rho / K * 10^(-snr_db / 10) whose square over rho^2 overflows in
-# the variance bound (at rho 1, below about -1540 dB), and sweep moments past
+# noise power rho / K * 10^(-snr_db / 10) past the float64 range (a min_rho
+# near 1e10 at -3000 dB) or whose square over rho^2 overflows in the variance
+# bound (at rho 1, below about -1540 dB), both named noise_var, sweep moments past
 # the float64 range (at -1545 dB). A run may fail only at one of these limits,
 # named in its error (_LIMITS), and must then leave no result file and no
 # echoed config; every other run exits 0 with finite outputs. rho_value,
@@ -1106,6 +1118,8 @@ def test_sweep_section_rejected_at_load_or_runs_finite(section, monkeypatch):
 @example(section={"rho_value": 1e-70})  # rejected: min_rho negotiates rho
 @example(section={"rho_rule": "fixed", "rho_value": 1e70,
                   "snr_db": -3000.0})  # rejected: noise power past the float range
+@example(section={"snr_db": -3000.0, "population": {"pathloss": {
+    "distance_range": (1e-3, 1e-3), "normalize_mean": False}}})  # noise power, at run time
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_round_section_rejected_at_load_or_runs_finite(section):
     with _load_or_run("round", section) as run:

@@ -9,17 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scene_sim import (
+    Aggregation,
+    ChannelModel,
     CrossoverModel,
     DatasetSpec,
     DevicePopulation,
+    Estimator,
     ExperimentSpec,
     FdProtocolConfig,
     FdSetup,
+    LabelKind,
     LabelSpec,
     PathlossModel,
     PopulationSpec,
     RandomSource,
+    RhoRule,
     RoundConfig,
+    SoftmaxClassifier,
+    WeightRule,
     calibrate_noise,
     map_energies,
     mismatch_bias_bound,
@@ -399,6 +406,10 @@ def _count_calls():
                               ("private_size", 5), ("open_size", 256))],
         *[(name, 0, 1, lambda v, name=name: FdProtocolConfig(**{name: v}))
           for name in ("pretrain_epochs", "distill_epochs")],
+        ("seed", 0, 1, lambda v: RandomSource(v)),
+        ("n", 1, 2, lambda v: RandomSource(0).split(v)),
+        ("dim", 1, 2, lambda v: SoftmaxClassifier.initialize(v, 3, RandomSource(0))),
+        ("num_classes", 2, 3, lambda v: SoftmaxClassifier.initialize(2, v, RandomSource(0))),
     ]
 
 
@@ -412,6 +423,27 @@ def test_counts_are_checked(name, minimum, valid, call):
                                              rf">= {minimum}, got {bad}$"):
             call(bad)
     call(np.int64(valid))
+
+
+@pytest.mark.parametrize("cls, name, member, extra", [
+    pytest.param(*case, id=f"{case[0].__name__}-{case[1]}") for case in [
+        (RoundConfig, "channel_model", ChannelModel.DIAGONAL, {"num_classes": 3}),
+        (ExperimentSpec, "rho_rule", RhoRule.FIXED, {}),
+        (ExperimentSpec, "channel_model", ChannelModel.DIAGONAL, {}),
+        (ExperimentSpec, "estimator", Estimator.BOTH, {}),
+        (PopulationSpec, "weight_rule", WeightRule.RANDOM, {}),
+        (LabelSpec, "kind", LabelKind.VERTEX, {}),
+        (FdProtocolConfig, "aggregation", Aggregation.RATIO, {}),
+        (FdProtocolConfig, "rho_rule", RhoRule.FIXED, {}),
+    ]
+])
+def test_settings_are_checked(cls, name, member, extra):
+    # "diag" used to raise "'diag' is not a valid ChannelModel", naming no argument
+    for bad in ("bogus", True):
+        with pytest.raises(ValueError, match=rf"^{name} must be one of "):
+            cls(**{name: bad}, **extra)
+    for good in (member, member.value):
+        assert getattr(cls(**{name: good}, **extra), name) is member
 
 
 @pytest.mark.parametrize("cls, name, extra", [

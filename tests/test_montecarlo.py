@@ -122,9 +122,9 @@ class TestLabelSpec:
             LabelSpec(kind="fixed", num_classes=3, fixed=((0.2, 0.8), (0.2, 0.3, 0.5)))
 
     def test_fixed_rows_on_simplex_at_construction(self):
-        with pytest.raises(ValueError, match="sum to"):
+        with pytest.raises(ValueError, match="^fixed labels: entries sum to"):
             LabelSpec(kind="fixed", num_classes=2, fixed=((0.2, 0.3),))
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="^fixed labels: .* must be finite"):
             LabelSpec(kind="fixed", num_classes=2, fixed=((float("nan"), 1.0),))
 
     @pytest.mark.parametrize("alpha", [0.0, -0.5, float("nan")])
