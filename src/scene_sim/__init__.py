@@ -4,9 +4,10 @@ aggregation of soft labels in federated distillation."""
 from .analysis import (
     CrossoverModel,
     calibrate_noise,
+    energy_covariance,
     mismatch_bias,
     mismatch_bias_bound,
-    scene_variance_diagonal,
+    scene_variance,
     variance_bound,
 )
 from .channel import (
@@ -49,12 +50,11 @@ from .montecarlo import (
     ExperimentSpec,
     LabelKind,
     LabelSpec,
-    MseConstantEstimate,
     PopulationSpec,
     ResultRow,
     TrialStats,
     WeightRule,
-    estimate_mse_constants,
+    mse_constant,
     run_experiment,
 )
 from .power import (

@@ -1,5 +1,6 @@
-"""Closed-form evaluators: bias under gain mismatch, variance bounds, noise
-calibration, and the coherent-vs-noncoherent crossover model.
+"""Closed-form evaluators: bias under gain mismatch, variance bounds, the
+exact second moments of the received energies, noise calibration, and the
+coherent-vs-noncoherent crossover model.
 
 ``labels`` arguments take the N device labels as any (N, K) array-like, such
 as a list of :class:`core.SoftLabel`, with rows checked by
@@ -8,12 +9,12 @@ as a list of :class:`core.SoftLabel`, with rows checked by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (DevicePopulation, RoundConfig, check_count, check_scale, check_simplex,
-                   check_snr, csv_cell)
+from .core import (ChannelModel, DevicePopulation, RoundConfig, check_count, check_scale,
+                   check_simplex, check_snr, csv_cell)
 
 CROSSOVER_CSV_HEADER = "B,P,c_coh,c_nc,mse_coh,mse_nc,scene_wins"
 
@@ -69,27 +70,51 @@ def variance_bound(pop: DevicePopulation, labels, cfg: RoundConfig) -> np.ndarra
     return (2.0 / cfg.sample_count) * (signal + noise)
 
 
-def scene_variance_diagonal(pop: DevicePopulation, labels, cfg: RoundConfig) -> np.ndarray:
-    """Exact Var(r_c) under the diagonal channel model, correlated or not.
+def energy_covariance(pop: DevicePopulation, labels, cfg: RoundConfig) -> np.ndarray:
+    """Exact covariance of the received slot energies (Y_1 .. Y_K[, R]) of
+    one round under either channel model, correlated or not; the reference
+    slot R, sending each eta_i, is appended when ``cfg.use_reference_re``.
 
-    With independent class energies, Var(Y_c - Ybar) expands exactly to
-    (1 - 2/K) Var(Y_c) + (1/K^2) sum_j Var(Y_j), and the per-sample energy
-    variance is f * sum_i (rho omega_i gamma_i q_{i,c})^2 + sigma_N^4. The
-    factor f = ||C||_F^2 / (S*M) of the fading correlation C (see ``channel``)
-    is sum_{s,s'} time_corr^|s-s'| * sum_{m,m'} space_corr^|m-m'| / (S*M).
+    a_ic = rho omega_i gamma_i q_ic is the mean energy device i puts in one
+    sample of slot c, A_c = sum_i a_ic, and F = sum_{s,s'} time_corr^|s-s'| *
+    sum_{m,m'} space_corr^|m-m'| (S*M without correlation).
+    SUPERPOSITION: every sample of a slot is CN(0, A_c + sigma_N^2), and the
+    slots share the fading magnitudes, so Var(Y_c) = S*M (A_c + sigma_N^2)^2
+    + (F - S*M) sum_i a_ic^2 and Cov(Y_c, Y_d) = F sum_i a_ic a_id.
+    DIAGONAL: the slots are independent, Var(Y_c) = F sum_i a_ic^2 + S*M sigma_N^4.
     """
     q = check_simplex(labels)
-    k = q.shape[1]
-    frobenius2 = 1.0
+    if q.shape != (pop.num_devices, cfg.num_classes):
+        raise ValueError(f"labels of shape {q.shape} for {pop.num_devices} devices "
+                         f"and {cfg.num_classes} classes")
+    if cfg.use_reference_re:
+        q = np.column_stack([q, np.ones(len(q))])
+    a = (cfg.rho * pop.omegas * pop.gammas)[:, None] * q
+    f = 1.0
     for count, corr in ((cfg.reps, cfg.time_corr), (cfg.antennas, cfg.space_corr)):
         lag = np.arange(count)
-        frobenius2 *= float((corr ** np.abs(lag[:, None] - lag)).sum())
-    per_sample = (
-        frobenius2 / cfg.sample_count * cfg.rho**2 * ((pop.omegas * pop.gammas) ** 2) @ (q**2)
-        + noise_energy_variance(cfg)
-    )
-    centered = (1.0 - 2.0 / k) * per_sample + per_sample.sum() / k**2
-    return centered / (cfg.sample_count * cfg.rho**2)
+        f *= float((corr ** np.abs(lag[:, None] - lag)).sum())
+    sm, a2, noise2 = cfg.sample_count, (a**2).sum(axis=0), noise_energy_variance(cfg)
+    if cfg.channel_model is ChannelModel.DIAGONAL:
+        return np.diag(f * a2 + sm * noise2)
+    return f * (a.T @ a) + np.diag(sm * ((a.sum(axis=0) + cfg.noise_var) ** 2 - a2))
+
+
+def scene_variance(pop: DevicePopulation, labels, cfg: RoundConfig) -> np.ndarray:
+    """Exact Var(r_c) of the self-centering estimate under either channel
+    model: r = P Y / (S*M*rho) + 1/K with P = I - 11^T/K, so
+    Var(r) = diag(P Sigma_Y P) / (S*M*rho)^2 with Sigma_Y the class block of
+    :func:`energy_covariance`."""
+    k = cfg.num_classes
+    p = np.eye(k) - 1.0 / k
+    cov = energy_covariance(pop, labels, cfg)[:k, :k]
+    return np.diag(p @ cov @ p) / cfg.sample_count**2 / cfg.rho**2
+
+
+def scene_variance_diagonal(pop: DevicePopulation, labels, cfg: RoundConfig) -> np.ndarray:
+    """:func:`scene_variance` under the diagonal model, whatever
+    ``cfg.channel_model`` says."""
+    return scene_variance(pop, labels, replace(cfg, channel_model=ChannelModel.DIAGONAL))
 
 
 def calibrate_noise(rho: float, k: int, snr_db: float) -> float:

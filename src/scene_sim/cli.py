@@ -24,14 +24,7 @@ from .channel import simulate_round
 from .core import Estimator, check_count, weighted_average
 from .estimators import ratio_estimate, scene_estimate
 from .fd import FD_CSV_HEADER, FdProtocolConfig, fd_csv_row, run_fd
-from .montecarlo import (
-    ExperimentSpec,
-    SetupSpec,
-    check_mse_fit,
-    estimate_mse_constants,
-    run_experiment,
-    write_rows_csv,
-)
+from .montecarlo import ExperimentSpec, SetupSpec, mse_constant, run_experiment, write_rows_csv
 from .power import check_noise
 
 
@@ -68,8 +61,8 @@ class RoundSpec(SetupSpec):
 @dataclass(frozen=True)
 class CrossoverSpec:
     """Grid evaluation of the pilot-cost crossover model. Each pair is
-    (c_coh, c_nc); with a ``sweep`` section every c_nc is null, and the c_nc
-    fitted from that sweep fills it."""
+    (c_coh, c_nc); with a ``sweep`` section every c_nc is null, and the exact
+    c_nc of that sweep's points (:func:`montecarlo.mse_constant`) fills it."""
 
     budgets: tuple[int, ...] = (100,)
     pilot_costs: tuple[int, ...] = tuple(range(0, 100, 2))
@@ -87,23 +80,31 @@ class CrossoverSpec:
                              f"min(budgets), got {self.pilot_costs} and {self.budgets}")
         for i, (c_coh, c_nc) in enumerate(self.constant_pairs):
             if self.sweep is not None and c_nc is not None:
-                raise ValueError(f"constant_pairs[{i}] = [{c_coh}, {c_nc}]: the sweep fits "
+                raise ValueError(f"constant_pairs[{i}] = [{c_coh}, {c_nc}]: the sweep gives "
                                  "c_nc, so write the pair as [c_coh, null]")
             if self.sweep is None and c_nc is None:
-                raise ValueError(f"constant_pairs[{i}]: a null c_nc needs a sweep to fit it")
-        # each model checks its budget, constants and K; the fit's c_nc is not
+                raise ValueError(f"constant_pairs[{i}]: a null c_nc needs a sweep to give it")
+        # each model checks its budget, constants and K; the sweep's c_nc is not
         # known yet, and 1.0 is valid at every budget, so only each c_coh is checked
         self.models(None if self.sweep is None else 1.0)
-        if self.sweep is not None:
-            check_mse_fit(self.sweep)
-            if self.sweep.labels.num_classes != self.num_classes:
-                raise ValueError(f"the fit sweep has K = {self.sweep.labels.num_classes} "
-                                 f"classes, the crossover num_classes = {self.num_classes}")
+        if self.sweep is None:
+            return
+        snrs = sorted(set(self.sweep.snr_db_values))
+        if len(snrs) > 1:
+            raise ValueError(f"c_nc depends on the SNR; give one, got snr_db {snrs}")
+        if self.sweep.labels.num_classes != self.num_classes:
+            raise ValueError(f"the sweep has K = {self.sweep.labels.num_classes} "
+                             f"classes, the crossover num_classes = {self.num_classes}")
+        for key in ("trials", "estimator"):  # c_nc is exact, and of the scene estimator
+            value = getattr(self.sweep, key)
+            if value != getattr(ExperimentSpec, key):
+                raise ValueError(f"sweep.{key} {getattr(value, 'value', value)!r} is read only "
+                                 "under the sweep command; crossover computes c_nc exactly")
 
-    def models(self, fitted_c_nc: float | None = None) -> list[CrossoverModel]:
-        """One model per (constant pair, budget) in CSV order; ``fitted_c_nc``
+    def models(self, sweep_c_nc: float | None = None) -> list[CrossoverModel]:
+        """One model per (constant pair, budget) in CSV order; ``sweep_c_nc``
         fills each null c_nc."""
-        return [CrossoverModel(b, c_coh, fitted_c_nc if c_nc is None else c_nc,
+        return [CrossoverModel(b, c_coh, sweep_c_nc if c_nc is None else c_nc,
                                self.num_classes)
                 for c_coh, c_nc in self.constant_pairs for b in self.budgets]
 
@@ -152,7 +153,11 @@ def _convert(tp, value, path: str):
     if tp is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{path}: expected a number")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal past the float range
+            raise ConfigError(f"{path}: expected a finite number, got an integer "
+                              "past the float range") from None
     if tp is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected a boolean")
@@ -234,16 +239,15 @@ def cmd_sweep(spec: ExperimentSpec, out_dir: Path, threads: int) -> None:
     print(f"wrote {len(rows)} rows to {out_dir / 'sweep.csv'}")
 
 
-def cmd_crossover(spec: CrossoverSpec, out_dir: Path, threads: int) -> None:
+def cmd_crossover(spec: CrossoverSpec, out_dir: Path) -> None:
     """Evaluate the crossover model over the (B, P) grid, with each null c_nc
-    fitted from the ``sweep`` section."""
-    fitted = None
+    the exact one of the ``sweep`` section."""
+    c_nc = None
     if spec.sweep is not None:
-        fit = estimate_mse_constants(spec.sweep, threads=threads)
-        fitted = fit.c_nc
-        print(f"using fitted c_nc = {fit.c_nc:.6g} (se {fit.se:.2g})")
+        c_nc = mse_constant(spec.sweep)
+        print(f"using exact c_nc = {c_nc:.7g}")
     lines = [CROSSOVER_CSV_HEADER]
-    for model in spec.models(fitted):
+    for model in spec.models(c_nc):
         lines += [model.csv_row(p) for p in spec.pilot_costs if p < model.budget]
     (out_dir / "crossover.csv").write_text("\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} rows to {out_dir / 'crossover.csv'}")
@@ -288,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="root random seed")
-        if name in ("sweep", "crossover"):
+        if name == "sweep":
             p.add_argument("--threads", type=int, default=None,
                            help="worker threads for trial parallelism "
                                 f"(default: one per usable core, at most {_DEFAULT_MAX_THREADS})")
@@ -299,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
-    threads = getattr(args, "threads", None)  # a flag of sweep and crossover only
+    threads = getattr(args, "threads", None)  # a flag of sweep only
     try:
         if threads is not None and threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {threads}")
@@ -312,12 +316,14 @@ def main(argv: list[str] | None = None) -> int:
             cmd_round(spec)
         elif command == "fd":
             cmd_fd(spec, seed, out_dir)
+        elif command == "crossover":
+            cmd_crossover(spec, out_dir)
         else:
             if threads is None:  # the CPUs this process may run on, where the OS tells
                 usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                           else os.cpu_count() or 1)
                 threads = min(usable, _DEFAULT_MAX_THREADS)
-            (cmd_sweep if command == "sweep" else cmd_crossover)(spec, out_dir, threads)
+            cmd_sweep(spec, out_dir, threads)
         _echo_config(spec, command, seed, out_dir)  # only a run that succeeded is echoed
         return 0
     except ConfigError as exc:

@@ -9,7 +9,6 @@ workers run them.
 
 from __future__ import annotations
 
-import math
 import threading
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -434,47 +433,14 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[Res
     return rows
 
 
-@dataclass(frozen=True)
-class MseConstantEstimate:
-    """Fitted noncoherent MSE constant: mean of Var(r_c) * S * M across sweep
-    points (classes averaged within each point) and its standard error."""
-
-    c_nc: float
-    se: float
-
-
-def check_mse_fit(spec: ExperimentSpec) -> None:
-    """Reject a sweep :func:`estimate_mse_constants` cannot fit.
-
-    The fit needs at least three distinct S*M products, so flatness of the
-    fit is informative about the scaling law rather than a single budget; a
-    single SNR, since c grows with the sigma_N^4 / rho^2 noise term; and
-    self-centering variances: the scene estimator alone, two or more trials.
-    """
-    snrs = sorted(set(spec.snr_db_values))
-    if len(snrs) > 1:
-        raise ValueError(f"c_nc depends on the SNR; fit one at a time, got snr_db {snrs}")
-    products = {s * m for (s, m) in spec.sm_pairs}
-    if len(products) < 3:
-        raise ValueError(f"need >= 3 distinct S*M products, got {sorted(products)}")
-    if spec.estimator is not Estimator.SCENE:
-        raise ValueError(f"c_nc is fitted to the scene estimator alone: set estimator "
-                         f"'scene', not '{spec.estimator.value}'")
-    if spec.trials < 2:
-        raise ValueError(f"a variance needs >= 2 trials per point, got {spec.trials}")
-
-
-def estimate_mse_constants(
-    spec: ExperimentSpec, threads: int | None = None
-) -> MseConstantEstimate:
-    """Estimate the c in Var(r_c) ~ c / (S*M) from a sweep that passes
-    :func:`check_mse_fit`."""
-    check_mse_fit(spec)
-    by_point: dict[tuple[int, int, float], list[float]] = {}
-    for r in run_experiment(spec, threads):
-        if r.estimator == "scene":  # not its projection "scene_proj"
-            by_point.setdefault((r.s, r.m, r.snr_db), []).append(r.var * r.s * r.m)
-    per_point = tuple(float(np.mean(v)) for v in by_point.values())
-    c_hat = float(np.mean(per_point))
-    se = float(np.std(per_point, ddof=1) / math.sqrt(len(per_point)))
-    return MseConstantEstimate(c_hat, se)
+def mse_constant(spec: ExperimentSpec) -> float:
+    """Exact noncoherent MSE constant c_nc of the sweep ``spec``: the mean over
+    its points of the class-mean :func:`analysis.scene_variance` times S*M,
+    for the population and labels :func:`run_experiment` draws. A sweep's
+    Monte Carlo ``var`` * S * M estimates the same number."""
+    pop, labels, _ = spec.draw(spec.seed)
+    corr = dict(time_corr=spec.time_corr, space_corr=spec.space_corr)
+    cfgs = [spec.point(pop, labels, s, m, snr_db, **corr)[0]
+            for s, m in spec.sm_pairs for snr_db in spec.snr_db_values]
+    return float(np.mean([np.mean(analysis.scene_variance(pop, labels, cfg)) * cfg.sample_count
+                          for cfg in cfgs]))

@@ -10,7 +10,7 @@ probability 2 * Phi(-k) (0.0027 at k = 3) under a normal approximation, and
 several bands combine by the union bound:
 
 * 01: 20 class bands at 3 SE (2 models x 10 classes): <= 0.054.
-* 02: the five splits share one exact Var * S*M (``scene_variance_diagonal``);
+* 02: the five splits share one exact Var * S*M (``scene_variance``);
   the class-mean variance of a point has relative SD <= 0.005 at 1e5 trials,
   so a 0.10 spread needs a pair 14 SD apart: < 1e-40.
 * 03: the bound is >= 1.11x the exact variance on all 20 configs; with the
@@ -21,7 +21,9 @@ several bands combine by the union bound:
 * 05 (i): 100 class bands at 3 SE (20 configs x 5 classes): about 0.24.
 * 07 (iii): 3 ratio bands at 3 SE, whose centre is off by the second-order
   ratio bias E[Y] E[1/R] - E[Y] / E[R] = 0.72-0.89 SE at 1e4 trials
-  (measured on 4e6 trials): about 0.04.
+  (measured on 4e6 trials); its second-order term
+  -Cov(Y_c, R) / mu_R^2 + mu_c Var(R) / mu_R^3, from ``energy_covariance``,
+  gives 0.71-0.82 SE: about 0.04.
 * 09: the exact correlated variance is 8.3-8.4% below the prediction c / S_eff
   (finite-S factor 2.75 against 3); the 20% gate then leaves >= 27 SD of the
   sample variances (relative SD <= 0.005 at 2e5 trials): < 1e-100.
@@ -66,7 +68,7 @@ from scene_sim import (
     run_fd,
     run_min_rho_protocol,
     scene_raw,
-    scene_variance_diagonal,
+    scene_variance,
     simulate_rounds,
     top_t_truncate,
     variance_bound,
@@ -363,7 +365,7 @@ def test_09_correlation_correction():
     corr = replace(cfg, time_corr=0.5)
     raw, _, _ = scene_samples(pop, labels, corr, seed=910, trials=200_000)
     # c from the independent case, computed exactly for the diagonal model
-    c = scene_variance_diagonal(pop, labels, cfg) * cfg.sample_count
+    c = scene_variance(pop, labels, cfg) * cfg.sample_count
     s_eff = 16 / (1 + 2 * sum(0.5**tau for tau in range(1, 16)))
     predicted = c / s_eff
     rel = np.abs(raw.var(axis=0, ddof=1) / predicted - 1.0)

@@ -13,11 +13,12 @@ from scene_sim import (
     RoundConfig,
     SoftLabel,
     calibrate_noise,
+    energy_covariance,
     map_energies,
     mismatch_bias,
     mismatch_bias_bound,
     scene_raw,
-    scene_variance_diagonal,
+    scene_variance,
     simulate_rounds,
     variance_bound,
     weighted_average,
@@ -121,7 +122,7 @@ class TestVarianceBound:
         labels = [SoftLabel((0.7, 0.2, 0.1)), SoftLabel((0.1, 0.1, 0.8))]
         cfg = RoundConfig(num_classes=3, reps=2, antennas=2, time_corr=0.5, noise_var=0.1)
         for fn in (mismatch_bias, lambda p, q: variance_bound(p, q, cfg),
-                   lambda p, q: scene_variance_diagonal(p, q, cfg),
+                   lambda p, q: scene_variance(p, q, cfg),
                    lambda p, q: map_energies(q, p, 0.5).energies):
             assert fn(pop, labels).tobytes() == fn(pop, np.asarray(labels)).tobytes()
 
@@ -141,7 +142,7 @@ class TestVarianceBound:
         # a sweep at rho 1e150 and -300 dB, or the quotient gave an inf bound;
         # the exact diagonal variance shares the noise term and its check
         cfg = RoundConfig(num_classes=2, rho=rho, noise_var=noise_var)
-        for closed_form in (variance_bound, scene_variance_diagonal):
+        for closed_form in (variance_bound, scene_variance):
             with pytest.raises(ValueError, match="noise_var"):
                 closed_form(make_uniform_population(1), [SoftLabel((0.5, 0.5))], cfg)
 
@@ -184,7 +185,7 @@ class TestVarianceBound:
         frame = map_energies(labels, pop, rho)
         y, _ = simulate_rounds(frame, pop, cfg, RandomSource(21), trials=200_000)
         raw = scene_raw(y, cfg.sample_count, rho)
-        predicted = scene_variance_diagonal(pop, labels, cfg)
+        predicted = scene_variance(pop, labels, cfg)
         emp = raw.var(axis=0, ddof=1)
         assert np.all(np.abs(emp / predicted - 1.0) < 0.05)
         # and the bound indeed dominates the exact value here
@@ -196,7 +197,8 @@ class TestVarianceBound:
         # exactly 1 without correlation, and the noise term never changes
         pop = DevicePopulation([0.6, 0.4], [1.5, 0.5], [1.0, 0.5])
         labels = [SoftLabel((0.7, 0.2, 0.1)), SoftLabel((0.1, 0.3, 0.6))]
-        cfg = RoundConfig(num_classes=3, reps=4, antennas=2, rho=1.3, noise_var=0.2)
+        cfg = RoundConfig(num_classes=3, reps=4, antennas=2, rho=1.3, noise_var=0.2,
+                          channel_model=ChannelModel.DIAGONAL)
         signal = cfg.rho**2 * ((pop.omegas * pop.gammas) ** 2) @ (
             np.stack([q.probs for q in labels]) ** 2
         )
@@ -206,7 +208,7 @@ class TestVarianceBound:
             centered = (1.0 - 2.0 / 3) * per_sample + per_sample.sum() / 9
             return centered / (cfg.sample_count * cfg.rho**2)
 
-        assert np.array_equal(scene_variance_diagonal(pop, labels, cfg), closed_form(1.0))
+        assert scene_variance(pop, labels, cfg) == pytest.approx(closed_form(1.0), rel=1e-14)
 
         def kms(n, corr):
             lag = np.arange(n)
@@ -215,9 +217,16 @@ class TestVarianceBound:
         for tc, sc in ((0.3, 0.0), (0.0, 0.2), (0.5, 0.7)):
             lam = np.linalg.eigvalsh(np.kron(kms(4, tc), kms(2, sc)))
             corr = replace(cfg, time_corr=tc, space_corr=sc)
-            assert scene_variance_diagonal(pop, labels, corr) == pytest.approx(
+            assert scene_variance(pop, labels, corr) == pytest.approx(
                 closed_form((lam**2).sum() / 8), rel=1e-12
             )
+
+    @pytest.mark.parametrize("n, k", [(1, 3), (2, 2)])
+    def test_energy_covariance_checks_label_shape(self, n, k):
+        # unchecked, a one-device population would broadcast over every label row
+        pop = make_uniform_population(n)
+        with pytest.raises(ValueError, match=rf"labels of shape \(2, 3\) for {n} devices"):
+            energy_covariance(pop, [[0.5, 0.3, 0.2]] * 2, RoundConfig(num_classes=k))
 
 
 class TestCalibrateNoise:

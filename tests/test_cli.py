@@ -21,14 +21,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SHIPPED_CONFIGS = sorted((ROOT / "configs").glob("*.json")) + sorted(
     (ROOT / "perfbench" / "configs").glob("*.json")
 )
-# A sweep the c_nc fit accepts, small enough for a unit test.
-FIT_SWEEP = {
+# A crossover sweep section, whose points give the exact c_nc; with a trial
+# count it is a small sweep section too.
+C_NC_SWEEP = {
     "population": {"n_devices": 3},
     "labels": {"kind": "dirichlet", "num_classes": 10, "alpha": 0.3},
     "sm_pairs": [[1, 1], [2, 2], [4, 4]],
     "snr_db_values": [5.0],
     "channel_model": "diagonal",
-    "trials": 200,
 }
 
 
@@ -273,7 +273,7 @@ class TestCrossoverCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--s", 2), ("--m", 2), ("--snr-db", 10), ("--rho", 0.5),
-        ("--model", "diagonal"), ("--estimator", "ratio"),
+        ("--model", "diagonal"), ("--estimator", "ratio"), ("--threads", 2),
     ])
     def test_per_field_flags_rejected(self, tmp_path, capsys, flag, value):
         # the crossover grid has no such field; the flag used to be ignored
@@ -294,16 +294,16 @@ class TestCrossoverCommand:
         {"constant_pairs": []},
         {"budgets": [100], "pilot_costs": [150, 200]},
         {"budgets": [1], "constant_pairs": [[1e308, 1.0]]},
-        {"constant_pairs": [[0.0, None]], "sweep": FIT_SWEEP},
-        {"constant_pairs": [[1.0, None], [-1.0, None]], "sweep": FIT_SWEEP},
-        {"budgets": [1], "constant_pairs": [[1e308, None]], "sweep": FIT_SWEEP},
+        {"constant_pairs": [[0.0, None]], "sweep": C_NC_SWEEP},
+        {"constant_pairs": [[1.0, None], [-1.0, None]], "sweep": C_NC_SWEEP},
+        {"budgets": [1], "constant_pairs": [[1e308, None]], "sweep": C_NC_SWEEP},
     ])
     def test_bad_grid_rejected_at_load(self, tmp_path, capsys, section):
         # these used to write config_resolved.json and then fail in the run,
         # or, for a negative pilot cost, an empty list or pilot costs no
         # budget admits, exit 0 with a header-only crossover.csv; a constant
-        # whose round MSE overflows wrote inf rows; a fit supplies only c_nc,
-        # so each c_coh is checked at load under a fit too
+        # whose round MSE overflows wrote inf rows; a sweep supplies only
+        # c_nc, so each c_coh is checked at load under a sweep too
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"crossover": section}))
         with pytest.raises(ConfigError):
@@ -314,20 +314,21 @@ class TestCrossoverCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("sweep, reason", [
-        ({"estimator": "ratio"}, "scene estimator"),
-        ({"trials": 1}, ">= 2 trials"),
-        ({"sm_pairs": [[1, 1], [2, 2], [4, 1]]}, "S*M products"),
+        ({"estimator": "ratio"}, "sweep.estimator 'ratio'"),
+        ({"trials": 1}, "sweep.trials 1"),
         ({"snr_db_values": [5.0, 10.0]}, "snr_db"),
         # a K = 10 crossover used to take the c_nc fitted at K = 3
         ({"labels": {"kind": "dirichlet", "num_classes": 3}}, "K = 3"),
-    ], ids=["ratio_only", "one_trial", "two_products", "several_snrs", "other_k"])
+    ], ids=["ratio_only", "one_trial", "several_snrs", "other_k"])
     def test_unfittable_sweep_rejected_at_load(self, tmp_path, capsys, sweep, reason):
         # a sweep section used to be ignored without "estimate_c_nc", so
         # each of these exited 0 on the configured constants; with it, the
         # first two printed "using fitted c_nc = nan", wrote nan rows and
-        # exited 0, and the last two wrote config_resolved.json first
+        # exited 0, and the last two wrote config_resolved.json first. The
+        # exact c_nc reads no trial count or estimator, so a value other than
+        # the default is one no run reads
         section = {"constant_pairs": [[1.0, None]],
-                   "sweep": {"sm_pairs": [[1, 1], [2, 2], [4, 4]], "trials": 50, **sweep}}
+                   "sweep": {"sm_pairs": [[1, 1], [2, 2], [4, 4]], **sweep}}
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"crossover": section}))
         with pytest.raises(ConfigError, match=re.escape(reason)):
@@ -338,17 +339,18 @@ class TestCrossoverCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("section, key, rule", [
-        ({"constant_pairs": [[1.0, 2.0]], "sweep": FIT_SWEEP}, "constant_pairs[0]",
-         "the sweep fits c_nc"),
-        ({"sweep": FIT_SWEEP}, "constant_pairs[0]", "the sweep fits c_nc"),
+        ({"constant_pairs": [[1.0, 2.0]], "sweep": C_NC_SWEEP}, "constant_pairs[0]",
+         "the sweep gives c_nc"),
+        ({"sweep": C_NC_SWEEP}, "constant_pairs[0]", "the sweep gives c_nc"),
         ({"constant_pairs": [[1.0, 2.0], [1.0, None]]}, "constant_pairs[1]",
-         "needs a sweep to fit it"),
-        ({"constant_pairs": [[1.0, None]], "sweep": {**FIT_SWEEP, "estimator": "both"}},
-         "estimator", "scene estimator alone"),
+         "needs a sweep to give it"),
+        ({"constant_pairs": [[1.0, None]], "sweep": {**C_NC_SWEEP, "estimator": "both"}},
+         "sweep.estimator", "read only under the sweep command"),
     ], ids=["fit_with_c_nc", "fit_with_default_pairs", "null_without_fit", "fit_with_both"])
     def test_c_nc_has_one_source(self, tmp_path, capsys, section, key, rule):
         # under a fit the configured c_nc used to be echoed and never read, and
-        # a fit with both estimators ran the ratio estimator only to drop it
+        # a fit with both estimators ran the ratio estimator only to drop it;
+        # the exact c_nc is of the scene estimator and runs no estimator
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"crossover": section}))
         out = tmp_path / "out"
@@ -359,11 +361,11 @@ class TestCrossoverCommand:
 
     def test_estimate_c_nc_key_removed(self, tmp_path):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"crossover": {"estimate_c_nc": True, "sweep": FIT_SWEEP}}))
+        cfg.write_text(json.dumps({"crossover": {"estimate_c_nc": True, "sweep": C_NC_SWEEP}}))
         with pytest.raises(ConfigError, match="estimate_c_nc"):
             load_config(str(cfg), "crossover")
 
-    def test_fitted_constant_fills_null_c_nc(self, tmp_path, capsys):
+    def test_exact_constant_fills_null_c_nc(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
             "crossover": {
@@ -371,14 +373,17 @@ class TestCrossoverCommand:
                 "pilot_costs": [0, 50],
                 "constant_pairs": [[1.0, None], [3.0, None]],
                 "num_classes": 10,
-                "sweep": {**FIT_SWEEP, "trials": 2000},
+                "sweep": C_NC_SWEEP,
             }
         }))
         assert run_cli(["crossover", "--config", cfg, "--seed", 4, "--out", tmp_path]) == 0
-        fitted = re.search(r"fitted c_nc = (\S+) ", capsys.readouterr().out).group(1)
+        printed = re.search(r"using exact c_nc = (\S+)\n", capsys.readouterr().out).group(1)
+        sweep = dataclasses.replace(load_config(str(cfg), "crossover").sweep, seed=4)
+        exact = montecarlo.mse_constant(sweep)
         rows = [r.split(",") for r in (tmp_path / "crossover.csv").read_text().splitlines()[1:]]
         assert len(rows) == 8
-        assert all(f"{float(r[3]):.6g}" == fitted for r in rows)
+        assert all(float(r[3]) == exact for r in rows)
+        assert printed == f"{exact:.7g}"
         assert {r[2] for r in rows} == {"1", "3"}
         echo = json.loads((tmp_path / "config_resolved.json").read_text())
         assert echo["crossover"]["constant_pairs"] == [[1.0, None], [3.0, None]]
@@ -648,10 +653,11 @@ class TestErrorPaths:
     @pytest.mark.parametrize("threads", [0, -4])
     def test_threads_below_one_rejected(self, tmp_path, capsys, command, threads):
         # sweep --threads 0 used to exit 0 and run serially; round and fd
-        # checked the flag and then ignored it, and no longer take it
+        # checked the flag and then ignored it, and crossover runs no trials:
+        # only sweep takes it
         out = tmp_path / "out"
         argv = [command, "--threads", threads, "--out", out]
-        if command in ("round", "fd"):
+        if command != "sweep":
             with pytest.raises(SystemExit) as exc:
                 run_cli(argv)
             assert exc.value.code == 2
@@ -700,6 +706,12 @@ class TestErrorPaths:
             ("fd", {"snr_db": float("nan")}),
             ("fd", {"round": {"num_classes": 10, "rho": float("-inf")}}),
             ("crossover", {"constant_pairs": [[1.0, float("nan")]]}),
+            # an integer literal past the float range used to raise a bare
+            # OverflowError, reported as "error in '<command>'"
+            ("round", {"snr_db": 10**400}),
+            ("sweep", {"snr_db_values": [5.0, -(10**400)]}),
+            ("crossover", {"constant_pairs": [[10**400, 2.0]]}),
+            ("fd", {"learning_rate": 10**400}),
         ],
     )
     def test_non_finite_config_value_rejected(self, tmp_path, capsys, command, section):
@@ -734,7 +746,7 @@ class TestErrorPaths:
         ("round", {"rho_value": 7.0}, "rho_value", "rho_rule 'fixed'"),
         ("sweep", {"rho_rule": "min_rho", "rho_value": 7.0}, "rho_value", "rho_rule 'fixed'"),
         ("crossover", {"constant_pairs": [[1.0, None]],
-                       "sweep": {**FIT_SWEEP, "rho_value": 7.0}}, "rho_value", "rho_rule 'fixed'"),
+                       "sweep": {**C_NC_SWEEP, "rho_value": 7.0}}, "rho_value", "rho_rule 'fixed'"),
         ("fd", {"round": {"num_classes": 10, "rho": 123.0}}, "round.rho", "rho_rule 'fixed'"),
         ("sweep", {"labels": {"kind": "vertex", "alpha": 99.0}}, "alpha", "kind 'dirichlet'"),
         ("round", {"population": {"n_devices": 1},
@@ -762,8 +774,11 @@ class TestErrorPaths:
         ("fd", {"round": {"num_classes": 10, "rho": 1.0}}),
         ("sweep", {"labels": {"kind": "dirichlet", "alpha": 1e3}}),
         ("sweep", {"labels": {"kind": "vertex", "alpha": 0.3}}),
+        ("crossover", {"constant_pairs": [[1.0, None]],
+                       "sweep": {**C_NC_SWEEP, "trials": 10_000, "estimator": "scene"}}),
     ], ids=["sweep-rho_value-fixed", "sweep-rho_value-default", "fd-round.rho-fixed",
-            "fd-round.rho-default", "alpha-dirichlet", "alpha-default-vertex"])
+            "fd-round.rho-default", "alpha-dirichlet", "alpha-default-vertex",
+            "crossover-sweep-defaults"])
     def test_value_loads_under_its_rule_or_at_default(self, tmp_path, command, section):
         cfg = tmp_path / "read.json"
         cfg.write_text(json.dumps({command: section}))
@@ -800,7 +815,7 @@ class TestRunSeed:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
             "crossover": {"budgets": [100], "pilot_costs": [0, 50],
-                          "constant_pairs": [[1.0, None]], "sweep": {**FIT_SWEEP, **sweep}}
+                          "constant_pairs": [[1.0, None]], "sweep": {**C_NC_SWEEP, **sweep}}
         }))
         return cfg
 
@@ -829,7 +844,7 @@ class TestRunSeed:
         args = [command, "--seed", 9]
         if command == "sweep":
             cfg = tmp_path / "s.json"
-            cfg.write_text(json.dumps({"sweep": {**FIT_SWEEP, "seed": 3}}))
+            cfg.write_text(json.dumps({"sweep": {**C_NC_SWEEP, "trials": 200, "seed": 3}}))
             args += ["--config", cfg]
         out = self.run(tmp_path, "out", *args)
         echo = json.loads((out / "config_resolved.json").read_text())
@@ -837,7 +852,7 @@ class TestRunSeed:
 
     def test_sweep_section_seed_used_without_flag(self, tmp_path):
         cfg = tmp_path / "s.json"
-        cfg.write_text(json.dumps({"sweep": {**FIT_SWEEP, "seed": 3}}))
+        cfg.write_text(json.dumps({"sweep": {**C_NC_SWEEP, "trials": 200, "seed": 3}}))
         own = self.run(tmp_path, "own", "sweep", "--config", cfg)
         flag = self.run(tmp_path, "flag", "sweep", "--config", cfg, "--seed", 3)
         assert (own / "sweep.csv").read_bytes() == (flag / "sweep.csv").read_bytes()
@@ -859,7 +874,7 @@ class TestRunSeed:
     @pytest.mark.parametrize("command, section", [
         ("round", {"seed": -1}),
         ("sweep", {"seed": -2}),
-        ("crossover", {"sweep": {**FIT_SWEEP, "seed": -1}}),
+        ("crossover", {"sweep": {**C_NC_SWEEP, "seed": -1}}),
     ])
     def test_negative_section_seed_rejected_at_load(self, tmp_path, capsys, command, section):
         cfg = tmp_path / "bad.json"
@@ -987,14 +1002,14 @@ _CROSSOVER_SECTION = st.fixed_dictionaries({}, optional={
     "constant_pairs": st.lists(st.tuples(_CONSTANT, st.none() | _CONSTANT), min_size=1,
                                max_size=3),
     "num_classes": st.integers(0, 4),
-    "sweep": st.just(FIT_SWEEP),
+    "sweep": st.just(C_NC_SWEEP),
 })
 
 
 @given(section=_CROSSOVER_SECTION)
 @example(section={"budgets": [1], "pilot_costs": [1]})  # used to write a header-only CSV
 @example(section={"budgets": [1], "constant_pairs": [[1e308, 1.0]]})  # used to write inf
-@example(section={"pilot_costs": [0, 1], "constant_pairs": [[1.0, None]], "sweep": FIT_SWEEP})
+@example(section={"pilot_costs": [0, 1], "constant_pairs": [[1.0, None]], "sweep": C_NC_SWEEP})
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_crossover_section_rejected_at_load_or_runs_finite(section):
     with _load_or_run("crossover", section) as run:

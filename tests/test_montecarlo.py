@@ -20,18 +20,15 @@ from scene_sim import (
     RhoRule,
     TrialStats,
     WeightRule,
-    estimate_mse_constants,
     map_energies,
+    mse_constant,
     ratio_raw,
     run_experiment,
     scene_raw,
-    scene_variance_diagonal,
     simulate_rounds,
-    variance_bound,
 )
 from scene_sim import montecarlo
 from scene_sim.channel import PathlossModel
-from scene_sim.core import DevicePopulation, RoundConfig, SoftLabel
 from scene_sim.estimators import clip_renormalize
 from scene_sim.montecarlo import CSV_HEADER, write_rows_csv
 
@@ -252,8 +249,8 @@ class TestRunExperiment:
         assert good_calls < len(calls) < good_calls + 10
 
     def test_one_pool_per_run(self, monkeypatch):
-        # every point's jobs, and those of the crossover fit's sweep, share
-        # one pool: counted as the benchmark tracer swaps its pool in
+        # every point's jobs share one pool: counted as the benchmark tracer
+        # swaps its pool in
         pools = []
 
         class CountedPool(montecarlo.ThreadPoolExecutor):
@@ -265,8 +262,6 @@ class TestRunExperiment:
         run_experiment(small_spec(sm_pairs=((2, 2), (4, 1)), snr_db_values=(5.0, 10.0),
                                   trials=25_000), threads=2)
         assert len(pools) == 1
-        estimate_mse_constants(small_spec(sm_pairs=((1, 1), (2, 2), (4, 4))), threads=2)
-        assert len(pools) == 2
 
     def test_single_trial_has_empty_variance(self):
         rows = run_experiment(small_spec(trials=1))
@@ -441,31 +436,41 @@ class TestStreamedPointStats:
 
 
 class TestEstimateMseConstants:
-    def test_requires_three_distinct_products(self):
-        with pytest.raises(ValueError, match=r"need >= 3 distinct S\*M products"):
-            estimate_mse_constants(small_spec(sm_pairs=((1, 16), (16, 1), (4, 4))))
+    """c_nc, the noncoherent MSE constant of the crossover: its exact value,
+    :func:`montecarlo.mse_constant`, and the Monte Carlo sweeps that estimate
+    it as the mean over points of the class-mean ``var`` * S * M."""
+
+    # c_nc is the same at every point of an uncorrelated sweep, so the 16
+    # independent per-point estimates give the SE of their mean, their SD
+    # over sqrt(16). A 4-SE band fails falsely with probability about 0.0012
+    # per test (t with 15 degrees of freedom).
+    SM_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2), (1, 4), (4, 1), (2, 4), (4, 2), (4, 4),
+                (1, 8), (8, 1), (2, 8), (8, 2), (1, 16), (16, 1), (3, 3))
+
+    def check_sweep_estimate(self, model):
+        spec = small_spec(
+            population=PopulationSpec(n_devices=3, weight_rule="random", gamma_range=(0.8, 1.2)),
+            sm_pairs=self.SM_PAIRS, channel_model=model, trials=10_000,
+        )
+        per_point = {}
+        for r in run_experiment(spec):
+            if r.estimator == "scene":
+                per_point.setdefault((r.s, r.m), []).append(r.var * r.s * r.m)
+        estimates = [np.mean(v) for v in per_point.values()]
+        se = np.std(estimates, ddof=1) / np.sqrt(len(estimates))
+        exact = mse_constant(spec)
+        assert abs(np.mean(estimates) - exact) <= 4 * se, (np.mean(estimates), exact, se)
+        return spec
 
     def test_matches_exact_diagonal_constant(self):
-        # N=1, beta=1, cap=1 -> rho=1; near-noiseless; the fitted constant
-        # must match the closed-form Var(r_c)*S*M, class-averaged
-        labels = ((0.55, 0.25, 0.12, 0.05, 0.03),)
-        spec = small_spec(
-            population=unit_population_spec(1),
-            labels=LabelSpec(kind="fixed", num_classes=5, fixed=labels),
-            sm_pairs=((1, 1), (2, 2), (4, 4), (8, 1)),
-            snr_db_values=(200.0,),
-            trials=20_000,
-        )
-        est = estimate_mse_constants(spec)
-        pop = DevicePopulation([1.0], [1.0])
-        labs = [SoftLabel(labels[0])]
-        cfg = RoundConfig(num_classes=5, reps=1, antennas=1, rho=1.0, noise_var=0.0,
-                          channel_model=ChannelModel.DIAGONAL)
-        exact = float(np.mean(scene_variance_diagonal(pop, labs, cfg)))
-        assert est.c_nc == pytest.approx(exact, rel=0.05)
-        # the fitted constant respects the analytic upper bound
-        bound_avg = float(np.mean(variance_bound(pop, labs, cfg)))
-        assert est.c_nc <= bound_avg
+        spec = self.check_sweep_estimate(ChannelModel.DIAGONAL)
+        # the exact constant respects the analytic upper bound
+        pop, labels, _ = spec.draw(spec.seed)
+        bounds = [np.mean(spec.point(pop, labels, s, m, 5.0)[2]) * s * m for s, m in spec.sm_pairs]
+        assert mse_constant(spec) <= np.mean(bounds)
+
+    def test_matches_exact_superposition_constant(self):
+        self.check_sweep_estimate(ChannelModel.SUPERPOSITION)
 
     def test_sm_split_invariance_within_two_se(self):
         trials = 20_000
@@ -487,29 +492,13 @@ class TestEstimateMseConstants:
         combined_se = np.sqrt(2.0) * np.sqrt(2.0 / trials) * max(c44, c161)
         assert abs(c44 - c161) <= 2 * combined_se
 
-    def test_rejects_several_snrs(self):
-        spec = small_spec(sm_pairs=((1, 1), (2, 2), (4, 4)), snr_db_values=(5.0, 10.0))
-        with pytest.raises(ValueError, match=r"5\.0, 10\.0"):
-            estimate_mse_constants(spec)
-
-    @pytest.mark.parametrize("overrides, message", [
-        (dict(estimator=Estimator.RATIO), "scene estimator"), (dict(trials=1), ">= 2 trials"),
-        # the fit reads only the scene rows: both used to run a ratio slot it dropped
-        (dict(estimator=Estimator.BOTH), "scene estimator"),
-    ], ids=["ratio_only", "one_trial", "both"])
-    def test_rejects_sweeps_without_scene_variances(self, overrides, message):
-        # there are no scene variances to fit: this used to return c_nc = nan
-        spec = small_spec(sm_pairs=((1, 1), (2, 2), (4, 4)), **overrides)
-        with pytest.raises(ValueError, match=message):
-            estimate_mse_constants(spec)
-
     def test_rho_invariance_at_fixed_snr(self):
+        # the noise power follows rho at a fixed SNR, so c_nc does not move
         common = dict(
             population=unit_population_spec(2),
             sm_pairs=((1, 1), (2, 2), (4, 4)),
             snr_db_values=(5.0,),
-            trials=20_000,
         )
-        est1 = estimate_mse_constants(small_spec(rho_rule="fixed", rho_value=1.0, **common))
-        est2 = estimate_mse_constants(small_spec(rho_rule="fixed", rho_value=2.0, **common))
-        assert est1.c_nc == pytest.approx(est2.c_nc, rel=0.1)
+        c1 = mse_constant(small_spec(rho_rule="fixed", rho_value=1.0, **common))
+        c2 = mse_constant(small_spec(rho_rule="fixed", rho_value=2.0, **common))
+        assert c1 == pytest.approx(c2, rel=1e-12)

@@ -167,10 +167,11 @@ def test_cli_runs_shipped_config(tmp_path, command, config):
     proc = run_cli(command, "--config", f"configs/{config}.json", "--out", tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "config_resolved.json").exists()
-    if config == "crossover_map":  # its null c_nc is the fitted one in every row
-        fitted = proc.stdout.split("fitted c_nc = ")[1].split()[0]
+    if config == "crossover_map":  # its null c_nc is the exact one in every row
+        exact = proc.stdout.split("using exact c_nc = ")[1].split()[0]
+        assert exact == "0.003867278"
         rows = (tmp_path / "crossover.csv").read_text().splitlines()[1:]
-        assert rows and all(f"{float(row.split(',')[3]):.6g}" == fitted for row in rows)
+        assert rows and all(f"{float(row.split(',')[3]):.7g}" == exact for row in rows)
 
 
 def test_cli_deleted_flag_is_usage_error(tmp_path):
