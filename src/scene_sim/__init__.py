@@ -59,7 +59,6 @@ from .montecarlo import (
 )
 from .power import (
     EnergyFrame,
-    RhoReport,
     map_energies,
     min_rho,
     run_min_rho_protocol,

@@ -3,8 +3,7 @@ exact second moments of the received energies, noise calibration, and the
 coherent-vs-noncoherent crossover model.
 
 ``labels`` arguments take the N device labels as any (N, K) array-like, such
-as a list of :class:`core.SoftLabel`, with rows checked by
-:func:`core.check_simplex`."""
+as a list of :class:`core.SoftLabel`, checked by :func:`core.check_labels`."""
 
 from __future__ import annotations
 
@@ -13,8 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (ChannelModel, DevicePopulation, RoundConfig, check_count, check_scale,
-                   check_simplex, check_snr, csv_cell)
+from .core import (ChannelModel, DevicePopulation, RoundConfig, check_count, check_labels,
+                   check_scale, check_snr, csv_cell)
 
 CROSSOVER_CSV_HEADER = "B,P,c_coh,c_nc,mse_coh,mse_nc,scene_wins"
 
@@ -26,9 +25,7 @@ def mismatch_bias(pop: DevicePopulation, labels) -> np.ndarray:
     Depends only on first moments, so it holds under either channel model.
     The entries sum to zero (each device term does).
     """
-    q = check_simplex(labels)
-    if q.shape[0] != pop.num_devices:
-        raise ValueError(f"{q.shape[0]} labels for {pop.num_devices} devices")
+    q = check_labels(labels, pop)
     k = q.shape[1]
     coeff = pop.omegas * (pop.gammas - 1.0)
     return coeff @ (q - 1.0 / k)
@@ -64,7 +61,7 @@ def variance_bound(pop: DevicePopulation, labels, cfg: RoundConfig) -> np.ndarra
     it assumes the per-class noise floor is not vanishingly small relative to
     the across-class energy spread.
     """
-    q = check_simplex(labels)
+    q = check_labels(labels, pop, cfg.num_classes)
     signal = (pop.omegas**2) @ (q**2)
     noise = noise_energy_variance(cfg) / cfg.rho**2
     return (2.0 / cfg.sample_count) * (signal + noise)
@@ -83,10 +80,7 @@ def energy_covariance(pop: DevicePopulation, labels, cfg: RoundConfig) -> np.nda
     + (F - S*M) sum_i a_ic^2 and Cov(Y_c, Y_d) = F sum_i a_ic a_id.
     DIAGONAL: the slots are independent, Var(Y_c) = F sum_i a_ic^2 + S*M sigma_N^4.
     """
-    q = check_simplex(labels)
-    if q.shape != (pop.num_devices, cfg.num_classes):
-        raise ValueError(f"labels of shape {q.shape} for {pop.num_devices} devices "
-                         f"and {cfg.num_classes} classes")
+    q = check_labels(labels, pop, cfg.num_classes)
     if cfg.use_reference_re:
         q = np.column_stack([q, np.ones(len(q))])
     a = (cfg.rho * pop.omegas * pop.gammas)[:, None] * q

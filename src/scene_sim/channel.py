@@ -144,15 +144,22 @@ def _fading_magnitudes(
     return np.abs(z)
 
 
-def _kms_groups(n: int, corr: float) -> list[tuple[float, int]]:
-    """Eigenvalue groups (value, multiplicity) of the n x n amplitude
-    correlation matrix r^|i-j|, r = sqrt(corr): one group of size n when corr
-    is zero, else the n eigenvalues."""
-    if corr == 0.0:
-        return [(1.0, n)]
-    lag = np.arange(n)
-    kms = math.sqrt(corr) ** np.abs(lag[:, None] - lag)
-    return [(float(lam), 1) for lam in np.linalg.eigvalsh(kms)]
+def _gamma_groups(cfg: RoundConfig) -> list[tuple[float, int]]:
+    """Eigenvalue groups (value, multiplicity) of the diagonal model's
+    amplitude correlation C = KMS_S(sqrt(time_corr)) (x) KMS_M(sqrt(space_corr)),
+    KMS_n(r) = r^|i-j|, time groups outer: one Gamma draw each per (device,
+    slot). An uncorrelated axis of n samples is one group (1, n) and builds no
+    matrix; a correlated one gives its n eigenvalues."""
+    axes = []
+    for n, corr in ((cfg.reps, cfg.time_corr), (cfg.antennas, cfg.space_corr)):
+        if corr == 0.0:
+            axes.append([(1.0, n)])
+            continue
+        lag = np.arange(n)
+        kms = math.sqrt(corr) ** np.abs(lag[:, None] - lag)
+        axes.append([(float(lam), 1) for lam in np.linalg.eigvalsh(kms)])
+    time, space = axes
+    return [(lam_t * lam_s, mult_t * mult_s) for lam_t, mult_t in time for lam_s, mult_s in space]
 
 
 def chunk_trials(pop: DevicePopulation, cfg: RoundConfig) -> int:
@@ -167,9 +174,7 @@ def chunk_trials(pop: DevicePopulation, cfg: RoundConfig) -> int:
     n, kt = pop.num_devices, cfg.num_classes + cfg.use_reference_re
     if cfg.channel_model is ChannelModel.SUPERPOSITION:
         return max(1, _SUPER_CHUNK_ELEMS // (n * kt * cfg.reps * cfg.antennas))
-    # one Gamma draw per eigenvalue group of the correlation (_kms_groups)
-    groups = (cfg.reps if cfg.time_corr else 1) * (cfg.antennas if cfg.space_corr else 1)
-    return max(1, _WORK_ELEMS // (n * kt * groups))
+    return max(1, _WORK_ELEMS // (n * kt * len(_gamma_groups(cfg))))
 
 
 def _superpose(
@@ -267,11 +272,7 @@ def simulate_rounds(
                 raise ValueError(f"device amplitudes underflow float32 at rho {cfg.rho:.3g}: "
                                  "the energies are too small")
         else:
-            groups = [
-                (lam_t * lam_s, mult_t * mult_s)
-                for lam_t, mult_t in _kms_groups(s, cfg.time_corr)
-                for lam_s, mult_s in _kms_groups(m, cfg.space_corr)
-            ]
+            groups = _gamma_groups(cfg)
             w = beta[:, None] * e_ext
         w = np.broadcast_to(w, (trials, n, kt))  # row t is sent in trial t
         chunk = min(trials, chunk_trials(pop, cfg))

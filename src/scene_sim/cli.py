@@ -184,7 +184,10 @@ def load_config(path: str | None, command: str):
     absent). Unknown sections or keys are fatal."""
     if path is None:
         return _SECTION_TYPES[command]()
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or an integer past Python's digit limit
+        raise ConfigError(f"{command}: cannot parse {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("top level of the config must be an object")
     for key in raw:
@@ -202,7 +205,7 @@ def _echo_config(spec, command: str, seed: int, out_dir: Path) -> None:
 
 def cmd_round(spec: RoundSpec) -> None:
     """Run one aggregation round end to end and print the per-class table."""
-    pop, labels, chan_rng = spec.draw(spec.seed)
+    pop, labels, chan_rng = spec.draw()
     qbar = weighted_average(labels, pop).probs
     cfg, frame, bound = spec.point(pop, labels, spec.s, spec.m, spec.snr_db)
     y, y_ref = simulate_round(frame, pop, cfg, chan_rng)

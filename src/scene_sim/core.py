@@ -290,14 +290,23 @@ class RandomSource:
         return f"RandomSource(seed={self.seed!r})"
 
 
+def check_labels(labels, pop: DevicePopulation, num_classes: int | None = None) -> np.ndarray:
+    """The N device labels of ``pop`` from any (N, K) array-like, such as a
+    list of :class:`SoftLabel`, as a float64 array with rows checked by
+    :func:`check_simplex`; K must equal ``num_classes`` when given."""
+    q = check_simplex(labels)
+    k = q.shape[-1] if num_classes is None else num_classes
+    if q.shape != (pop.num_devices, k):
+        raise ValueError(f"labels of shape {q.shape} for {pop.num_devices} devices "
+                         f"and {k} classes")
+    return q
+
+
 def weighted_average(labels, pop: DevicePopulation) -> SoftLabel:
     """Weighted mean of the device soft labels, sum_i omega_i * q_i, from
-    the N labels as an (N, K) array-like (rows checked by :func:`check_simplex`).
+    the N labels (:func:`check_labels`).
 
     This is the aggregation target; the result is a convex combination and
     therefore itself a valid soft label.
     """
-    q = check_simplex(labels)
-    if q.ndim != 2 or len(q) != pop.num_devices:
-        raise ValueError(f"{len(q)} labels for {pop.num_devices} devices")
-    return SoftLabel(pop.omegas @ q)
+    return SoftLabel(pop.omegas @ check_labels(labels, pop))

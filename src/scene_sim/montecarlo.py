@@ -227,10 +227,10 @@ class SetupSpec:
         if n_fixed not in (None, self.population.n_devices):
             raise ValueError(f"{n_fixed} fixed labels for {self.population.n_devices} devices")
 
-    def draw(self, seed: int) -> tuple[DevicePopulation, list[SoftLabel], RandomSource]:
-        """Population and labels drawn from ``seed``, and the stream left for
-        the channel."""
-        pop_rng, label_rng, channel_rng = RandomSource(seed).split(3)
+    def draw(self) -> tuple[DevicePopulation, list[SoftLabel], RandomSource]:
+        """Population and labels drawn from ``self.seed``, and the stream left
+        for the channel."""
+        pop_rng, label_rng, channel_rng = RandomSource(self.seed).split(3)
         pop = self.population.draw(pop_rng)
         labels = self.labels.draw(pop.num_devices, label_rng)
         return pop, labels, channel_rng
@@ -385,7 +385,7 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[Res
     """
     if threads is not None:
         check_count(1, threads=threads)
-    pop, labels, trial_rng = spec.draw(spec.seed)
+    pop, labels, trial_rng = spec.draw()
     qbar = weighted_average(labels, pop).probs
     k = labels[0].num_classes
 
@@ -438,7 +438,7 @@ def mse_constant(spec: ExperimentSpec) -> float:
     its points of the class-mean :func:`analysis.scene_variance` times S*M,
     for the population and labels :func:`run_experiment` draws. A sweep's
     Monte Carlo ``var`` * S * M estimates the same number."""
-    pop, labels, _ = spec.draw(spec.seed)
+    pop, labels, _ = spec.draw()
     corr = dict(time_corr=spec.time_corr, space_corr=spec.space_corr)
     cfgs = [spec.point(pop, labels, s, m, snr_db, **corr)[0]
             for s, m in spec.sm_pairs for snr_db in spec.snr_db_values]

@@ -103,23 +103,15 @@ def check_noise(rule: RhoRule, rho: float, k: int, **snrs: float) -> None:
         calibrate_noise(rho, k, snr_db)
 
 
-@dataclass(frozen=True)
-class RhoReport:
-    """One uplink control scalar: a device's local feasible scale."""
-
-    device: int
-    rho_local: float
-
-
-def run_min_rho_protocol(pop: DevicePopulation) -> tuple[float, list[RhoReport]]:
+def run_min_rho_protocol(pop: DevicePopulation) -> tuple[float, np.ndarray]:
     """Simulate the scale negotiation round.
 
     Each active device computes its local feasible scale and reports a single
-    scalar; the server takes the minimum and broadcasts it. The transcript
-    holds exactly one report per active device, so the control overhead is
-    N uplink scalars plus one broadcast.
+    scalar; the server takes the minimum and broadcasts it. Returns that
+    minimum and ``rho_local``, the float64 reports of the active devices in
+    device order: one uplink scalar per active device, so the control
+    overhead is N uplink scalars plus one broadcast.
     """
-    active = np.flatnonzero(pop.omegas > 0)  # nonempty: the weights sum to one
-    rho_i = pop.betas_assumed[active] * pop.power_caps[active] / pop.omegas[active]
-    transcript = [RhoReport(int(i), float(r)) for i, r in zip(active, rho_i)]
-    return float(rho_i.min()), transcript
+    active = pop.omegas > 0  # nonempty: the weights sum to one
+    rho_local = pop.betas_assumed[active] * pop.power_caps[active] / pop.omegas[active]
+    return float(rho_local.min()), rho_local

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -227,6 +228,33 @@ class TestVarianceBound:
         pop = make_uniform_population(n)
         with pytest.raises(ValueError, match=rf"labels of shape \(2, 3\) for {n} devices"):
             energy_covariance(pop, [[0.5, 0.3, 0.2]] * 2, RoundConfig(num_classes=k))
+
+
+# Every closed form that takes device labels, called on N = 3 devices and,
+# where it takes a cfg, K = 3 classes.
+LABEL_CALLS = {
+    "weighted_average": lambda pop, q, cfg: weighted_average(q, pop),
+    "mismatch_bias": lambda pop, q, cfg: mismatch_bias(pop, q),
+    "variance_bound": variance_bound,
+    "energy_covariance": energy_covariance,
+    "scene_variance": scene_variance,
+}
+ROW = [0.5, 0.3, 0.2]
+LABEL_SHAPES = {"vector": ROW, "n_minus_1": [ROW] * 2, "n_plus_1": [ROW] * 4,
+                "k_mismatch": [[0.4, 0.3, 0.2, 0.1]] * 3}
+
+
+@pytest.mark.parametrize("name, shape", [
+    (name, shape) for name in LABEL_CALLS for shape in LABEL_SHAPES
+    if shape != "k_mismatch" or name not in ("weighted_average", "mismatch_bias")
+])
+def test_label_shape_contract(name, shape):
+    # a (K,) vector at N = K used to pass as N one-class labels, and a wrong
+    # N or K to broadcast into a result of the wrong shape
+    labels = LABEL_SHAPES[shape]
+    message = f"labels of shape {np.shape(labels)} for 3 devices and 3 classes"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LABEL_CALLS[name](make_uniform_population(3), labels, RoundConfig(num_classes=3, reps=2))
 
 
 class TestCalibrateNoise:

@@ -637,6 +637,21 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["round", "sweep", "crossover", "fd"])
+    @pytest.mark.parametrize("text, reason", [
+        ('{"%s": {"seed": 1,}}', "Expecting property name"),
+        ('{"%s": {"seed": 1' + "0" * 4300 + "}}", "Exceeds the limit"),
+    ], ids=["trailing_comma", "4301_digits"])
+    def test_unparsable_config_names_the_file(self, tmp_path, capsys, command, text, reason):
+        # both came through as an error of the run, not of the config
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text % command)
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {command}: cannot parse {cfg}: {reason}")
+        assert not out.exists()
+
     def test_fd_null_snr_loads_as_none(self, tmp_path):
         cfg = tmp_path / "fd.json"
         cfg.write_text(json.dumps({"fd": {"snr_db": None}}))

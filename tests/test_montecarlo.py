@@ -400,7 +400,7 @@ class TestStreamedPointStats:
 
     @staticmethod
     def both(spec, threads):
-        pop, labels, _ = spec.draw(spec.seed)
+        pop, labels, _ = spec.draw()
         (s, m), = spec.sm_pairs
         cfg, frame, _ = spec.point(pop, labels, s, m, spec.snr_db_values[0])
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -465,7 +465,7 @@ class TestEstimateMseConstants:
     def test_matches_exact_diagonal_constant(self):
         spec = self.check_sweep_estimate(ChannelModel.DIAGONAL)
         # the exact constant respects the analytic upper bound
-        pop, labels, _ = spec.draw(spec.seed)
+        pop, labels, _ = spec.draw()
         bounds = [np.mean(spec.point(pop, labels, s, m, 5.0)[2]) * s * m for s, m in spec.sm_pairs]
         assert mse_constant(spec) <= np.mean(bounds)
 
