@@ -19,8 +19,8 @@ def test_manifest_lists_every_case():
 @pytest.mark.parametrize("case", list(CASES))
 def test_outputs_match_golden(case, tmp_path):
     expected = outputs(GOLDEN / case)
-    where = f"recorded with numpy {RECORDED['numpy']} on {RECORDED['platform']}, " \
-            f"running numpy {np.__version__}"
+    where = (f"recorded with numpy {RECORDED['numpy']} on {RECORDED['platform']}, "
+             f"running numpy {np.__version__}")
     for i, command in enumerate(CASES[case]):
         out_dir = tmp_path / str(i)
         out_dir.mkdir()
