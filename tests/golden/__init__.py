@@ -46,6 +46,7 @@ CASES: dict[str, list[list[str]]] = {
     "sweep_diag": _sweep("perfbench/configs/sweep_diag.json"),
     "sweep_super_both": _sweep("perfbench/configs/sweep_super_both.json"),
     "sweep_corr": _sweep("tests/golden/sweep_corr.json"),
+    "sweep_super_corr": _sweep("tests/golden/sweep_super_corr.json"),
     "round": [["round", "--config", "configs/round.json"]],
     "crossover": [["crossover", "--config", "configs/crossover.json"]],
     "crossover_map": [["crossover", "--config", "configs/crossover_map.json"]],
