@@ -28,16 +28,17 @@ energy is exactly sum_g lam_g * Gamma(mult_g, 1) over the eigenvalue groups of
 C (one Gamma(S*M, 1) without correlation); a slot's noise energy is
 noise_var * Gamma(S*M, 1), since the noise is uncorrelated.
 
-Trials run in chunks of :func:`chunk_trials` trials, and the chunks fix the
-draws: each chunk draws its fading, phases and noise in one fixed order, and a
-call of fewer trials is one short chunk. So a call split at a multiple of the
-chunk makes exactly the same draws as one call, and returns the same bits: a
-caller may stream a long run through several calls. A split anywhere else
-moves draws, because the DIAGONAL branch draws each eigenvalue group for the
-whole chunk before the next, and then the noise. A DIAGONAL chunk is one work
-block of Gamma draws, which bounds the memory; a SUPERPOSITION chunk runs its
-float work in work blocks of trials, which bound the memory and change no
-output bit.
+Trials run in chunks of :func:`chunk_trials` trials, through one loop that
+calls the model's chunk draw: :func:`_superpose` or :func:`_gamma_sums`. The
+chunks fix the draws: each chunk draws its fading, phases and noise in one
+fixed order, and a call of fewer trials is one short chunk. So a call split at
+a multiple of the chunk makes exactly the same draws as one call, and returns
+the same bits: a caller may stream a long run through several calls. A split
+anywhere else moves draws, because :func:`_gamma_sums` draws each eigenvalue
+group for the whole chunk before the next, and then the noise. A DIAGONAL
+chunk is one work block of Gamma draws, which bounds the memory; a
+SUPERPOSITION chunk runs its float work in work blocks of trials, which bound
+the memory and change no output bit.
 """
 
 from __future__ import annotations
@@ -214,11 +215,18 @@ def _superpose(
     return y
 
 
-def _check_frame(energies: EnergyFrame, pop: DevicePopulation, cfg: RoundConfig) -> None:
-    if energies.num_devices != pop.num_devices:
-        raise ValueError(f"frame has {energies.num_devices} devices, population {pop.num_devices}")
-    if energies.num_classes != cfg.num_classes:
-        raise ValueError(f"frame has {energies.num_classes} classes, config {cfg.num_classes}")
+def _gamma_sums(
+    gen: np.random.Generator, w: np.ndarray, cfg: RoundConfig, groups: list[tuple[float, int]]
+) -> np.ndarray:
+    """Noisy diagonal energies (b, K[+1]) of one chunk of trials sending the
+    energies ``w`` (b, N, K[+1]): the Gammas of each eigenvalue group of
+    :func:`_gamma_groups` for the whole chunk, then the noise energies."""
+    y = np.zeros((len(w), w.shape[-1]))
+    for lam, mult in groups:
+        y += lam * np.einsum("bik,bik->bk", gen.standard_gamma(mult, w.shape), w)
+    if cfg.noise_var > 0:
+        y += gen.standard_gamma(cfg.reps * cfg.antennas, y.shape) * cfg.noise_var
+    return y
 
 
 def simulate_rounds(
@@ -236,34 +244,32 @@ def simulate_rounds(
     rows give the Y of their (N, K) frame bit for bit.
     Fading and noise are redrawn each trial, fading AR(1)-correlated across
     repetitions and antennas by ``cfg.time_corr``/``cfg.space_corr``.
-    SUPERPOSITION draws fading magnitudes, phases and the exact noise energy,
-    and DIAGONAL each slot's fading and noise energies as Gamma sums (module
-    docstring): both the distribution of summing S*M complex samples, from
-    fewer draws.
+    SUPERPOSITION draws fading magnitudes, phases and the exact noise energy
+    (:func:`_superpose`), and DIAGONAL each slot's fading and noise energies
+    as Gamma sums (:func:`_gamma_sums`): both the distribution of summing S*M
+    complex samples, from fewer draws, one chunk of trials per call.
     Chunking is a pure implementation detail and fixed given the shapes, so
     results depend only on the arguments and the stream state.
     """
-    _check_frame(energies, pop, cfg)
+    if energies.num_devices != pop.num_devices:
+        raise ValueError(f"frame has {energies.num_devices} devices, population {pop.num_devices}")
+    if energies.num_classes != cfg.num_classes:
+        raise ValueError(f"frame has {energies.num_classes} classes, config {cfg.num_classes}")
     check_count(1, trials=trials)
     if energies.energies.ndim == 3 and len(energies.energies) != trials:
         raise ValueError(f"frame has {len(energies.energies)} trials, call {trials}")
-    n = pop.num_devices
-    s, m = cfg.reps, cfg.antennas
     e_ext = energies.energies  # ([T,] N, K[+1]), reference slot appended when configured
     if cfg.use_reference_re:
         ref = np.broadcast_to(energies.eta[:, None], e_ext.shape[:-1] + (1,))
         e_ext = np.concatenate([e_ext, ref], axis=-1)
-    kt = e_ext.shape[-1]
+    n, kt = pop.num_devices, e_ext.shape[-1]
     beta = pop.betas_true
-    gen = rng.generator
-
-    out = np.empty((trials, kt), dtype=np.float64)
-    superposition = cfg.channel_model is ChannelModel.SUPERPOSITION
+    chunk = min(trials, chunk_trials(pop, cfg))
     # Past the float32 range an amplitude turns inf, and past the float64
     # range an energy; that is checked once on the energies below.
     with np.errstate(over="ignore", invalid="ignore"):
-        if superposition:
-            w = np.sqrt(beta[:, None] * e_ext).astype(np.float32)  # amplitudes
+        if cfg.channel_model is ChannelModel.SUPERPOSITION:
+            sent = np.sqrt(beta[:, None] * e_ext).astype(np.float32)  # amplitudes
             # A device whose float32 amplitude sqrt(beta_i * eta_i) is below
             # the normal range sends nothing; one class entry may be that
             # small (Dirichlet labels), so the check is per device.
@@ -271,28 +277,17 @@ def simulate_rounds(
             if np.any((energies.eta > 0) & (amp < np.finfo(np.float32).tiny)):
                 raise ValueError(f"device amplitudes underflow float32 at rho {cfg.rho:.3g}: "
                                  "the energies are too small")
+            rows = max(1, min(chunk, _WORK_ELEMS // (n * kt * cfg.reps * cfg.antennas)))
+            theta = np.empty((rows, n, kt, cfg.reps, cfg.antennas), dtype=np.float32)
+            draw, work = _superpose, (theta, np.empty_like(theta))  # reused by every chunk
         else:
-            groups = _gamma_groups(cfg)
-            w = beta[:, None] * e_ext
-        w = np.broadcast_to(w, (trials, n, kt))  # row t is sent in trial t
-        chunk = min(trials, chunk_trials(pop, cfg))
-        if superposition:  # phase and cos/sin blocks, reused by every chunk
-            rows = max(1, min(chunk, _WORK_ELEMS // (n * kt * s * m)))
-            theta = np.empty((rows, n, kt, s, m), dtype=np.float32)
-            trig = np.empty_like(theta)
-
+            sent = beta[:, None] * e_ext
+            draw, work = _gamma_sums, (_gamma_groups(cfg),)
+        w = np.broadcast_to(sent, (trials, n, kt))  # row t is sent in trial t
+        out = np.empty((trials, kt))
+        gen = rng.generator
         for lo in range(0, trials, chunk):
-            b = min(chunk, trials - lo)
-            if superposition:
-                out[lo : lo + b] = _superpose(gen, w[lo : lo + b], cfg, theta, trig)
-                continue
-            # each eigenvalue group's Gammas for the whole chunk, then the noise
-            wb, y = w[lo : lo + b], out[lo : lo + b]
-            y[...] = 0.0
-            for lam, mult in groups:
-                y += lam * np.einsum("bik,bik->bk", gen.standard_gamma(mult, wb.shape), wb)
-            if cfg.noise_var > 0:
-                y += gen.standard_gamma(s * m, y.shape) * cfg.noise_var
+            out[lo : lo + chunk] = draw(gen, w[lo : lo + chunk], cfg, *work)
     if not np.isfinite(out).all():
         raise ValueError(f"received energies overflow at noise_var {cfg.noise_var:.3g}: "
                          "the SNR is too low or the energies too large")
