@@ -10,8 +10,10 @@ from .core import RoundConfig, SoftLabel, check_count, check_scale
 
 def clip_renormalize(v: np.ndarray) -> np.ndarray:
     """Clip negatives to zero and renormalize along the trailing (class) axis,
-    vectorized over leading axes. A row with nothing positive becomes the
-    uniform label, the zero-information anchor of the estimator."""
+    vectorized over leading axes; ``v`` must be finite. A row with nothing
+    positive becomes the uniform label, the estimator's zero-information anchor."""
+    if not np.isfinite(v).all():
+        raise ValueError("v must be finite: clip_renormalize got a nan or inf entry")
     out = np.maximum(v, 0.0)
     totals = out.sum(axis=-1, keepdims=True)
     positive = totals > 0
@@ -45,6 +47,8 @@ def scene_estimate(y: np.ndarray, cfg: RoundConfig) -> tuple[np.ndarray, np.ndar
     either channel model, variance decaying as 1/(S*M)), and its
     :func:`clip_renormalize` projection, the soft label handed to learners.
     """
+    if np.shape(y)[-1] != cfg.num_classes:
+        raise ValueError(f"y has {np.shape(y)[-1]} classes, config {cfg.num_classes}")
     raw = scene_raw(y, cfg.sample_count, cfg.rho)
     return raw, clip_renormalize(raw)
 

@@ -72,6 +72,12 @@ class TestSceneEstimate:
         scale = max(1.0, float(np.abs(y).max()) / (4 * rho))
         assert raw.sum() == pytest.approx(1.0, abs=1e-9 * scale)
 
+    @pytest.mark.parametrize("shape", [(4,), (5, 4)])
+    def test_class_axis_must_match_config(self, shape):
+        # both returned estimates over 4 classes, anchored at 1/4, with no error
+        with pytest.raises(ValueError, match="y has 4 classes, config 3"):
+            scene_estimate(np.ones(shape), RoundConfig(num_classes=3))
+
     def test_batch_matches_single(self):
         gen = np.random.default_rng(0)
         y = gen.uniform(0, 5, (10, 6))
@@ -114,6 +120,13 @@ class TestProjectSimplex:
     def test_uniform_fallback(self):
         out = clip_renormalize(np.array([-1.0, -2.0, -3.0]))
         assert np.allclose(out, 1 / 3)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, entry):
+        # nan gave the uniform label, inf gave [nan, 0, 0] with a
+        # RuntimeWarning and -inf was clipped silently to [0, 1, 0]
+        with pytest.raises(ValueError, match="v must be finite"):
+            clip_renormalize(np.array([entry, 1.0, 0.0]))
 
     @given(
         v=hnp.arrays(
