@@ -245,9 +245,9 @@ def simulate_rounds(
     Fading and noise are redrawn each trial, fading AR(1)-correlated across
     repetitions and antennas by ``cfg.time_corr``/``cfg.space_corr``.
     SUPERPOSITION draws fading magnitudes, phases and the exact noise energy
-    (:func:`_superpose`), and DIAGONAL each slot's fading and noise energies
-    as Gamma sums (:func:`_gamma_sums`): both the distribution of summing S*M
-    complex samples, from fewer draws, one chunk of trials per call.
+    (:func:`_superpose`), DIAGONAL each slot's fading and noise energies as
+    Gamma sums (:func:`_gamma_sums`), one chunk of trials per call: both the
+    distribution of summing S*M complex samples, from fewer draws.
     Chunking is a pure implementation detail and fixed given the shapes, so
     results depend only on the arguments and the stream state.
     """

@@ -47,8 +47,8 @@ def scene_estimate(y: np.ndarray, cfg: RoundConfig) -> tuple[np.ndarray, np.ndar
     either channel model, variance decaying as 1/(S*M)), and its
     :func:`clip_renormalize` projection, the soft label handed to learners.
     """
-    if np.shape(y)[-1] != cfg.num_classes:
-        raise ValueError(f"y has {np.shape(y)[-1]} classes, config {cfg.num_classes}")
+    if np.shape(y)[-1:] != (cfg.num_classes,):
+        raise ValueError(f"y of shape {np.shape(y)} for {cfg.num_classes} classes")
     raw = scene_raw(y, cfg.sample_count, cfg.rho)
     return raw, clip_renormalize(raw)
 

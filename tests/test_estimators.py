@@ -72,10 +72,11 @@ class TestSceneEstimate:
         scale = max(1.0, float(np.abs(y).max()) / (4 * rho))
         assert raw.sum() == pytest.approx(1.0, abs=1e-9 * scale)
 
-    @pytest.mark.parametrize("shape", [(4,), (5, 4)])
+    @pytest.mark.parametrize("shape", [(4,), (5, 4), ()])
     def test_class_axis_must_match_config(self, shape):
-        # both returned estimates over 4 classes, anchored at 1/4, with no error
-        with pytest.raises(ValueError, match="y has 4 classes, config 3"):
+        # (4,) and (5, 4) returned estimates over 4 classes, anchored at 1/4,
+        # with no error; a scalar raised a bare IndexError
+        with pytest.raises(ValueError, match=r"y of shape \(.*\) for 3 classes"):
             scene_estimate(np.ones(shape), RoundConfig(num_classes=3))
 
     def test_batch_matches_single(self):
