@@ -101,7 +101,7 @@ class CrossoverSpec:
                 raise ValueError(f"sweep.{key} {getattr(value, 'value', value)!r} is read only "
                                  "under the sweep command; crossover computes c_nc exactly")
 
-    def models(self, sweep_c_nc: float | None = None) -> list[CrossoverModel]:
+    def models(self, sweep_c_nc: float | None) -> list[CrossoverModel]:
         """One model per (constant pair, budget) in CSV order; ``sweep_c_nc``
         fills each null c_nc."""
         return [CrossoverModel(b, c_coh, sweep_c_nc if c_nc is None else c_nc,
@@ -335,7 +335,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - stage-labelled diagnostics
         print(f"error in '{command}': {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -64,9 +64,6 @@ class SoftLabel:
     def num_classes(self) -> int:
         return self.probs.size
 
-    def __len__(self) -> int:
-        return self.probs.size
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array(self.probs, dtype=dtype, copy=copy)
 
@@ -277,17 +274,10 @@ class RandomSource:
         self._seq = seed
         self.generator = np.random.Generator(np.random.PCG64(self._seq))
 
-    @property
-    def seed(self):
-        return self._seq.entropy
-
     def split(self, n: int) -> list["RandomSource"]:
         """Derive ``n`` independent child sources."""
         check_count(1, n=n)
         return [RandomSource(s) for s in self._seq.spawn(n)]
-
-    def __repr__(self) -> str:
-        return f"RandomSource(seed={self.seed!r})"
 
 
 def check_labels(labels, pop: DevicePopulation, num_classes: int | None = None) -> np.ndarray:

@@ -82,7 +82,7 @@ class SyntheticDataset:
     means: np.ndarray
 
     @classmethod
-    def generate(cls, rng: RandomSource, spec: DatasetSpec = DatasetSpec()) -> "SyntheticDataset":
+    def generate(cls, rng: RandomSource, spec: DatasetSpec) -> "SyntheticDataset":
         k, dim, size = spec.num_classes, spec.dim, spec.size
         gen = rng.generator
         if k <= dim:
@@ -229,11 +229,11 @@ class SoftmaxClassifier:
         self.bias = np.array(bias, dtype=np.float64)
 
     @classmethod
-    def initialize(cls, dim: int, num_classes: int, rng: RandomSource, scale: float = 0.01):
+    def initialize(cls, dim: int, num_classes: int, rng: RandomSource):
+        """Weights drawn N(0, 0.01^2) from ``rng``, zero bias."""
         check_count(1, dim=dim)
         check_count(2, num_classes=num_classes)
-        gen = rng.generator
-        return cls(scale * gen.standard_normal((dim, num_classes)), np.zeros(num_classes))
+        return cls(0.01 * rng.generator.standard_normal((dim, num_classes)), np.zeros(num_classes))
 
     def copy(self) -> "SoftmaxClassifier":
         return SoftmaxClassifier(self.weights, self.bias)
