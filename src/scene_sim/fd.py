@@ -149,6 +149,8 @@ def train_lockstep(
     """
     check_count(1, batch_size=batch_size)
     check_count(0, epochs=epochs)
+    if not 0 < learning_rate < np.inf:
+        raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
     gens = [r.generator for r in rngs]
     c, n, d = x.shape
     k = weights.shape[-1]

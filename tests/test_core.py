@@ -68,6 +68,10 @@ class TestValidateSoftLabel:
         with pytest.raises(ValueError, match="K >= 2"):
             SoftLabel((1.0,))
 
+    def test_not_a_vector(self):
+        with pytest.raises(ValueError, match=r"must be a vector, got shape \(2, 2\)"):
+            SoftLabel(np.eye(2))
+
     def test_probs_read_only(self):
         lab = SoftLabel((0.5, 0.5))
         with pytest.raises(ValueError):

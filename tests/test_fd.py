@@ -211,6 +211,22 @@ class TestLockstepSgd:
             model.train_soft(x[0], targets[0], -1, 4, 0.7, RandomSource(6))
         assert np.array_equal(model.weights, weights[0])
 
+    @pytest.mark.parametrize("entry", ["train_lockstep", "train_soft"])
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])
+    def test_learning_rate_must_be_positive_and_finite(self, rate, entry):
+        # inf let a matmul RuntimeWarning escape, nan raised Divergence after a
+        # full epoch, and 0 and -1 trained silently
+        weights, bias, x, targets = self.problem(1, 8)
+        model = SoftmaxClassifier(weights[0], bias[0])
+        message = f"learning_rate must be positive and finite, got {rate}"
+        with pytest.raises(ValueError, match=message):
+            if entry == "train_soft":
+                model.train_soft(x[0], targets[0], 1, 4, rate, RandomSource(6))
+            else:
+                train_lockstep(model.weights[None], model.bias[None], x, targets, 1, 4, rate,
+                               [RandomSource(6)])
+        assert np.array_equal(model.weights, weights[0])
+
     def test_targets_not_matching_x_are_rejected(self):
         # (3, K) targets for 4 samples raised numpy's reshape error
         weights, bias, x, targets = self.problem(2, 4)

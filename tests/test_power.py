@@ -137,6 +137,14 @@ class TestEnergyFrame:
         with pytest.raises(ValueError, match="negative transmit energy"):
             EnergyFrame(np.array([[-0.1, 1.1]]), np.array([1.0]))
 
+    def test_rejects_eta_of_wrong_length(self):
+        with pytest.raises(ValueError, match="one entry per device"):
+            EnergyFrame(np.array([[0.5, 0.5]]), np.array([1.0, 1.0]))
+
+    def test_rejects_negative_eta(self):
+        with pytest.raises(ValueError, match="eta entries must be >= 0"):
+            EnergyFrame(np.zeros((1, 2)), np.array([-1.0]))
+
     def test_rejects_row_sum_mismatch(self):
         with pytest.raises(ValueError):
             EnergyFrame(np.array([[0.5, 0.2]]), np.array([1.0]))
