@@ -15,7 +15,6 @@ settings pretrains once per seed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -171,18 +170,12 @@ def train_lockstep(
         # keepdims), and the divisor as a 0-d array (cheaper than a float)
         return scores[:, :size], row[:, :size], row[:, :size, 0], np.array(size, float)
 
-    # Full batches are views along a leading batch axis, which iteration
-    # makes per step; the ragged last batch follows. The gradient's left
-    # operand stays a transposed view: BLAS sums a contiguous transposed
-    # copy in another order, which changes the bits.
-    nb, rest = divmod(n, bs)
-    tail = nb * bs
-    xs4 = xs[:, :tail].reshape(c, nb, bs, d + 1).transpose(1, 0, 2, 3)
-    ts4 = ts[:, :tail].reshape(c, nb, bs, k).transpose(1, 0, 2, 3)
-    full = (xs4[..., :d], xs4.transpose(0, 1, 3, 2), ts4, *map(itertools.repeat, buffers(bs)))
-    ragged = [] if rest == 0 else [
-        (xs[:, tail:, :d], xs[:, tail:].transpose(0, 2, 1), ts[:, tail:], *buffers(rest))
-    ]
+    # Every batch's views and buffers, made once per call (full batches share
+    # theirs). The gradient's left operand stays a transposed view: BLAS sums
+    # a contiguous transposed copy in another order, which changes the bits.
+    full = buffers(bs)
+    batches = [(xs[:, lo:lo + bs, :d], xs[:, lo:lo + bs].transpose(0, 2, 1), ts[:, lo:lo + bs],
+                *(full if lo + bs <= n else buffers(n - lo))) for lo in range(0, n, bs)]
     lr = np.array(learning_rate, float)
     offsets = np.arange(c)[:, None] * n
     matmul, add, subtract, divide, multiply, exp = (
@@ -197,7 +190,7 @@ def train_lockstep(
         np.take(flat_x, order, axis=0, out=xs, mode="clip")
         np.take(flat_t, order, axis=0, out=ts, mode="clip")
         # the step, with outputs passed positionally (cheaper than out=)
-        for xb, xtb, tb, s, m, m_rows, size in itertools.chain(zip(*full), ragged):
+        for xb, xtb, tb, s, m, m_rows, size in batches:
             matmul(xb, w, s)
             add(s, b, s)
             max_rows(s, 2, None, m_rows)
@@ -236,9 +229,6 @@ class SoftmaxClassifier:
         check_count(1, dim=dim)
         check_count(2, num_classes=num_classes)
         return cls(0.01 * rng.generator.standard_normal((dim, num_classes)), np.zeros(num_classes))
-
-    def copy(self) -> "SoftmaxClassifier":
-        return SoftmaxClassifier(self.weights, self.bias)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return _softmax(x @ self.weights + self.bias)
@@ -441,7 +431,7 @@ def one_shot_distill(
     targets, plain = aggregate_targets(cfg, client_probs, pop, round_cfg, channel_rng)
     agg_err = float(np.linalg.norm(targets - plain, axis=1).mean())
 
-    trained = server.copy()
+    trained = SoftmaxClassifier(server.weights, server.bias)
     kl = trained.train_soft(
         x_u, targets, cfg.distill_epochs, cfg.batch_size, cfg.learning_rate, train_rng
     )

@@ -484,7 +484,7 @@ def test_11d_equal_sm_equal_accuracy():
             targets, _ = aggregate_targets(
                 base, probs, pop, cfg_round, RandomSource(5_000_000 + 1009 * j + t)
             )
-            trained = server.copy()
+            trained = SoftmaxClassifier(server.weights, server.bias)
             trained.train_soft(x_u, targets, base.distill_epochs, base.batch_size,
                                base.learning_rate, RandomSource(777))
             accs.append(trained.accuracy(split.test_features, split.test_labels))
