@@ -9,7 +9,6 @@ workers run them.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -315,12 +314,13 @@ def _point_stats(
     cfg: RoundConfig,
     rng: RandomSource,
     pool: ThreadPoolExecutor,
-    failed: threading.Event,
+    failed: list[tuple[RoundConfig | None, Exception]],
 ) -> Iterator[dict[str, TrialStats]]:
     """Submit the jobs of one sweep point, sending ``frame``, to ``pool``;
     return their stats in job order, keyed by estimator variant ("scene",
-    "scene_proj", "ratio", "ratio_proj"). A failing job sets the run's flag
-    ``failed``, and a job that starts after that raises ``CancelledError``.
+    "scene_proj", "ratio", "ratio_proj"). A failing job appends ``(cfg, its
+    exception)`` to the run's record ``failed``, and a job that starts after
+    any record raises ``CancelledError``.
 
     Each job streams its trials through the channel and the estimators in
     blocks of whole channel chunks, about ``_BLOCK_ELEMS`` estimates each, so
@@ -352,12 +352,12 @@ def _point_stats(
         return out
 
     def run_job(count: int, stream: RandomSource) -> dict[str, TrialStats]:
-        if failed.is_set():
+        if failed:
             raise CancelledError
         try:
             return _merged(run_block(min(block, count - lo), stream) for lo in range(0, count, block))
-        except Exception:
-            failed.set()
+        except Exception as exc:
+            failed.append((cfg, exc))
             raise
 
     return pool.map(run_job, jobs, rng.split(len(jobs)))
@@ -381,7 +381,8 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[Res
     every point run on one pool of ``threads`` workers (one when None), and
     no job starts after the first failure. A failure in a point's setup or
     jobs, such as moments past the float64 range, raises a ``RuntimeError``
-    naming the point. Deterministic given the spec, independent of ``threads``.
+    naming the point; once a job has failed, it names that job's point and
+    reason. Deterministic given the spec, independent of ``threads``.
     """
     if threads is not None:
         check_count(1, threads=threads)
@@ -392,7 +393,8 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[Res
     grid = [(s, m, snr) for (s, m) in spec.sm_pairs for snr in spec.snr_db_values]
     corr = dict(time_corr=spec.time_corr, space_corr=spec.space_corr)
     rows: list[ResultRow] = []
-    failed = threading.Event()  # set at the first failure: no job starts after it
+    # (point config, exception) of each failure, None for the main thread's
+    failed: list[tuple[RoundConfig | None, Exception]] = []
     with ThreadPoolExecutor(max_workers=threads or 1) as pool:  # threads start at the first job
         try:
             points = []
@@ -427,8 +429,13 @@ def run_experiment(spec: ExperimentSpec, threads: int | None = None) -> list[Res
                                 seed=spec.seed,
                             )
                         )
-        except Exception as exc:  # s, m and snr_db are the failing point's
-            failed.set()
+        except Exception as exc:  # s, m and snr_db are the point being set up or merged
+            # a merge meets a job that a later point's failure cancelled, so
+            # the first failure recorded is the one reported
+            failed.append((None, exc))
+            failed_cfg, exc = failed[0]
+            if failed_cfg is not None:
+                s, m, snr_db = next(g for g, (cfg, _, _) in zip(grid, points) if cfg is failed_cfg)
             raise RuntimeError(f"sweep point S={s}, M={m}, snr_db={snr_db} failed: {exc}") from exc
     return rows
 

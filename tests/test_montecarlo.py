@@ -1,6 +1,7 @@
 import io
+import itertools
 import sys
-import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -248,6 +249,31 @@ class TestRunExperiment:
             sys.setswitchinterval(interval)
         assert good_calls < len(calls) < good_calls + 10
 
+    def test_stalled_job_does_not_hide_the_failure(self, monkeypatch):
+        # the last of the first point's 20 jobs stalls before it starts while
+        # the other workers run on into the second point, where a job fails;
+        # the stalled job then raises CancelledError, which was reported as
+        # the first point's failure with an empty reason
+        monkeypatch.setattr(montecarlo, "_JOB_TRIALS", 10)
+        calls = self.count_channel_calls(monkeypatch, 30)
+
+        class StallingPool(montecarlo.ThreadPoolExecutor):
+            def map(self, fn, *iterables):
+                def job(number, *args):
+                    if number == 20:
+                        time.sleep(0.5)
+                    return fn(*args)
+
+                return super().map(job, itertools.count(1), *iterables)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", StallingPool)
+        spec = small_spec(sm_pairs=((1, 1), (2, 1), (1, 2)), snr_db_values=(5.0, 10.0),
+                          trials=200)
+        with pytest.raises(RuntimeError, match=r"sweep point S=1, M=1, snr_db=10\.0 "
+                                               "failed: channel failed"):
+            run_experiment(spec, threads=4)
+        assert 30 < len(calls) < 40
+
     def test_one_pool_per_run(self, monkeypatch):
         # every point's jobs share one pool: counted as the benchmark tracer
         # swaps its pool in
@@ -404,8 +430,7 @@ class TestStreamedPointStats:
         (s, m), = spec.sm_pairs
         cfg, frame, _ = spec.point(pop, labels, s, m, spec.snr_db_values[0])
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            jobs = montecarlo._point_stats(spec, pop, frame, cfg, RandomSource(11), pool,
-                                           threading.Event())
+            jobs = montecarlo._point_stats(spec, pop, frame, cfg, RandomSource(11), pool, [])
             streamed = montecarlo._merged(jobs)
         reference = one_call_per_job(spec, pop, labels, cfg, RandomSource(11))
         assert list(streamed) == list(reference)
