@@ -28,6 +28,7 @@ from .core import (
     RoundConfig,
     check_count,
     check_range,
+    check_simplex,
     coerce_settings,
     csv_cell,
 )
@@ -124,6 +125,15 @@ def _mean_kl(probs: np.ndarray, t: np.ndarray, entropy_term: np.ndarray) -> np.n
     return np.subtract(entropy_term, probs, out=probs).sum(axis=-1).mean(axis=-1)
 
 
+def _check_targets(targets: np.ndarray) -> None:
+    """Raise ``targets: <reason>`` unless :func:`core.check_simplex` passes
+    every row of ``targets``."""
+    try:
+        check_simplex(targets)
+    except ValueError as exc:
+        raise ValueError(f"targets: {exc}") from None
+
+
 def train_lockstep(
     weights: np.ndarray, bias: np.ndarray, x: np.ndarray, targets: np.ndarray,
     epochs: int, batch_size: int, learning_rate: float, rngs: list[RandomSource],
@@ -135,8 +145,9 @@ def train_lockstep(
     is one batched matmul over the model axis, and every model sees the
     arithmetic it would see trained alone. The gradient of the mean KL w.r.t.
     the scores is (softmax - target)/B, the same as cross-entropy with soft
-    targets. Returns the (epochs, C) end-of-epoch losses; raises Divergence as
-    soon as any model's loss is non-finite.
+    targets. Every target row must be a probability vector, and ``rngs`` must
+    hold one stream per model. Returns the (epochs, C) end-of-epoch losses;
+    raises Divergence as soon as any model's loss is non-finite.
 
     Steps are bound by numpy call overhead, so they run on buffers reused for
     the whole call: weights and bias are one (C, d+1, K) block, and one
@@ -150,11 +161,14 @@ def train_lockstep(
     check_count(0, epochs=epochs)
     if not 0 < learning_rate < np.inf:
         raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
-    gens = [r.generator for r in rngs]
     c, n, d = x.shape
     k = weights.shape[-1]
     if targets.shape != (c, n, k):
         raise ValueError(f"targets shape {targets.shape} is not (C, n, K) = {(c, n, k)} of x")
+    _check_targets(targets)
+    if len(rngs) != c:
+        raise ValueError(f"rngs needs one stream per model, got {len(rngs)} for {c} models")
+    gens = [r.generator for r in rngs]
     params = np.concatenate([weights, bias[:, None]], axis=1)
     w, b = params[:, :d], params[:, d:]
     flat_x = np.concatenate([x, np.ones((c, n, 1))], axis=2).reshape(c * n, d + 1)
@@ -238,8 +252,10 @@ class SoftmaxClassifier:
         return float((pred == y).mean())
 
     def kl_loss(self, x: np.ndarray, targets: np.ndarray) -> float:
-        """Mean KL(target || prediction); infinite once training ran away."""
+        """Mean KL(target || prediction) over probability-vector target rows;
+        infinite once training ran away."""
         t = np.asarray(targets)
+        _check_targets(t)
         return float(_mean_kl(self.predict_proba(x), t, _entropy_term(t)))
 
     def train_soft(

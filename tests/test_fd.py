@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -237,6 +238,42 @@ class TestLockstepSgd:
             with pytest.raises(ValueError, match="targets shape"):
                 train_lockstep(weights, bias, x, bad, 2, 2, 0.7, [RandomSource(6)] * 2)
         assert np.array_equal(model.weights, weights[0])
+
+    @pytest.mark.parametrize("entry", ["train_lockstep", "train_soft", "kl_loss"])
+    @pytest.mark.parametrize("where, value, reason", [
+        (np.s_[...], np.nan, "entries and row totals must be finite"),
+        (np.s_[0, 3], np.nan, "entries and row totals must be finite"),
+        (np.s_[0, 3], [np.inf, 0, 0, 0], "entries and row totals must be finite"),
+        (np.s_[0, 3], [1.5, -0.5, 0, 0], "negative probability -0.5"),
+        (np.s_[0, 3], [2.0, 2.0, 0, 0], "entries sum to 4.0, expected 1.0"),
+    ], ids=["all-nan", "nan-row", "inf", "negative", "unnormalized"])
+    def test_targets_must_be_probability_rows(self, where, value, reason, entry):
+        # all-nan targets trained silently into nan weights (their KL terms
+        # were zero-filled) and read a kl_loss of 0.0; one nan row raised
+        # Divergence only after a full epoch; the others trained silently
+        weights, bias, x, targets = self.problem(1, 8)
+        targets[where] = value
+        model = SoftmaxClassifier(weights[0], bias[0])
+        with pytest.raises(ValueError, match=rf"^targets: {re.escape(reason)}$"):
+            if entry == "kl_loss":
+                model.kl_loss(x[0], targets[0])
+            elif entry == "train_soft":
+                model.train_soft(x[0], targets[0], 1, 4, 0.7, RandomSource(6))
+            else:
+                train_lockstep(model.weights[None], model.bias[None], x, targets, 1, 4, 0.7,
+                               [RandomSource(6)])
+        assert np.array_equal(model.weights, weights[0])
+
+    @pytest.mark.parametrize("streams", [1, 3])
+    def test_one_stream_per_model(self, streams):
+        # one stream for two models shuffled both alike, and three raised
+        # numpy's broadcast error, which named no argument
+        weights, bias, x, targets = self.problem(2, 8)
+        before = weights.copy()
+        with pytest.raises(ValueError, match=rf"^rngs needs one stream per model, got {streams} "
+                                             "for 2 models$"):
+            train_lockstep(weights, bias, x, targets, 1, 4, 0.7, RandomSource(6).split(streams))
+        assert np.array_equal(weights, before)
 
     def test_one_diverging_model_raises(self):
         weights, bias, x, targets = self.problem(3, 32)
