@@ -30,7 +30,6 @@ from conftest import (
     make_uniform_population,
     random_lattice_indices,
     superposition_reference_rounds,
-    variance_se,
 )
 
 
@@ -192,151 +191,114 @@ class TestSimulateRoundMoments:
         assert ref.mean() == pytest.approx(expected, rel=0.02)
 
 
-class TestDiagonalGammaSums:
-    """The diagonal kernel draws the fading energy of a slot as
-    eigenvalue-weighted Gamma sums (one Gamma(S*M, 1) without correlation).
-    Its moments must match the sample-by-sample AR(1) reference and the
-    closed-form variance of the self-centering estimate."""
+class TestKernelMoments:
+    """Both channel kernels and both slow references against the exact
+    moments of :mod:`analysis`, through one check of a (trials, K[+1]) sample
+    of slot energies: every slot mean against S*M * (sum_i beta_i E_ic +
+    noise_var), every entry of :func:`analysis.energy_covariance` (reference
+    slot and cross-class entries included) and, for kernel samples, Var(r_c)
+    against :func:`analysis.scene_variance`. The kernels run on every case;
+    each slow reference runs once per correlation structure.
 
-    # Two-sided 4-sigma bands: false-failure probability 6e-5 per comparison,
-    # about 0.012 over the 12 cases x 4 comparisons x up to 4 slots.
+    The superposition slots share each fading magnitude, so their exact
+    cross-class covariances are positive; at seed 41 the sample Cov(Y_0, Y_1)
+    sits about 40 SE above zero.
+
+    4-SE bands, each SE taken from the sample alone (the SD of the centred
+    products over sqrt(n)): false-failure probability at most 6.3e-5 per
+    comparison under a normal approximation, about 0.026 over the 414
+    comparisons (330 of the 20 kernel cases, 84 of the 6 reference runs)."""
+
     Z = 4.0
-
-    @pytest.mark.parametrize("s, m", [(1, 1), (4, 4)])
-    @pytest.mark.parametrize("snr_db", [None, 5.0])
-    def test_moments_match_reference_and_closed_form(self, s, m, snr_db):
-        self.check_moments(s, m, snr_db, 0.0, 0.0)
-
-    @pytest.mark.parametrize("s, m", [(4, 4), (16, 1)])
-    @pytest.mark.parametrize(
-        "time_corr, space_corr", [(0.3, 0.0), (0.0, 0.2), (0.3, 0.2), (0.9, 0.0)]
+    POP = DevicePopulation(
+        [0.4, 0.3, 0.2, 0.1], [1.6, 0.4, 1.0, 0.9], power_caps=np.full(4, 2.0)
     )
-    def test_correlated_moments_match_reference_and_closed_form(
-        self, s, m, time_corr, space_corr
-    ):
-        self.check_moments(s, m, 5.0, time_corr, space_corr)
+    Q = np.array([(0.7, 0.2, 0.1), (0.1, 0.8, 0.1), (0.3, 0.3, 0.4), (0.05, 0.05, 0.9)])
+    # (time_corr, space_corr): none, time only, space only, both
+    STRUCTURES = [(0.0, 0.0), (0.3, 0.0), (0.0, 0.2), (0.3, 0.2)]
 
-    def check_moments(self, s, m, snr_db, time_corr, space_corr):
-        pop = DevicePopulation(
-            [0.4, 0.3, 0.2, 0.1], [1.6, 0.4, 1.0, 0.9], power_caps=np.full(4, 2.0)
-        )
-        labels = [
-            SoftLabel(q)
-            for q in ((0.7, 0.2, 0.1), (0.1, 0.8, 0.1), (0.3, 0.3, 0.4), (0.05, 0.05, 0.9))
-        ]
-        rho = 1.0
-        cfg = RoundConfig(
-            num_classes=3, reps=s, antennas=m, rho=rho,
-            noise_var=0.0 if snr_db is None else calibrate_noise(rho, 3, snr_db),
+    @staticmethod
+    def diagonal(s, m, snr_db, time_corr, space_corr):
+        return RoundConfig(
+            num_classes=3, reps=s, antennas=m,
+            noise_var=0.0 if snr_db is None else calibrate_noise(1.0, 3, snr_db),
             channel_model=ChannelModel.DIAGONAL, use_reference_re=True,
             time_corr=time_corr, space_corr=space_corr,
         )
-        frame = map_energies(labels, pop, rho)
-        y, y_ref = simulate_rounds(frame, pop, cfg, RandomSource(31), trials=400_000)
-        fast = np.column_stack([y, y_ref])
-        slow = diagonal_reference_rounds(frame, pop, cfg, RandomSource(32), 100_000)
 
-        mean_se = np.sqrt(fast.var(axis=0) / len(fast) + slow.var(axis=0) / len(slow))
-        assert np.all(np.abs(fast.mean(axis=0) - slow.mean(axis=0)) <= self.Z * mean_se)
-        var_se = np.hypot(variance_se(fast), variance_se(slow))
-        assert np.all(np.abs(fast.var(axis=0) - slow.var(axis=0)) <= self.Z * var_se)
+    @staticmethod
+    def superposition(time_corr, space_corr, reference=True):
+        return RoundConfig(
+            num_classes=3, reps=2, antennas=3, noise_var=calibrate_noise(1.0, 3, 0.0),
+            use_reference_re=reference, time_corr=time_corr, space_corr=space_corr,
+        )
 
-        raw = scene_raw(y, cfg.sample_count, rho)
-        qbar = pop.omegas @ np.stack([q.probs for q in labels])
-        se = raw.std(axis=0, ddof=1) / np.sqrt(len(raw))
-        assert np.all(np.abs(raw.mean(axis=0) - qbar) <= self.Z * se)
-        exact = scene_variance(pop, labels, cfg)
-        assert np.all(np.abs(raw.var(axis=0, ddof=1) - exact) <= self.Z * variance_se(raw))
-
-
-class TestSuperpositionDistribution:
-    """The superposition kernel draws each fading magnitude, one phase per
-    class slot and the exact noise energy of a slot given its noise-free
-    energy. Its per-slot means, variances and cross-class correlations must
-    match the complex-sample reference, and its means the closed form
-    E[Y_c] = S*M * (sum_i beta_i E_ic + noise_var)."""
-
-    # 4-SE bands: false-failure probability at most 6e-5 per comparison,
-    # about 0.005 over the 78 comparisons of the 4 cases.
-    Z = 4.0
-    # Correlation SEs are batch means: the spread of the per-batch estimates.
-    BATCHES = 40
+    # M = 1 has no space axis and uncorrelated fading depends on S*M alone,
+    # so every case here draws differently from every other
+    @pytest.mark.parametrize("s, m, snr_db, time_corr, space_corr", [
+        (1, 1, None, 0.0, 0.0), (4, 4, None, 0.0, 0.0), (1, 1, 5.0, 0.0, 0.0),
+        *[(4, 4, 5.0, *corr) for corr in STRUCTURES], (4, 4, 5.0, 0.9, 0.0),
+        (16, 1, 5.0, 0.3, 0.0), (16, 1, 5.0, 0.9, 0.0),
+        (2, 8, 5.0, 0.3, 0.2), (8, 2, 5.0, 0.3, 0.2),
+    ])
+    def test_diagonal_kernel(self, s, m, snr_db, time_corr, space_corr):
+        cfg = self.diagonal(s, m, snr_db, time_corr, space_corr)
+        self.check_kernel(self.POP, cfg, RandomSource(31), 400_000)
 
     @pytest.mark.parametrize("reference", [False, True])
-    @pytest.mark.parametrize("corr", [{}, dict(time_corr=0.3, space_corr=0.2)])
-    def test_moments_match_reference_and_closed_form(self, reference, corr):
-        pop = DevicePopulation(
-            [0.4, 0.3, 0.2, 0.1], [1.6, 0.4, 1.0, 0.9], power_caps=np.full(4, 2.0)
-        )
-        q = np.array([(0.7, 0.2, 0.1), (0.1, 0.8, 0.1), (0.3, 0.3, 0.4), (0.05, 0.05, 0.9)])
-        cfg = RoundConfig(
-            num_classes=3, reps=2, antennas=3, noise_var=calibrate_noise(1.0, 3, 0.0),
-            use_reference_re=reference, **corr,
-        )
-        frame = map_energies(q, pop, 1.0)
-        y, y_ref = simulate_rounds(frame, pop, cfg, RandomSource(41), trials=400_000)
-        fast = y if y_ref is None else np.column_stack([y, y_ref])
-        slow = superposition_reference_rounds(frame, pop, cfg, RandomSource(42), 200_000)
-
-        mean_se = np.sqrt(fast.var(axis=0) / len(fast) + slow.var(axis=0) / len(slow))
-        assert np.all(np.abs(fast.mean(axis=0) - slow.mean(axis=0)) <= self.Z * mean_se)
-        var_se = np.hypot(variance_se(fast), variance_se(slow))
-        assert np.all(np.abs(fast.var(axis=0) - slow.var(axis=0)) <= self.Z * var_se)
-        (fast_corr, fast_se), (slow_corr, slow_se) = map(self.cross_class_corr, (fast, slow))
-        assert np.all(np.abs(fast_corr - slow_corr) <= self.Z * np.hypot(fast_se, slow_se))
-        # the slots share each device's fading magnitude: positive correlation
-        assert np.all(fast_corr > self.Z * fast_se)
-
-        expected = cfg.sample_count * (
-            pop.betas_true @ extended_energies(frame, cfg) + cfg.noise_var
-        )
-        se = fast.std(axis=0, ddof=1) / np.sqrt(len(fast))
-        assert np.all(np.abs(fast.mean(axis=0) - expected) <= self.Z * se)
-
-    def cross_class_corr(self, y):
-        """Correlations of every slot pair and their batch-means SEs."""
-        pairs = np.triu_indices(y.shape[1], 1)
-        batches = [np.corrcoef(part, rowvar=False)[pairs] for part in np.split(y, self.BATCHES)]
-        se = np.std(batches, axis=0, ddof=1) / np.sqrt(self.BATCHES)
-        return np.corrcoef(y, rowvar=False)[pairs], se
-
-
-class TestExactSecondMoments:
-    """Both kernels against :func:`analysis.energy_covariance`, the exact
-    covariance of the slot energies: per case, Var(r_c) of the three classes
-    (through :func:`analysis.scene_variance`), Cov(Y_0, Y_1), the reference
-    slot's Cov(Y_c, R) and Var(R).
-
-    4-SE bands: false-failure probability at most 6.3e-5 per comparison
-    under a normal approximation, about 0.002 over the 8 comparisons of each
-    of the 4 cases. Each SE is the SD of the centred products over sqrt(n)."""
-
-    Z = 4.0
+    @pytest.mark.parametrize("time_corr, space_corr", [(0.0, 0.0), (0.3, 0.2)])
+    def test_superposition_kernel(self, time_corr, space_corr, reference):
+        cfg = self.superposition(time_corr, space_corr, reference)
+        self.check_kernel(self.POP, cfg, RandomSource(41), 400_000)
 
     @pytest.mark.parametrize("model", list(ChannelModel))
-    @pytest.mark.parametrize("corr", [{}, dict(time_corr=0.3, space_corr=0.2)])
-    def test_moments_match_energy_covariance(self, model, corr):
-        pop = DevicePopulation(
-            [0.4, 0.3, 0.2, 0.1], [1.6, 0.4, 1.0, 0.9], [1.0, 0.5, 1.0, 1.2],
-            power_caps=np.full(4, 2.0),
-        )
-        q = np.array([(0.7, 0.2, 0.1), (0.1, 0.8, 0.1), (0.3, 0.3, 0.4), (0.05, 0.05, 0.9)])
-        cfg = RoundConfig(
-            num_classes=3, reps=2, antennas=3, noise_var=calibrate_noise(1.0, 3, 0.0),
-            channel_model=model, use_reference_re=True, **corr,
-        )
-        y, y_ref = simulate_rounds(map_energies(q, pop, 1.0), pop, cfg, RandomSource(51),
-                                   trials=200_000)
-        exact = energy_covariance(pop, q, cfg)
+    @pytest.mark.parametrize("time_corr, space_corr", [(0.0, 0.0), (0.3, 0.2)])
+    def test_mismatched_gains(self, time_corr, space_corr, model):
+        pop = replace(self.POP, betas_assumed=[1.0, 0.5, 1.0, 1.2])
+        cfg = replace(self.superposition(time_corr, space_corr), channel_model=model)
+        self.check_kernel(pop, cfg, RandomSource(51), 200_000)
+
+    @pytest.mark.parametrize("time_corr, space_corr", STRUCTURES)
+    def test_diagonal_reference(self, time_corr, space_corr):
+        cfg = self.diagonal(4, 4, 5.0, time_corr, space_corr)
+        self.check_reference(diagonal_reference_rounds, cfg, RandomSource(32), 100_000)
+
+    @pytest.mark.parametrize("time_corr, space_corr", [(0.0, 0.0), (0.3, 0.2)])
+    def test_superposition_reference(self, time_corr, space_corr):
+        cfg = self.superposition(time_corr, space_corr)
+        self.check_reference(superposition_reference_rounds, cfg, RandomSource(42), 200_000)
+
+    def check_reference(self, rounds, cfg, rng, trials):
+        frame = map_energies(self.Q, self.POP, cfg.rho)
+        self.assert_moments(rounds(frame, self.POP, cfg, rng, trials), frame, self.POP, cfg)
+
+    def check_kernel(self, pop, cfg, rng, trials):
+        frame = map_energies(self.Q, pop, cfg.rho)
+        y, y_ref = simulate_rounds(frame, pop, cfg, rng, trials)
+        sample = y if y_ref is None else np.column_stack([y, y_ref])
         raw = scene_raw(y, cfg.sample_count, cfg.rho)
-        checks = [(raw[:, c], raw[:, c], v) for c, v in enumerate(scene_variance(pop, q, cfg))]
-        checks.append((y[:, 0], y[:, 1], exact[0, 1]))
-        checks += [(y[:, c], y_ref, exact[c, 3]) for c in range(3)]
-        checks.append((y_ref, y_ref, exact[3, 3]))
-        for i, (x, w, value) in enumerate(checks):
-            z = (x - x.mean()) * (w - w.mean())
-            estimate, se = z.sum() / (len(z) - 1), z.std(ddof=1) / np.sqrt(len(z))
-            assert abs(estimate - value) <= self.Z * se, (i, estimate, value, se)
+        self.assert_moments(sample, frame, pop, cfg, raw)
+
+    def assert_moments(self, sample, frame, pop, cfg, raw=None):
+        """Check the slot means and the covariance entries of ``sample`` and,
+        given the raw estimates ``raw`` of a kernel sample, their variances."""
+        n, slots = sample.shape
+        i, j = np.triu_indices(slots)
+        centred = sample - sample.mean(axis=0)
+        unbiased = n / (n - 1)  # a (co)variance divides the sum of products by n - 1
+        columns = [sample, centred[:, i] * centred[:, j] * unbiased]
+        exact = [
+            cfg.sample_count * (pop.betas_true @ extended_energies(frame, cfg) + cfg.noise_var),
+            energy_covariance(pop, self.Q, cfg)[i, j],
+        ]
+        names = [f"mean[{c}]" for c in range(slots)] + [f"cov[{a},{b}]" for a, b in zip(i, j)]
+        if raw is not None:
+            columns.append((raw - raw.mean(axis=0)) ** 2 * unbiased)
+            exact.append(scene_variance(pop, self.Q, cfg))
+            names += [f"var_r[{c}]" for c in range(raw.shape[1])]
+        x = np.column_stack(columns)
+        z = (x.mean(axis=0) - np.concatenate(exact)) / (x.std(axis=0, ddof=1) / np.sqrt(n))
+        assert np.all(np.abs(z) <= self.Z), dict(zip(names, z.round(2)))
 
 
 class TestSimulateRoundErrors:
