@@ -21,7 +21,7 @@ from pathlib import Path
 from . import analysis
 from .analysis import CROSSOVER_CSV_HEADER, CrossoverModel
 from .channel import simulate_round
-from .core import Estimator, check_count, weighted_average
+from .core import Estimator, check_count, check_pairs, weighted_average
 from .estimators import ratio_estimate, scene_estimate
 from .fd import FD_CSV_HEADER, FdProtocolConfig, fd_csv_row, run_fd
 from .montecarlo import ExperimentSpec, SetupSpec, mse_constant, run_experiment, write_rows_csv
@@ -73,6 +73,7 @@ class CrossoverSpec:
     def __post_init__(self) -> None:
         if not (self.budgets and self.pilot_costs and self.constant_pairs):
             raise ValueError("crossover lists must be nonempty")
+        check_pairs(constant_pairs=self.constant_pairs)
         check_count(1, **{f"budgets[{i}]": b for i, b in enumerate(self.budgets)})
         check_count(0, **{f"pilot_costs[{i}]": p for i, p in enumerate(self.pilot_costs)})
         if not min(self.pilot_costs) < min(self.budgets):

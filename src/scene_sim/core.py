@@ -121,11 +121,6 @@ class DevicePopulation:
     def gammas(self) -> np.ndarray:
         return self.betas_true / self.betas_assumed
 
-    @property
-    def gamma_bar(self) -> float:
-        """Weighted mean mismatch, sum_i omega_i * gamma_i."""
-        return float(self.omegas @ self.gammas)
-
 
 class ChannelModel(Enum):
     """Which received-energy model the channel simulator uses.
@@ -177,11 +172,19 @@ def check_count(minimum: int, **counts: int) -> None:
             raise ValueError(f"{name} must be an integer >= {minimum}, got {n}")
 
 
+def check_pairs(**lists) -> None:
+    """Reject lists unless every entry holds two items."""
+    for name, entries in lists.items():
+        for i, entry in enumerate(entries):
+            if not hasattr(entry, "__len__") or len(entry) != 2:
+                raise ValueError(f"{name}[{i}] must be a pair, got {entry!r}")
+
+
 def check_range(**ranges: tuple[float, float] | None) -> None:
-    """Reject intervals unless 0 < lo <= hi < inf; None means no interval."""
+    """Reject intervals unless (lo, hi) with 0 < lo <= hi < inf; None: no interval."""
     for name, r in ranges.items():
-        if r is not None and not 0.0 < r[0] <= r[1] < np.inf:
-            raise ValueError(f"{name} needs 0 < lo <= hi, got {tuple(r)}")
+        if r is not None and not (len(r) == 2 and 0.0 < r[0] <= r[1] < np.inf):
+            raise ValueError(f"{name} needs (lo, hi) with 0 < lo <= hi, got {tuple(r)}")
 
 
 def check_scale(**scales: float) -> None:

@@ -28,6 +28,7 @@ from .core import (
     SoftLabel,
     check_correlation,
     check_count,
+    check_pairs,
     check_range,
     check_scale,
     check_simplex,
@@ -266,6 +267,7 @@ class ExperimentSpec(SetupSpec):
         super().__post_init__()
         if not self.sm_pairs or not self.snr_db_values:
             raise ValueError("sweep lists must be nonempty")
+        check_pairs(sm_pairs=self.sm_pairs)
         check_count(1, **{f"sm_pairs[{i}][{j}]": n
                           for i, pair in enumerate(self.sm_pairs) for j, n in enumerate(pair)})
         check_count(1, trials=self.trials)

@@ -359,6 +359,16 @@ class TestCrossoverCommand:
         assert err.startswith("config error:") and key in err and rule in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("pairs, key", [
+        (((1.0,),), "constant_pairs[0]"),
+        (((1.0, 2.0), (1.0, 2.0, 3.0)), "constant_pairs[1]"),
+    ])
+    def test_constant_pairs_are_pairs(self, pairs, key):
+        # the config reader rejects these; a library caller used to get "not
+        # enough values to unpack" or "too many values to unpack"
+        with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be a pair"):
+            cli.CrossoverSpec(constant_pairs=pairs)
+
     def test_estimate_c_nc_key_removed(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"crossover": {"estimate_c_nc": True, "sweep": C_NC_SWEEP}}))

@@ -120,7 +120,8 @@ class TestCheckRange:
         check_range(r=r)
 
     @pytest.mark.parametrize(
-        "r", [(-0.2, 1.5), (0.0, 1.0), (1.5, 0.5), (np.nan, 1.0), (0.5, np.inf)]
+        "r", [(-0.2, 1.5), (0.0, 1.0), (1.5, 0.5), (np.nan, 1.0), (0.5, np.inf), (0.5,),
+              (0.5, 1.0, 0.1)]
     )
     def test_rejects(self, r):
         with pytest.raises(ValueError, match="r needs"):
@@ -263,7 +264,6 @@ class TestDeviceTypes:
         pop = DevicePopulation(**population_kwargs())
         assert pop.num_devices == 2
         assert np.allclose(pop.gammas, [0.5, 1.0])
-        assert pop.gamma_bar == pytest.approx(0.25 * 0.5 + 0.75 * 1.0)
         for v in (pop.omegas, pop.betas_true, pop.betas_assumed, pop.power_caps):
             assert v.dtype == np.float64 and v.shape == (2,)
 
@@ -427,6 +427,18 @@ def test_counts_are_checked(name, minimum, valid, call):
                                              rf">= {minimum}, got {bad}$"):
             call(bad)
     call(np.int64(valid))
+
+
+@pytest.mark.parametrize("pairs, key", [
+    (((2, 2), (1, 2, 3)), "sm_pairs[1]"),
+    (((0,),), "sm_pairs[0]"),  # before its count check
+    ((4,), "sm_pairs[0]"),
+])
+def test_sm_pairs_are_pairs(pairs, key):
+    # a triple used to construct, then fail in run_experiment with "too many
+    # values to unpack", and a bare count raised a TypeError naming no argument
+    with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be a pair"):
+        ExperimentSpec(sm_pairs=pairs)
 
 
 @pytest.mark.parametrize("cls, name, member, extra", [

@@ -257,7 +257,8 @@ class TestRatioEstimate:
         assert np.allclose(base_proj, scaled_proj, rtol=1e-9)
 
     def test_heterogeneous_gamma_reweights_mean(self):
-        # noise-free Monte Carlo mean approaches sum(w*gamma*q)/gamma_bar
+        # noise-free Monte Carlo mean approaches
+        # sum_i omega_i gamma_i q_i / sum_i omega_i gamma_i
         gammas = np.array([2.0, 1.0])
         pop = DevicePopulation(
             [0.5, 0.5], [1.0, 1.0], 1.0 / gammas, [100.0, 100.0]
