@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (ChannelModel, DevicePopulation, RoundConfig, check_count, check_labels,
-                   check_scale, check_snr, csv_cell)
+                   check_real, check_scale, check_snr, csv_cell)
 
 CROSSOVER_CSV_HEADER = "B,P,c_coh,c_nc,mse_coh,mse_nc,scene_wins"
 
@@ -35,8 +35,7 @@ def mismatch_bias_bound(delta: float, k: int) -> float:
     """Worst-case L2 bias when every |gamma_i - 1| <= delta:
     delta * sqrt((K-1)/K). Attained by a single device at a simplex vertex.
     """
-    if not 0 <= delta < math.inf:
-        raise ValueError(f"delta must be >= 0 and finite, got {delta}")
+    check_real(">= 0", delta=delta)
     check_count(2, k=k)
     return delta * math.sqrt((k - 1) / k)
 
@@ -148,9 +147,8 @@ class CrossoverModel:
         check_count(1, budget=self.budget)
         check_count(2, num_classes=self.num_classes)
         constants = {"c_coh": self.c_coh, "c_nc": self.c_nc}  # the MSEs peak at P = B - 1
+        check_real("positive", **constants)
         for (name, c), mse in zip(constants.items(), self.mse(self.budget - 1)):
-            if not 0 < c < math.inf:
-                raise ValueError(f"MSE constant {name} must be positive and finite, got {c}")
             if not math.isfinite(mse):
                 raise ValueError(f"MSE constant {name} = {c} overflows the round MSE")
 

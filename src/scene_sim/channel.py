@@ -48,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelModel, DevicePopulation, RandomSource, RoundConfig, check_count, check_range
+from .core import (ChannelModel, DevicePopulation, RandomSource, RoundConfig, check_count,
+                   check_range, check_real)
 from .power import EnergyFrame
 
 # Element budgets of a chunk of trials, which fixes the random stream, and of
@@ -79,11 +80,8 @@ class PathlossModel:
 
     def __post_init__(self) -> None:
         check_range(distance_range=self.distance_range)
-        if not 0 < self.exponent < math.inf:
-            raise ValueError(f"exponent must be positive and finite, got {self.exponent}")
-        std = self.shadowing_std_db
-        if not 0 <= std < math.inf:
-            raise ValueError(f"shadowing_std_db must be >= 0 and finite, got {std}")
+        check_real("positive", exponent=self.exponent)
+        check_real(">= 0", shadowing_std_db=self.shadowing_std_db)
 
 
 def sample_pathloss(model: PathlossModel, n: int, rng: RandomSource) -> np.ndarray:

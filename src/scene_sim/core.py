@@ -19,24 +19,25 @@ SIMPLEX_SUM_TOL = 1e-9
 NEGATIVITY_TOL = 1e-12
 
 
-def check_simplex(v, totals=1.0) -> np.ndarray:
+def check_simplex(v, totals=1.0, name: str = "") -> np.ndarray:
     """Check the rows (trailing axis) of ``v``, vectorized over leading axes:
     K >= 2 entries each, finite and not below -NEGATIVITY_TOL, each row summing
     to its entry of ``totals`` within SIMPLEX_SUM_TOL * max(1, total). Returns
-    a float64 copy with the negative dust clipped to exactly zero."""
+    a float64 copy with the negative dust clipped to zero; ``name: `` starts each message."""
+    at = f"{name}: " if name else ""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim < 1 or v.shape[-1] < 2:
-        raise ValueError(f"rows need K >= 2 entries, got shape {v.shape}")
+        raise ValueError(f"{at}rows need K >= 2 entries, got shape {v.shape}")
     totals = np.asarray(totals, dtype=np.float64)
     if not (np.all(np.isfinite(v)) and np.all(np.isfinite(totals))):
-        raise ValueError("entries and row totals must be finite")
+        raise ValueError(f"{at}entries and row totals must be finite")
     if np.any(v < -NEGATIVITY_TOL):
-        raise ValueError(f"negative probability {float(v.min())!r}")
+        raise ValueError(f"{at}negative probability {float(v.min())!r}")
     sums = v.sum(axis=-1)
     bad = np.abs(sums - totals) > SIMPLEX_SUM_TOL * np.maximum(1.0, totals)
     if np.any(bad):
         expected = float(np.broadcast_to(totals, bad.shape)[bad][0])
-        raise ValueError(f"entries sum to {float(sums[bad][0])!r}, expected {expected!r}")
+        raise ValueError(f"{at}entries sum to {float(sums[bad][0])!r}, expected {expected!r}")
     return np.maximum(v, 0.0)
 
 
@@ -180,30 +181,48 @@ def check_pairs(**lists) -> None:
                 raise ValueError(f"{name}[{i}] must be a pair, got {entry!r}")
 
 
+def _is_real(x) -> bool:
+    """Whether ``x`` is a real: an int, float, numpy integer or numpy floating
+    value, not a bool (numpy's included), that is finite as a float64."""
+    try:
+        return (not isinstance(x, bool) and isinstance(x, (int, float, np.integer, np.floating))
+                and math.isfinite(x))
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def check_real(bound: str, **reals: float) -> None:
+    """Reject non-reals (:func:`_is_real`) and reals breaking ``bound``: 'positive' or '>= 0'."""
+    for name, x in reals.items():
+        if not (_is_real(x) and (x > 0 if bound == "positive" else x >= 0)):
+            raise ValueError(f"{name} must be {bound} and finite, got {x}")
+
+
 def check_range(**ranges: tuple[float, float] | None) -> None:
-    """Reject intervals unless (lo, hi) with 0 < lo <= hi < inf; None: no interval."""
+    """Reject intervals unless (lo, hi) reals with 0 < lo <= hi; None: no interval."""
     for name, r in ranges.items():
-        if r is not None and not (len(r) == 2 and 0.0 < r[0] <= r[1] < np.inf):
-            raise ValueError(f"{name} needs (lo, hi) with 0 < lo <= hi, got {tuple(r)}")
+        if r is not None and not (hasattr(r, "__len__") and len(r) == 2
+                                  and all(map(_is_real, r)) and 0.0 < r[0] <= r[1]):
+            raise ValueError(f"{name} needs (lo, hi) with 0 < lo <= hi, got {r!r}")
 
 
 def check_scale(**scales: float) -> None:
-    """Reject energy scales rho unless rho^2 is a positive, normal, finite
-    float64, rho within about [1.5e-154, 1.3e154]: the variance terms divide
-    by rho^2."""
+    """Reject energy scales rho unless rho is a real whose square is a
+    positive, normal, finite float64, rho within about [1.5e-154, 1.3e154]:
+    the variance terms divide by rho^2."""
     for name, rho in scales.items():
-        square = float(rho) * float(rho)  # inf past the range, with no warning
-        if not (rho > 0 and np.finfo(np.float64).tiny <= square < np.inf):
+        square = float(rho) * float(rho) if _is_real(rho) else 0.0  # inf past the range, unwarned
+        if not (np.finfo(np.float64).tiny <= square < np.inf and rho > 0):
             raise ValueError(f"{name} must be positive with a normal, finite square, got {rho}")
 
 
 def check_snr(**snrs: float) -> None:
-    """Reject SNRs in dB that are nan or whose linear factor 10^(snr_db/10)
-    is zero or past the float64 range, snr_db about outside [-3230, 3080]: no
-    noise power realizes them."""
+    """Reject SNRs in dB that are not reals or whose linear factor
+    10^(snr_db/10) is zero or past the float64 range, snr_db about outside
+    [-3230, 3080]: no noise power realizes them."""
     for name, snr_db in snrs.items():
         try:
-            factor = 10.0 ** (snr_db / 10.0)
+            factor = 10.0 ** (float(snr_db) / 10.0) if _is_real(snr_db) else 0.0
         except OverflowError:
             factor = math.inf
         if not 0.0 < factor < math.inf:
@@ -219,9 +238,9 @@ def csv_cell(x: object) -> str:
 
 
 def check_correlation(**coeffs: float) -> None:
-    """Reject AR(1) correlation coefficients outside [0, 1)."""
+    """Reject AR(1) correlation coefficients unless reals in [0, 1)."""
     for name, c in coeffs.items():
-        if not 0.0 <= c < 1.0:
+        if not (_is_real(c) and 0.0 <= c < 1.0):
             raise ValueError(f"{name} must lie in [0, 1), got {c}")
 
 
@@ -249,8 +268,7 @@ class RoundConfig:
         check_count(2, num_classes=self.num_classes)
         check_count(1, reps=self.reps, antennas=self.antennas)
         check_scale(rho=self.rho)
-        if not 0 <= self.noise_var < np.inf:
-            raise ValueError(f"noise_var must be >= 0 and finite, got {self.noise_var}")
+        check_real(">= 0", noise_var=self.noise_var)
         coerce_settings(self, channel_model=ChannelModel)
         check_correlation(time_corr=self.time_corr, space_corr=self.space_corr)
 

@@ -28,6 +28,7 @@ from .core import (
     RoundConfig,
     check_count,
     check_range,
+    check_real,
     check_simplex,
     coerce_settings,
     csv_cell,
@@ -64,8 +65,7 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         check_count(2, num_classes=self.num_classes)
         check_count(1, dim=self.dim, size=self.size)
-        if not 0 <= self.noise_std < np.inf:
-            raise ValueError(f"noise_std must be >= 0 and finite, got {self.noise_std}")
+        check_real(">= 0", noise_std=self.noise_std)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,15 +125,6 @@ def _mean_kl(probs: np.ndarray, t: np.ndarray, entropy_term: np.ndarray) -> np.n
     return np.subtract(entropy_term, probs, out=probs).sum(axis=-1).mean(axis=-1)
 
 
-def _check_targets(targets: np.ndarray) -> None:
-    """Raise ``targets: <reason>`` unless :func:`core.check_simplex` passes
-    every row of ``targets``."""
-    try:
-        check_simplex(targets)
-    except ValueError as exc:
-        raise ValueError(f"targets: {exc}") from None
-
-
 def train_lockstep(
     weights: np.ndarray, bias: np.ndarray, x: np.ndarray, targets: np.ndarray,
     epochs: int, batch_size: int, learning_rate: float, rngs: list[RandomSource],
@@ -159,13 +150,18 @@ def train_lockstep(
     """
     check_count(1, batch_size=batch_size)
     check_count(0, epochs=epochs)
-    if not 0 < learning_rate < np.inf:
-        raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
+    check_real("positive", learning_rate=learning_rate)
+    if x.ndim != 3:
+        raise ValueError(f"x shape {x.shape} is not (C, n, d)")
     c, n, d = x.shape
     k = weights.shape[-1]
+    if weights.shape != (c, d, k):
+        raise ValueError(f"weights shape {weights.shape} is not (C, d, K) = {(c, d, k)} of x")
+    if bias.shape != (c, k):
+        raise ValueError(f"bias shape {bias.shape} is not (C, K) = {(c, k)} of weights")
     if targets.shape != (c, n, k):
         raise ValueError(f"targets shape {targets.shape} is not (C, n, K) = {(c, n, k)} of x")
-    _check_targets(targets)
+    check_simplex(targets, name="targets")
     if len(rngs) != c:
         raise ValueError(f"rngs needs one stream per model, got {len(rngs)} for {c} models")
     gens = [r.generator for r in rngs]
@@ -255,7 +251,7 @@ class SoftmaxClassifier:
         """Mean KL(target || prediction) over probability-vector target rows;
         infinite once training ran away."""
         t = np.asarray(targets)
-        _check_targets(t)
+        check_simplex(t, name="targets")
         return float(_mean_kl(self.predict_proba(x), t, _entropy_term(t)))
 
     def train_soft(
@@ -308,8 +304,7 @@ class FdProtocolConfig:
                     batch_size=self.batch_size, private_size=self.private_size,
                     open_size=self.open_size)
         check_count(0, pretrain_epochs=self.pretrain_epochs, distill_epochs=self.distill_epochs)
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        check_real("positive", learning_rate=self.learning_rate)
         if self.unlabeled_budget > self.open_size:
             raise ValueError("unlabeled budget exceeds the open pool")
         if self.private_size < self.clients:

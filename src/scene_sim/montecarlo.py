@@ -30,6 +30,7 @@ from .core import (
     check_count,
     check_pairs,
     check_range,
+    check_real,
     check_scale,
     check_simplex,
     coerce_settings,
@@ -166,8 +167,7 @@ class LabelSpec:
     def __post_init__(self) -> None:
         coerce_settings(self, kind=LabelKind)
         check_count(2, num_classes=self.num_classes)
-        if not 0 < self.alpha < np.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        check_real("positive", alpha=self.alpha)
         if self.kind is not LabelKind.DIRICHLET and self.alpha != LabelSpec.alpha:
             raise ValueError(f"alpha {self.alpha} is read only under kind 'dirichlet', "
                              f"not under '{self.kind.value}'")
@@ -176,10 +176,7 @@ class LabelSpec:
                 raise ValueError("fixed label spec needs labels")
             if any(len(row) != self.num_classes for row in self.fixed):
                 raise ValueError(f"every fixed label needs num_classes = {self.num_classes} entries")
-            try:
-                check_simplex(self.fixed)
-            except ValueError as exc:
-                raise ValueError(f"fixed labels: {exc}") from None
+            check_simplex(self.fixed, name="fixed labels")
         elif self.fixed is not None:
             raise ValueError(f"fixed labels need kind 'fixed', got kind '{self.kind.value}'")
 

@@ -462,6 +462,65 @@ def test_settings_are_checked(cls, name, member, extra):
         assert getattr(cls(**{name: good}, **extra), name) is member
 
 
+def _real_calls():
+    """(argument name, a value past its bound, a valid value, call taking the
+    value, whether None means absent there) for every real argument checked
+    by ``core.check_real`` or by a real helper of ``core``."""
+    pop = DevicePopulation(np.full(2, 0.5), np.ones(2))
+    crossover = dict(budget=10, c_coh=1.0, c_nc=2.0, num_classes=4)
+
+    def lockstep(rate):
+        return train_lockstep(np.zeros((1, 3, 2)), np.zeros((1, 2)), np.ones((1, 4, 3)),
+                              np.full((1, 4, 2), 0.5), 1, 2, rate, [RandomSource(0)])
+
+    f32, i64 = np.float32, np.int64
+    return [
+        ("noise_var", -1.0, f32(0.5), lambda v: RoundConfig(num_classes=3, noise_var=v), False),
+        ("shadowing_std_db", -1.0, f32(8), lambda v: PathlossModel(shadowing_std_db=v), False),
+        ("noise_std", -0.3, f32(0.3), lambda v: DatasetSpec(noise_std=v), False),
+        ("delta", -0.1, i64(1), lambda v: mismatch_bias_bound(v, 3), False),
+        ("exponent", 0.0, i64(3), lambda v: PathlossModel(exponent=v), False),
+        ("alpha", 0.0, f32(0.5), lambda v: LabelSpec(alpha=v), False),
+        ("c_coh", 0.0, i64(1), lambda v: CrossoverModel(**{**crossover, "c_coh": v}), False),
+        ("c_nc", -1.0, f32(2), lambda v: CrossoverModel(**{**crossover, "c_nc": v}), False),
+        ("learning_rate", 0.0, f32(0.5), lambda v: FdProtocolConfig(learning_rate=v), False),
+        ("learning_rate", -1.0, f32(0.1), lockstep, False),
+        ("rho", 0.0, f32(2), lambda v: RoundConfig(num_classes=3, rho=v), False),
+        ("rho_value", -1.0, i64(2),
+         lambda v: ExperimentSpec(rho_rule="fixed", rho_value=v), False),
+        ("rho", 1e-160, i64(2), lambda v: calibrate_noise(v, 3, 5.0), False),
+        ("rho", 0.0, f32(2), lambda v: map_energies([[0.5, 0.5], [1.0, 0.0]], pop, v), False),
+        ("rho", -1.0, i64(1), lambda v: scene_raw([[1.0, 2.0]], 2, v), False),
+        ("snr_db_values[0]", 4000.0, f32(5), lambda v: ExperimentSpec(snr_db_values=(v,)), False),
+        ("snr_db", -4000.0, i64(5), lambda v: RoundSpec(snr_db=v), False),
+        ("snr_db", 4000.0, f32(5), lambda v: FdProtocolConfig(snr_db=v), True),
+        ("snr_db", 4000.0, i64(5), lambda v: calibrate_noise(1.0, 3, v), False),
+        ("time_corr", 1.0, f32(0.5), lambda v: RoundConfig(num_classes=3, time_corr=v), False),
+        ("space_corr", -0.2, f32(0.5), lambda v: RoundConfig(num_classes=3, space_corr=v), False),
+        ("time_corr", 1.5, f32(0.5), lambda v: ExperimentSpec(time_corr=v), False),
+        ("space_corr", 1.0, i64(0), lambda v: ExperimentSpec(space_corr=v), False),
+        ("power_cap_range", 3.0, f32(0.5),
+         lambda v: PopulationSpec(power_cap_range=(v, 2.0)), False),
+        ("gamma_range", (0.0, 1.0), (f32(0.5), i64(2)), lambda v: PopulationSpec(gamma_range=v),
+         True),
+        ("distance_range", 60.0, i64(5), lambda v: PathlossModel(distance_range=(v, 50.0)), False),
+        ("power_cap_range", 0.1, i64(2),
+         lambda v: FdProtocolConfig(power_cap_range=(0.5, v)), False),
+    ]
+
+
+@pytest.mark.parametrize("name, past, valid, call, absent",
+                         [pytest.param(*case, id=f"{i}-{case[0]}")
+                          for i, case in enumerate(_real_calls())])
+def test_reals_are_checked(name, past, valid, call, absent):
+    # True used to pass as 1.0, '1' and None to raise a bare TypeError naming
+    # no argument, and an int past the float range to pass or raise an OverflowError
+    for bad in (True, "1", np.nan, np.inf, 10**400, past, *(() if absent else (None,))):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} "):
+            call(bad)
+    call(valid)
+
+
 @pytest.mark.parametrize("cls, name, extra", [
     (DatasetSpec, "noise_std", {}),
     (PathlossModel, "shadowing_std_db", {}),

@@ -239,6 +239,22 @@ class TestLockstepSgd:
                 train_lockstep(weights, bias, x, bad, 2, 2, 0.7, [RandomSource(6)] * 2)
         assert np.array_equal(model.weights, weights[0])
 
+    @pytest.mark.parametrize("weights, bias, x, name", [
+        ((1, 3, 2), (1, 2), (1, 4, 5), "weights"),  # d = 3 against 5: matmul's core dimension
+        ((1, 3, 2), (1, 3), (1, 4, 3), "bias"),  # K = 3 against 2: a concatenation error
+        ((2, 3, 2), (2, 2), (1, 4, 3), "weights"),  # C = 2 against 1: non-broadcastable output
+        ((3, 2), (2,), (4,), "x"),  # train_soft on a 1-D x: "not enough values to unpack"
+    ])
+    def test_model_shapes_must_match_x(self, weights, bias, x, name):
+        # each raised numpy's error from inside the step, naming no argument
+        w, b, x = np.zeros(weights), np.zeros(bias), np.ones(x)
+        with pytest.raises(ValueError, match=rf"^{name} shape "):
+            if x.ndim == 1:
+                SoftmaxClassifier(w, b).train_soft(x, np.full((4, 2), 0.5), 1, 2, 0.1,
+                                                   RandomSource(0))
+            else:
+                train_lockstep(w, b, x, np.full((1, 4, 2), 0.5), 1, 2, 0.1, [RandomSource(0)])
+
     @pytest.mark.parametrize("entry", ["train_lockstep", "train_soft", "kl_loss"])
     @pytest.mark.parametrize("where, value, reason", [
         (np.s_[...], np.nan, "entries and row totals must be finite"),
